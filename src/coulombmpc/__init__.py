@@ -8,7 +8,13 @@ matrix.
 """
 
 from .conic import ConeDims, ConicProblem, sym_to_vec, vec_dim, vec_to_sym
-from .controller import ControllerState, MpcController, StepRecord, warm_start_payload
+from .controller import (
+    INVALID_MEASUREMENT,
+    ControllerState,
+    MpcController,
+    StepRecord,
+    warm_start_payload,
+)
 from .dynamics import (
     COULOMB_CONSTANT,
     AbsoluteState,

@@ -43,18 +43,27 @@ def sym_to_vec(mat: np.ndarray) -> np.ndarray:
     return mat[rows, cols] * scale
 
 
+def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather map from a vectorization back to the full ``side x side`` matrix.
+
+    Returns ``(index, scale)``, both ``side x side``: entry (i, j) of the
+    matrix is ``vec[index[i, j]] / scale[i, j]``.
+    """
+    rows, cols = np.tril_indices(side)
+    index = np.empty((side, side), dtype=int)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    scale = np.where(rows == cols, 1.0, SQRT2)[index]
+    return index, scale
+
+
 def vec_to_sym(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`sym_to_vec`."""
     vec = np.asarray(vec, dtype=float)
     side = int((np.sqrt(8 * vec.size + 1) - 1) / 2 + 0.5)
     if vec_dim(side) != vec.size:
         raise ValueError(f"vector of length {vec.size} is not a packed symmetric matrix")
-    rows, cols = np.tril_indices(side)
-    scale = np.where(rows == cols, 1.0, SQRT2)
-    mat = np.zeros((side, side))
-    mat[rows, cols] = vec / scale
-    mat[cols, rows] = mat[rows, cols]
-    return mat
+    index, scale = sym_gather(side)
+    return vec[index] / scale
 
 
 @dataclass(frozen=True)

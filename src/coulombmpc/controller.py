@@ -7,9 +7,10 @@ actuation layer for zero-order hold over the coming sample period.  Only the
 right-hand side of the conic problem changes between samples, so the solver
 keeps its scaling and factorization throughout the run.
 
-On solver failure the controller applies zero charges (the passive-safe
-actuation: no charge, no force), logs the fault and keeps the previous warm
-start.
+On solver failure, or on a measurement with non-finite entries (status
+:data:`INVALID_MEASUREMENT`, no solve attempted), the controller applies
+zero charges (the passive-safe actuation: no charge, no force), logs the
+fault and keeps the previous warm start.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .dynamics import DiscreteModel, RelativeState, charge_products
 from .horizon import HorizonProblem, MpcParams, build_horizon_problem, to_conic, update_initial_state
 from .recovery import recover, saturate
 from .solver import OPTIMAL, ConicSolver, SolveResult, SolverSettings
+
+INVALID_MEASUREMENT = "invalid_measurement"
 
 
 @dataclass
@@ -99,14 +102,20 @@ class MpcController:
             measured = measured.as_vector()
         measured = np.asarray(measured, dtype=float)
 
-        prob = update_initial_state(self._conic_template, self._template, measured)
-        warm = None
-        if self.settings.warm_start:
-            warm = warm_start_payload(self.state.previous_result, prob)
-        result = self._solver.solve(prob, self.settings, warm=warm)
-
         k = self.state.step_count
-        if result.status == OPTIMAL:
+        # a wrong-length measurement is a caller bug and raises while pinning
+        if measured.shape == (self.model.state_dim,) and not np.isfinite(measured).all():
+            status, iterations, solve_time, objective = INVALID_MEASUREMENT, 0, 0.0, float("nan")
+        else:
+            prob = update_initial_state(self._conic_template, self._template, measured)
+            warm = None
+            if self.settings.warm_start:
+                warm = warm_start_payload(self.state.previous_result, prob)
+            result = self._solver.solve(prob, self.settings, warm=warm)
+            status, iterations = result.status, result.iterations
+            solve_time, objective = result.solve_time, result.objective
+
+        if status == OPTIMAL:
             _, _, lifted = self._template.unpack(result.z)
             recovered = recover(lifted[0], previous=self.state.previous_charges)
             charges, clipped = saturate(recovered.charges, self.saturation_limit)
@@ -117,7 +126,7 @@ class MpcController:
             charges = np.zeros(self.params.num_spacecraft)
             clipped = False
             rank_ratio = float("nan")
-            self.state.faults.append((k, result.status))
+            self.state.faults.append((k, status))
 
         record = StepRecord(
             step=k,
@@ -126,11 +135,11 @@ class MpcController:
             charges=charges,
             products=charge_products(charges),
             rank_ratio=rank_ratio,
-            solver_status=result.status,
-            iterations=result.iterations,
-            solve_time=result.solve_time,
+            solver_status=status,
+            iterations=iterations,
+            solve_time=solve_time,
             saturated=clipped,
-            objective=result.objective,
+            objective=objective,
         )
         self.state.previous_charges = charges
         self.state.step_count = k + 1

@@ -22,11 +22,12 @@ stages 1..N only; the pinned stage is a measurement, not a decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import SQRT2, ConeDims, ConicProblem, sym_to_vec, vec_dim, vec_index, vec_to_sym
+from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, sym_to_vec, vec_dim, vec_index
 from .dynamics import DiscreteModel, RelativeState, pair_count, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
@@ -209,11 +210,15 @@ class HorizonProblem:
         z = np.asarray(z, dtype=float)
         states = z[: (N + 1) * n].reshape(N + 1, n)
         inputs = z[(N + 1) * n : (N + 1) * n + N * m].reshape(N, m)
-        lifted = np.empty((N, self.lifted_side, self.lifted_side))
-        for j in range(N):
-            off = self.lifted_offset(j)
-            lifted[j] = vec_to_sym(z[off : off + self.lifted_vec_dim])
-        return states, inputs, lifted
+        gather, scale = self._lifted_gather
+        return states, inputs, z[gather] / scale
+
+    @cached_property
+    def _lifted_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index into z and unscaling of every lifted matrix entry, stage by stage."""
+        index, scale = sym_gather(self.lifted_side)
+        starts = self.lifted_offset(0) + self.lifted_vec_dim * np.arange(self.num_stages)
+        return starts[:, None, None] + index, scale
 
 
 def build_horizon_problem(

@@ -20,18 +20,28 @@ Termination uses residuals of the original (unscaled) data:
 
 each compared against eps_abs + eps_rel * (problem scale).  The solver is
 fully deterministic: identical inputs produce identical iterates.
+
+Everything that depends only on the problem structure lives in a workspace
+built once per structure: the equilibrated data, the KKT matrix (a rho
+update rewrites only its -1/rho diagonal before refactoring), the cached
+transposes A' (unscaled, for the dual residual) and A_s' (scaled, for the
+rho balance) in CSR form, the cone projector's gather indices, and every
+iteration buffer.  The loop only solves, projects and updates, writing
+through ufunc ``out=`` arguments in the operation order of the plain loop
+kept in ``tests/reference_admm.py``.  Invariant: the iterates are
+bit-identical to that plain loop's.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .conic import ConeDims, ConicProblem, vec_dim
+from .conic import ConeDims, ConicProblem, sym_gather, vec_dim
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -98,7 +108,12 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 
 class _ConeProjector:
-    """Projection onto the product cone, batching equal-size PSD blocks."""
+    """Projection onto the product cone, batching equal-size PSD blocks.
+
+    Each group of equal-size PSD blocks keeps a ``(k, side, side)`` gather
+    index into the slack vector and the matching off-diagonal unscaling, so
+    one fancy index and one divide build the stack of symmetric matrices.
+    """
 
     def __init__(self, cones: ConeDims):
         self.zero_end = cones.zero
@@ -114,27 +129,27 @@ class _ConeProjector:
             starts = np.array(
                 [o for o, s in zip(offsets, cones.psd) if s == side], dtype=int
             )
-            d = vec_dim(side)
-            flat = starts[:, None] + np.arange(d)[None, :]
-            r, c = np.tril_indices(side)
-            scale = np.where(r == c, 1.0, np.sqrt(2.0))
-            self.groups.append((side, flat, r, c, scale))
+            flat = starts[:, None] + np.arange(vec_dim(side))[None, :]
+            index, unscale = sym_gather(side)
+            lower = np.ravel_multi_index(np.tril_indices(side), (side, side))
+            gather = starts[:, None, None] + index
+            # full-shape unscaling: a same-shape divide skips broadcasting
+            unscale_all = np.broadcast_to(unscale, gather.shape).copy()
+            self.groups.append((flat, gather, unscale_all, lower, unscale.ravel()[lower]))
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        out[: self.zero_end] = 0.0
-        out[self.zero_end : self.nonneg_end] = np.maximum(
-            v[self.zero_end : self.nonneg_end], 0.0
-        )
-        for side, flat, r, c, scale in self.groups:
-            vals = v[flat] / scale
-            mats = np.zeros((flat.shape[0], side, side))
-            mats[:, r, c] = vals
-            mats[:, c, r] = vals
+    def project(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(v)
+        z, nn = self.zero_end, self.nonneg_end
+        out[:z] = 0.0
+        np.maximum(v[z:nn], 0.0, out=out[z:nn])
+        for flat, gather, unscale_all, lower, scale in self.groups:
+            mats = v[gather]
+            mats /= unscale_all
             eigvals, eigvecs = np.linalg.eigh(mats)
-            eigvals = np.maximum(eigvals, 0.0)
+            np.maximum(eigvals, 0.0, out=eigvals)
             rec = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)
-            out[flat] = rec[:, r, c] * scale
+            out[flat] = rec.reshape(len(flat), -1)[:, lower] * scale
         return out
 
 
@@ -166,35 +181,47 @@ def _psd_row_blocks(cones: ConeDims) -> list[slice]:
     return blocks
 
 
-@dataclass
+def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every stored entry of a CSC matrix."""
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    return mat.indices, cols
+
+
 class _Workspace:
-    """Scaled data and cached factorization for one problem structure."""
+    """Scaled data, cached factorization and iteration buffers for one structure."""
 
-    P_s: sp.csc_matrix
-    A_s: sp.csc_matrix
-    q_s: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    gamma: float
-    rho_base: float
-    rho_scalar: float
-    rho_vec: np.ndarray = field(default=None)
-    lu: object = None
-    projector: _ConeProjector = None
-    cones: ConeDims = None
-    sigma: float = 1e-6
-    fingerprint: tuple = ()
-
-    def refactor(self):
-        n = self.A_s.shape[1]
-        kkt = sp.bmat(
+    def __init__(self, P_s, A_s, q_s, d, e, gamma, A, cones, settings, fingerprint):
+        m, n = A_s.shape
+        self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
+        self.A_s_T = A_s.T  # CSR views: no transpose is rebuilt per iteration
+        self.A_T = A.T
+        self.d, self.e, self.gamma = d, e, gamma
+        self.cones = cones
+        self.fingerprint = fingerprint
+        self.projector = _ConeProjector(cones)
+        # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves
+        self.kkt = sp.bmat(
             [
-                [self.P_s + self.sigma * sp.eye(n), self.A_s.T],
-                [self.A_s, -sp.diags(1.0 / self.rho_vec)],
+                [P_s + settings.sigma * sp.eye(n), A_s.T],
+                [A_s, -sp.eye(m)],
             ],
             format="csc",
         )
-        self.lu = splu(kkt)
+        rows, cols = _csc_row_col(self.kkt)
+        self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
+        # iteration buffers, reused by every solve on this workspace
+        for name, size in (
+            ("rhs", n + m), ("x", n), ("w", m), ("w_next", m), ("y", m),
+            ("y_rho", m), ("w_half", m), ("w_relaxed", m), ("proj_in", m),
+            ("proj_out", m), ("w_u", m), ("resid_m", m), ("resid_n", n),
+            ("zeros_n", n),
+        ):
+            setattr(self, name, np.zeros(size))
+        self.set_rho(settings.rho)
+
+    def refactor(self):
+        self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
+        self.lu = splu(self.kkt)
 
     def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
@@ -258,6 +285,13 @@ class ConicSolver:
         gamma = 1.0
         if settings.equilibrate:
             psd_blocks = _psd_row_blocks(prob.cones)
+            # scaling .data in place equals the D P D and E A D products
+            # entry for entry once the pattern is canonical without zeros
+            for mat in (P_s, A_s):
+                mat.sum_duplicates()
+                mat.eliminate_zeros()
+            p_rows, p_cols = _csc_row_col(P_s)
+            a_rows, a_cols = _csc_row_col(A_s)
             for _ in range(settings.ruiz_iters):
                 col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
                 col_norm[col_norm == 0] = 1.0
@@ -268,9 +302,10 @@ class ConicSolver:
                     row_norm[blk] = row_norm[blk].max()
                 row_norm[row_norm == 0] = 1.0
                 ee = 1.0 / np.sqrt(row_norm)
-                D = sp.diags(dd)
-                P_s = (D @ P_s @ D).tocsc()
-                A_s = (sp.diags(ee) @ A_s @ D).tocsc()
+                P_s.data *= dd[p_rows]
+                P_s.data *= dd[p_cols]
+                A_s.data *= ee[a_rows]
+                A_s.data *= dd[a_cols]
                 q_s *= dd
                 d *= dd
                 e *= ee
@@ -282,25 +317,13 @@ class ConicSolver:
                 )
                 if cost_scale > 0:
                     step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
-                    P_s = (step * P_s).tocsc()
+                    P_s.data *= step
                     q_s = step * q_s
                     gamma *= step
 
         ws = _Workspace(
-            P_s=P_s,
-            A_s=A_s,
-            q_s=q_s,
-            d=d,
-            e=e,
-            gamma=gamma,
-            rho_base=settings.rho,
-            rho_scalar=settings.rho,
-            cones=prob.cones,
-            sigma=settings.sigma,
-            fingerprint=fingerprint,
+            P_s, A_s, q_s, d, e, gamma, prob.A, prob.cones, settings, fingerprint
         )
-        ws.projector = _ConeProjector(prob.cones)
-        ws.set_rho(settings.rho)
         self._ws = ws
         return ws
 
@@ -339,18 +362,34 @@ class ConicSolver:
         A = prob.A
         b = prob.b
         c = prob.c
-        b_s = ws.e * b
+        d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
+        A_T, A_s, A_s_T, P_s = ws.A_T, ws.A_s, ws.A_s_T, ws.P_s
+        b_s = e * b
 
+        x, w, w_next, y = ws.x, ws.w, ws.w_next, ws.y
         if warm is not None and warm.z.size == n and warm.s.size == mr:
-            x = warm.z / ws.d
-            w = ws.e * (b - warm.s)
-            y = ws.gamma * warm.y / ws.e
+            x[:] = warm.z / d
+            w[:] = e * (b - warm.s)
+            y[:] = gamma * warm.y / e
         else:
-            x = np.zeros(n)
-            w = np.zeros(mr)
-            y = np.zeros(mr)
+            x.fill(0.0)
+            w.fill(0.0)
+            y.fill(0.0)
+
+        rhs = ws.rhs
+        rhs_x, rhs_w = rhs[:n], rhs[n:]
+        y_rho, w_half, w_relaxed = ws.y_rho, ws.w_half, ws.w_relaxed
+        proj_in, proj_out = ws.proj_in, ws.proj_out
+        w_u, resid_m, resid_n = ws.w_u, ws.resid_m, ws.resid_n
+        Pz_none = ws.zeros_n
+        project = ws.projector.project
+        rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
         sigma, alpha = settings.sigma, settings.alpha
+        beta = 1.0 - alpha
+        eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
+        adaptive_rho = settings.adaptive_rho
+        max_iters = settings.max_iters
         b_scale = np.abs(b).max() if b.size else 0.0
         c_scale = np.abs(c).max() if c.size else 0.0
 
@@ -358,40 +397,68 @@ class ConicSolver:
         best = None
         best_iter = 0
         status = MAX_ITERS
-        iterations = settings.max_iters
+        iterations = max_iters
 
-        for it in range(1, settings.max_iters + 1):
-            rhs = np.concatenate([sigma * x - ws.q_s, w - y / ws.rho_vec])
-            sol = ws.lu.solve(rhs)
+        for it in range(1, max_iters + 1):
+            # rhs = [sigma x - q_s, w - y/rho]
+            np.multiply(sigma, x, out=rhs_x)
+            np.subtract(rhs_x, q_s, out=rhs_x)
+            np.divide(y, rho_vec, out=y_rho)
+            np.subtract(w, y_rho, out=rhs_w)
+            sol = lu_solve(rhs)
             x_half = sol[:n]
             nu = sol[n:]
-            w_half = w + (nu - y) / ws.rho_vec
-            x = alpha * x_half + (1.0 - alpha) * x
-            w_relaxed = alpha * w_half + (1.0 - alpha) * w
-            w_new = b_s - ws.projector.project(b_s - (w_relaxed + y / ws.rho_vec))
-            y = y + ws.rho_vec * (w_relaxed - w_new)
-            w = w_new
+            # w_half = w + (nu - y)/rho
+            np.subtract(nu, y, out=w_half)
+            np.divide(w_half, rho_vec, out=w_half)
+            np.add(w, w_half, out=w_half)
+            # x = alpha x_half + (1 - alpha) x, and likewise w_relaxed
+            np.multiply(alpha, x_half, out=x_half)
+            np.multiply(beta, x, out=x)
+            np.add(x_half, x, out=x)
+            np.multiply(alpha, w_half, out=w_half)
+            np.multiply(beta, w, out=w_relaxed)
+            np.add(w_half, w_relaxed, out=w_relaxed)
+            # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
+            np.add(w_relaxed, y_rho, out=proj_in)
+            np.subtract(b_s, proj_in, out=proj_in)
+            project(proj_in, out=proj_out)
+            np.subtract(b_s, proj_out, out=w_next)
+            # y = y + rho (w_relaxed - w_next)
+            np.subtract(w_relaxed, w_next, out=w_relaxed)
+            np.multiply(rho_vec, w_relaxed, out=w_relaxed)
+            np.add(y, w_relaxed, out=y)
+            w, w_next = w_next, w
 
             # residuals of the original, unscaled problem
-            z_u = ws.d * x
-            w_u = w / ws.e
-            y_u = (ws.e * y) / ws.gamma
+            z_u = d * x
+            np.divide(w, e, out=w_u)
+            y_u = e * y
+            y_u /= gamma
             s_u = b - w_u
             Az = A @ z_u
-            r_prim = np.abs(Az - w_u).max() if mr else 0.0
-            Pz = P @ z_u if P is not None else np.zeros(n)
-            Aty = A.T @ y_u
-            r_dual = np.abs(Pz + c + Aty).max() if n else 0.0
+            r_prim = np.abs(np.subtract(Az, w_u, out=resid_m), out=resid_m).max() if mr else 0.0
+            Pz = P @ z_u if P is not None else Pz_none
+            Aty = A_T @ y_u
+            np.add(Pz, c, out=resid_n)
+            np.add(resid_n, Aty, out=resid_n)
+            r_dual = np.abs(resid_n, out=resid_n).max() if n else 0.0
 
             if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
                 status = INFEASIBLE_SUSPECT
                 iterations = it
                 break
 
-            prim_scale = max(np.abs(Az).max() if mr else 0.0, np.abs(s_u).max() if mr else 0.0, b_scale)
-            dual_scale = max(np.abs(Pz).max(), np.abs(Aty).max() if mr else 0.0, c_scale)
-            eps_prim = settings.eps_abs + settings.eps_rel * prim_scale
-            eps_dual = settings.eps_abs + settings.eps_rel * dual_scale
+            prim_scale = max(
+                np.abs(Az, out=Az).max() if mr else 0.0,
+                np.abs(s_u, out=resid_m).max() if mr else 0.0,
+                b_scale,
+            )
+            dual_scale = max(
+                np.abs(Pz).max(), np.abs(Aty, out=Aty).max() if mr else 0.0, c_scale
+            )
+            eps_prim = eps_abs + eps_rel * prim_scale
+            eps_dual = eps_abs + eps_rel * dual_scale
 
             if log_callback is not None:
                 log_callback(it, r_prim, r_dual)
@@ -412,30 +479,31 @@ class ConicSolver:
                 iterations = it
                 break
 
-            if settings.adaptive_rho and it % _RHO_CHECK_EVERY == 0:
+            if adaptive_rho and it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in
-                Ax_s = ws.A_s @ x
-                Px_s = ws.P_s @ x
-                Aty_s = ws.A_s.T @ y
+                Ax_s = A_s @ x
+                Px_s = P_s @ x
+                Aty_s = A_s_T @ y
                 rp_s = np.abs(Ax_s - w).max() / max(
                     np.abs(Ax_s).max(), np.abs(w).max(), 1e-12
                 )
-                rd_s = np.abs(Px_s + ws.q_s + Aty_s).max() / max(
+                rd_s = np.abs(Px_s + q_s + Aty_s).max() / max(
                     np.abs(Px_s).max(),
                     np.abs(Aty_s).max(),
-                    np.abs(ws.q_s).max(),
+                    np.abs(q_s).max(),
                     1e-12,
                 )
                 if rp_s > 0 and rd_s > 0:
                     ratio = np.sqrt(rp_s / rd_s)
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
                         ws.set_rho(ws.rho_scalar * float(ratio))
+                        rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
         else:
-            iterations = settings.max_iters
+            iterations = max_iters
 
         if best is None:
-            best = (ws.d * x, b - w / ws.e, (ws.e * y) / ws.gamma, np.inf, np.inf)
+            best = (d * x, b - w / e, (e * y) / gamma, np.inf, np.inf)
         z_u, s_u, y_u, r_prim, r_dual = best
         return SolveResult(
             z=z_u,

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import fourcraft_formation, fourcraft_params
 from coulombmpc import (
+    INVALID_MEASUREMENT,
     MpcController,
     RelativeState,
     SolverSettings,
@@ -63,6 +64,40 @@ def test_fault_path_applies_zero_and_continues():
     assert record.step == 1
     assert np.array_equal(charges, np.zeros(4))
     assert len(controller.state.faults) == 2
+
+
+def test_nonfinite_measurement_takes_fault_path_without_solving():
+    controller, _, _, _ = make_controller()
+    good = np.array([53.0, 109.0, 147.0, 0.0, 0.0, 0.0])
+    controller.step(good)
+    warm = controller.state.previous_result
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver must not see a non-finite measurement")
+
+    controller._solver.solve = no_solve
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[0] = bad_value
+        charges, record = controller.step(bad)
+        assert np.array_equal(charges, np.zeros(4))
+        assert record.solver_status == INVALID_MEASUREMENT
+        assert record.iterations == 0
+        assert not record.saturated
+        assert np.isnan(record.rank_ratio)
+        assert controller.state.previous_result is warm  # warm start kept
+    assert controller.state.faults == [(1, INVALID_MEASUREMENT), (2, INVALID_MEASUREMENT),
+                                       (3, INVALID_MEASUREMENT)]
+    assert controller.state.step_count == 4
+
+
+def test_wrong_length_measurement_still_raises():
+    controller, _, _, _ = make_controller()
+    with pytest.raises(ValueError):
+        controller.step(np.array([53.0, 109.0, 147.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        controller.step(np.array([np.nan, 109.0, 147.0, 0.0, 0.0]))
+    assert controller.state.faults == []
 
 
 def test_warm_start_payload_structure_gate():

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import fourcraft_scenario
 from coulombmpc import (
+    INVALID_MEASUREMENT,
     FormationConfig,
+    MpcController,
     MpcParams,
     RelativeState,
     RunLog,
@@ -200,6 +202,29 @@ def test_csv_round_trip_bitwise(tmp_path):
         assert np.array_equal(a.charges, b.charges)
         assert np.array_equal(a.products, b.products)
         assert a.rank_ratio == b.rank_ratio
+        assert a.solver_status == b.solver_status
+        assert a.iterations == b.iterations
+        assert a.solve_time == b.solve_time
+        assert a.saturated == b.saturated
+
+
+def test_csv_round_trip_keeps_invalid_measurement_record(tmp_path):
+    scen = twocraft_scenario()
+    model = build_discrete_model(scen.params.desired_positions, scen.sample_period, scen.formation)
+    controller = MpcController(model, scen.params, scen.solver)
+    records = [controller.step(scen.initial_state)[1],
+               controller.step(np.array([np.nan, 0.0]))[1]]
+    assert records[1].solver_status == INVALID_MEASUREMENT
+    path = tmp_path / "fault.csv"
+    write_csv(RunLog(records=records, status=RUN_COMPLETED), path)
+    parsed = read_csv(path)
+    assert len(parsed) == 2
+    for a, b in zip(records, parsed):
+        assert a.step == b.step and a.time == b.time
+        assert np.array_equal(a.measured, b.measured, equal_nan=True)
+        assert np.array_equal(a.charges, b.charges)
+        assert np.array_equal(a.products, b.products)
+        assert np.array_equal(a.rank_ratio, b.rank_ratio, equal_nan=True)
         assert a.solver_status == b.solver_status
         assert a.iterations == b.iterations
         assert a.solve_time == b.solve_time
