@@ -17,10 +17,8 @@ from .controller import (
 )
 from .dynamics import (
     COULOMB_CONSTANT,
-    AbsoluteState,
     DiscreteModel,
     FormationConfig,
-    PairIndex,
     RelativeState,
     SingularityError,
     absolute_input_matrix,
@@ -37,7 +35,6 @@ from .horizon import (
     MpcParams,
     build_horizon_problem,
     evaluate_cost,
-    pair_matrix,
     to_conic,
     update_initial_state,
 )

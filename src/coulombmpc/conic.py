@@ -14,7 +14,7 @@ product of their vectorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,13 +130,6 @@ class ConicProblem:
     @property
     def num_rows(self) -> int:
         return self.b.size
-
-    def with_rhs(self, b: np.ndarray) -> "ConicProblem":
-        """Same problem with a new right-hand side (matrices shared, not copied)."""
-        b = np.asarray(b, dtype=float)
-        if b.size != self.b.size:
-            raise ValueError("right-hand side has the wrong length")
-        return replace(self, b=b)
 
     def objective_value(self, z: np.ndarray) -> float:
         val = float(self.c @ z) + self.objective_constant

@@ -4,8 +4,9 @@ Each sample the controller pins the relaxation to the measured state, solves
 it warm-started from the previous sample, rounds the first lifted matrix to
 an implementable charge vector, saturates it, and hands the charges to the
 actuation layer for zero-order hold over the coming sample period.  Only the
-right-hand side of the conic problem changes between samples, so the solver
-keeps its scaling and factorization throughout the run.
+right-hand side of the conic problem changes between samples, so one solver
+bound to the problem's structure keeps its scaling and factorization
+throughout the run.
 
 On solver failure, or on a measurement with non-finite entries (status
 :data:`INVALID_MEASUREMENT`, no solve attempted), the controller applies
@@ -56,16 +57,10 @@ class StepRecord:
 
 
 def warm_start_payload(
-    previous: SolveResult | None, prob: ConicProblem
+    previous: SolveResult | None, settings: SolverSettings
 ) -> SolveResult | None:
-    """Previous solution if it matches the new problem's structure, else None."""
-    if previous is None:
-        return None
-    if previous.z.size != prob.num_vars or previous.s.size != prob.num_rows:
-        return None
-    if previous.cones is not None and previous.cones != prob.cones:
-        return None
-    return previous
+    """The previous solution when warm starting is on, else None."""
+    return previous if settings.warm_start else None
 
 
 class MpcController:
@@ -93,7 +88,7 @@ class MpcController:
             params.desired_state, model, params
         )
         self._conic_template: ConicProblem = to_conic(self._template)
-        self._solver = ConicSolver()
+        self._solver = ConicSolver(self._conic_template, self.settings)
         self.state = ControllerState()
 
     def step(self, measured: RelativeState | np.ndarray) -> tuple[np.ndarray, StepRecord]:
@@ -107,11 +102,9 @@ class MpcController:
         if measured.shape == (self.model.state_dim,) and not np.isfinite(measured).all():
             status, iterations, solve_time, objective = INVALID_MEASUREMENT, 0, 0.0, float("nan")
         else:
-            prob = update_initial_state(self._conic_template, self._template, measured)
-            warm = None
-            if self.settings.warm_start:
-                warm = warm_start_payload(self.state.previous_result, prob)
-            result = self._solver.solve(prob, self.settings, warm=warm)
+            b = update_initial_state(self._conic_template, self._template, measured)
+            warm = warm_start_payload(self.state.previous_result, self.settings)
+            result = self._solver.solve(b, warm=warm)
             status, iterations = result.status, result.iterations
             solve_time, objective = result.solve_time, result.objective
 

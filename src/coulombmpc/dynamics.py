@@ -56,24 +56,6 @@ def pair_count(num_spacecraft: int) -> int:
 
 
 @dataclass(frozen=True)
-class PairIndex:
-    """Bijection between flattened charge-product indices and spacecraft pairs."""
-
-    num_spacecraft: int
-
-    @property
-    def pairs(self) -> np.ndarray:
-        return spacecraft_pairs(self.num_spacecraft)
-
-    def __len__(self) -> int:
-        return pair_count(self.num_spacecraft)
-
-    def pair(self, index: int) -> tuple[int, int]:
-        i, j = self.pairs[index]
-        return int(i), int(j)
-
-
-@dataclass(frozen=True)
 class FormationConfig:
     """Physical description of the formation and its operating limits.
 
@@ -149,26 +131,6 @@ class FormationConfig:
     @property
     def state_dim(self) -> int:
         return 2 * (self.num_spacecraft - 1)
-
-
-@dataclass(frozen=True)
-class AbsoluteState:
-    """Inertial positions and velocities of every spacecraft on the line."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        pos = _as_float_vector(self.positions, name="positions")
-        vel = _as_float_vector(self.velocities, pos.size, "velocities")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "velocities", vel)
-
-    def to_relative(self) -> "RelativeState":
-        return RelativeState(
-            self.positions[1:] - self.positions[0],
-            self.velocities[1:] - self.velocities[0],
-        )
 
 
 @dataclass(frozen=True)

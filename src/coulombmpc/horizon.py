@@ -119,20 +119,6 @@ class MpcParams:
         return np.concatenate([self.desired_positions, np.zeros_like(self.desired_positions)])
 
 
-def pair_matrix(i: int, j: int, num_spacecraft: int) -> np.ndarray:
-    """Symmetric indefinite matrix whose quadratic form picks out q_i * q_j.
-
-    Zero except for entries (i, j) and (j, i), both 1/2, so that
-    q' M q = q_i q_j and Tr(M @ Q) = Q[i, j] for symmetric Q.
-    Indices are 0-based and must satisfy i < j.
-    """
-    if not (0 <= i < j < num_spacecraft):
-        raise ValueError(f"need 0 <= i < j < {num_spacecraft}, got ({i}, {j})")
-    mat = np.zeros((num_spacecraft, num_spacecraft))
-    mat[i, j] = mat[j, i] = 0.5
-    return mat
-
-
 @dataclass(frozen=True)
 class HorizonProblem:
     """A fully assembled instance of the per-sample relaxation."""
@@ -372,11 +358,11 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
 
 def update_initial_state(
     conic: ConicProblem, hp: HorizonProblem, measured: RelativeState | np.ndarray
-) -> ConicProblem:
-    """New conic problem with the stage-0 pin rewritten to a fresh measurement.
+) -> np.ndarray:
+    """Right-hand side of ``conic`` with the stage-0 pin set to a fresh measurement.
 
-    Every matrix is shared (not copied) with the input problem, so a solver
-    that fingerprints the matrices keeps its cached factorization.
+    Only b changes between samples, so a :class:`~coulombmpc.solver.ConicSolver`
+    bound to ``conic`` solves the re-pinned problem with its cached factorization.
     """
     if isinstance(measured, RelativeState):
         measured = measured.as_vector()
@@ -385,4 +371,4 @@ def update_initial_state(
         raise ValueError("measured state has the wrong dimension")
     b = conic.b.copy()
     b[: hp.state_dim] = measured
-    return conic.with_rhs(b)
+    return b

@@ -264,13 +264,18 @@ def read_csv(path) -> list[StepRecord]:
 
 
 def replay_cost(records: list[StepRecord], params: MpcParams) -> dict:
-    """Recompute stage costs and product consistency from logged telemetry."""
+    """Recompute stage costs and product consistency from logged telemetry.
+
+    The tracking cost sums over steps with a finite measurement only, so an
+    ``invalid_measurement`` step does not turn it into NaN.
+    """
     target = params.desired_state
     tracking = 0.0
     coupling_error = 0.0
     for rec in records:
         dev = rec.measured - target
-        tracking += float(dev @ params.state_weight @ dev)
+        if np.isfinite(dev).all():
+            tracking += float(dev @ params.state_weight @ dev)
         coupling_error = max(
             coupling_error,
             float(np.abs(rec.products - charge_products(rec.charges)).max()),

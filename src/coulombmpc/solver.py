@@ -6,12 +6,12 @@ Solves
     subject to A z + s = b,   s in K,
 
 with K a product of zero / nonnegative / PSD cones, by ADMM: each iteration
-alternates one linear KKT solve (factorized once per problem structure and
-reused across iterations and warm starts), a Euclidean projection of the
-slack onto the cone, and a dual ascent step.  Diagonal Ruiz equilibration is
-applied up front because the intended problems mix weights spanning many
-orders of magnitude; the equilibration is forced to be uniform across each
-PSD block so cone membership is preserved.
+alternates one linear KKT solve (factorized once and reused across
+iterations and solves), a Euclidean projection of the slack onto the cone,
+and a dual ascent step.  Diagonal Ruiz equilibration is applied up front
+because the intended problems mix weights spanning many orders of
+magnitude; the equilibration is forced to be uniform across each PSD block
+so cone membership is preserved.
 
 Termination uses residuals of the original (unscaled) data:
 
@@ -21,15 +21,18 @@ Termination uses residuals of the original (unscaled) data:
 each compared against eps_abs + eps_rel * (problem scale).  The solver is
 fully deterministic: identical inputs produce identical iterates.
 
-Everything that depends only on the problem structure lives in a workspace
-built once per structure: the equilibrated data, the KKT matrix (a rho
-update rewrites only its -1/rho diagonal before refactoring), the cached
-transposes A' (unscaled, for the dual residual) and A_s' (scaled, for the
-rho balance) in CSR form, the cone projector's gather indices, and every
-iteration buffer.  The loop only solves, projects and updates, writing
-through ufunc ``out=`` arguments in the operation order of the plain loop
-kept in ``tests/reference_admm.py``.  Invariant: the iterates are
-bit-identical to that plain loop's.
+A :class:`ConicSolver` is bound to one problem structure: P, A, c, the
+cones and the settings are fixed at construction, and each solve takes only
+a right-hand side b (the receding-horizon case, where a new measurement
+rewrites the stage-0 pin).  Everything that depends on the structure lives
+in a workspace built on the first solve, not at construction: the
+equilibrated data, the KKT matrix (a rho update rewrites only its -1/rho
+diagonal before refactoring), the cached transposes A' (unscaled, for the
+dual residual) and A_s' (scaled, for the rho balance) in CSR form, the cone
+projector's gather indices, and every iteration buffer.  The loop only
+solves, projects and updates, writing through ufunc ``out=`` arguments in
+the operation order of the plain loop kept in ``tests/reference_admm.py``.
+Invariant: the iterates are bit-identical to that plain loop's.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ class SolveResult:
     dual_residual: float
     solve_time: float
     objective: float
-    cones: ConeDims | None = None  # structure tag for warm-start compatibility
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -161,6 +163,11 @@ def project_cone(v: np.ndarray, cones: ConeDims) -> np.ndarray:
     return _ConeProjector(cones).project(v)
 
 
+def _amax(v: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Infinity norm of v, 0 for an empty vector; ``out`` receives abs(v)."""
+    return np.abs(v, out=out).max() if v.size else 0.0
+
+
 def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
     out = np.asarray(abs(mat).max(axis=0).todense()).ravel() if mat.nnz else np.zeros(mat.shape[1])
     return out
@@ -188,16 +195,15 @@ def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Workspace:
-    """Scaled data, cached factorization and iteration buffers for one structure."""
+    """Scaled data, cached factorization and iteration buffers of a solver."""
 
-    def __init__(self, P_s, A_s, q_s, d, e, gamma, A, cones, settings, fingerprint):
+    def __init__(self, P_s, A_s, q_s, d, e, gamma, A, cones, settings):
         m, n = A_s.shape
         self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
         self.A_s_T = A_s.T  # CSR views: no transpose is rebuilt per iteration
         self.A_T = A.T
         self.d, self.e, self.gamma = d, e, gamma
         self.cones = cones
-        self.fingerprint = fingerprint
         self.projector = _ConeProjector(cones)
         # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves
         self.kkt = sp.bmat(
@@ -233,50 +239,35 @@ class _Workspace:
         self.refactor()
 
 
-def _matrix_fingerprint(mat: sp.csc_matrix | None):
-    if mat is None:
-        return None
-    return (mat.shape, mat.indptr, mat.indices, mat.data)
-
-
-def _same_fingerprint(a, b) -> bool:
-    if (a is None) != (b is None):
-        return False
-    if a is None:
-        return True
-    return a[0] == b[0] and all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
-
-
 class ConicSolver:
-    """ADMM solver instance; reuses scaling and factorization across solves.
+    """ADMM solver bound to one problem structure.
 
-    Re-solving a problem whose P, A and cone structure are unchanged (only c
-    untouched / b different, the receding-horizon case) skips equilibration
-    and factorization entirely.  A solver instance is not thread-safe during
-    :meth:`solve`; use one instance per concurrent solve.
+    P, A, c, the cones, the objective constant and the settings are fixed at
+    construction; :meth:`solve` takes only a right-hand side b, so re-solving
+    for a new b (the receding-horizon case) reuses the equilibration, the
+    factorization and a rho adapted by earlier solves.  The workspace holding
+    them is built on the first solve, not here, so constructing a solver is
+    cheap.  The matrices of ``prob`` must not be modified afterwards.  A
+    solver instance is not thread-safe during :meth:`solve`; use one
+    instance per concurrent solve.
     """
 
-    def __init__(self):
+    def __init__(self, prob: ConicProblem, settings: SolverSettings | None = None):
+        if not (
+            np.all(np.isfinite(prob.c))
+            and np.all(np.isfinite(prob.A.data))
+            and (prob.P is None or np.all(np.isfinite(prob.P.data)))
+        ):
+            raise ValueError("problem data contains non-finite entries")
+        self.prob = prob
+        self.settings = settings or SolverSettings()
         self._ws: _Workspace | None = None
 
     # -- setup ---------------------------------------------------------------
-    def _prepare(self, prob: ConicProblem, settings: SolverSettings) -> _Workspace:
+    def _prepare(self) -> _Workspace:
+        prob, settings = self.prob, self.settings
         n = prob.num_vars
         P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
-        fingerprint = (
-            _matrix_fingerprint(P),
-            _matrix_fingerprint(prob.A),
-            np.array(prob.c),
-            prob.cones,
-            settings.sigma,
-            settings.rho,
-            settings.equilibrate,
-            settings.ruiz_iters,
-        )
-        ws = self._ws
-        if ws is not None and self._fingerprint_matches(ws.fingerprint, fingerprint):
-            return ws
-
         P_s = P.copy().astype(float)
         A_s = prob.A.copy().astype(float)
         q_s = prob.c.astype(float).copy()
@@ -313,7 +304,7 @@ class ConicSolver:
                 # column norms, so A itself ends up equilibrated too
                 cost_scale = max(
                     float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
-                    float(np.abs(q_s).max()) if q_s.size else 0.0,
+                    float(_amax(q_s)),
                 )
                 if cost_scale > 0:
                     step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
@@ -321,53 +312,43 @@ class ConicSolver:
                     q_s = step * q_s
                     gamma *= step
 
-        ws = _Workspace(
-            P_s, A_s, q_s, d, e, gamma, prob.A, prob.cones, settings, fingerprint
-        )
-        self._ws = ws
-        return ws
-
-    @staticmethod
-    def _fingerprint_matches(cached, new) -> bool:
-        if len(cached) != len(new):
-            return False
-        return (
-            _same_fingerprint(cached[0], new[0])
-            and _same_fingerprint(cached[1], new[1])
-            and np.array_equal(cached[2], new[2])
-            and cached[3:] == new[3:]
-        )
+        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob.A, prob.cones, settings)
 
     # -- main loop -------------------------------------------------------------
     def solve(
         self,
-        prob: ConicProblem,
-        settings: SolverSettings | None = None,
+        b: np.ndarray | None = None,
         warm: SolveResult | None = None,
         log_callback=None,
     ) -> SolveResult:
-        settings = settings or SolverSettings()
-        t0 = time.perf_counter()
-        if not (
-            np.all(np.isfinite(prob.b))
-            and np.all(np.isfinite(prob.c))
-            and np.all(np.isfinite(prob.A.data))
-            and (prob.P is None or np.all(np.isfinite(prob.P.data)))
-        ):
-            raise ValueError("problem data contains non-finite entries")
+        """Solve for right-hand side ``b`` (default: the bound problem's b).
 
-        ws = self._prepare(prob, settings)
+        ``warm`` is a previous result of the same structure; a warm start
+        whose sizes do not match raises ``ValueError``.
+        """
+        t0 = time.perf_counter()
+        prob, settings = self.prob, self.settings
         n, mr = prob.num_vars, prob.num_rows
+        b = prob.b if b is None else np.asarray(b, dtype=float)
+        if b.shape != (mr,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({mr},)")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side contains non-finite entries")
+        if warm is not None and (warm.z.size, warm.s.size, warm.y.size) != (n, mr, mr):
+            raise ValueError("warm start does not match the problem's dimensions")
+
+        if self._ws is None:
+            self._ws = self._prepare()
+        ws = self._ws
         P = prob.P
         A = prob.A
-        b = prob.b
         c = prob.c
         d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
         A_T, A_s, A_s_T, P_s = ws.A_T, ws.A_s, ws.A_s_T, ws.P_s
         b_s = e * b
 
         x, w, w_next, y = ws.x, ws.w, ws.w_next, ws.y
-        if warm is not None and warm.z.size == n and warm.s.size == mr:
+        if warm is not None:
             x[:] = warm.z / d
             w[:] = e * (b - warm.s)
             y[:] = gamma * warm.y / e
@@ -390,8 +371,8 @@ class ConicSolver:
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
         adaptive_rho = settings.adaptive_rho
         max_iters = settings.max_iters
-        b_scale = np.abs(b).max() if b.size else 0.0
-        c_scale = np.abs(c).max() if c.size else 0.0
+        b_scale = _amax(b)
+        c_scale = _amax(c)
 
         best_score = np.inf
         best = None
@@ -437,26 +418,20 @@ class ConicSolver:
             y_u /= gamma
             s_u = b - w_u
             Az = A @ z_u
-            r_prim = np.abs(np.subtract(Az, w_u, out=resid_m), out=resid_m).max() if mr else 0.0
+            r_prim = _amax(np.subtract(Az, w_u, out=resid_m), out=resid_m)
             Pz = P @ z_u if P is not None else Pz_none
             Aty = A_T @ y_u
             np.add(Pz, c, out=resid_n)
             np.add(resid_n, Aty, out=resid_n)
-            r_dual = np.abs(resid_n, out=resid_n).max() if n else 0.0
+            r_dual = _amax(resid_n, out=resid_n)
 
             if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
                 status = INFEASIBLE_SUSPECT
                 iterations = it
                 break
 
-            prim_scale = max(
-                np.abs(Az, out=Az).max() if mr else 0.0,
-                np.abs(s_u, out=resid_m).max() if mr else 0.0,
-                b_scale,
-            )
-            dual_scale = max(
-                np.abs(Pz).max(), np.abs(Aty, out=Aty).max() if mr else 0.0, c_scale
-            )
+            prim_scale = max(_amax(Az, out=Az), _amax(s_u, out=resid_m), b_scale)
+            dual_scale = max(_amax(Pz), _amax(Aty, out=Aty), c_scale)
             eps_prim = eps_abs + eps_rel * prim_scale
             eps_dual = eps_abs + eps_rel * dual_scale
 
@@ -485,14 +460,9 @@ class ConicSolver:
                 Ax_s = A_s @ x
                 Px_s = P_s @ x
                 Aty_s = A_s_T @ y
-                rp_s = np.abs(Ax_s - w).max() / max(
-                    np.abs(Ax_s).max(), np.abs(w).max(), 1e-12
-                )
-                rd_s = np.abs(Px_s + q_s + Aty_s).max() / max(
-                    np.abs(Px_s).max(),
-                    np.abs(Aty_s).max(),
-                    np.abs(q_s).max(),
-                    1e-12,
+                rp_s = _amax(Ax_s - w) / max(_amax(Ax_s), _amax(w), 1e-12)
+                rd_s = _amax(Px_s + q_s + Aty_s) / max(
+                    _amax(Px_s), _amax(Aty_s), _amax(q_s), 1e-12
                 )
                 if rp_s > 0 and rd_s > 0:
                     ratio = np.sqrt(rp_s / rd_s)
@@ -515,7 +485,6 @@ class ConicSolver:
             dual_residual=float(r_dual),
             solve_time=time.perf_counter() - t0,
             objective=prob.objective_value(z_u),
-            cones=prob.cones,
         )
 
 
@@ -526,4 +495,4 @@ def solve(
     log_callback=None,
 ) -> SolveResult:
     """One-shot convenience wrapper around :class:`ConicSolver`."""
-    return ConicSolver().solve(prob, settings, warm=warm, log_callback=log_callback)
+    return ConicSolver(prob, settings).solve(warm=warm, log_callback=log_callback)

@@ -8,13 +8,11 @@ from coulombmpc import (
     RelativeState,
     SolverSettings,
     build_discrete_model,
-    build_horizon_problem,
     charge_products,
     propagate,
-    solve,
-    to_conic,
     warm_start_payload,
 )
+from coulombmpc import solver as solver_module
 from coulombmpc.solver import MAX_ITERS, OPTIMAL
 
 
@@ -100,17 +98,26 @@ def test_wrong_length_measurement_still_raises():
     assert controller.state.faults == []
 
 
-def test_warm_start_payload_structure_gate():
-    controller, formation, params, model = make_controller()
-    prob = to_conic(controller._template)
-    result = solve(prob, SolverSettings())
-    assert warm_start_payload(result, prob) is result
-    assert warm_start_payload(None, prob) is None
-    import dataclasses
+def test_warm_start_payload_policy():
+    # only the policy is left: the previous result when warm starting is on
+    controller, _, _, _ = make_controller()
+    controller.step(np.array([52.0, 104.0, 148.5, 0.0, 0.0, 0.0]))
+    previous = controller.state.previous_result
+    assert previous is not None
+    assert warm_start_payload(previous, SolverSettings()) is previous
+    assert warm_start_payload(previous, SolverSettings(warm_start=False)) is None
+    assert warm_start_payload(None, SolverSettings()) is None
 
-    other_params = dataclasses.replace(params, horizon=4)
-    other = to_conic(build_horizon_problem(params.desired_state, model, other_params))
-    assert warm_start_payload(result, other) is None
+
+def test_solver_workspace_built_on_first_step(monkeypatch):
+    # construction stays cheap: equilibration and factorization wait for a solve
+    factorizations = []
+    splu = solver_module.splu
+    monkeypatch.setattr(solver_module, "splu", lambda kkt: factorizations.append(1) or splu(kkt))
+    controller, _, _, _ = make_controller()
+    assert factorizations == []
+    controller.step(np.array([52.0, 104.0, 148.5, 0.0, 0.0, 0.0]))
+    assert len(factorizations) >= 1
 
 
 def test_consecutive_steps_reuse_warm_start():

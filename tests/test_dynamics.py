@@ -3,9 +3,7 @@ import pytest
 
 from coulombmpc import (
     COULOMB_CONSTANT,
-    AbsoluteState,
     FormationConfig,
-    PairIndex,
     RelativeState,
     SingularityError,
     absolute_input_matrix,
@@ -55,11 +53,6 @@ def make_config(masses):
 def test_pair_order_three_craft():
     # flattened index order (1,2), (1,3), (2,3) in 1-based labels
     assert spacecraft_pairs(3).tolist() == [[0, 1], [0, 2], [1, 2]]
-    idx = PairIndex(3)
-    assert idx.pair(0) == (0, 1)
-    assert idx.pair(1) == (0, 2)
-    assert idx.pair(2) == (1, 2)
-    assert len(idx) == 3
 
 
 def test_charge_products_zero():
@@ -288,13 +281,6 @@ def test_discrete_model_close_to_rk4_near_reference():
         # at the reference geometry the only error is the in-step variation of
         # the force coefficients, third order in h
         assert np.linalg.norm(predicted - truth) <= 1e-8
-
-
-def test_absolute_state_to_relative():
-    absolute = AbsoluteState(np.array([5.0, 55.0, 105.0]), np.array([1.0, 1.5, 0.5]))
-    rel = absolute.to_relative()
-    assert np.allclose(rel.positions, [50.0, 100.0])
-    assert np.allclose(rel.velocities, [0.5, -0.5])
 
 
 def test_formation_config_validation():

@@ -8,9 +8,7 @@ from coulombmpc import (
     build_horizon_problem,
     charge_products,
     evaluate_cost,
-    pair_matrix,
     solve,
-    spacecraft_pairs,
     to_conic,
     update_initial_state,
 )
@@ -77,36 +75,6 @@ def test_vec_index_matches_tril_order():
     for pos, (r, c) in enumerate(zip(rows, cols)):
         assert vec_index(r, c) == pos
         assert vec_index(c, r) == pos
-
-
-# -- pair constraint matrices -------------------------------------------------
-
-def test_pair_matrix_two_craft():
-    assert pair_matrix(0, 1, 2).tolist() == [[0.0, 0.5], [0.5, 0.0]]
-
-
-def test_pair_matrix_quadratic_form_picks_product():
-    rng = np.random.default_rng(2)
-    q = rng.normal(size=4)
-    pairs = spacecraft_pairs(4)
-    products = charge_products(q)
-    for l, (i, j) in enumerate(pairs):
-        mat = pair_matrix(i, j, 4)
-        assert q @ mat @ q == pytest.approx(products[l], rel=1e-12)
-        assert np.trace(mat @ np.outer(q, q)) == pytest.approx(products[l], rel=1e-12)
-
-
-def test_pair_matrix_eigenvalues_indefinite():
-    eigs = np.linalg.eigvalsh(pair_matrix(1, 3, 5))
-    assert eigs.min() == pytest.approx(-0.5, abs=1e-14)
-    assert eigs.max() == pytest.approx(0.5, abs=1e-14)
-
-
-def test_pair_matrix_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        pair_matrix(2, 1, 4)
-    with pytest.raises(ValueError):
-        pair_matrix(0, 4, 4)
 
 
 # -- problem structure -----------------------------------------------------------
@@ -290,17 +258,18 @@ def test_cost_matches_independent_recomputation(threecraft_formation):
 
 # -- re-pinning and symmetry -----------------------------------------------------
 
-def test_update_initial_state_shares_matrices(twocraft_formation):
+def test_update_initial_state_repins_b(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 4, desired)
     model = model_for(twocraft_formation, desired)
     hp = build_horizon_problem(np.array([50.0, 0.0]), model, params)
     prob = to_conic(hp)
     new_state = np.array([51.5, -0.2])
-    updated = update_initial_state(prob, hp, new_state)
-    assert updated.A is prob.A and updated.P is prob.P
-    assert np.array_equal(updated.b[:2], new_state)
-    assert np.array_equal(updated.b[2:], prob.b[2:])
+    template_b = prob.b.copy()
+    b = update_initial_state(prob, hp, new_state)
+    assert np.array_equal(b[:2], new_state)
+    assert np.array_equal(b[2:], prob.b[2:])
+    assert np.array_equal(prob.b, template_b)
 
 
 def test_equilibrium_solution_is_zero(twocraft_formation):

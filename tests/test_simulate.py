@@ -247,3 +247,18 @@ def test_replay_cost_consistency(tmp_path):
     assert stats["steps"] == 6
     assert stats["max_product_error"] == 0.0
     assert stats["tracking_cost"] > 0.0
+
+
+def test_replay_cost_skips_invalid_measurement(tmp_path):
+    scen = twocraft_scenario()
+    model = build_discrete_model(scen.params.desired_positions, scen.sample_period, scen.formation)
+    controller = MpcController(model, scen.params, scen.solver)
+    records = [controller.step(scen.initial_state)[1],
+               controller.step(np.array([np.nan, 0.0]))[1]]
+    path = tmp_path / "fault.csv"
+    write_csv(RunLog(records=records, status=RUN_COMPLETED), path)
+    stats = replay_cost(read_csv(path), scen.params)
+    good = replay_cost(records[:1], scen.params)
+    assert stats["steps"] == 2
+    assert good["tracking_cost"] > 0.0
+    assert stats["tracking_cost"] == good["tracking_cost"]

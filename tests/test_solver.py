@@ -155,6 +155,19 @@ def test_nonfinite_data_rejected():
         solve(prob)
 
 
+def test_nonfinite_matrix_rejected_at_construction():
+    # P, A and c are checked once, when the solver is bound, not per solve
+    good_A = sp.csc_matrix([[-1.0]])
+    bad_A = sp.csc_matrix([[np.nan]])
+    bad_P = sp.csc_matrix([[np.inf]])
+    for A, P in ((bad_A, None), (good_A, bad_P)):
+        prob = ConicProblem(
+            c=np.array([1.0]), A=A, b=np.array([-1.0]), cones=ConeDims(nonneg=1), P=P
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            ConicSolver(prob)
+
+
 def test_infeasible_problem_flagged_or_exhausted():
     # x <= -1 and x >= 1 cannot hold; no certificates, just a heuristic label
     prob = ConicProblem(
@@ -170,22 +183,57 @@ def test_infeasible_problem_flagged_or_exhausted():
 
 def test_warm_start_resumes_from_solution():
     _, prob, _ = build_problems()[8]
-    solver = ConicSolver()
-    first = solver.solve(prob, SolverSettings())
-    again = solver.solve(prob, SolverSettings(), warm=first)
+    solver = ConicSolver(prob, SolverSettings())
+    first = solver.solve()
+    again = solver.solve(warm=first)
     assert again.status == OPTIMAL
     assert again.iterations <= max(first.iterations // 4, 2)
 
 
 def test_warm_start_after_rhs_change_converges_faster():
     _, prob, _ = build_problems()[8]
-    solver = ConicSolver()
-    first = solver.solve(prob, SolverSettings())
-    nudged = prob.with_rhs(prob.b + np.where(np.arange(prob.b.size) == 0, 1e-3, 0.0))
-    warm = solver.solve(nudged, SolverSettings(), warm=first)
-    cold = ConicSolver().solve(nudged, SolverSettings())
+    solver = ConicSolver(prob, SolverSettings())
+    first = solver.solve()
+    nudged = prob.b + np.where(np.arange(prob.b.size) == 0, 1e-3, 0.0)
+    warm = solver.solve(nudged, warm=first)
+    cold = ConicSolver(prob, SolverSettings()).solve(nudged)
     assert warm.status == OPTIMAL
     assert warm.iterations < cold.iterations
+
+
+def test_warm_start_of_wrong_size_rejected():
+    _, prob, _ = build_problems()[8]
+    _, other, _ = build_problems()[0]
+    foreign = solve(other)
+    with pytest.raises(ValueError, match="warm start"):
+        ConicSolver(prob).solve(warm=foreign)
+
+
+def test_nonfinite_or_misshapen_rhs_rejected():
+    _, prob, _ = build_problems()[8]
+    solver = ConicSolver(prob)
+    for bad in (np.where(np.arange(prob.b.size) == 0, np.nan, prob.b),
+                np.full(prob.b.size, np.inf), prob.b[:-1]):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solver.solve(bad)
+    assert solver.solve().status == OPTIMAL
+
+
+def test_zero_variable_problem():
+    # no variables: only the slack s = b must lie in the cone
+    feasible = ConicProblem(
+        c=np.zeros(0), A=np.zeros((1, 0)), b=np.ones(1), cones=ConeDims(nonneg=1)
+    )
+    result = solve(feasible)
+    assert result.status == OPTIMAL
+    assert result.iterations == 1
+    assert result.z.shape == (0,)
+    infeasible = ConicProblem(
+        c=np.zeros(0), A=np.zeros((1, 0)), b=-np.ones(1), cones=ConeDims(nonneg=1)
+    )
+    result = solve(infeasible, SolverSettings(max_iters=300))
+    assert result.status == MAX_ITERS
+    assert result.iterations == 300
 
 
 def test_log_callback_streams_residuals():
