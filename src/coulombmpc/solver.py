@@ -32,11 +32,23 @@ dual residual) and A_s' (scaled, for the rho balance) in CSR form, the cone
 projector's gather indices, and every iteration buffer.  The loop only
 solves, projects and updates, writing through ufunc ``out=`` arguments in
 the operation order of the plain loop kept in ``tests/reference_admm.py``.
-Invariant: the iterates are bit-identical to that plain loop's.
+
+Termination is checked once per block of ``_CHECK_EVERY`` iterations: each
+iteration copies its x, w and y into one row of the block, and after the
+block the residuals of all its iterates come from one batched pass (sparse
+times dense products whose kernels accumulate in the matvecs' order).  An
+in-order scan then applies the per-iteration tests iterate by iterate and
+stops at the first iterate at which a check after every iteration would have
+stopped; the up to ``_CHECK_EVERY - 1`` iterates computed past it are
+discarded, and so is an exception one of them raises (eigh failing on an
+all-NaN slack) when the iterates before it already end the solve.  Rho
+updates fall on block ends.  Invariant: the returned result, the iteration
+count and the ``log_callback`` stream are bit-identical to that plain loop's.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,6 +65,7 @@ INFEASIBLE_SUSPECT = "infeasible_suspect"
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_EQ_FACTOR = 1e3  # zero-cone rows get a stiffer penalty
 _RHO_CHECK_EVERY = 100
+_CHECK_EVERY = 10  # iterations per termination-check block; divides _RHO_CHECK_EVERY
 _RHO_TRIGGER = 5.0
 _STALL_ITERS = 2000
 _STALL_SCORE = 1e4
@@ -163,9 +176,16 @@ def project_cone(v: np.ndarray, cones: ConeDims) -> np.ndarray:
     return _ConeProjector(cones).project(v)
 
 
-def _amax(v: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Infinity norm of v, 0 for an empty vector; ``out`` receives abs(v)."""
-    return np.abs(v, out=out).max() if v.size else 0.0
+def _amax(v: np.ndarray) -> float:
+    """Infinity norm of v, 0 for an empty vector."""
+    return np.abs(v).max() if v.size else 0.0
+
+
+def _row_amax(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Infinity norm of each row, 0 for empty rows; ``out`` receives abs(block)."""
+    if not block.shape[1]:
+        return np.zeros(block.shape[0])
+    return np.abs(block, out=out).max(axis=1)
 
 
 def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
@@ -219,10 +239,17 @@ class _Workspace:
         for name, size in (
             ("rhs", n + m), ("x", n), ("w", m), ("w_next", m), ("y", m),
             ("y_rho", m), ("w_half", m), ("w_relaxed", m), ("proj_in", m),
-            ("proj_out", m), ("w_u", m), ("resid_m", m), ("resid_n", n),
-            ("zeros_n", n),
+            ("proj_out", m),
         ):
             setattr(self, name, np.zeros(size))
+        # one row per iterate of a check block: the iterates, their unscaled
+        # counterparts and the residual scratch of the batched check
+        for name, size in (
+            ("x_rows", n), ("w_rows", m), ("y_rows", m), ("z_u", n),
+            ("w_u", m), ("y_u", m), ("s_u", m), ("resid_m", m),
+            ("resid_n", n), ("zeros_n", n),
+        ):
+            setattr(self, name, np.zeros((_CHECK_EVERY, size)))
         self.set_rho(settings.rho)
 
     def refactor(self):
@@ -324,7 +351,10 @@ class ConicSolver:
         """Solve for right-hand side ``b`` (default: the bound problem's b).
 
         ``warm`` is a previous result of the same structure; a warm start
-        whose sizes do not match raises ``ValueError``.
+        whose sizes do not match raises ``ValueError``.  ``log_callback(k,
+        r_prim, r_dual)`` receives every checked iterate k = 1..iterations in
+        order, in bursts after each block of ``_CHECK_EVERY`` iterations, and
+        nothing past the returned iteration count.
         """
         t0 = time.perf_counter()
         prob, settings = self.prob, self.settings
@@ -361,8 +391,7 @@ class ConicSolver:
         rhs_x, rhs_w = rhs[:n], rhs[n:]
         y_rho, w_half, w_relaxed = ws.y_rho, ws.w_half, ws.w_relaxed
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        w_u, resid_m, resid_n = ws.w_u, ws.resid_m, ws.resid_n
-        Pz_none = ws.zeros_n
+        x_rows, w_rows, y_rows = ws.x_rows, ws.w_rows, ws.y_rows
         project = ws.projector.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
@@ -377,81 +406,110 @@ class ConicSolver:
         best_score = np.inf
         best = None
         best_iter = 0
-        status = MAX_ITERS
-        iterations = max_iters
+        status = None
+        it = 0  # iterations completed before the current block
 
-        for it in range(1, max_iters + 1):
-            # rhs = [sigma x - q_s, w - y/rho]
-            np.multiply(sigma, x, out=rhs_x)
-            np.subtract(rhs_x, q_s, out=rhs_x)
-            np.divide(y, rho_vec, out=y_rho)
-            np.subtract(w, y_rho, out=rhs_w)
-            sol = lu_solve(rhs)
-            x_half = sol[:n]
-            nu = sol[n:]
-            # w_half = w + (nu - y)/rho
-            np.subtract(nu, y, out=w_half)
-            np.divide(w_half, rho_vec, out=w_half)
-            np.add(w, w_half, out=w_half)
-            # x = alpha x_half + (1 - alpha) x, and likewise w_relaxed
-            np.multiply(alpha, x_half, out=x_half)
-            np.multiply(beta, x, out=x)
-            np.add(x_half, x, out=x)
-            np.multiply(alpha, w_half, out=w_half)
-            np.multiply(beta, w, out=w_relaxed)
-            np.add(w_half, w_relaxed, out=w_relaxed)
-            # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
-            np.add(w_relaxed, y_rho, out=proj_in)
-            np.subtract(b_s, proj_in, out=proj_in)
-            project(proj_in, out=proj_out)
-            np.subtract(b_s, proj_out, out=w_next)
-            # y = y + rho (w_relaxed - w_next)
-            np.subtract(w_relaxed, w_next, out=w_relaxed)
-            np.multiply(rho_vec, w_relaxed, out=w_relaxed)
-            np.add(y, w_relaxed, out=y)
-            w, w_next = w_next, w
+        while it < max_iters:
+            count = min(_CHECK_EVERY, max_iters - it)
+            done = 0
+            failure = None
+            try:
+                for row in range(count):
+                    # rhs = [sigma x - q_s, w - y/rho]
+                    np.multiply(sigma, x, out=rhs_x)
+                    np.subtract(rhs_x, q_s, out=rhs_x)
+                    np.divide(y, rho_vec, out=y_rho)
+                    np.subtract(w, y_rho, out=rhs_w)
+                    sol = lu_solve(rhs)
+                    x_half = sol[:n]
+                    nu = sol[n:]
+                    # w_half = w + (nu - y)/rho
+                    np.subtract(nu, y, out=w_half)
+                    np.divide(w_half, rho_vec, out=w_half)
+                    np.add(w, w_half, out=w_half)
+                    # x = alpha x_half + (1 - alpha) x, and likewise w_relaxed
+                    np.multiply(alpha, x_half, out=x_half)
+                    np.multiply(beta, x, out=x)
+                    np.add(x_half, x, out=x)
+                    np.multiply(alpha, w_half, out=w_half)
+                    np.multiply(beta, w, out=w_relaxed)
+                    np.add(w_half, w_relaxed, out=w_relaxed)
+                    # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
+                    np.add(w_relaxed, y_rho, out=proj_in)
+                    np.subtract(b_s, proj_in, out=proj_in)
+                    project(proj_in, out=proj_out)
+                    np.subtract(b_s, proj_out, out=w_next)
+                    # y = y + rho (w_relaxed - w_next)
+                    np.subtract(w_relaxed, w_next, out=w_relaxed)
+                    np.multiply(rho_vec, w_relaxed, out=w_relaxed)
+                    np.add(y, w_relaxed, out=y)
+                    w, w_next = w_next, w
+                    x_rows[row] = x
+                    w_rows[row] = w
+                    y_rows[row] = y
+                    done = row + 1
+            except Exception as exc:
+                # whatever an iterate past the stopping one raises (e.g. eigh
+                # on an all-NaN slack) must not surface: scan the rows before it
+                failure = exc
 
-            # residuals of the original, unscaled problem
-            z_u = d * x
-            np.divide(w, e, out=w_u)
-            y_u = e * y
+            # residuals of the original, unscaled problem, one row per iterate
+            z_u = np.multiply(d, x_rows[:done], out=ws.z_u[:done])
+            w_u = np.divide(w_rows[:done], e, out=ws.w_u[:done])
+            y_u = np.multiply(e, y_rows[:done], out=ws.y_u[:done])
             y_u /= gamma
-            s_u = b - w_u
-            Az = A @ z_u
-            r_prim = _amax(np.subtract(Az, w_u, out=resid_m), out=resid_m)
-            Pz = P @ z_u if P is not None else Pz_none
-            Aty = A_T @ y_u
-            np.add(Pz, c, out=resid_n)
+            s_u = np.subtract(b, w_u, out=ws.s_u[:done])
+            Az = (A @ z_u.T).T
+            resid_m = np.subtract(Az, w_u, out=ws.resid_m[:done])
+            Pz = (P @ z_u.T).T if P is not None else ws.zeros_n[:done]
+            Aty = (A_T @ y_u.T).T
+            resid_n = np.add(Pz, c, out=ws.resid_n[:done])
             np.add(resid_n, Aty, out=resid_n)
-            r_dual = _amax(resid_n, out=resid_n)
+            r_prims = _row_amax(resid_m, out=resid_m).tolist()
+            r_duals = _row_amax(resid_n, out=resid_n).tolist()
+            # the scales only matter where both residuals are finite
+            prim_scales = zip(
+                _row_amax(Az, out=Az).tolist(), _row_amax(s_u, out=resid_m).tolist()
+            )
+            dual_scales = zip(
+                _row_amax(Pz, out=resid_n).tolist(), _row_amax(Aty, out=Aty).tolist()
+            )
 
-            if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
-                status = INFEASIBLE_SUSPECT
-                iterations = it
-                break
-
-            prim_scale = max(_amax(Az, out=Az), _amax(s_u, out=resid_m), b_scale)
-            dual_scale = max(_amax(Pz), _amax(Aty, out=Aty), c_scale)
-            eps_prim = eps_abs + eps_rel * prim_scale
-            eps_dual = eps_abs + eps_rel * dual_scale
-
-            if log_callback is not None:
-                log_callback(it, r_prim, r_dual)
-
-            score = max(r_prim / eps_prim, r_dual / eps_dual)
-            if score < best_score:
-                best_score = score
-                best = (z_u, s_u, y_u, r_prim, r_dual)
-                best_iter = it
-
-            if r_prim <= eps_prim and r_dual <= eps_dual:
-                status = OPTIMAL
-                iterations = it
-                break
-
-            if it - best_iter > _STALL_ITERS and best_score > _STALL_SCORE:
-                status = INFEASIBLE_SUSPECT
-                iterations = it
+            # the per-iteration termination logic, iterate by iterate
+            block_best = None
+            for row, (r_prim, r_dual, (az, su), (pz, aty)) in enumerate(
+                zip(r_prims, r_duals, prim_scales, dual_scales)
+            ):
+                k = it + row + 1
+                if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
+                    status = INFEASIBLE_SUSPECT
+                    break
+                eps_prim = eps_abs + eps_rel * max(az, su, b_scale)
+                eps_dual = eps_abs + eps_rel * max(pz, aty, c_scale)
+                if log_callback is not None:
+                    log_callback(k, r_prim, r_dual)
+                score = max(r_prim / eps_prim, r_dual / eps_dual)
+                if score < best_score:
+                    best_score = score
+                    best_iter = k
+                    block_best = row
+                if r_prim <= eps_prim and r_dual <= eps_dual:
+                    status = OPTIMAL
+                    break
+                if k - best_iter > _STALL_ITERS and best_score > _STALL_SCORE:
+                    status = INFEASIBLE_SUSPECT
+                    break
+            else:
+                row = done - 1
+            if status is None and failure is not None:
+                raise failure
+            if block_best is not None:
+                j = block_best
+                best = (z_u[j].copy(), s_u[j].copy(), y_u[j].copy(), r_prims[j], r_duals[j])
+            elif best is None:  # the first iterate is already non-finite
+                best = (z_u[row].copy(), s_u[row].copy(), y_u[row].copy(), np.inf, np.inf)
+            it += row + 1
+            if status is not None:
                 break
 
             if adaptive_rho and it % _RHO_CHECK_EVERY == 0:
@@ -469,18 +527,14 @@ class ConicSolver:
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
                         ws.set_rho(ws.rho_scalar * float(ratio))
                         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
-        else:
-            iterations = max_iters
 
-        if best is None:
-            best = (d * x, b - w / e, (e * y) / gamma, np.inf, np.inf)
         z_u, s_u, y_u, r_prim, r_dual = best
         return SolveResult(
             z=z_u,
             s=s_u,
             y=y_u,
-            status=status,
-            iterations=iterations,
+            status=status or MAX_ITERS,
+            iterations=it,
             primal_residual=float(r_prim),
             dual_residual=float(r_dual),
             solve_time=time.perf_counter() - t0,

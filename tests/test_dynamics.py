@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from coulombmpc import (
     rk4_step,
     spacecraft_pairs,
 )
+from coulombmpc.config import load_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def pairwise_accelerations(positions, charges, masses, kappa=COULOMB_CONSTANT):
@@ -234,6 +239,42 @@ def test_rk4_zoh_self_consistency():
     one = rk4_step(state, charges, 0.5, cfg)
     two = rk4_step(rk4_step(state, charges, 0.25, cfg), charges, 0.25, cfg)
     assert np.allclose(one.as_vector(), two.as_vector(), rtol=0, atol=1e-7)
+
+
+def rk4_on_continuous_rhs(state, charges, dt, cfg):
+    """Readable RK4 oracle: the textbook stages on :func:`continuous_rhs`."""
+    def rhs(packed):
+        return continuous_rhs(RelativeState.from_vector(packed), charges, cfg)
+
+    y = state.as_vector()
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return RelativeState.from_vector(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+@pytest.mark.parametrize("name", ["twocraft", "fourcraft"])
+def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
+    scenario = load_scenario(CONFIGS / f"{name}.cfg")
+    cfg = scenario.formation
+    dt = scenario.sample_period / scenario.substeps
+    rng = np.random.default_rng(3)
+    fast = slow = RelativeState.from_vector(scenario.initial_state)
+    for _ in range(100):  # 1,000 chained substeps under changing charges
+        charges = rng.uniform(-0.05, 0.05, cfg.num_spacecraft)
+        for _ in range(scenario.substeps):
+            fast = rk4_step(fast, charges, dt, cfg)
+            slow = rk4_on_continuous_rhs(slow, charges, dt, cfg)
+            assert fast.as_vector().tobytes() == slow.as_vector().tobytes()
+    assert np.all(np.isfinite(fast.as_vector()))
+
+
+def test_rk4_singularity_names_closest_pair():
+    cfg = make_config([50.0, 50.0, 50.0])
+    state = RelativeState(np.array([5e-4, 100.0]), np.zeros(2))
+    with pytest.raises(SingularityError, match="spacecraft 0 and 1 are 5.000e-04 m apart"):
+        rk4_step(state, np.full(3, 0.1), 0.1, cfg)
 
 
 def test_rk4_rejects_bad_step():

@@ -27,7 +27,7 @@ from coulombmpc import (
 )
 from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
-from coulombmpc.solver import _ConeProjector
+from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, _ConeProjector
 import reference_admm
 from reference_admm import ReferenceSolver
 
@@ -103,18 +103,23 @@ def test_analytic_warm_resolve_matches_reference():
                      slow.solve(dataclasses.replace(prob, b=nudged), warm=first_slow))
 
 
+def fourcraft_step0():
+    """The shipped four-craft problem at step 0 and its cold-start settings."""
+    scenario = fourcraft_scenario(warm_start=False)
+    model = build_discrete_model(
+        scenario.params.desired_positions, scenario.sample_period, scenario.formation
+    )
+    template = build_horizon_problem(FOURCRAFT_INITIAL, model, scenario.params)
+    return to_conic(template), scenario
+
+
 def test_fourcraft_cold_step_matches_reference(monkeypatch):
     # the shipped problem's step 0 runs over a thousand iterations with
     # several rho updates, so the refactor path is exercised
     factorizations = []
     splu = solver_module.splu
     monkeypatch.setattr(solver_module, "splu", lambda kkt: factorizations.append(1) or splu(kkt))
-    scenario = fourcraft_scenario(warm_start=False)
-    model = build_discrete_model(
-        scenario.params.desired_positions, scenario.sample_period, scenario.formation
-    )
-    template = build_horizon_problem(FOURCRAFT_INITIAL, model, scenario.params)
-    prob = to_conic(template)
+    prob, scenario = fourcraft_step0()
     got = ConicSolver(prob, scenario.solver).solve()
     ref = ReferenceSolver().solve(prob, scenario.solver)
     assert_identical(got, ref)
@@ -146,3 +151,57 @@ def test_projection_into_buffer_matches_allocating_call():
         expected = projector.project(v)
         assert projector.project(v, out=buf) is buf
         assert np.array_equal(buf, expected)
+
+
+# -- termination checked once per block of iterates -----------------------------
+
+def logged(solve):
+    """A solve's result and its log_callback stream of (k, r_prim, r_dual)."""
+    stream = []
+    result = solve(lambda k, r_prim, r_dual: stream.append((k, r_prim, r_dual)))
+    return result, stream
+
+
+@pytest.mark.parametrize("name,prob,expected", build_problems())
+def test_log_stream_matches_reference(name, prob, expected):
+    got, got_log = logged(lambda cb: ConicSolver(prob).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, log_callback=cb))
+    assert_identical(got, ref)
+    assert got_log == ref_log
+    assert [k for k, _, _ in got_log] == list(range(1, got.iterations + 1))
+
+
+@pytest.mark.parametrize("max_iters", [1, 9, 10, 11, 37, 101])
+@pytest.mark.parametrize("name,prob,expected", build_problems())
+def test_iteration_budget_at_block_edges_matches_reference(name, prob, expected, max_iters):
+    # tolerances no problem meets within the budget, so every run ends on it
+    settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=max_iters)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
+    assert got.status == MAX_ITERS
+    assert got.iterations == max_iters
+    assert_identical(got, ref)
+    assert got_log == ref_log
+    assert [k for k, _, _ in got_log] == list(range(1, max_iters + 1))
+
+
+@pytest.mark.parametrize("call,slot", [(3, -1), (14, 0), (25, 150)])
+def test_nonfinite_projection_ends_the_solve_at_its_iteration(monkeypatch, call, slot):
+    # a NaN slack ends the solve at the iteration that produced it, even
+    # though iterations computed after it in the same block may raise
+    # (eigh on an all-NaN slack)
+    project = _ConeProjector.project
+    calls = []
+
+    def poisoned(self, v, out=None):
+        calls.append(None)
+        out = project(self, v, out=out)
+        if len(calls) == call:
+            out[slot] = np.nan
+        return out
+
+    monkeypatch.setattr(_ConeProjector, "project", poisoned)
+    prob, scenario = fourcraft_step0()
+    result = ConicSolver(prob, scenario.solver).solve()
+    assert result.status == INFEASIBLE_SUSPECT
+    assert result.iterations == call
