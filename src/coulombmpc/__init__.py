@@ -58,9 +58,7 @@ from .solver import (
     ConicSolver,
     SolveResult,
     SolverSettings,
-    project_cone,
     project_psd,
-    solve,
 )
 
 __version__ = "0.1.0"

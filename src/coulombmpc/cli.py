@@ -26,7 +26,7 @@ from .simulate import (
     run_closed_loop,
     write_csv,
 )
-from .solver import OPTIMAL, solve
+from .solver import OPTIMAL, ConicSolver
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,19 +109,17 @@ def _cmd_replay(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.config, _overrides(args))
-    formation = scenario.formation
     params = scenario.params
     model = build_discrete_model(
-        params.desired_positions, scenario.sample_period, formation
+        params.desired_positions, scenario.sample_period, scenario.formation
     )
-    grid = np.linspace(
-        formation.charge_min.min(), formation.charge_max.max(), args.grid_points
-    )
+    limit = scenario.saturation_limit
+    grid = np.linspace(-limit, limit, args.grid_points)
     best_charges, best_cost = brute_force_qcqp(
         scenario.initial_state, model, params, grid
     )
     hp = build_horizon_problem(scenario.initial_state, model, params)
-    result = solve(to_conic(hp), scenario.solver)
+    result = ConicSolver(to_conic(hp), scenario.solver).solve()
     if result.status != OPTIMAL:
         print(f"solver did not converge: {result.status}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -17,7 +17,9 @@ Example::
 
 Scalars broadcast where a vector is expected.  `state_margin` is shorthand
 for a symmetric box of that half-width around the desired state; explicit
-`state_min` / `state_max` arrays override it.
+`state_min` / `state_max` arrays override it.  The state and product bounds
+go to `MpcParams` only, and `saturation_limit` is the one charge limit: the
+controller clamps to it and the `oracle` grid spans it.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ _KNOWN_KEYS = {
     "state_min",
     "state_max",
     "state_margin",
-    "charge_min",
-    "charge_max",
     "product_min",
     "product_max",
     "horizon",
@@ -131,7 +131,6 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
     n_state = 2 * (ns - 1)
     m = pair_count(ns)
 
-    saturation = float(values.get("saturation_limit", 0.1))
     masses = _vector(values, "masses", ns, default=750.0)
 
     state_min = _vector(values, "state_min", n_state)
@@ -144,20 +143,11 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
         state_min = center - margin
         state_max = center + margin
 
-    product_min = _vector(values, "product_min", m)
-    product_max = _vector(values, "product_max", m)
-
     try:
         formation = FormationConfig(
             num_spacecraft=ns,
             masses=masses,
-            state_min=state_min,
-            state_max=state_max,
-            charge_min=_vector(values, "charge_min", ns, default=-saturation),
-            charge_max=_vector(values, "charge_max", ns, default=saturation),
             coulomb_constant=float(values.get("coulomb_constant", COULOMB_CONSTANT)),
-            product_min=product_min,
-            product_max=product_max,
             min_separation=float(values.get("min_separation", 1e-3)),
         )
         params = MpcParams(
@@ -171,8 +161,8 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
             state_min=state_min,
             state_max=state_max,
             trace_weight=float(values.get("trace_weight", 0.0)),
-            product_min=product_min,
-            product_max=product_max,
+            product_min=_vector(values, "product_min", m),
+            product_max=_vector(values, "product_max", m),
         )
         solver = SolverSettings(
             eps_abs=float(values.get("eps_abs", 1e-6)),
@@ -192,7 +182,7 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
             sample_period=float(values.get("sample_period", 0.5)),
             steps=int(values.get("steps", 2400)),
             substeps=int(values.get("substeps", 10)),
-            saturation_limit=saturation,
+            saturation_limit=float(values.get("saturation_limit", 0.1)),
             output_path=values.get("output"),
         )
     except ConfigError:

@@ -57,7 +57,8 @@ def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vec_to_sym(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`sym_to_vec`."""
+    """Inverse of :func:`sym_to_vec`: the one-block reference that the gathers
+    of the cone projector and of ``HorizonProblem.unpack`` are tested against."""
     vec = np.asarray(vec, dtype=float)
     side = int((np.sqrt(8 * vec.size + 1) - 1) / 2 + 0.5)
     if vec_dim(side) != vec.size:
@@ -80,12 +81,8 @@ class ConeDims:
         object.__setattr__(self, "psd", tuple(int(s) for s in self.psd))
 
     @property
-    def psd_vec_dims(self) -> tuple[int, ...]:
-        return tuple(vec_dim(s) for s in self.psd)
-
-    @property
     def total(self) -> int:
-        return self.zero + self.nonneg + sum(self.psd_vec_dims)
+        return self.zero + self.nonneg + sum(vec_dim(s) for s in self.psd)
 
 
 @dataclass

@@ -6,7 +6,8 @@ expressed in units of 10 mC so the Coulomb constant can be scaled down to
 positions and kilogram masses.  The acceleration of each craft is the sum of
 inverse-square pair forces, each proportional to the product of the two
 charges involved, so the dynamics are linear in the vector of pairwise charge
-products rather than in the charges themselves.
+products rather than in the charges themselves.  :class:`FormationConfig`
+holds the physics only, no bounds.
 """
 
 from __future__ import annotations
@@ -57,22 +58,14 @@ def pair_count(num_spacecraft: int) -> int:
 
 @dataclass(frozen=True)
 class FormationConfig:
-    """Physical description of the formation and its operating limits.
-
-    Charges and charge bounds are in 10 mC units; charge-product bounds, when
-    present, are in (10 mC)^2.  State bounds stack positions then velocities
-    of the relative coordinates, length ``2 * (num_spacecraft - 1)``.
+    """Physics of the formation: craft count, masses, Coulomb constant and the
+    separation below which pair forces are singular.  The state and product
+    box belong to ``MpcParams``, the charge limit to ``saturation_limit``.
     """
 
     num_spacecraft: int
     masses: np.ndarray
-    state_min: np.ndarray
-    state_max: np.ndarray
-    charge_min: np.ndarray
-    charge_max: np.ndarray
     coulomb_constant: float = COULOMB_CONSTANT
-    product_min: np.ndarray | None = None
-    product_max: np.ndarray | None = None
     min_separation: float = 1e-3  # m, below this pair forces are treated as singular
 
     def __post_init__(self):
@@ -80,8 +73,6 @@ class FormationConfig:
         if ns < 2:
             raise ValueError("num_spacecraft must be at least 2")
         object.__setattr__(self, "num_spacecraft", ns)
-        n_state = 2 * (ns - 1)
-        m = pair_count(ns)
 
         masses = _as_float_vector(self.masses, name="masses")
         if masses.size == 1:
@@ -96,37 +87,6 @@ class FormationConfig:
             raise ValueError("coulomb_constant must be strictly positive")
         if self.min_separation <= 0:
             raise ValueError("min_separation must be strictly positive")
-
-        for lo_name, hi_name, length in (
-            ("state_min", "state_max", n_state),
-            ("charge_min", "charge_max", ns),
-        ):
-            lo = _as_float_vector(getattr(self, lo_name), name=lo_name)
-            hi = _as_float_vector(getattr(self, hi_name), name=hi_name)
-            if lo.size == 1:
-                lo = np.full(length, lo[0])
-            if hi.size == 1:
-                hi = np.full(length, hi[0])
-            if lo.size != length or hi.size != length:
-                raise ValueError(f"{lo_name}/{hi_name} must have length {length}")
-            if np.any(lo >= hi):
-                raise ValueError(f"{lo_name} must be elementwise below {hi_name}")
-            object.__setattr__(self, lo_name, lo)
-            object.__setattr__(self, hi_name, hi)
-
-        if (self.product_min is None) != (self.product_max is None):
-            raise ValueError("product bounds must be given as a pair or not at all")
-        if self.product_min is not None:
-            lo = _as_float_vector(self.product_min, m, "product_min")
-            hi = _as_float_vector(self.product_max, m, "product_max")
-            if np.any(lo >= hi):
-                raise ValueError("product_min must be elementwise below product_max")
-            object.__setattr__(self, "product_min", lo)
-            object.__setattr__(self, "product_max", hi)
-
-    @property
-    def pair_count(self) -> int:
-        return pair_count(self.num_spacecraft)
 
     @property
     def state_dim(self) -> int:

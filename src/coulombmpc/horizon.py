@@ -177,7 +177,8 @@ class HorizonProblem:
 
     # -- point packing --------------------------------------------------------
     def pack(self, states: np.ndarray, inputs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
-        """Flatten a (states, inputs, lifted) trajectory into a decision vector."""
+        """Flatten a (states, inputs, lifted) trajectory into a decision vector:
+        the per-stage reference that the vectorised :meth:`unpack` must invert."""
         N, n, m = self.num_stages, self.state_dim, self.input_dim
         states = np.asarray(states, dtype=float).reshape(N + 1, n)
         inputs = np.asarray(inputs, dtype=float).reshape(N, m)
@@ -219,7 +220,8 @@ def build_horizon_problem(
 def evaluate_cost(
     hp: HorizonProblem, states: np.ndarray, inputs: np.ndarray, lifted: np.ndarray
 ) -> float:
-    """Objective value of a trajectory: tracking + input + smoothing + trace terms."""
+    """Objective value of a trajectory: tracking + input + smoothing + trace
+    terms, stage by stage; the reference for the objective :func:`to_conic` builds."""
     p = hp.params
     N = hp.num_stages
     states = np.asarray(states, dtype=float).reshape(N + 1, hp.state_dim)

@@ -26,7 +26,6 @@ class RecoveredCharges:
     charges: np.ndarray
     dominant_eigenvalue: float
     rank_ratio: float
-    saturated: bool = False
 
 
 def recover(lifted: np.ndarray, previous: np.ndarray | None = None) -> RecoveredCharges:

@@ -43,7 +43,7 @@ class ScenarioConfig:
     sample_period: float
     steps: int
     substeps: int = 10
-    saturation_limit: float = 0.1
+    saturation_limit: float = 0.1  # the one charge limit [10 mC]: clamp and oracle grid
     output_path: str | None = None
 
     def __post_init__(self):
@@ -58,6 +58,8 @@ class ScenarioConfig:
             raise ValueError("steps must be at least 1")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
+        if not self.saturation_limit > 0:
+            raise ValueError("saturation_limit must be positive")
 
 
 @dataclass

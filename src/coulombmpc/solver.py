@@ -112,7 +112,8 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm.
 
     The input is symmetrized defensively; negative eigenvalues are clamped
-    to zero.
+    to zero.  Kept as the one-matrix reference that the batched PSD step of
+    :meth:`_ConeProjector.project` is tested against.
     """
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
@@ -125,9 +126,11 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 class _ConeProjector:
     """Projection onto the product cone, batching equal-size PSD blocks.
 
-    Each group of equal-size PSD blocks keeps a ``(k, side, side)`` gather
-    index into the slack vector and the matching off-diagonal unscaling, so
-    one fancy index and one divide build the stack of symmetric matrices.
+    Each group of equal-size PSD blocks keeps its ``(k, vec_dim)`` slot
+    indices ``flat`` (the one PSD block layout, which the equilibration reads
+    too), a ``(k, side, side)`` gather index into the slack vector and the
+    matching off-diagonal unscaling, so one fancy index and one divide build
+    the stack of symmetric matrices.
     """
 
     def __init__(self, cones: ConeDims):
@@ -138,7 +141,6 @@ class _ConeProjector:
         for side in cones.psd:
             offsets.append(off)
             off += vec_dim(side)
-        self.total = off
         self.groups = []
         for side in sorted(set(cones.psd)):
             starts = np.array(
@@ -168,14 +170,6 @@ class _ConeProjector:
         return out
 
 
-def project_cone(v: np.ndarray, cones: ConeDims) -> np.ndarray:
-    """Project a stacked slack vector onto the product cone."""
-    v = np.asarray(v, dtype=float)
-    if v.size != cones.total:
-        raise ValueError(f"slack has length {v.size}, cone list needs {cones.total}")
-    return _ConeProjector(cones).project(v)
-
-
 def _amax(v: np.ndarray) -> float:
     """Infinity norm of v, 0 for an empty vector."""
     return np.abs(v).max() if v.size else 0.0
@@ -198,16 +192,6 @@ def _row_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
     return out
 
 
-def _psd_row_blocks(cones: ConeDims) -> list[slice]:
-    blocks = []
-    off = cones.zero + cones.nonneg
-    for side in cones.psd:
-        d = vec_dim(side)
-        blocks.append(slice(off, off + d))
-        off += d
-    return blocks
-
-
 def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index of every stored entry of a CSC matrix."""
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
@@ -217,14 +201,13 @@ def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """Scaled data, cached factorization and iteration buffers of a solver."""
 
-    def __init__(self, P_s, A_s, q_s, d, e, gamma, A, cones, settings):
+    def __init__(self, P_s, A_s, q_s, d, e, gamma, A, projector, settings):
         m, n = A_s.shape
         self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
         self.A_s_T = A_s.T  # CSR views: no transpose is rebuilt per iteration
         self.A_T = A.T
         self.d, self.e, self.gamma = d, e, gamma
-        self.cones = cones
-        self.projector = _ConeProjector(cones)
+        self.projector = projector
         # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves
         self.kkt = sp.bmat(
             [
@@ -259,7 +242,7 @@ class _Workspace:
     def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
         rho = np.full(self.A_s.shape[0], self.rho_scalar)
-        rho[: self.cones.zero] = np.clip(
+        rho[: self.projector.zero_end] = np.clip(
             self.rho_scalar * _RHO_EQ_FACTOR, _RHO_MIN, _RHO_MAX
         )
         self.rho_vec = rho
@@ -301,8 +284,8 @@ class ConicSolver:
         d = np.ones(n)
         e = np.ones(prob.num_rows)
         gamma = 1.0
+        projector = _ConeProjector(prob.cones)
         if settings.equilibrate:
-            psd_blocks = _psd_row_blocks(prob.cones)
             # scaling .data in place equals the D P D and E A D products
             # entry for entry once the pattern is canonical without zeros
             for mat in (P_s, A_s):
@@ -316,8 +299,8 @@ class ConicSolver:
                 dd = 1.0 / np.sqrt(col_norm)
                 row_norm = _row_inf_norms(A_s)
                 # a PSD block must be scaled uniformly or the cone is distorted
-                for blk in psd_blocks:
-                    row_norm[blk] = row_norm[blk].max()
+                for flat, *_ in projector.groups:
+                    row_norm[flat] = row_norm[flat].max(axis=1)[:, None]
                 row_norm[row_norm == 0] = 1.0
                 ee = 1.0 / np.sqrt(row_norm)
                 P_s.data *= dd[p_rows]
@@ -339,7 +322,7 @@ class ConicSolver:
                     q_s = step * q_s
                     gamma *= step
 
-        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob.A, prob.cones, settings)
+        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob.A, projector, settings)
 
     # -- main loop -------------------------------------------------------------
     def solve(
@@ -541,12 +524,3 @@ class ConicSolver:
             objective=prob.objective_value(z_u),
         )
 
-
-def solve(
-    prob: ConicProblem,
-    settings: SolverSettings | None = None,
-    warm: SolveResult | None = None,
-    log_callback=None,
-) -> SolveResult:
-    """One-shot convenience wrapper around :class:`ConicSolver`."""
-    return ConicSolver(prob, settings).solve(warm=warm, log_callback=log_callback)

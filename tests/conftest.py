@@ -10,15 +10,7 @@ FOURCRAFT_STEPS = 2400
 
 
 def fourcraft_formation(mass=FOURCRAFT_MASS):
-    center = np.concatenate([FOURCRAFT_DESIRED, np.zeros(3)])
-    return FormationConfig(
-        num_spacecraft=4,
-        masses=mass,
-        state_min=center - 10.0,
-        state_max=center + 10.0,
-        charge_min=-0.1,
-        charge_max=0.1,
-    )
+    return FormationConfig(num_spacecraft=4, masses=mass)
 
 
 def fourcraft_params(trace_weight=1.5):
@@ -50,24 +42,9 @@ def fourcraft_scenario(mass=FOURCRAFT_MASS, steps=FOURCRAFT_STEPS, warm_start=Tr
 
 @pytest.fixture
 def twocraft_formation():
-    return FormationConfig(
-        num_spacecraft=2,
-        masses=50.0,
-        state_min=np.array([10.0, -5.0]),
-        state_max=np.array([500.0, 5.0]),
-        charge_min=-0.2,
-        charge_max=0.2,
-    )
+    return FormationConfig(num_spacecraft=2, masses=50.0)
 
 
 @pytest.fixture
 def threecraft_formation():
-    center = np.concatenate([np.array([40.0, 80.0]), np.zeros(2)])
-    return FormationConfig(
-        num_spacecraft=3,
-        masses=np.array([40.0, 55.0, 70.0]),
-        state_min=center - 30.0,
-        state_max=center + 30.0,
-        charge_min=-0.3,
-        charge_max=0.3,
-    )
+    return FormationConfig(num_spacecraft=3, masses=np.array([40.0, 55.0, 70.0]))

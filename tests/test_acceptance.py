@@ -32,13 +32,12 @@ from coulombmpc import (
     recover,
     rk4_step,
     run_closed_loop,
-    solve,
     to_conic,
     write_csv,
     read_csv,
 )
 from coulombmpc.dynamics import absolute_input_matrix
-from coulombmpc.solver import OPTIMAL
+from coulombmpc.solver import OPTIMAL, ConicSolver
 
 INITIAL_DEVIATION = float(np.abs(FOURCRAFT_INITIAL[:3] - FOURCRAFT_DESIRED).max())
 
@@ -141,19 +140,15 @@ def test_criterion_3_push_pull(fourcraft_run):
 # -- criterion 4: relaxation bound vs brute force ---------------------------------
 
 def test_criterion_4_relaxation_bound_two_craft():
-    formation = FormationConfig(
-        num_spacecraft=2, masses=50.0,
-        state_min=np.array([10.0, -5.0]), state_max=np.array([500.0, 5.0]),
-        charge_min=-0.2, charge_max=0.2,
-    )
+    formation = FormationConfig(num_spacecraft=2, masses=50.0)
     desired = np.array([50.0])
     model = build_discrete_model(desired, 0.5, formation)
     grid = np.linspace(-0.2, 0.2, 81)
     base = MpcParams(
         horizon=1, desired_positions=desired,
         state_weight=np.array([1.0, 20.0]), product_weight=1e-3,
-        product_delta_weight=0.0, state_min=formation.state_min,
-        state_max=formation.state_max, trace_weight=0.0,
+        product_delta_weight=0.0, state_min=np.array([10.0, -5.0]),
+        state_max=np.array([500.0, 5.0]), trace_weight=0.0,
     )
     settings = SolverSettings(eps_abs=1e-9, eps_rel=1e-9, max_iters=200000)
     rng = np.random.default_rng(2024)
@@ -162,7 +157,7 @@ def test_criterion_4_relaxation_bound_two_craft():
     for _ in range(20):
         start = np.array([50.0 + rng.uniform(-0.5, 0.5), rng.uniform(-0.02, 0.02)])
         _, grid_cost = brute_force_qcqp(start, model, base, grid)
-        relaxed = solve(to_conic(build_horizon_problem(start, model, base)), settings)
+        relaxed = ConicSolver(to_conic(build_horizon_problem(start, model, base)), settings).solve()
         assert relaxed.status == OPTIMAL
         worst_gap = max(worst_gap, relaxed.objective - grid_cost)
 
@@ -170,7 +165,7 @@ def test_criterion_4_relaxation_bound_two_craft():
         # the mechanism the controller itself relies on
         rounding = dataclasses.replace(base, trace_weight=1e-4)
         hp = build_horizon_problem(start, model, rounding)
-        lifted_sol = solve(to_conic(hp), settings)
+        lifted_sol = ConicSolver(to_conic(hp), settings).solve()
         _, _, lifted = hp.unpack(lifted_sol.z)
         products = charge_products(recover(lifted[0]).charges)
         nxt = model.A @ start + model.B @ products
@@ -213,7 +208,7 @@ def test_criterion_6_analytic_conic_suite():
     worst_obj = 0.0
     worst_kkt = 0.0
     for name, prob, expected in build_problems():
-        result = solve(prob, settings)
+        result = ConicSolver(prob, settings).solve()
         assert result.status == OPTIMAL, name
         worst_obj = max(worst_obj, abs(result.objective - expected))
         primal = np.abs(prob.A @ result.z + result.s - prob.b).max()
@@ -232,11 +227,7 @@ def test_criterion_6_analytic_conic_suite():
 # -- criterion 7: dynamics fidelity ------------------------------------------------
 
 def test_criterion_7_dynamics_fidelity():
-    formation = FormationConfig(
-        num_spacecraft=3, masses=np.full(3, 50.0),
-        state_min=np.full(4, -1e6), state_max=np.full(4, 1e6),
-        charge_min=-1.0, charge_max=1.0,
-    )
+    formation = FormationConfig(num_spacecraft=3, masses=np.full(3, 50.0))
     state = RelativeState(np.array([40.0, 90.0]), np.array([0.05, -0.02]))
     charges = np.array([0.2, 0.18, 0.22])
     duration = 8.0
@@ -258,11 +249,7 @@ def test_criterion_7_dynamics_fidelity():
         ns = int(rng.integers(2, 6))
         positions = np.sort(rng.uniform(0.0, 300.0, ns)) + np.arange(ns) * 5.0
         masses = rng.uniform(5.0, 800.0, ns)
-        cfg = FormationConfig(
-            num_spacecraft=ns, masses=masses,
-            state_min=np.full(2 * (ns - 1), -1e6), state_max=np.full(2 * (ns - 1), 1e6),
-            charge_min=-1.0, charge_max=1.0,
-        )
+        cfg = FormationConfig(num_spacecraft=ns, masses=masses)
         weighted = masses[:, None] * absolute_input_matrix(positions, cfg)
         rel = np.abs(weighted.sum(axis=0)) / np.maximum(np.abs(weighted).sum(axis=0), 1.0)
         worst_rel = max(worst_rel, float(rel.max()))

@@ -27,8 +27,9 @@ def test_parse_config_text_literals():
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        parse_config_text("massess = 1.0")
+    for line in ("massess = 1.0", "charge_min = -0.2"):
+        with pytest.raises(ConfigError):
+            parse_config_text(line)
 
 
 def test_garbage_numeric_value_rejected():
@@ -120,6 +121,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text("unknown_key = 3\n")
     assert main(["run", "--config", str(bad)]) == 1
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+    no_authority = tmp_path / "no_authority.cfg"
+    kept = [line for line in TWOCRAFT_CFG.read_text().splitlines()
+            if not line.startswith("saturation_limit")]
+    no_authority.write_text("\n".join(kept + ["saturation_limit = 0"]) + "\n")
+    for command in ("run", "oracle"):
+        assert main([command, "--config", str(no_authority)]) == 1
 
 
 def test_cli_runtime_abort_exit_code(tmp_path):

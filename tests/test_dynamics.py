@@ -43,14 +43,7 @@ def random_formation(rng, ns):
 
 def make_config(masses):
     ns = len(masses)
-    return FormationConfig(
-        num_spacecraft=ns,
-        masses=np.asarray(masses, dtype=float),
-        state_min=np.full(2 * (ns - 1), -1e6),
-        state_max=np.full(2 * (ns - 1), 1e6),
-        charge_min=-1.0,
-        charge_max=1.0,
-    )
+    return FormationConfig(num_spacecraft=ns, masses=np.asarray(masses, dtype=float))
 
 
 # -- pair indexing and charge products ---------------------------------------
@@ -327,9 +320,3 @@ def test_discrete_model_close_to_rk4_near_reference():
 def test_formation_config_validation():
     with pytest.raises(ValueError):
         make_config([50.0, -1.0])
-    with pytest.raises(ValueError):
-        FormationConfig(
-            num_spacecraft=2, masses=[50.0, 50.0],
-            state_min=np.array([10.0, -5.0]), state_max=np.array([5.0, 5.0]),
-            charge_min=-0.1, charge_max=0.1,
-        )

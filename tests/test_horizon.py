@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from coulombmpc import (
+    ConicSolver,
     MpcParams,
     SolverSettings,
     build_discrete_model,
     build_horizon_problem,
     charge_products,
     evaluate_cost,
-    solve,
     to_conic,
     update_initial_state,
 )
@@ -202,7 +202,7 @@ def test_relaxation_soundness_lifted_charges_cost_identity(threecraft_formation)
         expected = plain + 1.3 * sum(float(q @ q) for q in plan)
         assert evaluate_cost(hp, states, inputs, lifted) == pytest.approx(expected, rel=1e-12)
     # and the relaxation optimum can only improve on any lifted feasible point
-    result = solve(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8))
+    result = ConicSolver(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8)).solve()
     assert result.objective <= evaluate_cost(hp, states, inputs, lifted) + 1e-6
 
 
@@ -277,7 +277,7 @@ def test_equilibrium_solution_is_zero(twocraft_formation):
     params = simple_params(2, 3, desired, trace_weight=1.0, product_delta_weight=10.0)
     model = model_for(twocraft_formation, desired)
     hp = build_horizon_problem(params.desired_state, model, params)
-    result = solve(to_conic(hp), SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
+    result = ConicSolver(to_conic(hp), SolverSettings(eps_abs=1e-9, eps_rel=1e-9)).solve()
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.0, abs=1e-6)
     _, inputs, _ = hp.unpack(result.z)
@@ -292,11 +292,7 @@ def test_label_permutation_preserves_optimum():
     from coulombmpc import FormationConfig
 
     def build(desired_positions, mass_vector, weight_diag, start_offsets):
-        formation = FormationConfig(
-            num_spacecraft=3, masses=mass_vector,
-            state_min=np.full(4, -1e4), state_max=np.full(4, 1e4),
-            charge_min=-1.0, charge_max=1.0,
-        )
+        formation = FormationConfig(num_spacecraft=3, masses=mass_vector)
         params = simple_params(3, 3, desired_positions,
                                state_weight=np.array(weight_diag),
                                trace_weight=0.5, product_delta_weight=100.0)
@@ -304,7 +300,7 @@ def test_label_permutation_preserves_optimum():
         hp = build_horizon_problem(
             np.concatenate([desired_positions, [0.0, 0.0]]) + np.asarray(start_offsets),
             model, params)
-        return solve(to_conic(hp), SolverSettings(eps_abs=1e-9, eps_rel=1e-9))
+        return ConicSolver(to_conic(hp), SolverSettings(eps_abs=1e-9, eps_rel=1e-9)).solve()
 
     base = build(desired, masses, [1.0, 2.0, 30.0, 40.0], [0.4, -0.3, 0.01, -0.02])
     # craft labels (1,2,3) -> (1,3,2): relative coordinates swap, so do the
@@ -335,3 +331,9 @@ def test_mpc_params_validation():
         )
     with pytest.raises(ValueError):
         simple_params(2, 2, desired, trace_weight=-0.1)
+    with pytest.raises(ValueError):
+        MpcParams(
+            horizon=2, desired_positions=desired,
+            state_weight=1.0, product_weight=0.0, product_delta_weight=0.0,
+            state_min=np.array([10.0, -5.0]), state_max=np.array([5.0, 5.0]),  # inverted
+        )

@@ -27,16 +27,12 @@ from coulombmpc.simulate import RUN_ABORTED_COLLISION, RUN_COMPLETED
 
 def twocraft_scenario(**kw):
     desired = np.array([50.0])
-    formation = FormationConfig(
-        num_spacecraft=2, masses=50.0,
-        state_min=np.array([10.0, -5.0]), state_max=np.array([500.0, 5.0]),
-        charge_min=-0.2, charge_max=0.2,
-    )
+    formation = FormationConfig(num_spacecraft=2, masses=50.0)
     params = MpcParams(
         horizon=kw.pop("horizon", 3), desired_positions=desired,
         state_weight=np.array([1.0, 20.0]), product_weight=1e-3,
-        product_delta_weight=100.0, state_min=formation.state_min,
-        state_max=formation.state_max, trace_weight=kw.pop("trace_weight", 1e-3),
+        product_delta_weight=100.0, state_min=np.array([10.0, -5.0]),
+        state_max=np.array([500.0, 5.0]), trace_weight=kw.pop("trace_weight", 1e-3),
     )
     defaults = dict(
         formation=formation, params=params, solver=SolverSettings(),
@@ -94,15 +90,11 @@ def test_closed_loop_determinism():
 
 
 def test_collision_aborts_with_partial_log():
-    formation = FormationConfig(
-        num_spacecraft=2, masses=50.0,
-        state_min=np.array([1.0, -5.0]), state_max=np.array([500.0, 5.0]),
-        charge_min=-0.2, charge_max=0.2, min_separation=4.0,
-    )
+    formation = FormationConfig(num_spacecraft=2, masses=50.0, min_separation=4.0)
     params = MpcParams(
         horizon=2, desired_positions=np.array([50.0]),
         state_weight=1.0, product_weight=0.0, product_delta_weight=0.0,
-        state_min=formation.state_min, state_max=formation.state_max,
+        state_min=np.array([1.0, -5.0]), state_max=np.array([500.0, 5.0]),
     )
     scen = ScenarioConfig(
         formation=formation, params=params, solver=SolverSettings(),

@@ -8,12 +8,10 @@ from coulombmpc import (
     ConicProblem,
     ConicSolver,
     SolverSettings,
-    project_cone,
     project_psd,
-    solve,
 )
 from coulombmpc.conic import sym_to_vec, vec_dim, vec_to_sym
-from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL
+from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _ConeProjector
 
 TIGHT = SolverSettings(eps_abs=1e-9, eps_rel=1e-9, max_iters=100000)
 
@@ -61,19 +59,19 @@ def test_project_psd_rejects_nonfinite():
 def test_project_cone_nonneg_passthrough():
     cones = ConeDims(nonneg=4)
     v = np.array([0.5, 1.0, 0.0, 2.0])
-    assert np.array_equal(project_cone(v, cones), v)
+    assert np.array_equal(_ConeProjector(cones).project(v), v)
 
 
 def test_project_cone_zero_block():
     cones = ConeDims(zero=3)
-    assert np.array_equal(project_cone(np.array([1.0, -2.0, 3.0]), cones), np.zeros(3))
+    assert np.array_equal(_ConeProjector(cones).project(np.array([1.0, -2.0, 3.0])), np.zeros(3))
 
 
 def test_project_cone_mixed_blocks_match_individual():
     rng = np.random.default_rng(2)
     cones = ConeDims(zero=2, nonneg=3, psd=(2, 3, 2))
     v = rng.normal(size=cones.total)
-    out = project_cone(v, cones)
+    out = _ConeProjector(cones).project(v)
     assert np.array_equal(out[:2], np.zeros(2))
     assert np.array_equal(out[2:5], np.maximum(v[2:5], 0.0))
     off = 5
@@ -84,16 +82,11 @@ def test_project_cone_mixed_blocks_match_individual():
         off += d
 
 
-def test_project_cone_dimension_mismatch():
-    with pytest.raises(ValueError):
-        project_cone(np.zeros(5), ConeDims(nonneg=4))
-
-
 # -- solve on analytic problems ---------------------------------------------------
 
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_analytic_problem(name, prob, expected):
-    result = solve(prob, TIGHT)
+    result = ConicSolver(prob, TIGHT).solve()
     assert result.status == OPTIMAL
     assert result.objective == pytest.approx(expected, abs=1e-6)
     # KKT residuals recomputed from scratch, not trusting solver bookkeeping
@@ -107,7 +100,7 @@ def test_analytic_problem(name, prob, expected):
 
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_returned_slack_in_cone(name, prob, expected):
-    result = solve(prob, TIGHT)
+    result = ConicSolver(prob, TIGHT).solve()
     s = result.s
     cones = prob.cones
     assert np.abs(s[: cones.zero]).max(initial=0.0) <= 1e-8
@@ -126,14 +119,14 @@ def test_min_x_at_least_one_example():
         c=np.array([1.0]), A=sp.csc_matrix([[-1.0]]), b=np.array([-1.0]),
         cones=ConeDims(nonneg=1),
     )
-    result = solve(prob, SolverSettings())
+    result = ConicSolver(prob, SolverSettings()).solve()
     assert result.z[0] == pytest.approx(1.0, abs=1e-5)
 
 
 def test_determinism_identical_iterates():
     _, prob, _ = build_problems()[7]
-    a = solve(prob, SolverSettings())
-    b = solve(prob, SolverSettings())
+    a = ConicSolver(prob, SolverSettings()).solve()
+    b = ConicSolver(prob, SolverSettings()).solve()
     assert a.iterations == b.iterations
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.y, b.y)
@@ -141,7 +134,7 @@ def test_determinism_identical_iterates():
 
 def test_max_iters_status():
     _, prob, _ = build_problems()[7]
-    result = solve(prob, SolverSettings(max_iters=1))
+    result = ConicSolver(prob, SolverSettings(max_iters=1)).solve()
     assert result.status == MAX_ITERS
     assert result.iterations == 1
 
@@ -152,7 +145,7 @@ def test_nonfinite_data_rejected():
         cones=ConeDims(nonneg=1),
     )
     with pytest.raises(ValueError):
-        solve(prob)
+        ConicSolver(prob).solve()
 
 
 def test_nonfinite_matrix_rejected_at_construction():
@@ -176,7 +169,7 @@ def test_infeasible_problem_flagged_or_exhausted():
         b=np.array([-1.0, -1.0]),
         cones=ConeDims(nonneg=2),
     )
-    result = solve(prob, SolverSettings(max_iters=8000))
+    result = ConicSolver(prob, SolverSettings(max_iters=8000)).solve()
     assert result.status in (INFEASIBLE_SUSPECT, MAX_ITERS)
     assert result.primal_residual > 1e-3
 
@@ -204,7 +197,7 @@ def test_warm_start_after_rhs_change_converges_faster():
 def test_warm_start_of_wrong_size_rejected():
     _, prob, _ = build_problems()[8]
     _, other, _ = build_problems()[0]
-    foreign = solve(other)
+    foreign = ConicSolver(other).solve()
     with pytest.raises(ValueError, match="warm start"):
         ConicSolver(prob).solve(warm=foreign)
 
@@ -224,14 +217,14 @@ def test_zero_variable_problem():
     feasible = ConicProblem(
         c=np.zeros(0), A=np.zeros((1, 0)), b=np.ones(1), cones=ConeDims(nonneg=1)
     )
-    result = solve(feasible)
+    result = ConicSolver(feasible).solve()
     assert result.status == OPTIMAL
     assert result.iterations == 1
     assert result.z.shape == (0,)
     infeasible = ConicProblem(
         c=np.zeros(0), A=np.zeros((1, 0)), b=-np.ones(1), cones=ConeDims(nonneg=1)
     )
-    result = solve(infeasible, SolverSettings(max_iters=300))
+    result = ConicSolver(infeasible, SolverSettings(max_iters=300)).solve()
     assert result.status == MAX_ITERS
     assert result.iterations == 300
 
@@ -239,15 +232,17 @@ def test_zero_variable_problem():
 def test_log_callback_streams_residuals():
     _, prob, _ = build_problems()[0]
     seen = []
-    solve(prob, SolverSettings(), log_callback=lambda k, rp, rd: seen.append((k, rp, rd)))
+    ConicSolver(prob, SolverSettings()).solve(
+        log_callback=lambda k, rp, rd: seen.append((k, rp, rd))
+    )
     assert seen and seen[0][0] == 1
     assert all(np.isfinite(rp) and np.isfinite(rd) for _, rp, rd in seen)
 
 
 def test_equilibration_toggle_same_answer():
     _, prob, expected = build_problems()[3]
-    on = solve(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8))
-    off = solve(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8, equilibrate=False))
+    on = ConicSolver(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8)).solve()
+    off = ConicSolver(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8, equilibrate=False)).solve()
     assert on.objective == pytest.approx(expected, abs=1e-5)
     assert off.objective == pytest.approx(expected, abs=1e-5)
 
