@@ -82,6 +82,13 @@ def test_project_cone_mixed_blocks_match_individual():
         off += d
 
 
+def test_project_cone_dimension_mismatch():
+    # the projector is built only from a ConicProblem, which rejects a cone
+    # list whose length differs from the slack's (5 rows against 4 cones)
+    with pytest.raises(ValueError, match="cone dimensions sum to 4"):
+        ConicProblem(c=np.zeros(1), A=np.zeros((5, 1)), b=np.zeros(5), cones=ConeDims(nonneg=4))
+
+
 # -- solve on analytic problems ---------------------------------------------------
 
 @pytest.mark.parametrize("name,prob,expected", build_problems())
