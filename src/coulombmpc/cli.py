@@ -114,10 +114,13 @@ def _cmd_oracle(args) -> int:
         params.desired_positions, scenario.sample_period, scenario.formation
     )
     limit = scenario.saturation_limit
-    grid = np.linspace(-limit, limit, args.grid_points)
-    best_charges, best_cost = brute_force_qcqp(
-        scenario.initial_state, model, params, grid
-    )
+    try:
+        grid = np.linspace(-limit, limit, args.grid_points)
+        best_charges, best_cost = brute_force_qcqp(
+            scenario.initial_state, model, params, grid
+        )
+    except ValueError as exc:  # a grid or problem outside the search's limits
+        raise ConfigError(str(exc)) from exc
     hp = build_horizon_problem(scenario.initial_state, model, params)
     result = ConicSolver(to_conic(hp), scenario.solver).solve()
     if result.status != OPTIMAL:

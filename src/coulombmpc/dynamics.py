@@ -175,12 +175,16 @@ def continuous_rhs(state: RelativeState, charges: np.ndarray, cfg: FormationConf
 
 
 @lru_cache(maxsize=None)
-def _pair_scatter(num_spacecraft: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of each pair's first- and second-craft entry in the
-    row-major ``(num_spacecraft, pairs)`` absolute input matrix."""
+def _pair_scatter(num_spacecraft: int) -> tuple[np.ndarray, ...]:
+    """Each pair's first and second craft, and the flat indices of their
+    entries in the row-major ``(num_spacecraft, pairs)`` absolute input matrix."""
     pairs = _pair_table(num_spacecraft)
+    first, second = pairs[:, 0].copy(), pairs[:, 1].copy()
     cols = np.arange(len(pairs))
-    return pairs[:, 0] * len(pairs) + cols, pairs[:, 1] * len(pairs) + cols
+    plan = first, second, first * len(pairs) + cols, second * len(pairs) + cols
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
 def rk4_step(
@@ -190,8 +194,12 @@ def rk4_step(
 
     The stages evaluate :func:`continuous_rhs` without its per-call checks
     and containers: the same floating-point operations in the same order, on
-    buffers set up once per step, so the result is bit-identical to an RK4
-    built on :func:`continuous_rhs`.
+    buffers set up once per step and a pair plan cached per craft count, so
+    the result is bit-identical to an RK4 built on :func:`continuous_rhs`.
+    Two rewrites are exact: ``-t / m`` is computed as ``t / (-m)`` (IEEE
+    division is sign-symmetric), and the separation test takes the NaN-
+    ignoring minimum, which is below the limit exactly when some pair is.
+    The returned state holds views of one fresh vector, not re-validated.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
@@ -200,32 +208,33 @@ def rk4_step(
     y = state.as_vector()
     if y.size != 2 * half:
         raise ValueError(f"relative positions must have length {half}, got {y.size // 2}")
-    pairs = spacecraft_pairs(cfg.num_spacecraft)
-    first, second = pairs[:, 0], pairs[:, 1]
-    into_first, into_second = _pair_scatter(cfg.num_spacecraft)
-    mass_first, mass_second = cfg.masses[first], cfg.masses[second]
+    first, second, into_first, into_second = _pair_scatter(cfg.num_spacecraft)
+    mass_first, neg_mass_second = cfg.masses[first], -cfg.masses[second]
     kappa, min_separation = cfg.coulomb_constant, cfg.min_separation
     positions = np.zeros(half + 1)  # craft 1 stays at the origin
-    absolute = np.zeros((half + 1, len(pairs)))  # entries off the scatter stay 0
-    absolute_flat = absolute.reshape(-1)
+    absolute = np.zeros((half + 1, len(first)))  # entries off the scatter stay 0
+    absolute_flat, others, lead = absolute.reshape(-1), absolute[1:], absolute[0]
 
     def rhs(packed: np.ndarray) -> np.ndarray:
         positions[1:] = packed[:half]
         diff = positions[first] - positions[second]
         dist = np.abs(diff)
-        if (dist < min_separation).any():
+        if np.fmin.reduce(dist) < min_separation:
             _pair_force_terms(positions, cfg)  # raises, naming the closest pair
         terms = kappa * diff / dist**3
         absolute_flat[into_first] = terms / mass_first
-        absolute_flat[into_second] = -terms / mass_second
-        accel = (absolute[1:] - absolute[0]) @ products
-        return np.concatenate([packed[half:], accel])
+        absolute_flat[into_second] = terms / neg_mass_second
+        return np.concatenate([packed[half:], (others - lead) @ products])
 
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
     k4 = rhs(y + dt * k3)
-    return RelativeState.from_vector(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    result = object.__new__(RelativeState)
+    object.__setattr__(result, "positions", out[:half])
+    object.__setattr__(result, "velocities", out[half:])
+    return result
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,24 @@ projector's gather indices, and every iteration buffer.  The loop only
 solves, projects and updates, writing through ufunc ``out=`` arguments in
 the operation order of the plain loop kept in ``tests/reference_admm.py``.
 
-Termination is checked once per block of ``_CHECK_EVERY`` iterations: each
-iteration copies its x, w and y into one row of the block, and after the
-block the residuals of all its iterates come from one batched pass (sparse
-times dense products whose kernels accumulate in the matvecs' order).  An
-in-order scan then applies the per-iteration tests iterate by iterate and
-stops at the first iterate at which a check after every iteration would have
-stopped; the up to ``_CHECK_EVERY - 1`` iterates computed past it are
+The iterate is stacked: x and w share one row ``[x; w]`` of a block of
+``_CHECK_EVERY`` rows, and y has a row of its own, so each iteration reads
+the previous row and writes the next (row 0 follows the last row).  The
+KKT right-hand side is then ``[sigma...; 1...] * [x; w] - [q_s; y/rho]``,
+exact because ``1.0 * w == w``; w_half is formed in place in the solve's
+output, and the over-relaxation is three ufunc calls on the stacked
+vectors.  The PSD projection calls numpy's ``eigh_lo`` gufunc directly,
+under the error state ``np.linalg.eigh`` sets, so the eigenvectors are the
+same and a non-convergence still raises ``LinAlgError``.
+
+Termination is checked once per block: after the block, the residuals of
+all its iterates come from one batched pass (sparse times dense products
+whose kernels accumulate in the matvecs' order), and each side's residual
+and its two scales are reduced to infinity norms in one pass (a maximum is
+exact in any order).  An in-order scan then applies the per-iteration
+tests iterate by iterate and stops at the first iterate at which a check
+after every iteration would have stopped; the up to ``_CHECK_EVERY - 1``
+iterates computed past it are
 discarded, and so is an exception one of them raises (eigh failing on an
 all-NaN slack) when the iterates before it already end the solve.  Rho
 updates fall on block ends.  Invariant: the returned result, the iteration
@@ -54,6 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo
 from scipy.sparse.linalg import splu
 
 from .conic import ConeDims, ConicProblem, sym_gather, vec_dim
@@ -123,6 +136,18 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.eigh without its Python wrapper: the same gufunc under the same
+# error state, so a non-convergence (e.g. on NaN input) raises LinAlgError
+_eigh = np.errstate(
+    call=_eigenvalues_did_not_converge, invalid="call", over="ignore",
+    divide="ignore", under="ignore",
+)(eigh_lo)
+
+
 class _ConeProjector:
     """Projection onto the product cone, batching equal-size PSD blocks.
 
@@ -163,7 +188,7 @@ class _ConeProjector:
         for flat, gather, unscale_all, lower, scale in self.groups:
             mats = v[gather]
             mats /= unscale_all
-            eigvals, eigvecs = np.linalg.eigh(mats)
+            eigvals, eigvecs = _eigh(mats)
             np.maximum(eigvals, 0.0, out=eigvals)
             rec = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)
             out[flat] = rec.reshape(len(flat), -1)[:, lower] * scale
@@ -173,13 +198,6 @@ class _ConeProjector:
 def _amax(v: np.ndarray) -> float:
     """Infinity norm of v, 0 for an empty vector."""
     return np.abs(v).max() if v.size else 0.0
-
-
-def _row_amax(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Infinity norm of each row, 0 for empty rows; ``out`` receives abs(block)."""
-    if not block.shape[1]:
-        return np.zeros(block.shape[0])
-    return np.abs(block, out=out).max(axis=1)
 
 
 def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
@@ -218,21 +236,27 @@ class _Workspace:
         )
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
-        # iteration buffers, reused by every solve on this workspace
-        for name, size in (
-            ("rhs", n + m), ("x", n), ("w", m), ("w_next", m), ("y", m),
-            ("y_rho", m), ("w_half", m), ("w_relaxed", m), ("proj_in", m),
-            ("proj_out", m),
-        ):
+        # the iterate [x; w] and y of each iteration of a check block, one row
+        # each; an iteration reads the row before it (row 0 the last row).
+        # row_views[r]: the previous [x; w], w and y, then this row's x, w and y
+        self.rows = np.zeros((_CHECK_EVERY, n + m))
+        self.y_rows = np.zeros((_CHECK_EVERY, m))
+        self.row_views = [
+            (self.rows[r - 1], self.rows[r - 1, n:], self.y_rows[r - 1],
+             self.rows[r, :n], self.rows[r, n:], self.y_rows[r])
+            for r in range(_CHECK_EVERY)
+        ]
+        # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
+        self.sig = np.concatenate([np.full(n, settings.sigma), np.ones(m)])
+        self.shift = np.concatenate([q_s, np.zeros(m)])
+        for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
-        # one row per iterate of a check block: the iterates, their unscaled
-        # counterparts and the residual scratch of the batched check
-        for name, size in (
-            ("x_rows", n), ("w_rows", m), ("y_rows", m), ("z_u", n),
-            ("w_u", m), ("y_u", m), ("s_u", m), ("resid_m", m),
-            ("resid_n", n), ("zeros_n", n),
-        ):
+        # the unscaled counterparts of a block's iterates, and per iterate
+        # [residual, A z, s] and [residual, P z, A'y] of the batched check
+        for name, size in (("z_u", n), ("w_u", m), ("y_u", m)):
             setattr(self, name, np.zeros((_CHECK_EVERY, size)))
+        self.prim = np.zeros((_CHECK_EVERY, 3, m))
+        self.dual = np.zeros((_CHECK_EVERY, 3, n))  # P z stays 0 without P
         self.set_rho(settings.rho)
 
     def refactor(self):
@@ -360,25 +384,26 @@ class ConicSolver:
         A_T, A_s, A_s_T, P_s = ws.A_T, ws.A_s, ws.A_s_T, ws.P_s
         b_s = e * b
 
-        x, w, w_next, y = ws.x, ws.w, ws.w_next, ws.y
+        # the first iteration starts from the last row, the row before row 0
+        start, y_start = ws.rows[-1], ws.y_rows[-1]
         if warm is not None:
-            x[:] = warm.z / d
-            w[:] = e * (b - warm.s)
-            y[:] = gamma * warm.y / e
+            start[:n] = warm.z / d
+            start[n:] = e * (b - warm.s)
+            y_start[:] = gamma * warm.y / e
         else:
-            x.fill(0.0)
-            w.fill(0.0)
-            y.fill(0.0)
+            start.fill(0.0)
+            y_start.fill(0.0)
 
-        rhs = ws.rhs
-        rhs_x, rhs_w = rhs[:n], rhs[n:]
-        y_rho, w_half, w_relaxed = ws.y_rho, ws.w_half, ws.w_relaxed
+        rhs, sig, shift, relaxed = ws.rhs, ws.sig, ws.shift, ws.relaxed
+        y_rho = shift[n:]
+        x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        x_rows, w_rows, y_rows = ws.x_rows, ws.w_rows, ws.y_rows
+        x_rows, w_rows, y_rows = ws.rows[:, :n], ws.rows[:, n:], ws.y_rows
+        row_views = ws.row_views
         project = ws.projector.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
-        sigma, alpha = settings.sigma, settings.alpha
+        alpha = settings.alpha
         beta = 1.0 - alpha
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
         adaptive_rho = settings.adaptive_rho
@@ -397,72 +422,59 @@ class ConicSolver:
             done = 0
             failure = None
             try:
-                for row in range(count):
-                    # rhs = [sigma x - q_s, w - y/rho]
-                    np.multiply(sigma, x, out=rhs_x)
-                    np.subtract(rhs_x, q_s, out=rhs_x)
+                for xw, w, y, x_next, w_next, y_next in row_views[:count]:
+                    # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
                     np.divide(y, rho_vec, out=y_rho)
-                    np.subtract(w, y_rho, out=rhs_w)
+                    np.multiply(sig, xw, out=rhs)
+                    np.subtract(rhs, shift, out=rhs)
                     sol = lu_solve(rhs)
-                    x_half = sol[:n]
+                    # w_half = w + (nu - y)/rho, in place of nu in sol
                     nu = sol[n:]
-                    # w_half = w + (nu - y)/rho
-                    np.subtract(nu, y, out=w_half)
-                    np.divide(w_half, rho_vec, out=w_half)
-                    np.add(w, w_half, out=w_half)
-                    # x = alpha x_half + (1 - alpha) x, and likewise w_relaxed
-                    np.multiply(alpha, x_half, out=x_half)
-                    np.multiply(beta, x, out=x)
-                    np.add(x_half, x, out=x)
-                    np.multiply(alpha, w_half, out=w_half)
-                    np.multiply(beta, w, out=w_relaxed)
-                    np.add(w_half, w_relaxed, out=w_relaxed)
+                    np.subtract(nu, y, out=nu)
+                    np.divide(nu, rho_vec, out=nu)
+                    np.add(w, nu, out=nu)
+                    # [x; w_relaxed] = alpha [x_half; w_half] + (1 - alpha) [x; w]
+                    np.multiply(alpha, sol, out=sol)
+                    np.multiply(beta, xw, out=relaxed)
+                    np.add(sol, relaxed, out=relaxed)
                     # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
                     np.add(w_relaxed, y_rho, out=proj_in)
                     np.subtract(b_s, proj_in, out=proj_in)
                     project(proj_in, out=proj_out)
                     np.subtract(b_s, proj_out, out=w_next)
-                    # y = y + rho (w_relaxed - w_next)
+                    # y_next = y + rho (w_relaxed - w_next)
                     np.subtract(w_relaxed, w_next, out=w_relaxed)
                     np.multiply(rho_vec, w_relaxed, out=w_relaxed)
-                    np.add(y, w_relaxed, out=y)
-                    w, w_next = w_next, w
-                    x_rows[row] = x
-                    w_rows[row] = w
-                    y_rows[row] = y
-                    done = row + 1
+                    np.add(y, w_relaxed, out=y_next)
+                    x_next[:] = x_relaxed  # the one copy: w_next is in place
+                    done += 1
             except Exception as exc:
                 # whatever an iterate past the stopping one raises (e.g. eigh
                 # on an all-NaN slack) must not surface: scan the rows before it
                 failure = exc
 
-            # residuals of the original, unscaled problem, one row per iterate
+            # residuals of the original, unscaled problem, one row per iterate:
+            # prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
             z_u = np.multiply(d, x_rows[:done], out=ws.z_u[:done])
             w_u = np.divide(w_rows[:done], e, out=ws.w_u[:done])
             y_u = np.multiply(e, y_rows[:done], out=ws.y_u[:done])
             y_u /= gamma
-            s_u = np.subtract(b, w_u, out=ws.s_u[:done])
-            Az = (A @ z_u.T).T
-            resid_m = np.subtract(Az, w_u, out=ws.resid_m[:done])
-            Pz = (P @ z_u.T).T if P is not None else ws.zeros_n[:done]
-            Aty = (A_T @ y_u.T).T
-            resid_n = np.add(Pz, c, out=ws.resid_n[:done])
-            np.add(resid_n, Aty, out=resid_n)
-            r_prims = _row_amax(resid_m, out=resid_m).tolist()
-            r_duals = _row_amax(resid_n, out=resid_n).tolist()
-            # the scales only matter where both residuals are finite
-            prim_scales = zip(
-                _row_amax(Az, out=Az).tolist(), _row_amax(s_u, out=resid_m).tolist()
-            )
-            dual_scales = zip(
-                _row_amax(Pz, out=resid_n).tolist(), _row_amax(Aty, out=Aty).tolist()
-            )
+            prim, dual = ws.prim[:done], ws.dual[:done]
+            prim[:, 1] = (A @ z_u.T).T
+            np.subtract(prim[:, 1], w_u, out=prim[:, 0])
+            np.subtract(b, w_u, out=prim[:, 2])
+            if P is not None:
+                dual[:, 1] = (P @ z_u.T).T
+            dual[:, 2] = (A_T @ y_u.T).T
+            np.add(dual[:, 1], c, out=dual[:, 0])
+            np.add(dual[:, 0], dual[:, 2], out=dual[:, 0])
+            # one pass per side: the infinity norms of all three, 0 when empty
+            prims = np.abs(prim, out=prim).max(axis=2, initial=0.0).tolist()
+            duals = np.abs(dual, out=dual).max(axis=2, initial=0.0).tolist()
 
             # the per-iteration termination logic, iterate by iterate
             block_best = None
-            for row, (r_prim, r_dual, (az, su), (pz, aty)) in enumerate(
-                zip(r_prims, r_duals, prim_scales, dual_scales)
-            ):
+            for row, ((r_prim, az, su), (r_dual, pz, aty)) in enumerate(zip(prims, duals)):
                 k = it + row + 1
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     status = INFEASIBLE_SUSPECT
@@ -486,18 +498,21 @@ class ConicSolver:
                 row = done - 1
             if status is None and failure is not None:
                 raise failure
+            # the slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
             if block_best is not None:
                 j = block_best
-                best = (z_u[j].copy(), s_u[j].copy(), y_u[j].copy(), r_prims[j], r_duals[j])
+                best = (z_u[j].copy(), b - w_u[j], y_u[j].copy(), prims[j][0], duals[j][0])
             elif best is None:  # the first iterate is already non-finite
-                best = (z_u[row].copy(), s_u[row].copy(), y_u[row].copy(), np.inf, np.inf)
+                best = (z_u[row].copy(), b - w_u[row], y_u[row].copy(), np.inf, np.inf)
             it += row + 1
             if status is not None:
                 break
 
             if adaptive_rho and it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
-                # iteration actually lives in
+                # iteration actually lives in; a block that does not end the
+                # solve is full, so its last iterate is in the last row
+                x, w, y = x_rows[-1], w_rows[-1], y_rows[-1]
                 Ax_s = A_s @ x
                 Px_s = P_s @ x
                 Aty_s = A_s_T @ y

@@ -129,6 +129,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert main([command, "--config", str(no_authority)]) == 1
 
 
+@pytest.mark.parametrize("config,extra,message", [
+    (TWOCRAFT_CFG, ["--grid-points", "5"], "at least 21 charge levels"),
+    (FOURCRAFT_CFG, [], "limited to <= 3 spacecraft"),
+], ids=["too-few-grid-points", "too-many-craft"])
+def test_cli_oracle_usage_error_exit_code(capsys, config, extra, message):
+    # a request outside the grid search's limits is a configuration error
+    assert main(["oracle", "--config", str(config), *extra]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_runtime_abort_exit_code(tmp_path):
     cfg = tmp_path / "collide.cfg"
     cfg.write_text(

@@ -247,19 +247,31 @@ def rk4_on_continuous_rhs(state, charges, dt, cfg):
     return RelativeState.from_vector(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-@pytest.mark.parametrize("name", ["twocraft", "fourcraft"])
-def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
+def rk4_oracle_case(name):
+    """Formation, initial state, substep and substeps per hold of an oracle run."""
+    if name == "threecraft-unequal-masses":  # pairs (0, j) and (i, j), distinct masses
+        return make_config([50.0, 120.0, 310.0]), np.array([40.0, 95.0, 0.02, -0.03]), 0.05, 10
     scenario = load_scenario(CONFIGS / f"{name}.cfg")
-    cfg = scenario.formation
     dt = scenario.sample_period / scenario.substeps
+    return scenario.formation, scenario.initial_state, dt, scenario.substeps
+
+
+@pytest.mark.parametrize("name", ["twocraft", "fourcraft", "threecraft-unequal-masses"])
+def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
+    cfg, initial, dt, substeps = rk4_oracle_case(name)
+    half = cfg.num_spacecraft - 1
     rng = np.random.default_rng(3)
-    fast = slow = RelativeState.from_vector(scenario.initial_state)
+    fast = slow = RelativeState.from_vector(initial)
     for _ in range(100):  # 1,000 chained substeps under changing charges
         charges = rng.uniform(-0.05, 0.05, cfg.num_spacecraft)
-        for _ in range(scenario.substeps):
-            fast = rk4_step(fast, charges, dt, cfg)
+        for _ in range(substeps):
+            before, fast = fast, rk4_step(fast, charges, dt, cfg)
             slow = rk4_on_continuous_rhs(slow, charges, dt, cfg)
             assert fast.as_vector().tobytes() == slow.as_vector().tobytes()
+            for arr in (fast.positions, fast.velocities):
+                assert arr.dtype == np.float64 and arr.shape == (half,)
+                assert not np.shares_memory(arr, before.positions)
+                assert not np.shares_memory(arr, before.velocities)
     assert np.all(np.isfinite(fast.as_vector()))
 
 
@@ -267,6 +279,14 @@ def test_rk4_singularity_names_closest_pair():
     cfg = make_config([50.0, 50.0, 50.0])
     state = RelativeState(np.array([5e-4, 100.0]), np.zeros(2))
     with pytest.raises(SingularityError, match="spacecraft 0 and 1 are 5.000e-04 m apart"):
+        rk4_step(state, np.full(3, 0.1), 0.1, cfg)
+
+
+def test_rk4_singularity_detected_beside_a_nan_separation():
+    # a NaN separation elsewhere must not hide a pair that is too close
+    cfg = make_config([50.0, 50.0, 50.0])
+    state = RelativeState(np.array([5e-4, np.nan]), np.zeros(2))
+    with pytest.raises(SingularityError):
         rk4_step(state, np.full(3, 0.1), 0.1, cfg)
 
 

@@ -6,6 +6,7 @@ iteration.  Every comparison here is exact: ``np.array_equal`` on z, s and y,
 """
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,41 @@ def test_projection_into_buffer_matches_allocating_call():
         expected = projector.project(v)
         assert projector.project(v, out=buf) is buf
         assert np.array_equal(buf, expected)
+
+
+INTERLEAVED = ConeDims(zero=3, nonneg=4, psd=(2, 4, 3, 4))
+
+
+def projection_outcome(project, v):
+    """The projection's bytes, or the name of the error it raised; no
+    warning may escape."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return project(v).tobytes()
+        except np.linalg.LinAlgError:
+            return "LinAlgError"
+
+
+def test_projection_matches_reference_projector():
+    fast, ref = _ConeProjector(INTERLEAVED), reference_admm._ConeProjector(INTERLEAVED)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        v = rng.normal(size=INTERLEAVED.total) * rng.choice([1e-6, 1.0, 1e6])
+        assert projection_outcome(fast.project, v) == projection_outcome(ref.project, v)
+
+
+# slots 26-35 hold the second side-4 block, lower triangle row by row
+@pytest.mark.parametrize("slots,raises", [
+    (slice(26, 36), True), (slice(26, 27), True), (slice(27, 28), True), (slice(3, 4), False),
+], ids=["side4-block", "side4-diagonal", "side4-off-diagonal", "nonneg"])
+def test_nan_slack_raises_exactly_where_eigh_does(slots, raises):
+    fast, ref = _ConeProjector(INTERLEAVED), reference_admm._ConeProjector(INTERLEAVED)
+    v = np.random.default_rng(12).normal(size=INTERLEAVED.total)
+    v[slots] = np.nan
+    got = projection_outcome(fast.project, v)
+    assert got == projection_outcome(ref.project, v)
+    assert (got == "LinAlgError") == raises
 
 
 # -- termination checked once per block of iterates -----------------------------
