@@ -131,7 +131,7 @@ def _pair_force_terms(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray
     diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
     dist = np.abs(diff)
     if np.any(dist < cfg.min_separation):
-        worst = int(np.argmin(dist))
+        worst = int(np.nanargmin(dist))  # a NaN separation is not the closest
         i, j = pairs[worst]
         raise SingularityError(
             f"spacecraft {i} and {j} are {dist[worst]:.3e} m apart "

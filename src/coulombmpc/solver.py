@@ -27,11 +27,12 @@ a right-hand side b (the receding-horizon case, where a new measurement
 rewrites the stage-0 pin).  Everything that depends on the structure lives
 in a workspace built on the first solve, not at construction: the
 equilibrated data, the KKT matrix (a rho update rewrites only its -1/rho
-diagonal before refactoring), the cached transposes A' (unscaled, for the
-dual residual) and A_s' (scaled, for the rho balance) in CSR form, the cone
-projector's gather indices, and every iteration buffer.  The loop only
-solves, projects and updates, writing through ufunc ``out=`` arguments in
-the operation order of the plain loop kept in ``tests/reference_admm.py``.
+diagonal before refactoring), the sparse products of the check and of the
+rho balance bound to their buffers, the cone projector's gather indices, and
+every iteration buffer.  The loop only solves, projects and updates, in the
+operation order of the plain loop kept in ``tests/reference_admm.py``,
+through ufuncs bound once per solve with ``out`` passed positionally (not
+to ``np.maximum``, where numpy 2 deprecates it).
 
 The iterate is stacked: x and w share one row ``[x; w]`` of a block of
 ``_CHECK_EVERY`` rows, and y has a row of its own, so each iteration reads
@@ -44,17 +45,22 @@ under the error state ``np.linalg.eigh`` sets, so the eigenvectors are the
 same and a non-convergence still raises ``LinAlgError``.
 
 Termination is checked once per block: after the block, the residuals of
-all its iterates come from one batched pass (sparse times dense products
-whose kernels accumulate in the matvecs' order), and each side's residual
-and its two scales are reduced to infinity norms in one pass (a maximum is
-exact in any order).  An in-order scan then applies the per-iteration
-tests iterate by iterate and stops at the first iterate at which a check
-after every iteration would have stopped; the up to ``_CHECK_EVERY - 1``
-iterates computed past it are
-discarded, and so is an exception one of them raises (eigh failing on an
-all-NaN slack) when the iterates before it already end the solve.  Rho
-updates fall on block ends.  Invariant: the returned result, the iteration
-count and the ``log_callback`` stream are bit-identical to that plain loop's.
+all its iterates come from one batched pass, and each side's residual and
+its two scales are reduced to infinity norms in one pass (a maximum is exact
+in any order).  The block's unscaled iterates are the columns of (n, 10) and
+(m, 10) buffers, and A z, P z and A'y (as the rho balance's products) are one
+call each of the sparsetools kernel scipy's ``@`` runs, on all ten columns.
+An in-order scan then applies the per-iteration tests iterate by iterate and stops at the
+first iterate at which a check after every iteration would have stopped; the
+up to ``_CHECK_EVERY - 1`` iterates computed past it are discarded, and so
+is an exception one of them raises (eigh failing on an all-NaN slack) when
+the iterates before it already end the solve.  Rho updates fall on block
+ends.  Invariant: the returned result, the iteration count and the
+``log_callback`` stream are bit-identical to that plain loop's.
+
+Private entry points (numpy >= 2.0, scipy >= 1.10): ``eigh_lo``, ``c_einsum``
+(what ``np.einsum(optimize=False)`` calls, here with the same subscripts) and
+the ``_sparsetools`` kernels, checked against ``@`` in ``tests/test_solver.py``.
 """
 
 from __future__ import annotations
@@ -62,11 +68,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from numpy._core.multiarray import c_einsum
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .conic import ConeDims, ConicProblem, sym_gather, vec_dim
@@ -175,9 +184,12 @@ class _ConeProjector:
             index, unscale = sym_gather(side)
             lower = np.ravel_multi_index(np.tril_indices(side), (side, side))
             gather = starts[:, None, None] + index
-            # full-shape unscaling: a same-shape divide skips broadcasting
+            # the lower triangles of the stacked matrices, as flat indices
+            lower_all = np.arange(len(starts))[:, None] * side * side + lower
+            # full-shape scalings: a same-shape divide or multiply skips broadcasting
             unscale_all = np.broadcast_to(unscale, gather.shape).copy()
-            self.groups.append((flat, gather, unscale_all, lower, unscale.ravel()[lower]))
+            scale_all = np.broadcast_to(unscale.ravel()[lower], flat.shape).copy()
+            self.groups.append((flat, gather, unscale_all, lower_all, scale_all))
 
     def project(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is None:
@@ -185,13 +197,14 @@ class _ConeProjector:
         z, nn = self.zero_end, self.nonneg_end
         out[:z] = 0.0
         np.maximum(v[z:nn], 0.0, out=out[z:nn])
-        for flat, gather, unscale_all, lower, scale in self.groups:
+        for flat, gather, unscale_all, lower_all, scale_all in self.groups:
             mats = v[gather]
             mats /= unscale_all
             eigvals, eigvecs = _eigh(mats)
             np.maximum(eigvals, 0.0, out=eigvals)
-            rec = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)
-            out[flat] = rec.reshape(len(flat), -1)[:, lower] * scale
+            vals = c_einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs).take(lower_all)
+            vals *= scale_all
+            out[flat] = vals
         return out
 
 
@@ -201,13 +214,26 @@ def _amax(v: np.ndarray) -> float:
 
 
 def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
-    out = np.asarray(abs(mat).max(axis=0).todense()).ravel() if mat.nnz else np.zeros(mat.shape[1])
-    return out
+    return np.asarray(abs(mat).max(axis=0).todense()).ravel() if mat.nnz else np.zeros(mat.shape[1])
 
 
 def _row_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
-    out = np.asarray(abs(mat).max(axis=1).todense()).ravel() if mat.nnz else np.zeros(mat.shape[0])
-    return out
+    return np.asarray(abs(mat).max(axis=1).todense()).ravel() if mat.nnz else np.zeros(mat.shape[0])
+
+
+def _bind_product(mat, x: np.ndarray, out: np.ndarray):
+    """A call setting ``out = mat @ x`` (CSC or CSR mat; C-contiguous x and out,
+    1-D or one column per vector) by the sparsetools kernel that scipy's ``@``
+    runs for that shape, on a zeroed out, so the bits are those of ``@``."""
+    kernel = getattr(_sparsetools, f"{mat.format}_matvec" + "s" * (x.ndim - 1))
+    kernel = partial(kernel, *mat.shape, *x.shape[1:], mat.indptr, mat.indices, mat.data, x, out)
+
+    def product():
+        out.fill(0.0)
+        kernel()
+        return out
+
+    return product
 
 
 def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -219,12 +245,11 @@ def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """Scaled data, cached factorization and iteration buffers of a solver."""
 
-    def __init__(self, P_s, A_s, q_s, d, e, gamma, A, projector, settings):
+    def __init__(self, P_s, A_s, q_s, d, e, gamma, prob, projector, settings):
         m, n = A_s.shape
         self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
-        self.A_s_T = A_s.T  # CSR views: no transpose is rebuilt per iteration
-        self.A_T = A.T
         self.d, self.e, self.gamma = d, e, gamma
+        self.c_col, self.c_scale = prob.c[:, None], _amax(prob.c)
         self.projector = projector
         # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves
         self.kkt = sp.bmat(
@@ -251,12 +276,24 @@ class _Workspace:
         self.shift = np.concatenate([q_s, np.zeros(m)])
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
-        # the unscaled counterparts of a block's iterates, and per iterate
-        # [residual, A z, s] and [residual, P z, A'y] of the batched check
-        for name, size in (("z_u", n), ("w_u", m), ("y_u", m)):
-            setattr(self, name, np.zeros((_CHECK_EVERY, size)))
-        self.prim = np.zeros((_CHECK_EVERY, 3, m))
-        self.dual = np.zeros((_CHECK_EVERY, 3, n))  # P z stays 0 without P
+        # the unscaled counterparts of a block's iterates, one column each,
+        # and [residual, A z, s] and [residual, P z, A'y] of the batched check
+        z_u, w_u, y_u = (np.zeros((size, _CHECK_EVERY)) for size in (n, m, m))
+        prim, dual = np.zeros((3, m, _CHECK_EVERY)), np.zeros((3, n, _CHECK_EVERY))
+        # the products run on all columns, stale ones too; P z stays 0 without P
+        self.products = [_bind_product(prob.A, z_u, prim[1]), _bind_product(prob.A.T, y_u, dual[2])]
+        self.products += [_bind_product(prob.P, z_u, dual[1])] if prob.P is not None else []
+        # check_views[k]: a block's scaled x, w and y as columns, then the
+        # first k columns of the check buffers (k iterates done)
+        self.check_views = [
+            (self.rows[:k, :n].T, self.rows[:k, n:].T, self.y_rows[:k].T,
+             z_u[:, :k], w_u[:, :k], y_u[:, :k], prim[:, :, :k], dual[:, :, :k])
+            for k in range(_CHECK_EVERY + 1)
+        ]
+        # the rho balance's scaled products of the last row's x and y
+        x, y = self.rows[-1, :n], self.y_rows[-1]
+        self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
+                        _bind_product(A_s.T, y, np.zeros(n))]
         self.set_rho(settings.rho)
 
     def refactor(self):
@@ -346,7 +383,7 @@ class ConicSolver:
                     q_s = step * q_s
                     gamma *= step
 
-        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob.A, projector, settings)
+        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob, projector, settings)
 
     # -- main loop -------------------------------------------------------------
     def solve(
@@ -377,11 +414,8 @@ class ConicSolver:
         if self._ws is None:
             self._ws = self._prepare()
         ws = self._ws
-        P = prob.P
-        A = prob.A
-        c = prob.c
         d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
-        A_T, A_s, A_s_T, P_s = ws.A_T, ws.A_s, ws.A_s_T, ws.P_s
+        d_col, e_col, b_col, c_col = d[:, None], e[:, None], b[:, None], ws.c_col
         b_s = e * b
 
         # the first iteration starts from the last row, the row before row 0
@@ -398,18 +432,18 @@ class ConicSolver:
         y_rho = shift[n:]
         x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        x_rows, w_rows, y_rows = ws.rows[:, :n], ws.rows[:, n:], ws.y_rows
-        row_views = ws.row_views
+        row_views, check_views, products = ws.row_views, ws.check_views, ws.products
         project = ws.projector.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
+        # bound once; each ufunc takes its out positionally
+        add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
 
         alpha = settings.alpha
         beta = 1.0 - alpha
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
         adaptive_rho = settings.adaptive_rho
         max_iters = settings.max_iters
-        b_scale = _amax(b)
-        c_scale = _amax(c)
+        b_scale, c_scale = _amax(b), ws.c_scale
 
         best_score = np.inf
         best = None
@@ -424,57 +458,55 @@ class ConicSolver:
             try:
                 for xw, w, y, x_next, w_next, y_next in row_views[:count]:
                     # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
-                    np.divide(y, rho_vec, out=y_rho)
-                    np.multiply(sig, xw, out=rhs)
-                    np.subtract(rhs, shift, out=rhs)
+                    divide(y, rho_vec, y_rho)
+                    multiply(sig, xw, rhs)
+                    subtract(rhs, shift, rhs)
                     sol = lu_solve(rhs)
                     # w_half = w + (nu - y)/rho, in place of nu in sol
                     nu = sol[n:]
-                    np.subtract(nu, y, out=nu)
-                    np.divide(nu, rho_vec, out=nu)
-                    np.add(w, nu, out=nu)
+                    subtract(nu, y, nu)
+                    divide(nu, rho_vec, nu)
+                    add(w, nu, nu)
                     # [x; w_relaxed] = alpha [x_half; w_half] + (1 - alpha) [x; w]
-                    np.multiply(alpha, sol, out=sol)
-                    np.multiply(beta, xw, out=relaxed)
-                    np.add(sol, relaxed, out=relaxed)
+                    multiply(alpha, sol, sol)
+                    multiply(beta, xw, relaxed)
+                    add(sol, relaxed, relaxed)
                     # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
-                    np.add(w_relaxed, y_rho, out=proj_in)
-                    np.subtract(b_s, proj_in, out=proj_in)
-                    project(proj_in, out=proj_out)
-                    np.subtract(b_s, proj_out, out=w_next)
+                    add(w_relaxed, y_rho, proj_in)
+                    subtract(b_s, proj_in, proj_in)
+                    project(proj_in, proj_out)
+                    subtract(b_s, proj_out, w_next)
                     # y_next = y + rho (w_relaxed - w_next)
-                    np.subtract(w_relaxed, w_next, out=w_relaxed)
-                    np.multiply(rho_vec, w_relaxed, out=w_relaxed)
-                    np.add(y, w_relaxed, out=y_next)
-                    x_next[:] = x_relaxed  # the one copy: w_next is in place
+                    subtract(w_relaxed, w_next, w_relaxed)
+                    multiply(rho_vec, w_relaxed, w_relaxed)
+                    add(y, w_relaxed, y_next)
+                    copyto(x_next, x_relaxed)  # the one copy: w_next is in place
                     done += 1
             except Exception as exc:
                 # whatever an iterate past the stopping one raises (e.g. eigh
                 # on an all-NaN slack) must not surface: scan the rows before it
                 failure = exc
 
-            # residuals of the original, unscaled problem, one row per iterate:
-            # prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
-            z_u = np.multiply(d, x_rows[:done], out=ws.z_u[:done])
-            w_u = np.divide(w_rows[:done], e, out=ws.w_u[:done])
-            y_u = np.multiply(e, y_rows[:done], out=ws.y_u[:done])
-            y_u /= gamma
-            prim, dual = ws.prim[:done], ws.dual[:done]
-            prim[:, 1] = (A @ z_u.T).T
-            np.subtract(prim[:, 1], w_u, out=prim[:, 0])
-            np.subtract(b, w_u, out=prim[:, 2])
-            if P is not None:
-                dual[:, 1] = (P @ z_u.T).T
-            dual[:, 2] = (A_T @ y_u.T).T
-            np.add(dual[:, 1], c, out=dual[:, 0])
-            np.add(dual[:, 0], dual[:, 2], out=dual[:, 0])
+            # residuals of the original, unscaled problem, one column per
+            # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
+            x_s, w_s, y_s, z_u, w_u, y_u, prim, dual = check_views[done]
+            multiply(d_col, x_s, z_u)
+            divide(w_s, e_col, w_u)
+            multiply(e_col, y_s, y_u)
+            divide(y_u, gamma, y_u)
+            for product in products:
+                product()
+            subtract(prim[1], w_u, prim[0])
+            subtract(b_col, w_u, prim[2])
+            add(dual[1], c_col, dual[0])
+            add(dual[0], dual[2], dual[0])
             # one pass per side: the infinity norms of all three, 0 when empty
-            prims = np.abs(prim, out=prim).max(axis=2, initial=0.0).tolist()
-            duals = np.abs(dual, out=dual).max(axis=2, initial=0.0).tolist()
+            prims = np.abs(prim, out=prim).max(axis=1, initial=0.0).tolist()
+            duals = np.abs(dual, out=dual).max(axis=1, initial=0.0).tolist()
 
             # the per-iteration termination logic, iterate by iterate
             block_best = None
-            for row, ((r_prim, az, su), (r_dual, pz, aty)) in enumerate(zip(prims, duals)):
+            for row, (r_prim, az, su, r_dual, pz, aty) in enumerate(zip(*prims, *duals)):
                 k = it + row + 1
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     status = INFEASIBLE_SUSPECT
@@ -498,12 +530,12 @@ class ConicSolver:
                 row = done - 1
             if status is None and failure is not None:
                 raise failure
-            # the slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
+            # the slack s_u = b - w_u is recomputed: its column in prim is now |s_u|
             if block_best is not None:
                 j = block_best
-                best = (z_u[j].copy(), b - w_u[j], y_u[j].copy(), prims[j][0], duals[j][0])
+                best = (z_u[:, j].copy(), b - w_u[:, j], y_u[:, j].copy(), prims[0][j], duals[0][j])
             elif best is None:  # the first iterate is already non-finite
-                best = (z_u[row].copy(), b - w_u[row], y_u[row].copy(), np.inf, np.inf)
+                best = (z_u[:, row].copy(), b - w_u[:, row], y_u[:, row].copy(), np.inf, np.inf)
             it += row + 1
             if status is not None:
                 break
@@ -512,10 +544,8 @@ class ConicSolver:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in; a block that does not end the
                 # solve is full, so its last iterate is in the last row
-                x, w, y = x_rows[-1], w_rows[-1], y_rows[-1]
-                Ax_s = A_s @ x
-                Px_s = P_s @ x
-                Aty_s = A_s_T @ y
+                w = ws.rows[-1, n:]
+                Ax_s, Px_s, Aty_s = [product() for product in ws.balance]
                 rp_s = _amax(Ax_s - w) / max(_amax(Ax_s), _amax(w), 1e-12)
                 rd_s = _amax(Px_s + q_s + Aty_s) / max(
                     _amax(Px_s), _amax(Aty_s), _amax(q_s), 1e-12

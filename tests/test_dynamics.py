@@ -286,7 +286,7 @@ def test_rk4_singularity_detected_beside_a_nan_separation():
     # a NaN separation elsewhere must not hide a pair that is too close
     cfg = make_config([50.0, 50.0, 50.0])
     state = RelativeState(np.array([5e-4, np.nan]), np.zeros(2))
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError, match="spacecraft 0 and 1 are 5.000e-04 m apart"):
         rk4_step(state, np.full(3, 0.1), 0.1, cfg)
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,10 +11,22 @@ from coulombmpc import (
     ConicProblem,
     ConicSolver,
     SolverSettings,
+    build_discrete_model,
+    build_horizon_problem,
     project_psd,
+    to_conic,
 )
+from coulombmpc.config import load_scenario
 from coulombmpc.conic import sym_to_vec, vec_dim, vec_to_sym
-from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _ConeProjector
+from coulombmpc.solver import (
+    INFEASIBLE_SUSPECT,
+    MAX_ITERS,
+    OPTIMAL,
+    _bind_product,
+    _ConeProjector,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TIGHT = SolverSettings(eps_abs=1e-9, eps_rel=1e-9, max_iters=100000)
 
@@ -261,3 +276,47 @@ def test_settings_validation():
         SolverSettings(max_iters=0)
     with pytest.raises(ValueError):
         SolverSettings(alpha=2.5)
+
+
+# -- direct sparse kernels ------------------------------------------------------
+
+
+def shipped_step0(name):
+    """The conic problem of a shipped scenario at step 0."""
+    scenario = load_scenario(CONFIGS / name)
+    model = build_discrete_model(
+        scenario.params.desired_positions, scenario.sample_period, scenario.formation
+    )
+    return to_conic(build_horizon_problem(scenario.initial_state, model, scenario.params))
+
+
+def seeded_block(rng, rows, cols):
+    """A (rows, cols) block over many magnitudes, with inf, NaN and mixed rows."""
+    block = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-6, 7, (rows, cols))
+    block[3] = np.inf
+    block[5, ::2] = -np.inf
+    block[7] = np.nan
+    block[8, 1::3] = np.nan
+    return block
+
+
+@pytest.mark.parametrize("prob", [
+    shipped_step0("fourcraft.cfg"),
+    shipped_step0("twocraft.cfg"),
+    dataclasses.replace(shipped_step0("twocraft.cfg"), P=None),
+], ids=["fourcraft", "twocraft", "twocraft-without-P"])
+def test_direct_kernels_match_sparse_matmul(prob):
+    # the solver's check and rho balance call scipy's private sparsetools
+    # kernels directly; they must give the bytes of the public product
+    rng = np.random.default_rng(808)
+    n, m = prob.num_vars, prob.num_rows
+    Z, Y = seeded_block(rng, 10, n), seeded_block(rng, 10, m)
+    P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
+    assert prob.A.format == P.format == "csc" and prob.A.T.format == "csr"
+    for mat, block in ((prob.A, Z), (P, Z), (prob.A.T, Y)):
+        want = (mat @ block.T).T
+        got = _bind_product(mat, block.T.copy(), np.full((mat.shape[0], 10), 7.0))()
+        assert got.T.tobytes() == want.tobytes()
+        for vec in block:  # the rho balance multiplies single vectors
+            out = np.full(mat.shape[0], 7.0)
+            assert _bind_product(mat, vec.copy(), out)().tobytes() == (mat @ vec).tobytes()
