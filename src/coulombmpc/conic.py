@@ -18,8 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigh_lo
 
 SQRT2 = float(np.sqrt(2.0))
+
+
+def _eigenvalues_did_not_converge(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.eigh without its Python wrapper, for float64 stacks of symmetric
+# matrices: the same gufunc under the same error state, so the results are
+# the same bits and a non-convergence (e.g. on NaN input) raises LinAlgError
+_eigh = np.errstate(
+    call=_eigenvalues_did_not_converge, invalid="call", over="ignore",
+    divide="ignore", under="ignore",
+)(eigh_lo)
 
 
 def vec_dim(side: int) -> int:

@@ -8,12 +8,17 @@ inverse-square pair forces, each proportional to the product of the two
 charges involved, so the dynamics are linear in the vector of pairwise charge
 products rather than in the charges themselves.  :class:`FormationConfig`
 holds the physics only, no bounds.
+
+The truth trajectory of :func:`rk4_step` is bit-reproducible within one SIMD
+class of CPU, not across classes: numpy computes ``dist**3`` with its array
+``power``, which on AVX-512 CPUs runs an SVML kernel whose last bit differs
+from a scalar cube on some inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +86,8 @@ class FormationConfig:
             raise ValueError(f"masses must have length {ns}")
         if np.any(masses <= 0):
             raise ValueError("all masses must be strictly positive")
+        masses = masses.copy()  # read-only, so the cached pair plan stays in step
+        masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
 
         if self.coulomb_constant <= 0:
@@ -91,6 +98,42 @@ class FormationConfig:
     @property
     def state_dim(self) -> int:
         return 2 * (self.num_spacecraft - 1)
+
+    @cached_property
+    def _pair_plan(self) -> tuple[np.ndarray, ...]:
+        """The constant plan of an RK4 substep.
+
+        The relative input matrix is ``others - lead``, rows 1.. of the
+        absolute input matrix minus its row 0; a substep keeps them as a
+        ``(2, n - 1, pairs)`` block whose second half repeats row 0 in every
+        row, so the subtraction is same-shape.  Each pair's force lands on
+        its second craft's row, on its first craft's row, or, for a first
+        craft 0, on every repeated row.  The plan holds each pair's first and
+        second craft, and per landing spot its flat index in the block, the
+        first and second craft of its pair and the landing craft's mass,
+        negated for a second craft.
+        """
+        half = self.num_spacecraft - 1
+        pairs = _pair_table(self.num_spacecraft)
+        first, second = pairs[:, 0].copy(), pairs[:, 1].copy()
+        count = len(pairs)
+        cols = np.arange(count)
+        led = first == 0  # the pairs that act on craft 0
+        lead_cols = np.tile(cols[led], half)
+        lead_rows = np.repeat(np.arange(half), led.sum())
+        pair_of = np.concatenate([cols, cols[~led], lead_cols])
+        spot = np.concatenate([
+            (second - 1) * count + cols,
+            (first[~led] - 1) * count + cols[~led],
+            (half + lead_rows) * count + lead_cols,
+        ])
+        signed_masses = np.concatenate([
+            -self.masses[second], self.masses[first[~led]], self.masses[first[lead_cols]],
+        ])
+        plan = first, second, first[pair_of], second[pair_of], spot, signed_masses
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
 
 
 @dataclass(frozen=True)
@@ -174,19 +217,6 @@ def continuous_rhs(state: RelativeState, charges: np.ndarray, cfg: FormationConf
     return np.concatenate([state.velocities, accel])
 
 
-@lru_cache(maxsize=None)
-def _pair_scatter(num_spacecraft: int) -> tuple[np.ndarray, ...]:
-    """Each pair's first and second craft, and the flat indices of their
-    entries in the row-major ``(num_spacecraft, pairs)`` absolute input matrix."""
-    pairs = _pair_table(num_spacecraft)
-    first, second = pairs[:, 0].copy(), pairs[:, 1].copy()
-    cols = np.arange(len(pairs))
-    plan = first, second, first * len(pairs) + cols, second * len(pairs) + cols
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
-
-
 def rk4_step(
     state: RelativeState, charges: np.ndarray, dt: float, cfg: FormationConfig
 ) -> RelativeState:
@@ -194,42 +224,59 @@ def rk4_step(
 
     The stages evaluate :func:`continuous_rhs` without its per-call checks
     and containers: the same floating-point operations in the same order, on
-    buffers set up once per step and a pair plan cached per craft count, so
+    the formation's cached pair plan and buffers set up once per step, so
     the result is bit-identical to an RK4 built on :func:`continuous_rhs`.
-    Two rewrites are exact: ``-t / m`` is computed as ``t / (-m)`` (IEEE
-    division is sign-symmetric), and the separation test takes the NaN-
-    ignoring minimum, which is below the limit exactly when some pair is.
-    The returned state holds views of one fresh vector, not re-validated.
+    Each stage vector sits in a buffer ``[0, positions, velocities]`` whose
+    leading 0 is craft 1, so the pair gathers read it directly, and each
+    stage derivative is written in place: the velocities copied, then the
+    accelerations by the BLAS matvec ``(others - lead) @ products``, whose
+    summation order fixes the bits.  The rewrites are exact: ``-t / m`` is
+    ``t / (-m)`` (IEEE division is sign-symmetric); a pair's force term is
+    computed once per landing spot of the pair plan, by the same elementwise
+    operations, so one divide by the signed masses and one scatter fill
+    ``others`` and the repeated ``lead`` rows; and the separation test
+    screens with Python's ``min``, which is below the limit or NaN whenever
+    some pair is below it, before the full test.  ``dist**3`` stays numpy's
+    array ``power`` (see the module notes).  The returned state holds views
+    of one fresh vector, not re-validated.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
-    products = charge_products(charges)
+    first, second, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
     half = cfg.num_spacecraft - 1
-    y = state.as_vector()
-    if y.size != 2 * half:
-        raise ValueError(f"relative positions must have length {half}, got {y.size // 2}")
-    first, second, into_first, into_second = _pair_scatter(cfg.num_spacecraft)
-    mass_first, neg_mass_second = cfg.masses[first], -cfg.masses[second]
+    q = np.asarray(charges, dtype=float)
+    if q.shape != (half + 1,):
+        raise ValueError(f"charges must have length {half + 1}, got shape {q.shape}")
+    products = q[first] * q[second]
+    positions, velocities = state.positions, state.velocities
+    if positions.size != half:
+        raise ValueError(f"relative positions must have length {half}, got {positions.size}")
     kappa, min_separation = cfg.coulomb_constant, cfg.min_separation
-    positions = np.zeros(half + 1)  # craft 1 stays at the origin
-    absolute = np.zeros((half + 1, len(first)))  # entries off the scatter stay 0
-    absolute_flat, others, lead = absolute.reshape(-1), absolute[1:], absolute[0]
+    # stages[0] is [0, y], then the three stage vectors; derivs the four k
+    stages = np.zeros((4, 2 * half + 1))
+    stages[0, 1 : half + 1] = positions
+    stages[0, half + 1 :] = velocities
+    derivs = np.empty((4, 2 * half))
+    block = np.zeros((2, half, len(first)))  # entries off the landing spots stay 0
+    block_flat, others, lead = block.reshape(-1), block[0], block[1]
+    y = stages[0, 1:]
+    step = np.empty(2 * half)
 
-    def rhs(packed: np.ndarray) -> np.ndarray:
-        positions[1:] = packed[:half]
-        diff = positions[first] - positions[second]
+    for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
+        stage, k = stages[i], derivs[i]
+        diff = stage[spot_first] - stage[spot_second]
         dist = np.abs(diff)
-        if np.fmin.reduce(dist) < min_separation:
-            _pair_force_terms(positions, cfg)  # raises, naming the closest pair
+        # Python's min is below the limit or NaN whenever some pair is too close
+        if not min(dist.tolist()) >= min_separation:
+            _pair_force_terms(stage[: half + 1], cfg)  # raises if some pair is too close
         terms = kappa * diff / dist**3
-        absolute_flat[into_first] = terms / mass_first
-        absolute_flat[into_second] = terms / neg_mass_second
-        return np.concatenate([packed[half:], (others - lead) @ products])
-
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
+        block_flat[spot] = terms / signed_masses
+        k[:half] = stage[half + 1 :]
+        np.matmul(others - lead, products, k[half:])
+        if coeff is not None:  # the next stage vector, y + coeff * k
+            np.multiply(coeff, k, step)
+            np.add(y, step, stages[i + 1, 1:])
+    k1, k2, k3, k4 = derivs
     out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     result = object.__new__(RelativeState)
     object.__setattr__(result, "positions", out[:half])

@@ -9,9 +9,12 @@ charges, falling back to making the largest-magnitude component nonnegative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .conic import _eigh
 
 
 @dataclass(frozen=True)
@@ -32,15 +35,16 @@ def recover(lifted: np.ndarray, previous: np.ndarray | None = None) -> Recovered
     """Frobenius-nearest rank-one charge factor of a (nearly) PSD matrix.
 
     Small negative eigenvalues from solver tolerance are clamped to zero.
+    The eigenpairs come from the gufunc ``np.linalg.eigh`` runs, called
+    directly (:func:`~coulombmpc.conic._eigh`), so they are the same bits.
     """
     mat = np.asarray(lifted, dtype=float)
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("lifted matrix contains non-finite entries")
-    sym = 0.5 * (mat + mat.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    eigvals = np.maximum(eigvals, 0.0)
+    eigvals, eigvecs = _eigh(0.5 * (mat + mat.T))
+    np.maximum(eigvals, 0.0, out=eigvals)
     dominant = float(eigvals[-1])
-    charges = np.sqrt(dominant) * eigvecs[:, -1]
+    charges = math.sqrt(dominant) * eigvecs[:, -1]
 
     flip = False
     if previous is not None:
@@ -51,7 +55,7 @@ def recover(lifted: np.ndarray, previous: np.ndarray | None = None) -> Recovered
         elif alignment == 0.0:
             previous = None  # fall through to the default rule
     if previous is None:
-        lead = int(np.argmax(np.abs(charges)))
+        lead = int(np.abs(charges).argmax())
         flip = charges[lead] < 0
     if flip:
         charges = -charges
@@ -66,5 +70,5 @@ def saturate(charges: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:
     if limit <= 0:
         raise ValueError("saturation limit must be positive")
     charges = np.asarray(charges, dtype=float)
-    clipped = np.clip(charges, -limit, limit)
-    return clipped, bool(np.any(clipped != charges))
+    clipped = np.minimum(np.maximum(charges, -limit), limit)  # np.clip, without its wrapper
+    return clipped, bool((clipped != charges).any())

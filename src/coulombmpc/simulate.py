@@ -32,6 +32,11 @@ RUN_ABORTED_COLLISION = "aborted-collision"
 CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
 
 
+def _check_substeps(substeps) -> None:
+    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
+        raise ValueError("substeps must be at least 1")
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one closed-loop run."""
@@ -56,8 +61,7 @@ class ScenarioConfig:
             raise ValueError("sample_period must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.substeps < 1:
-            raise ValueError("substeps must be at least 1")
+        _check_substeps(self.substeps)
         if not self.saturation_limit > 0:
             raise ValueError("saturation_limit must be positive")
 
@@ -77,6 +81,7 @@ def propagate(
     cfg: FormationConfig,
 ) -> RelativeState:
     """Integrate the nonlinear plant over one hold interval with RK4 substeps."""
+    _check_substeps(substeps)
     dt = duration / substeps
     for _ in range(substeps):
         state = rk4_step(state, charges, dt, cfg)

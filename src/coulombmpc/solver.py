@@ -26,8 +26,10 @@ cones and the settings are fixed at construction, and each solve takes only
 a right-hand side b (the receding-horizon case, where a new measurement
 rewrites the stage-0 pin).  Everything that depends on the structure lives
 in a workspace built on the first solve, not at construction: the
-equilibrated data, the KKT matrix (a rho update rewrites only its -1/rho
-diagonal before refactoring), the sparse products of the check and of the
+equilibrated data (whose column and row infinity norms come straight from
+the CSC arrays, a maximum being exact in any order), the KKT matrix
+(stacked from CSC blocks; a rho update rewrites only its -1/rho diagonal
+before refactoring), the sparse products of the check and of the
 rho balance bound to their buffers, the cone projector's gather indices, and
 every iteration buffer.  The loop only solves, projects and updates, in the
 operation order of the plain loop kept in ``tests/reference_admm.py``,
@@ -40,9 +42,9 @@ the previous row and writes the next (row 0 follows the last row).  The
 KKT right-hand side is then ``[sigma...; 1...] * [x; w] - [q_s; y/rho]``,
 exact because ``1.0 * w == w``; w_half is formed in place in the solve's
 output, and the over-relaxation is three ufunc calls on the stacked
-vectors.  The PSD projection calls numpy's ``eigh_lo`` gufunc directly,
-under the error state ``np.linalg.eigh`` sets, so the eigenvectors are the
-same and a non-convergence still raises ``LinAlgError``.
+vectors.  The PSD projection calls numpy's ``eigh_lo`` gufunc directly
+(``conic._eigh``), under the error state ``np.linalg.eigh`` sets, so the
+eigenvectors are the same and a non-convergence still raises ``LinAlgError``.
 
 Termination is checked once per block: after the block, the residuals of
 all its iterates come from one batched pass, and each side's residual and
@@ -73,12 +75,10 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from numpy._core.multiarray import c_einsum
-from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import eigh_lo
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
-from .conic import ConeDims, ConicProblem, sym_gather, vec_dim
+from .conic import ConeDims, ConicProblem, _eigh, sym_gather, vec_dim
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -145,18 +145,6 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
-def _eigenvalues_did_not_converge(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-# np.linalg.eigh without its Python wrapper: the same gufunc under the same
-# error state, so a non-convergence (e.g. on NaN input) raises LinAlgError
-_eigh = np.errstate(
-    call=_eigenvalues_did_not_converge, invalid="call", over="ignore",
-    divide="ignore", under="ignore",
-)(eigh_lo)
-
-
 class _ConeProjector:
     """Projection onto the product cone, batching equal-size PSD blocks.
 
@@ -214,11 +202,22 @@ def _amax(v: np.ndarray) -> float:
 
 
 def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
-    return np.asarray(abs(mat).max(axis=0).todense()).ravel() if mat.nnz else np.zeros(mat.shape[1])
+    """Infinity norm of each column of a canonical CSC matrix, 0 when empty:
+    one reduceat over the non-empty columns' runs (a maximum is exact in any order)."""
+    norms = np.zeros(mat.shape[1])
+    starts = mat.indptr[:-1]
+    nonempty = np.flatnonzero(mat.indptr[1:] > starts)
+    if nonempty.size:
+        norms[nonempty] = np.maximum.reduceat(np.abs(mat.data[: mat.indptr[-1]]), starts[nonempty])
+    return norms
 
 
 def _row_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
-    return np.asarray(abs(mat).max(axis=1).todense()).ravel() if mat.nnz else np.zeros(mat.shape[0])
+    """Infinity norm of each row of a canonical CSC matrix, 0 when empty."""
+    norms = np.zeros(mat.shape[0])
+    nnz = mat.indptr[-1]
+    np.maximum.at(norms, mat.indices[:nnz], np.abs(mat.data[:nnz]))
+    return norms
 
 
 def _bind_product(mat, x: np.ndarray, out: np.ndarray):
@@ -251,14 +250,17 @@ class _Workspace:
         self.d, self.e, self.gamma = d, e, gamma
         self.c_col, self.c_scale = prob.c[:, None], _amax(prob.c)
         self.projector = projector
-        # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves
+        # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves.
+        # All-CSC blocks take bmat's stacking path; summing duplicates then
+        # gives the arrays of its COO path, entry for entry
         self.kkt = sp.bmat(
             [
-                [P_s + settings.sigma * sp.eye(n), A_s.T],
-                [A_s, -sp.eye(m)],
+                [P_s + settings.sigma * sp.eye(n, format="csc"), A_s.T.tocsc()],
+                [A_s, -sp.eye(m, format="csc")],
             ],
             format="csc",
         )
+        self.kkt.sum_duplicates()
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
         # the iterate [x; w] and y of each iteration of a check block, one row
@@ -339,8 +341,8 @@ class ConicSolver:
         prob, settings = self.prob, self.settings
         n = prob.num_vars
         P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
-        P_s = P.copy().astype(float)
-        A_s = prob.A.copy().astype(float)
+        P_s = P.astype(float)  # astype copies
+        A_s = prob.A.astype(float)
         q_s = prob.c.astype(float).copy()
         d = np.ones(n)
         e = np.ones(prob.num_rows)

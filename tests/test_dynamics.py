@@ -12,6 +12,7 @@ from coulombmpc import (
     build_discrete_model,
     charge_products,
     continuous_rhs,
+    propagate,
     relative_input_matrix,
     rk4_step,
     spacecraft_pairs,
@@ -251,12 +252,17 @@ def rk4_oracle_case(name):
     """Formation, initial state, substep and substeps per hold of an oracle run."""
     if name == "threecraft-unequal-masses":  # pairs (0, j) and (i, j), distinct masses
         return make_config([50.0, 120.0, 310.0]), np.array([40.0, 95.0, 0.02, -0.03]), 0.05, 10
+    if name == "fivecraft-unequal-masses":  # four rows of the repeated lead block
+        initial = np.array([30.0, 75.0, 110.0, 160.0, 0.01, -0.02, 0.0, 0.03])
+        return make_config([50.0, 120.0, 310.0, 80.0, 200.0]), initial, 0.05, 10
     scenario = load_scenario(CONFIGS / f"{name}.cfg")
     dt = scenario.sample_period / scenario.substeps
     return scenario.formation, scenario.initial_state, dt, scenario.substeps
 
 
-@pytest.mark.parametrize("name", ["twocraft", "fourcraft", "threecraft-unequal-masses"])
+@pytest.mark.parametrize(
+    "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
+)
 def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
     cfg, initial, dt, substeps = rk4_oracle_case(name)
     half = cfg.num_spacecraft - 1
@@ -273,6 +279,42 @@ def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
                 assert not np.shares_memory(arr, before.positions)
                 assert not np.shares_memory(arr, before.velocities)
     assert np.all(np.isfinite(fast.as_vector()))
+
+
+@pytest.mark.parametrize("name", ["twocraft", "fourcraft"])
+def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
+    # propagate chains rk4_step over each hold; the holds chain in turn
+    cfg, initial, dt, substeps = rk4_oracle_case(name)
+    duration = dt * substeps
+    rng = np.random.default_rng(11)
+    fast = slow = RelativeState.from_vector(initial)
+    for _ in range(60):
+        charges = rng.uniform(-0.05, 0.05, cfg.num_spacecraft)
+        fast = propagate(fast, charges, duration, substeps, cfg)
+        for _ in range(substeps):
+            slow = rk4_on_continuous_rhs(slow, charges, duration / substeps, cfg)
+        assert fast.as_vector().tobytes() == slow.as_vector().tobytes()
+
+
+@pytest.mark.parametrize("craft, count", [(4, 3), (4, 5), (2, 1)])
+def test_wrong_charge_count_names_expected_length(craft, count):
+    cfg = make_config([50.0] * craft)
+    state = RelativeState(np.arange(1, craft) * 20.0, np.zeros(craft - 1))
+    charges = np.full(count, 0.01)
+    message = f"charges must have length {craft}"
+    with pytest.raises(ValueError, match=message):
+        rk4_step(state, charges, 0.05, cfg)
+    with pytest.raises(ValueError, match=message):
+        propagate(state, charges, 0.5, 10, cfg)
+
+
+def test_formation_masses_are_a_read_only_copy():
+    masses = np.array([50.0, 60.0, 70.0])
+    cfg = make_config(masses)
+    masses[0] = 1.0
+    assert cfg.masses[0] == 50.0
+    with pytest.raises(ValueError):
+        cfg.masses[0] = 1.0
 
 
 def test_rk4_singularity_names_closest_pair():

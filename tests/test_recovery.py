@@ -103,3 +103,53 @@ def test_saturate_leaves_in_range_untouched():
 def test_saturate_rejects_bad_limit():
     with pytest.raises(ValueError):
         saturate(np.array([0.1]), 0.0)
+
+
+def recover_by_linalg_eigh(lifted, previous=None):
+    """The textbook recovery on ``np.linalg.eigh``: the reference the lean
+    recovery (the gufunc called directly) must match byte for byte."""
+    mat = np.asarray(lifted, dtype=float)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    eigvals = np.maximum(eigvals, 0.0)
+    dominant = float(eigvals[-1])
+    charges = np.sqrt(dominant) * eigvecs[:, -1]
+    if previous is not None and float(charges @ previous) != 0.0:
+        flip = float(charges @ previous) < 0
+    else:
+        flip = charges[int(np.argmax(np.abs(charges)))] < 0
+    charges = -charges if flip else charges
+    trace = float(eigvals.sum())
+    ratio = 1.0 if trace <= 0.0 else min(dominant / trace, 1.0)
+    return charges, dominant, ratio
+
+
+def recovery_inputs():
+    """Lifted matrices of every kind recover sees, each with previous charges."""
+    rng = np.random.default_rng(21)
+    for size in (2, 3, 4):
+        for _ in range(100):
+            q = rng.normal(size=size) * 10.0 ** rng.integers(-4, 2)
+            noise = rng.normal(size=(size, size)) * 10.0 ** rng.integers(-12, -2)
+            mats = [np.outer(q, q), np.outer(q, q) + noise, noise @ noise.T, noise]
+            prevs = [None, q, -q, rng.normal(size=size)]
+            yield from zip(mats, prevs)
+    yield np.zeros((3, 3)), None
+    yield np.eye(2), np.array([1.0, -1.0])
+    yield np.diag([1.0, -1e-9]), np.array([0.0, 1.0])  # orthogonal: default rule
+
+
+def test_recover_bit_identical_to_linalg_eigh_reference():
+    for mat, previous in recovery_inputs():
+        rec = recover(mat, previous=previous)
+        charges, dominant, ratio = recover_by_linalg_eigh(mat, previous)
+        assert rec.charges.tobytes() == charges.tobytes()
+        assert (rec.dominant_eigenvalue, rec.rank_ratio) == (dominant, ratio)
+        assert rec.charges.dtype == np.float64 and rec.charges.shape == (mat.shape[0],)
+
+
+def test_saturate_bit_identical_to_clip():
+    rng = np.random.default_rng(22)
+    charges = np.concatenate([rng.uniform(-0.3, 0.3, 200), [0.1, -0.1, 0.0, -0.0]])
+    clipped, flagged = saturate(charges, 0.1)
+    assert clipped.tobytes() == np.clip(charges, -0.1, 0.1).tobytes()
+    assert flagged == bool(np.any(np.clip(charges, -0.1, 0.1) != charges))

@@ -52,6 +52,16 @@ def test_zero_charge_propagation_is_pure_drift():
     assert out.positions[0] == pytest.approx(60.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("substeps", [0, -1, 2.5])
+def test_propagate_rejects_bad_substeps(substeps):
+    scen = twocraft_scenario()
+    state = RelativeState(np.array([60.0]), np.array([0.25]))
+    with pytest.raises(ValueError, match="substeps must be at least 1"):
+        propagate(state, np.zeros(2), 0.5, substeps, scen.formation)
+    with pytest.raises(ValueError, match="substeps must be at least 1"):
+        twocraft_scenario(substeps=substeps)
+
+
 def test_doubling_substeps_is_integration_converged():
     coarse = run_closed_loop(fourcraft_scenario(steps=60, substeps=10))
     fine = run_closed_loop(fourcraft_scenario(steps=60, substeps=20))

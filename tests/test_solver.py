@@ -23,7 +23,9 @@ from coulombmpc.solver import (
     MAX_ITERS,
     OPTIMAL,
     _bind_product,
+    _col_inf_norms,
     _ConeProjector,
+    _row_inf_norms,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -320,3 +322,90 @@ def test_direct_kernels_match_sparse_matmul(prob):
         for vec in block:  # the rho balance multiplies single vectors
             out = np.full(mat.shape[0], 7.0)
             assert _bind_product(mat, vec.copy(), out)().tobytes() == (mat @ vec).tobytes()
+
+
+# -- set-up: equilibration norms and KKT assembly ----------------------------------
+
+
+def scipy_inf_norms(mat, axis):
+    """The per-column (axis 0) or per-row (axis 1) infinity norms by scipy."""
+    if not mat.nnz:
+        return np.zeros(mat.shape[1 - axis])
+    return np.asarray(abs(mat).max(axis=axis).todense()).ravel()
+
+
+def with_empty_row_and_column(prob):
+    """A copy of the shipped problem's A with one row and one column emptied."""
+    A = prob.A.tolil()
+    A[3, :] = 0.0
+    A[:, 5] = 0.0
+    A = A.tocsc()
+    A.eliminate_zeros()
+    return A
+
+
+NORM_CASES = {
+    "fourcraft-A": shipped_step0("fourcraft.cfg").A,
+    "fourcraft-P": shipped_step0("fourcraft.cfg").P,
+    "twocraft-A": shipped_step0("twocraft.cfg").A,
+    "twocraft-P": shipped_step0("twocraft.cfg").P,
+    "without-P": sp.csc_matrix((8, 8)),  # what the solver uses for P=None
+    "empty-row-and-column": with_empty_row_and_column(shipped_step0("fourcraft.cfg")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_inf_norms_match_scipy(name):
+    # the equilibration reads these norms from the raw CSC arrays
+    mat = NORM_CASES[name]
+    rng = np.random.default_rng(17)
+    scaled = mat.copy()
+    scaled.data = scaled.data * 10.0 ** rng.integers(-8, 9, scaled.data.size)
+    for m in (mat, scaled):
+        assert _col_inf_norms(m).tobytes() == scipy_inf_norms(m, 0).tobytes()
+        assert _row_inf_norms(m).tobytes() == scipy_inf_norms(m, 1).tobytes()
+    if name == "empty-row-and-column":
+        assert _row_inf_norms(mat)[3] == 0.0 and _col_inf_norms(mat)[5] == 0.0
+
+
+def scrambled(mat, rng):
+    """The same matrix stored with unsorted row indices and split duplicates."""
+    coo = mat.tocoo()
+    half = coo.data / 2.0
+    rows = np.concatenate([coo.row, coo.row])
+    cols = np.concatenate([coo.col, coo.col])
+    data = np.concatenate([half, coo.data - half])
+    order = np.lexsort((rng.random(rows.size), cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=mat.shape[1]))])
+    out = sp.csc_matrix((data[order], rows[order], indptr), shape=mat.shape)
+    assert not out.has_canonical_format
+    return out
+
+
+def kkt_cases():
+    rng = np.random.default_rng(19)
+    four, two = shipped_step0("fourcraft.cfg"), shipped_step0("twocraft.cfg")
+    raw = SolverSettings(equilibrate=False)
+    return {
+        "fourcraft": (four, SolverSettings()),
+        "twocraft": (two, SolverSettings()),
+        "twocraft-without-P": (dataclasses.replace(two, P=None), SolverSettings()),
+        "twocraft-scrambled-unequilibrated": (
+            dataclasses.replace(two, A=scrambled(two.A, rng), P=scrambled(two.P, rng)), raw),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(kkt_cases()))
+def test_kkt_matches_coo_assembly(name):
+    # the KKT matrix is stacked from CSC blocks; its arrays must be those of
+    # bmat's general COO path, which sums duplicates and sorts each column
+    prob, settings = kkt_cases()[name]
+    ws = ConicSolver(prob, settings)._prepare()
+    n, m = ws.P_s.shape[0], ws.A_s.shape[0]
+    want = sp.bmat(
+        [[ws.P_s + settings.sigma * sp.eye(n), ws.A_s.T], [ws.A_s, -sp.eye(m)]], format="csc"
+    )
+    want.data[ws._rho_diag] = -(1.0 / ws.rho_vec)
+    for got, expected in ((ws.kkt.indptr, want.indptr), (ws.kkt.indices, want.indices),
+                          (ws.kkt.data, want.data)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
