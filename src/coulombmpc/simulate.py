@@ -32,9 +32,10 @@ RUN_ABORTED_COLLISION = "aborted-collision"
 CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
 
 
-def _check_substeps(substeps) -> None:
-    if not isinstance(substeps, (int, np.integer)) or substeps < 1:
-        raise ValueError("substeps must be at least 1")
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not a whole number of at least 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -59,9 +60,8 @@ class ScenarioConfig:
             )
         if self.sample_period <= 0:
             raise ValueError("sample_period must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        _check_substeps(self.substeps)
+        _check_count(self.steps, "steps")
+        _check_count(self.substeps, "substeps")
         if not self.saturation_limit > 0:
             raise ValueError("saturation_limit must be positive")
 
@@ -81,7 +81,7 @@ def propagate(
     cfg: FormationConfig,
 ) -> RelativeState:
     """Integrate the nonlinear plant over one hold interval with RK4 substeps."""
-    _check_substeps(substeps)
+    _check_count(substeps, "substeps")
     dt = duration / substeps
     for _ in range(substeps):
         state = rk4_step(state, charges, dt, cfg)

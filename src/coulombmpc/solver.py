@@ -30,11 +30,13 @@ equilibrated data (whose column and row infinity norms come straight from
 the CSC arrays, a maximum being exact in any order), the KKT matrix
 (stacked from CSC blocks; a rho update rewrites only its -1/rho diagonal
 before refactoring), the sparse products of the check and of the
-rho balance bound to their buffers, the cone projector's gather indices, and
-every iteration buffer.  The loop only solves, projects and updates, in the
-operation order of the plain loop kept in ``tests/reference_admm.py``,
-through ufuncs bound once per solve with ``out`` passed positionally (not
-to ``np.maximum``, where numpy 2 deprecates it).
+rho balance bound to their buffers, the cone projection bound to its input
+and output buffers (zero-cone slots zeroed once, a PSD group whose slots form
+one run written through a reshaped view of the output), and every iteration
+buffer.  The loop only solves, projects and updates, in the operation order
+of the plain loop kept in ``tests/reference_admm.py``, through ufuncs bound
+once per solve with ``out`` passed positionally (not to ``np.maximum``, where
+numpy 2 deprecates it).
 
 The iterate is stacked: x and w share one row ``[x; w]`` of a block of
 ``_CHECK_EVERY`` rows, and y has a row of its own, so each iteration reads
@@ -43,26 +45,33 @@ KKT right-hand side is then ``[sigma...; 1...] * [x; w] - [q_s; y/rho]``,
 exact because ``1.0 * w == w``; w_half is formed in place in the solve's
 output, and the over-relaxation is three ufunc calls on the stacked
 vectors.  The PSD projection calls numpy's ``eigh_lo`` gufunc directly
-(``conic._eigh``), under the error state ``np.linalg.eigh`` sets, so the
-eigenvectors are the same and a non-convergence still raises ``LinAlgError``.
+(``conic._eigh``), under the error state ``np.linalg.eigh`` sets (built once,
+set per call through numpy's context variable), so the eigenvectors are the
+same and a non-convergence still raises ``LinAlgError``.
 
 Termination is checked once per block: after the block, the residuals of
 all its iterates come from one batched pass, and each side's residual and
 its two scales are reduced to infinity norms in one pass (a maximum is exact
-in any order).  The block's unscaled iterates are the columns of (n, 10) and
-(m, 10) buffers, and A z, P z and A'y (as the rho balance's products) are one
-call each of the sparsetools kernel scipy's ``@`` runs, on all ten columns.
-An in-order scan then applies the per-iteration tests iterate by iterate and stops at the
-first iterate at which a check after every iteration would have stopped; the
-up to ``_CHECK_EVERY - 1`` iterates computed past it are discarded, and so
-is an exception one of them raises (eigh failing on an all-NaN slack) when
-the iterates before it already end the solve.  Rho updates fall on block
+in any order).  The check is laid out iterate-major: the block's unscaled z,
+w and y, ``[A z - w_u, A z, s_u]`` and ``[P z + c + A'y, P z, A'y]`` are
+(10, n) and (10, m) buffers, one row per iterate, so the unscaling reads
+contiguous rows, d, e, b and c broadcast along rows and the norms reduce the
+contiguous last axis.  Only A z, P z and A'y (as the rho balance's products)
+run on columns: one call each of the sparsetools kernel scipy's ``@`` runs,
+on all ten columns of one transposed copy of z and of y, with each product
+copied back to rows.  An in-order scan then applies the per-iteration tests
+iterate by iterate and stops at the first iterate at which a check after
+every iteration would have stopped; the up to ``_CHECK_EVERY - 1`` iterates
+computed past it are discarded, and so is an exception one of them raises
+(eigh failing on an all-NaN slack) when the iterates before it already end
+the solve.  Rho updates fall on block
 ends.  Invariant: the returned result, the iteration count and the
 ``log_callback`` stream are bit-identical to that plain loop's.
 
-Private entry points (numpy >= 2.0, scipy >= 1.10): ``eigh_lo``, ``c_einsum``
-(what ``np.einsum(optimize=False)`` calls, here with the same subscripts) and
-the ``_sparsetools`` kernels, checked against ``@`` in ``tests/test_solver.py``.
+Private entry points (numpy >= 2.0, scipy >= 1.10): ``eigh_lo`` with the
+error-state context variable ``np.errstate`` sets, ``c_einsum`` (what
+``np.einsum(optimize=False)`` calls, here with the same subscripts) and the
+``_sparsetools`` kernels, checked against ``@`` in ``tests/test_solver.py``.
 """
 
 from __future__ import annotations
@@ -179,21 +188,43 @@ class _ConeProjector:
             scale_all = np.broadcast_to(unscale.ravel()[lower], flat.shape).copy()
             self.groups.append((flat, gather, unscale_all, lower_all, scale_all))
 
-    def project(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty_like(v)
+    def bind(self, v: np.ndarray, out: np.ndarray):
+        """A call writing the projection of ``v`` into ``out`` (1-D buffers of
+        the cone's length) and returning ``out``.  The zero-cone slots are
+        zeroed here, once, so nothing else may write them; a group whose slots
+        form one run gets its lower triangles scaled straight into a
+        ``(k, vec_dim)`` view of ``out``, any other group is scattered."""
         z, nn = self.zero_end, self.nonneg_end
         out[:z] = 0.0
-        np.maximum(v[z:nn], 0.0, out=out[z:nn])
+        v_nn, out_nn = v[z:nn], out[z:nn]
+        groups = []
         for flat, gather, unscale_all, lower_all, scale_all in self.groups:
-            mats = v[gather]
-            mats /= unscale_all
-            eigvals, eigvecs = _eigh(mats)
-            np.maximum(eigvals, 0.0, out=eigvals)
-            vals = c_einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs).take(lower_all)
-            vals *= scale_all
-            out[flat] = vals
-        return out
+            start = flat[0, 0]
+            run = np.array_equal(flat.ravel(), np.arange(start, start + flat.size))
+            target = out[start : start + flat.size].reshape(flat.shape) if run else None
+            groups.append((flat, gather, unscale_all, lower_all, scale_all, target))
+        maximum, multiply, divide = np.maximum, np.multiply, np.divide
+
+        def project() -> np.ndarray:
+            maximum(v_nn, 0.0, out=out_nn)
+            for flat, gather, unscale_all, lower_all, scale_all, target in groups:
+                mats = v[gather]
+                divide(mats, unscale_all, mats)
+                eigvals, eigvecs = _eigh(mats)
+                maximum(eigvals, 0.0, out=eigvals)
+                vals = c_einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs).take(lower_all)
+                if target is None:
+                    multiply(vals, scale_all, vals)
+                    out[flat] = vals
+                else:
+                    multiply(vals, scale_all, target)
+            return out
+
+        return project
+
+    def project(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The projection of ``v``, into ``out`` when given."""
+        return self.bind(v, np.empty_like(v) if out is None else out)()
 
 
 def _amax(v: np.ndarray) -> float:
@@ -235,6 +266,28 @@ def _bind_product(mat, x: np.ndarray, out: np.ndarray):
     return product
 
 
+def _bind_check_products(prob, z_u, y_u, az, pz, aty):
+    """A call setting the rows of ``az``, ``pz`` and ``aty`` to A z, P z
+    and A'y of the rows of ``z_u`` and ``y_u``.  The kernels take one
+    column per iterate, so z and y are copied in transposed and each
+    product is copied back the same way.  They run on all rows, stale
+    ones too; ``pz`` stays 0 without P."""
+    z_col, y_col = np.zeros(z_u.shape[::-1]), np.zeros(y_u.shape[::-1])
+    pairs = [(prob.A, z_col, az), (prob.A.T, y_col, aty)]
+    pairs += [(prob.P, z_col, pz)] if prob.P is not None else []
+    products = [(_bind_product(mat, x, np.zeros(rows.shape[::-1])), rows)
+                for mat, x, rows in pairs]
+    copyto = np.copyto
+
+    def check_products():
+        copyto(z_col, z_u.T)
+        copyto(y_col, y_u.T)
+        for product, rows in products:
+            copyto(rows, product().T)
+
+    return check_products
+
+
 def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index of every stored entry of a CSC matrix."""
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
@@ -248,7 +301,7 @@ class _Workspace:
         m, n = A_s.shape
         self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
         self.d, self.e, self.gamma = d, e, gamma
-        self.c_col, self.c_scale = prob.c[:, None], _amax(prob.c)
+        self.c_scale = _amax(prob.c)
         self.projector = projector
         # the KKT pattern is fixed; only its lower-right -1/rho diagonal moves.
         # All-CSC blocks take bmat's stacking path; summing duplicates then
@@ -278,20 +331,19 @@ class _Workspace:
         self.shift = np.concatenate([q_s, np.zeros(m)])
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
-        # the unscaled counterparts of a block's iterates, one column each,
-        # and [residual, A z, s] and [residual, P z, A'y] of the batched check
-        z_u, w_u, y_u = (np.zeros((size, _CHECK_EVERY)) for size in (n, m, m))
-        prim, dual = np.zeros((3, m, _CHECK_EVERY)), np.zeros((3, n, _CHECK_EVERY))
-        # the products run on all columns, stale ones too; P z stays 0 without P
-        self.products = [_bind_product(prob.A, z_u, prim[1]), _bind_product(prob.A.T, y_u, dual[2])]
-        self.products += [_bind_product(prob.P, z_u, dual[1])] if prob.P is not None else []
-        # check_views[k]: a block's scaled x, w and y as columns, then the
-        # first k columns of the check buffers (k iterates done)
+        self.project = projector.bind(self.proj_in, self.proj_out)
+        # the unscaled counterparts of a block's iterates, one row each, and
+        # [residual, A z, s] and [residual, P z, A'y] of the batched check
+        z_u, w_u, y_u = (np.zeros((_CHECK_EVERY, size)) for size in (n, m, m))
+        prim, dual = np.zeros((3, _CHECK_EVERY, m)), np.zeros((3, _CHECK_EVERY, n))
+        # check_views[k]: a block's scaled x, w and y, then the first k rows of
+        # the check buffers (k iterates done)
         self.check_views = [
-            (self.rows[:k, :n].T, self.rows[:k, n:].T, self.y_rows[:k].T,
-             z_u[:, :k], w_u[:, :k], y_u[:, :k], prim[:, :, :k], dual[:, :, :k])
+            (self.rows[:k, :n], self.rows[:k, n:], self.y_rows[:k],
+             z_u[:k], w_u[:k], y_u[:k], prim[:, :k], dual[:, :k])
             for k in range(_CHECK_EVERY + 1)
         ]
+        self.check_products = _bind_check_products(prob, z_u, y_u, prim[1], dual[1], dual[2])
         # the rho balance's scaled products of the last row's x and y
         x, y = self.rows[-1, :n], self.y_rows[-1]
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
@@ -417,7 +469,7 @@ class ConicSolver:
             self._ws = self._prepare()
         ws = self._ws
         d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
-        d_col, e_col, b_col, c_col = d[:, None], e[:, None], b[:, None], ws.c_col
+        c = prob.c
         b_s = e * b
 
         # the first iteration starts from the last row, the row before row 0
@@ -434,8 +486,8 @@ class ConicSolver:
         y_rho = shift[n:]
         x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        row_views, check_views, products = ws.row_views, ws.check_views, ws.products
-        project = ws.projector.project
+        row_views, check_views, check_products = ws.row_views, ws.check_views, ws.check_products
+        project = ws.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
         # bound once; each ufunc takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
@@ -476,7 +528,7 @@ class ConicSolver:
                     # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
                     add(w_relaxed, y_rho, proj_in)
                     subtract(b_s, proj_in, proj_in)
-                    project(proj_in, proj_out)
+                    project()  # proj_in into proj_out
                     subtract(b_s, proj_out, w_next)
                     # y_next = y + rho (w_relaxed - w_next)
                     subtract(w_relaxed, w_next, w_relaxed)
@@ -489,22 +541,21 @@ class ConicSolver:
                 # on an all-NaN slack) must not surface: scan the rows before it
                 failure = exc
 
-            # residuals of the original, unscaled problem, one column per
+            # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
             x_s, w_s, y_s, z_u, w_u, y_u, prim, dual = check_views[done]
-            multiply(d_col, x_s, z_u)
-            divide(w_s, e_col, w_u)
-            multiply(e_col, y_s, y_u)
+            multiply(d, x_s, z_u)
+            divide(w_s, e, w_u)
+            multiply(e, y_s, y_u)
             divide(y_u, gamma, y_u)
-            for product in products:
-                product()
+            check_products()
             subtract(prim[1], w_u, prim[0])
-            subtract(b_col, w_u, prim[2])
-            add(dual[1], c_col, dual[0])
+            subtract(b, w_u, prim[2])
+            add(dual[1], c, dual[0])
             add(dual[0], dual[2], dual[0])
             # one pass per side: the infinity norms of all three, 0 when empty
-            prims = np.abs(prim, out=prim).max(axis=1, initial=0.0).tolist()
-            duals = np.abs(dual, out=dual).max(axis=1, initial=0.0).tolist()
+            prims = np.abs(prim, out=prim).max(axis=2, initial=0.0).tolist()
+            duals = np.abs(dual, out=dual).max(axis=2, initial=0.0).tolist()
 
             # the per-iteration termination logic, iterate by iterate
             block_best = None
@@ -532,12 +583,12 @@ class ConicSolver:
                 row = done - 1
             if status is None and failure is not None:
                 raise failure
-            # the slack s_u = b - w_u is recomputed: its column in prim is now |s_u|
+            # the slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
             if block_best is not None:
                 j = block_best
-                best = (z_u[:, j].copy(), b - w_u[:, j], y_u[:, j].copy(), prims[0][j], duals[0][j])
+                best = (z_u[j].copy(), b - w_u[j], y_u[j].copy(), prims[0][j], duals[0][j])
             elif best is None:  # the first iterate is already non-finite
-                best = (z_u[:, row].copy(), b - w_u[:, row], y_u[:, row].copy(), np.inf, np.inf)
+                best = (z_u[row].copy(), b - w_u[row], y_u[row].copy(), np.inf, np.inf)
             it += row + 1
             if status is not None:
                 break

@@ -62,6 +62,12 @@ def test_propagate_rejects_bad_substeps(substeps):
         twocraft_scenario(substeps=substeps)
 
 
+@pytest.mark.parametrize("steps", [0, -1, 2.5])
+def test_scenario_rejects_bad_steps(steps):
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        twocraft_scenario(steps=steps)
+
+
 def test_doubling_substeps_is_integration_converged():
     coarse = run_closed_loop(fourcraft_scenario(steps=60, substeps=10))
     fine = run_closed_loop(fourcraft_scenario(steps=60, substeps=20))

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from analytic_problems import build_problems
 from conftest import FOURCRAFT_INITIAL, fourcraft_scenario
 from coulombmpc import (
     ConeDims,
+    ConicProblem,
     ConicSolver,
     MpcController,
     RelativeState,
@@ -28,7 +30,8 @@ from coulombmpc import (
 )
 from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
-from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, _ConeProjector
+from coulombmpc.conic import vec_dim
+from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _ConeProjector
 import reference_admm
 from reference_admm import ReferenceSolver
 
@@ -221,22 +224,76 @@ def test_iteration_budget_at_block_edges_matches_reference(name, prob, expected,
     assert [k for k, _, _ in got_log] == list(range(1, max_iters + 1))
 
 
+def interleaved_psd_qp():
+    """A QP whose PSD blocks have interleaved sides 2, 3, 2: the side-2 group's
+    slots are two separate runs, so the loop's projection scatters them, and
+    the side-3 block is written straight into the output.  One variable per
+    PSD slot (s = z there); two zero rows fix traces and three nonneg rows
+    cap random combinations of a feasible point."""
+    cones = ConeDims(zero=2, nonneg=3, psd=(2, 3, 2))
+    sizes = [vec_dim(side) for side in cones.psd]
+    n = sum(sizes)
+    diagonals = np.concatenate([
+        start + np.array([vec_dim(i + 1) - 1 for i in range(side)])
+        for start, side in zip(np.cumsum([0] + sizes[:-1]), cones.psd)
+    ])
+    trace_rows = np.zeros((2, n))
+    trace_rows[0, diagonals[:2]] = trace_rows[0, diagonals[5:]] = 1.0
+    trace_rows[1, diagonals[2:5]] = 1.0
+    rng = np.random.default_rng(21)
+    feasible = np.zeros(n)
+    feasible[diagonals] = 0.5
+    caps = rng.normal(size=(3, n))
+    A = np.vstack([trace_rows, caps, -np.eye(n)])
+    b = np.concatenate([trace_rows @ feasible, caps @ feasible + 0.1, np.zeros(n)])
+    P = sp.diags(rng.uniform(0.5, 2.0, size=n), format="csc")
+    return ConicProblem(c=rng.normal(size=n), A=sp.csc_matrix(A), b=b, cones=cones, P=P)
+
+
+def test_interleaved_psd_sizes_match_reference():
+    prob = interleaved_psd_qp()
+    side2 = _ConeProjector(prob.cones).groups[0][0]
+    assert side2[1, 0] != side2[0, -1] + 1  # two separate runs: scattered
+    got, got_log = logged(lambda cb: ConicSolver(prob).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, log_callback=cb))
+    assert got.status == OPTIMAL
+    assert_identical(got, ref)
+    assert got_log == ref_log
+
+
+@pytest.mark.parametrize("max_iters", [1, 9, 10, 11, 37, 101])
+def test_interleaved_psd_sizes_at_block_edges_match_reference(max_iters):
+    prob = interleaved_psd_qp()
+    settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=max_iters)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
+    assert got.iterations == max_iters
+    assert_identical(got, ref)
+    assert got_log == ref_log
+
+
 @pytest.mark.parametrize("call,slot", [(3, -1), (14, 0), (25, 150)])
 def test_nonfinite_projection_ends_the_solve_at_its_iteration(monkeypatch, call, slot):
     # a NaN slack ends the solve at the iteration that produced it, even
     # though iterations computed after it in the same block may raise
-    # (eigh on an all-NaN slack)
-    project = _ConeProjector.project
+    # (eigh on an all-NaN slack); the poison goes into the projection the
+    # loop calls, the one _ConeProjector.bind hands the workspace
+    bind = _ConeProjector.bind
     calls = []
 
-    def poisoned(self, v, out=None):
-        calls.append(None)
-        out = project(self, v, out=out)
-        if len(calls) == call:
-            out[slot] = np.nan
-        return out
+    def poisoned_bind(self, v, out):
+        project = bind(self, v, out)
 
-    monkeypatch.setattr(_ConeProjector, "project", poisoned)
+        def poisoned():
+            calls.append(None)
+            project()
+            if len(calls) == call:
+                out[slot] = np.nan
+            return out
+
+        return poisoned
+
+    monkeypatch.setattr(_ConeProjector, "bind", poisoned_bind)
     prob, scenario = fourcraft_step0()
     result = ConicSolver(prob, scenario.solver).solve()
     assert result.status == INFEASIBLE_SUSPECT
