@@ -7,7 +7,7 @@ the applied charges are recovered by rank-one rounding of the first lifted
 matrix.
 """
 
-from .conic import ConeDims, ConicProblem, sym_to_vec, vec_dim, vec_to_sym
+from .conic import ConeDims, ConicProblem, sym_to_vec, vec_dim
 from .controller import (
     INVALID_MEASUREMENT,
     ControllerState,
@@ -24,7 +24,6 @@ from .dynamics import (
     absolute_input_matrix,
     build_discrete_model,
     charge_products,
-    continuous_rhs,
     pair_count,
     relative_input_matrix,
     rk4_step,
@@ -34,7 +33,6 @@ from .horizon import (
     HorizonProblem,
     MpcParams,
     build_horizon_problem,
-    evaluate_cost,
     to_conic,
     update_initial_state,
 )
@@ -58,7 +56,6 @@ from .solver import (
     ConicSolver,
     SolveResult,
     SolverSettings,
-    project_psd,
 )
 
 __version__ = "0.1.0"

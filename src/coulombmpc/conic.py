@@ -82,17 +82,6 @@ def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
     return index, scale
 
 
-def vec_to_sym(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`sym_to_vec`: the one-block reference that the gathers
-    of the cone projector and of ``HorizonProblem.unpack`` are tested against."""
-    vec = np.asarray(vec, dtype=float)
-    side = int((np.sqrt(8 * vec.size + 1) - 1) / 2 + 0.5)
-    if vec_dim(side) != vec.size:
-        raise ValueError(f"vector of length {vec.size} is not a packed symmetric matrix")
-    index, scale = sym_gather(side)
-    return vec[index] / scale
-
-
 @dataclass(frozen=True)
 class ConeDims:
     """Dimensions of the product cone, in the fixed order zero / nonneg / PSD."""

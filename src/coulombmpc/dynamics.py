@@ -211,21 +211,17 @@ def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np
     return absolute[1:] - absolute[0]
 
 
-def continuous_rhs(state: RelativeState, charges: np.ndarray, cfg: FormationConfig) -> np.ndarray:
-    """Time derivative of the packed relative state [positions; velocities]."""
-    accel = relative_input_matrix(state.positions, cfg) @ charge_products(charges)
-    return np.concatenate([state.velocities, accel])
-
-
 def rk4_step(
     state: RelativeState, charges: np.ndarray, dt: float, cfg: FormationConfig
 ) -> RelativeState:
     """One classical fourth-order Runge-Kutta step with the charges held constant.
 
-    The stages evaluate :func:`continuous_rhs` without its per-call checks
-    and containers: the same floating-point operations in the same order, on
-    the formation's cached pair plan and buffers set up once per step, so
-    the result is bit-identical to an RK4 built on :func:`continuous_rhs`.
+    The stages evaluate the time derivative ``[velocities;
+    relative_input_matrix(positions) @ charge_products(charges)]`` without
+    its per-call checks and containers: the same floating-point operations in
+    the same order, on the formation's cached pair plan and buffers set up
+    once per step, so the result is bit-identical to the textbook RK4 on that
+    derivative kept in ``tests/test_dynamics.py``.
     Each stage vector sits in a buffer ``[0, positions, velocities]`` whose
     leading 0 is craft 1, so the pair gathers read it directly, and each
     stage derivative is written in place: the velocities copied, then the

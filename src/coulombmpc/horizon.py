@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, sym_to_vec, vec_dim, vec_index
+from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
 from .dynamics import DiscreteModel, RelativeState, pair_count, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
@@ -54,6 +54,18 @@ def _weight_matrix(value, size: int, name: str) -> np.ndarray:
     if mat.size and np.linalg.eigvalsh(mat).min() < _PSD_EIG_FLOOR:
         raise ValueError(f"{name} must be positive semidefinite")
     return mat
+
+
+def _bound(value, size: int, name: str) -> np.ndarray:
+    """A scalar or length-``size`` bound as a finite vector of that length."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(size, float(arr))
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must have length {size}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -90,24 +102,18 @@ class MpcParams:
             "product_delta_weight",
             _weight_matrix(self.product_delta_weight, m, "product_delta_weight"),
         )
-        for name in ("state_min", "state_max"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(n, float(arr))
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have length {n}")
-            object.__setattr__(self, name, arr)
-        if np.any(self.state_min >= self.state_max):
-            raise ValueError("state_min must be elementwise below state_max")
         if (self.product_min is None) != (self.product_max is None):
             raise ValueError("product bounds must be given as a pair or not at all")
+        boxes = [("state", n)]
         if self.product_min is not None:
-            lo = np.asarray(self.product_min, dtype=float).reshape(m)
-            hi = np.asarray(self.product_max, dtype=float).reshape(m)
+            boxes.append(("product", m))
+        for kind, size in boxes:
+            lo = _bound(getattr(self, f"{kind}_min"), size, f"{kind}_min")
+            hi = _bound(getattr(self, f"{kind}_max"), size, f"{kind}_max")
             if np.any(lo >= hi):
-                raise ValueError("product_min must be elementwise below product_max")
-            object.__setattr__(self, "product_min", lo)
-            object.__setattr__(self, "product_max", hi)
+                raise ValueError(f"{kind}_min must be elementwise below {kind}_max")
+            object.__setattr__(self, f"{kind}_min", lo)
+            object.__setattr__(self, f"{kind}_max", hi)
 
     @property
     def num_spacecraft(self) -> int:
@@ -175,24 +181,9 @@ class HorizonProblem:
     def num_vars(self) -> int:
         return self.lifted_offset(self.num_stages - 1) + self.lifted_vec_dim
 
-    # -- point packing --------------------------------------------------------
-    def pack(self, states: np.ndarray, inputs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
-        """Flatten a (states, inputs, lifted) trajectory into a decision vector:
-        the per-stage reference that the vectorised :meth:`unpack` must invert."""
-        N, n, m = self.num_stages, self.state_dim, self.input_dim
-        states = np.asarray(states, dtype=float).reshape(N + 1, n)
-        inputs = np.asarray(inputs, dtype=float).reshape(N, m)
-        lifted = np.asarray(lifted, dtype=float).reshape(N, self.lifted_side, self.lifted_side)
-        z = np.empty(self.num_vars)
-        z[: (N + 1) * n] = states.ravel()
-        z[(N + 1) * n : (N + 1) * n + N * m] = inputs.ravel()
-        for j in range(N):
-            off = self.lifted_offset(j)
-            z[off : off + self.lifted_vec_dim] = sym_to_vec(lifted[j])
-        return z
-
+    # -- point unpacking -----------------------------------------------------
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Inverse of :meth:`pack`."""
+        """The (states, inputs, lifted matrices) trajectory of a decision vector."""
         N, n, m = self.num_stages, self.state_dim, self.input_dim
         z = np.asarray(z, dtype=float)
         states = z[: (N + 1) * n].reshape(N + 1, n)
@@ -217,27 +208,15 @@ def build_horizon_problem(
     return HorizonProblem(np.asarray(measured, dtype=float), model, params)
 
 
-def evaluate_cost(
-    hp: HorizonProblem, states: np.ndarray, inputs: np.ndarray, lifted: np.ndarray
-) -> float:
-    """Objective value of a trajectory: tracking + input + smoothing + trace
-    terms, stage by stage; the reference for the objective :func:`to_conic` builds."""
-    p = hp.params
-    N = hp.num_stages
-    states = np.asarray(states, dtype=float).reshape(N + 1, hp.state_dim)
-    inputs = np.asarray(inputs, dtype=float).reshape(N, hp.input_dim)
-    lifted = np.asarray(lifted, dtype=float).reshape(N, hp.lifted_side, hp.lifted_side)
-    target = p.desired_state
-    total = 0.0
-    for j in range(1, N + 1):
-        dev = states[j] - target
-        total += dev @ p.state_weight @ dev
-        total += inputs[j - 1] @ p.product_weight @ inputs[j - 1]
-    for j in range(1, N):
-        step = inputs[j] - inputs[j - 1]
-        total += step @ p.product_delta_weight @ step
-    total += p.trace_weight * float(np.trace(lifted, axis1=1, axis2=2).sum())
-    return float(total)
+def _slots(starts, sizes, strides) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-0 index and per-stage stride of each slot of a one-stage
+    template whose slots are runs of consecutive indices at ``starts``."""
+    shifts, local = [], 0
+    for start, size in zip(starts, sizes):
+        shifts.append(start - local)
+        local += size
+    shift, stride = np.repeat(np.array([shifts, strides], np.int32), sizes, axis=1)
+    return shift + np.arange(local, dtype=np.int32), stride
 
 
 def to_conic(hp: HorizonProblem) -> ConicProblem:
@@ -248,112 +227,104 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     of b), followed by dynamics and product-coupling equalities, the state box
     rows (and product box rows when bounds are configured), then one PSD block
     per stage.
+
+    A and P are each one stage's nonzero pattern repeated over the horizon,
+    each entry moving by its own row and column stride.  A has no repeated
+    (row, col) entry, so the order of its triplets is free.  P sums repeated
+    entries on its input blocks in triplet order, so its triplets come in
+    stage-loop order: per stage the state block, then the product block; then
+    per delta j the blocks (j, j), (j-1, j-1), (j, j-1), (j-1, j).
     """
     p = hp.params
-    model = hp.model
     N, n, m = hp.num_stages, hp.state_dim, hp.input_dim
     side, d = hp.lifted_side, hp.lifted_vec_dim
+    u0, l0 = hp.input_offset(0), hp.lifted_offset(0)
     pairs = spacecraft_pairs(side)
+    bounded = p.product_min is not None
+    box = n + N * (n + m)  # the zero cone's end and the first state box row
+    psd = box + 2 * N * (n + m if bounded else n)  # the first PSD row
+    # int32 indices: each is below a side of its matrix, and int32 is the type
+    # scipy picks for those, so its constructor neither checks nor casts them
+    stages = np.arange(N, dtype=np.int32)[:, None]
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    b_parts: list[np.ndarray] = []
-
-    def add_block(row0: int, col0: int, block: np.ndarray):
-        r, c = np.nonzero(block)
-        rows.extend((row0 + r).tolist())
-        cols.extend((col0 + c).tolist())
-        vals.extend(block[r, c].tolist())
-
-    row = 0
-    # stage-0 pin
-    add_block(row, hp.state_offset(0), np.eye(n))
-    b_parts.append(hp.initial_state)
-    row += n
-    # dynamics: states[j+1] - A states[j] - B inputs[j] = 0
-    for j in range(N):
-        add_block(row, hp.state_offset(j + 1), np.eye(n))
-        add_block(row, hp.state_offset(j), -model.A)
-        add_block(row, hp.input_offset(j), -model.B)
-        b_parts.append(np.zeros(n))
-        row += n
+    # stage j of A: the rows of dynamics j, the state box of stage j+1 (upper
+    # and lower), coupling j, the product box of stage j (upper and lower) and
+    # PSD slack j; the columns of states j and j+1, inputs j and lifted j
+    groups = [(n, n), (box, n), (box + N * n, n), (n + N * n, m)]
+    if bounded:
+        groups += [(box + 2 * N * n, m), (box + 2 * N * n + N * m, m)]
+    groups.append((psd, d))
+    starts, sizes = zip(*groups)
+    row_base, row_step = _slots(starts, sizes, sizes)
+    col_base, col_step = _slots((0, u0, l0), (2 * n, m, d), (n, m, d))
+    cp, us, ls = 3 * n, 2 * n, 2 * n + m  # the first coupling row, input and lifted column
+    t = np.zeros((row_base.size, col_base.size))
+    eye = np.eye(max(n, m, d))
+    # dynamics: states[j+1] - A states[j] - B inputs[j] = 0; the boxes bound
+    # +-states[j+1] and +-inputs[j]; the PSD slack is vec(lifted[j])
+    t[:n, :n] = -hp.model.A
+    t[:n, n:us] = t[n : 2 * n, n:us] = eye[:n, :n]
+    t[2 * n : cp, n:us] = -eye[:n, :n]
+    t[:n, us:ls] = -hp.model.B
+    t[cp : cp + m, us:ls] = eye[:m, :m]
     # coupling: inputs[j][l] - lifted[j][i, k] = 0 in scaled vectorization
-    for j in range(N):
-        for l, (i, k) in enumerate(pairs):
-            rows.append(row)
-            cols.append(hp.input_offset(j) + l)
-            vals.append(1.0)
-            rows.append(row)
-            cols.append(hp.lifted_offset(j) + vec_index(k, i))
-            vals.append(-1.0 / SQRT2)
-            row += 1
-    b_parts.append(np.zeros(N * m))
-    zero_dim = row
-
-    # state box, stages 1..N
-    for j in range(1, N + 1):
-        add_block(row, hp.state_offset(j), np.eye(n))
-        b_parts.append(p.state_max)
-        row += n
-    for j in range(1, N + 1):
-        add_block(row, hp.state_offset(j), -np.eye(n))
-        b_parts.append(-p.state_min)
-        row += n
-    # optional product box, stages 0..N-1
-    if p.product_min is not None:
-        for j in range(N):
-            add_block(row, hp.input_offset(j), np.eye(m))
-            b_parts.append(p.product_max)
-            row += m
-        for j in range(N):
-            add_block(row, hp.input_offset(j), -np.eye(m))
-            b_parts.append(-p.product_min)
-            row += m
-    nonneg_dim = row - zero_dim
-
-    # PSD slacks: s_block = vec(lifted[j])
-    for j in range(N):
-        add_block(row, hp.lifted_offset(j), -np.eye(d))
-        b_parts.append(np.zeros(d))
-        row += d
-
+    lower = pairs[:, 1] * (pairs[:, 1] + 1) // 2 + pairs[:, 0]
+    t[cp + np.arange(m), ls + lower] = -1.0 / SQRT2
+    if bounded:
+        t[cp + m : cp + 2 * m, us:ls] = eye[:m, :m]
+        t[cp + 2 * m : cp + 3 * m, us:ls] = -eye[:m, :m]
+    t[-d:, ls:] = -eye[:d, :d]
+    r, c = np.nonzero(t)
+    pin = np.arange(n, dtype=np.int32)  # the stage-0 pin: rows 0..n-1 on states 0
     A = sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(row, hp.num_vars))
+        (
+            np.concatenate([np.ones(n)] + [t[r, c]] * N),
+            (
+                np.concatenate((pin, row_base[r] + row_step[r] * stages), axis=None),
+                np.concatenate((pin, col_base[c] + col_step[c] * stages), axis=None),
+            ),
+        ),
+        shape=(psd + N * d, hp.num_vars),
     )
-    b = np.concatenate(b_parts)
-    cones = ConeDims(zero=zero_dim, nonneg=nonneg_dim, psd=(side,) * N)
 
-    # quadratic objective: 1/2 z'Pz + c'z + const reproduces evaluate_cost
+    b = np.zeros(psd + N * d)
+    b[:n] = hp.initial_state
+    b[box : box + N * n].reshape(N, n)[:] = p.state_max
+    b[box + N * n : box + 2 * N * n].reshape(N, n)[:] = -p.state_min
+    if bounded:
+        top = box + 2 * N * n
+        b[top : top + N * m].reshape(N, m)[:] = p.product_max
+        b[top + N * m : psd].reshape(N, m)[:] = -p.product_min
+    cones = ConeDims(zero=box, nonneg=psd - box, psd=(side,) * N)
+
+    # quadratic objective: 1/2 z'Pz + c'z + const reproduces the stage costs;
+    # stage j of P: states j+1 and inputs j, then delta j+1 on inputs j, j+1
     target = p.desired_state
-    P_rows: list[int] = []
-    P_cols: list[int] = []
-    P_vals: list[float] = []
-    c = np.zeros(hp.num_vars)
-
-    def add_quad(row0: int, col0: int, block: np.ndarray):
-        r, cc = np.nonzero(block)
-        P_rows.extend((row0 + r).tolist())
-        P_cols.extend((col0 + cc).tolist())
-        P_vals.extend(block[r, cc].tolist())
-
-    for j in range(1, N + 1):
-        add_quad(hp.state_offset(j), hp.state_offset(j), 2.0 * p.state_weight)
-        c[hp.state_offset(j) : hp.state_offset(j) + n] += -2.0 * (p.state_weight @ target)
-        add_quad(hp.input_offset(j - 1), hp.input_offset(j - 1), 2.0 * p.product_weight)
-    for j in range(1, N):
-        add_quad(hp.input_offset(j), hp.input_offset(j), 2.0 * p.product_delta_weight)
-        add_quad(hp.input_offset(j - 1), hp.input_offset(j - 1), 2.0 * p.product_delta_weight)
-        add_quad(hp.input_offset(j), hp.input_offset(j - 1), -2.0 * p.product_delta_weight)
-        add_quad(hp.input_offset(j - 1), hp.input_offset(j), -2.0 * p.product_delta_weight)
-    if p.trace_weight:
-        for j in range(N):
-            for a in range(side):
-                c[hp.lifted_offset(j) + vec_index(a, a)] += p.trace_weight
-
+    w = np.zeros((n + m, n + m))
+    w[:n, :n] = 2.0 * p.state_weight
+    w[n:, n:] = 2.0 * p.product_weight
+    wr, wc = np.nonzero(w)
+    base, step = _slots((n, u0), (n, m), (n, m))
+    delta = 2.0 * p.product_delta_weight
+    dr, dc = np.nonzero(delta)
+    dv = delta[dr, dc]
+    # (j, j), (j-1, j-1), (j, j-1), (j-1, j), counted from inputs j-1
+    shifts = np.array([[m, 0, m, 0], [m, 0, 0, m]], np.int32)[:, :, None] + u0
+    drc = (np.array([dr, dc], np.int32)[:, None, :] + shifts).reshape(2, -1) + m * stages[:-1, None]
     P = sp.csc_matrix(
-        sp.coo_matrix((P_vals, (P_rows, P_cols)), shape=(hp.num_vars, hp.num_vars))
+        (
+            np.concatenate([w[wr, wc]] * N + [np.concatenate([dv, dv, -dv, -dv])] * (N - 1)),
+            (
+                np.concatenate((base[wr] + step[wr] * stages, drc[:, 0]), axis=None),
+                np.concatenate((base[wc] + step[wc] * stages, drc[:, 1]), axis=None),
+            ),
+        ),
+        shape=(hp.num_vars, hp.num_vars),
     )
+    c = np.zeros(hp.num_vars)
+    c[n : (N + 1) * n].reshape(N, n)[:] += -2.0 * (p.state_weight @ target)
+    if p.trace_weight:  # on the diagonal slots of each lifted block
+        c[l0:].reshape(N, d)[:, [a * (a + 3) // 2 for a in range(side)]] += p.trace_weight
     constant = float(N * (target @ p.state_weight @ target))
     return ConicProblem(c=c, A=A, b=b, cones=cones, P=P, objective_constant=constant)
 

@@ -8,70 +8,33 @@ Solves
 with K a product of zero / nonnegative / PSD cones, by ADMM: each iteration
 alternates one linear KKT solve (factorized once and reused across
 iterations and solves), a Euclidean projection of the slack onto the cone,
-and a dual ascent step.  Diagonal Ruiz equilibration is applied up front
-because the intended problems mix weights spanning many orders of
-magnitude; the equilibration is forced to be uniform across each PSD block
-so cone membership is preserved.
+and a dual ascent step.  Diagonal Ruiz equilibration is applied up front,
+uniform across each PSD block so cone membership is preserved.
 
 Termination uses residuals of the original (unscaled) data:
 
     primal:  ||A z + s - b||_inf
     dual:    ||P z + c + A'y||_inf
 
-each compared against eps_abs + eps_rel * (problem scale).  The solver is
-fully deterministic: identical inputs produce identical iterates.
+each compared against eps_abs + eps_rel * (problem scale).
 
-A :class:`ConicSolver` is bound to one problem structure: P, A, c, the
-cones and the settings are fixed at construction, and each solve takes only
-a right-hand side b (the receding-horizon case, where a new measurement
-rewrites the stage-0 pin).  Everything that depends on the structure lives
-in a workspace built on the first solve, not at construction: the
-equilibrated data (whose column and row infinity norms come straight from
-the CSC arrays, a maximum being exact in any order), the KKT matrix
-(stacked from CSC blocks; a rho update rewrites only its -1/rho diagonal
-before refactoring), the sparse products of the check and of the
-rho balance bound to their buffers, the cone projection bound to its input
-and output buffers (zero-cone slots zeroed once, a PSD group whose slots form
-one run written through a reshaped view of the output), and every iteration
-buffer.  The loop only solves, projects and updates, in the operation order
-of the plain loop kept in ``tests/reference_admm.py``, through ufuncs bound
-once per solve with ``out`` passed positionally (not to ``np.maximum``, where
-numpy 2 deprecates it).
+Contract:
 
-The iterate is stacked: x and w share one row ``[x; w]`` of a block of
-``_CHECK_EVERY`` rows, and y has a row of its own, so each iteration reads
-the previous row and writes the next (row 0 follows the last row).  The
-KKT right-hand side is then ``[sigma...; 1...] * [x; w] - [q_s; y/rho]``,
-exact because ``1.0 * w == w``; w_half is formed in place in the solve's
-output, and the over-relaxation is three ufunc calls on the stacked
-vectors.  The PSD projection calls numpy's ``eigh_lo`` gufunc directly
-(``conic._eigh``), under the error state ``np.linalg.eigh`` sets (built once,
-set per call through numpy's context variable), so the eigenvectors are the
-same and a non-convergence still raises ``LinAlgError``.
+- A :class:`ConicSolver` is bound to one problem structure (P, A, c, the
+  cones and the settings); each solve takes only a right-hand side b.  The
+  workspace (scaling, factorization, buffers) is built on the first solve.
+- Termination is checked once per block of ``_CHECK_EVERY`` iterations, and
+  the solve stops at the first iterate at which a check after every
+  iteration would have stopped.  The returned result, the iteration count
+  and the ``log_callback`` stream are bit-identical to the plain loop kept in
+  ``tests/reference_admm.py``; identical inputs give identical iterates.
+- The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
+  ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``
+  and scipy's ``_sparsetools`` kernels, each checked against its public
+  counterpart in ``tests/test_solver.py``.
 
-Termination is checked once per block: after the block, the residuals of
-all its iterates come from one batched pass, and each side's residual and
-its two scales are reduced to infinity norms in one pass (a maximum is exact
-in any order).  The check is laid out iterate-major: the block's unscaled z,
-w and y, ``[A z - w_u, A z, s_u]`` and ``[P z + c + A'y, P z, A'y]`` are
-(10, n) and (10, m) buffers, one row per iterate, so the unscaling reads
-contiguous rows, d, e, b and c broadcast along rows and the norms reduce the
-contiguous last axis.  Only A z, P z and A'y (as the rho balance's products)
-run on columns: one call each of the sparsetools kernel scipy's ``@`` runs,
-on all ten columns of one transposed copy of z and of y, with each product
-copied back to rows.  An in-order scan then applies the per-iteration tests
-iterate by iterate and stops at the first iterate at which a check after
-every iteration would have stopped; the up to ``_CHECK_EVERY - 1`` iterates
-computed past it are discarded, and so is an exception one of them raises
-(eigh failing on an all-NaN slack) when the iterates before it already end
-the solve.  Rho updates fall on block
-ends.  Invariant: the returned result, the iteration count and the
-``log_callback`` stream are bit-identical to that plain loop's.
-
-Private entry points (numpy >= 2.0, scipy >= 1.10): ``eigh_lo`` with the
-error-state context variable ``np.errstate`` sets, ``c_einsum`` (what
-``np.einsum(optimize=False)`` calls, here with the same subscripts) and the
-``_sparsetools`` kernels, checked against ``@`` in ``tests/test_solver.py``.
+How the loop reaches that bit for bit (the stacked ``[x; w]`` iterate, the
+iterate-major block check, the bound projection) is recorded in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -137,21 +100,6 @@ class SolveResult:
     dual_residual: float
     solve_time: float
     objective: float
-
-
-def project_psd(mat: np.ndarray) -> np.ndarray:
-    """Nearest positive-semidefinite matrix in Frobenius norm.
-
-    The input is symmetrized defensively; negative eigenvalues are clamped
-    to zero.  Kept as the one-matrix reference that the batched PSD step of
-    :meth:`_ConeProjector.project` is tested against.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("cannot project a matrix with non-finite entries")
-    sym = 0.5 * (mat + mat.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
 class _ConeProjector:

@@ -129,6 +129,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert main([command, "--config", str(no_authority)]) == 1
 
 
+@pytest.mark.parametrize("lines,message", [
+    (["state_margin = 1e999"], "state_min must be finite"),
+    (["state_min = [10.0, -5.0]", "state_max = [1e999, 5.0]"], "state_max must be finite"),
+    (["state_margin = 40.0", "product_min = -1e999", "product_max = 1.0"],
+     "product_min must be finite"),
+], ids=["infinite-margin", "infinite-state-max", "infinite-product-min"])
+def test_nonfinite_bounds_are_config_errors(tmp_path, capsys, lines, message):
+    # the literal 1e999 parses to inf; a bound must be finite, so the file is
+    # rejected up front (exit 1) rather than failing every control step
+    cfg = tmp_path / "unbounded.cfg"
+    kept = [line for line in TWOCRAFT_CFG.read_text().splitlines()
+            if not line.startswith("state_margin")]
+    cfg.write_text("\n".join(kept + lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(cfg)
+    assert main(["run", "--config", str(cfg), "--steps", "2",
+                 "--output", str(tmp_path / "out.csv")]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config,extra,message", [
     (TWOCRAFT_CFG, ["--grid-points", "5"], "at least 21 charge levels"),
     (FOURCRAFT_CFG, [], "limited to <= 3 spacecraft"),

@@ -11,7 +11,6 @@ from coulombmpc import (
     absolute_input_matrix,
     build_discrete_model,
     charge_products,
-    continuous_rhs,
     propagate,
     relative_input_matrix,
     rk4_step,
@@ -20,6 +19,13 @@ from coulombmpc import (
 from coulombmpc.config import load_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def continuous_rhs(state: RelativeState, charges: np.ndarray, cfg: FormationConfig) -> np.ndarray:
+    """Time derivative of the packed relative state [positions; velocities]:
+    the reference right-hand side that ``rk4_step`` evaluates without checks."""
+    accel = relative_input_matrix(state.positions, cfg) @ charge_products(charges)
+    return np.concatenate([state.velocities, accel])
 
 
 def pairwise_accelerations(positions, charges, masses, kappa=COULOMB_CONSTANT):

@@ -8,11 +8,11 @@ from coulombmpc import (
     build_discrete_model,
     build_horizon_problem,
     charge_products,
-    evaluate_cost,
     to_conic,
     update_initial_state,
 )
-from coulombmpc.conic import sym_to_vec, vec_dim, vec_index, vec_to_sym
+from coulombmpc.conic import sym_to_vec, vec_dim, vec_index
+from reference_conic import evaluate_cost, pack, vec_to_sym
 
 
 def conic_violation(prob, z):
@@ -125,7 +125,7 @@ def test_pack_unpack_round_trip(threecraft_formation):
     inputs = rng.normal(size=(4, 3))
     lifted = rng.normal(size=(4, 3, 3))
     lifted = lifted + np.transpose(lifted, (0, 2, 1))
-    z = hp.pack(states, inputs, lifted)
+    z = pack(hp, states, inputs, lifted)
     s2, u2, l2 = hp.unpack(z)
     assert np.allclose(s2, states, atol=1e-14)
     assert np.allclose(u2, inputs, atol=1e-14)
@@ -156,7 +156,7 @@ def test_unforced_point_is_conic_feasible(threecraft_formation):
     hp = build_horizon_problem(np.array([40.0, 80.0, 0.0, 0.0]), model, params)
     prob = to_conic(hp)
     states, inputs, lifted = rollout(hp, np.zeros((5, 3)))
-    z = hp.pack(states, inputs, lifted)
+    z = pack(hp, states, inputs, lifted)
     assert conic_violation(prob, z) <= 1e-9
 
 
@@ -173,7 +173,7 @@ def test_objective_transfer_matches_structured_cost(threecraft_formation):
     rng = np.random.default_rng(4)
     plan = rng.uniform(-0.2, 0.2, size=(4, 3))
     states, inputs, lifted = rollout(hp, plan)
-    z = hp.pack(states, inputs, lifted)
+    z = pack(hp, states, inputs, lifted)
     structured = evaluate_cost(hp, states, inputs, lifted)
     assert prob.objective_value(z) == pytest.approx(structured, rel=1e-9)
     assert conic_violation(prob, z) <= 1e-8
@@ -196,7 +196,7 @@ def test_relaxation_soundness_lifted_charges_cost_identity(threecraft_formation)
     for _ in range(5):
         plan = rng.uniform(-0.1, 0.1, size=(3, 3))
         states, inputs, lifted = rollout(hp, plan)
-        z = hp.pack(states, inputs, lifted)
+        z = pack(hp, states, inputs, lifted)
         assert conic_violation(prob, z) <= 1e-8
         plain = evaluate_cost(hp_plain, states, inputs, lifted)
         expected = plain + 1.3 * sum(float(q @ q) for q in plan)
@@ -337,3 +337,44 @@ def test_mpc_params_validation():
             state_weight=1.0, product_weight=0.0, product_delta_weight=0.0,
             state_min=np.array([10.0, -5.0]), state_max=np.array([5.0, 5.0]),  # inverted
         )
+
+
+def fourcraft_bounds(**bounds):
+    """Four-craft parameters (6 states, 6 products) with the given bounds."""
+    desired = np.array([50.0, 100.0, 150.0])
+    kwargs = dict(state_min=-1e3, state_max=1e3, product_min=-1.0, product_max=1.0)
+    kwargs.update(bounds)
+    return MpcParams(horizon=2, desired_positions=desired, state_weight=1.0,
+                     product_weight=0.0, product_delta_weight=0.0, **kwargs)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("state_min", -np.inf),
+    ("state_max", np.inf),
+    ("state_min", [-1.0, np.nan, -1.0, -1.0, -1.0, -1.0]),
+    ("product_min", -np.inf),
+    ("product_max", [1.0, 1.0, 1.0, np.nan, 1.0, 1.0]),
+])
+def test_mpc_params_rejects_nonfinite_bounds(field, value):
+    # an infinite or NaN bound would put a non-finite entry in b, which every
+    # solve then rejects: it is refused at construction instead
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        fourcraft_bounds(**{field: value})
+
+
+def test_product_bounds_broadcast_scalars():
+    params = fourcraft_bounds(product_min=-0.5, product_max=0.5)
+    assert np.array_equal(params.product_min, np.full(6, -0.5))
+    assert np.array_equal(params.product_max, np.full(6, 0.5))
+    assert np.array_equal(params.state_max, np.full(6, 1e3))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("product_min", -np.ones(5)),
+    ("product_max", np.ones(7)),
+    ("product_min", -np.ones((2, 3))),
+    ("product_max", np.ones((6, 1))),
+])
+def test_product_bounds_wrong_shape_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must have length 6"):
+        fourcraft_bounds(**{field: value})

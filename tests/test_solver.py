@@ -13,11 +13,10 @@ from coulombmpc import (
     SolverSettings,
     build_discrete_model,
     build_horizon_problem,
-    project_psd,
     to_conic,
 )
 from coulombmpc.config import load_scenario
-from coulombmpc.conic import sym_to_vec, vec_dim, vec_to_sym
+from coulombmpc.conic import vec_dim
 from coulombmpc.solver import (
     INFEASIBLE_SUSPECT,
     MAX_ITERS,
@@ -27,6 +26,7 @@ from coulombmpc.solver import (
     _ConeProjector,
     _row_inf_norms,
 )
+from reference_conic import project_psd, vec_to_sym
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
