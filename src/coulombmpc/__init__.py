@@ -7,7 +7,7 @@ the applied charges are recovered by rank-one rounding of the first lifted
 matrix.
 """
 
-from .conic import ConeDims, ConicProblem, sym_to_vec, vec_dim
+from .conic import ConeDims, ConicProblem, vec_dim
 from .controller import (
     INVALID_MEASUREMENT,
     ControllerState,

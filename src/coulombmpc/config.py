@@ -63,8 +63,6 @@ _KNOWN_KEYS = {
     "eps_abs",
     "eps_rel",
     "max_iters",
-    "rho",
-    "adaptive_rho",
     "output",
 }
 
@@ -112,6 +110,17 @@ def _vector(values: dict, key: str, length: int, default=None) -> np.ndarray | N
     return arr
 
 
+def _count(values: dict, key: str, default: int) -> int:
+    """A whole-number value (1e3 is 1000); a fractional one is an error, not truncated."""
+    value = values.get(key, default)
+    try:
+        if int(value) == value:
+            return int(value)
+    except (ValueError, TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{key} must be a whole number, got {value!r}")
+
+
 def scenario_from_values(values: dict, overrides: dict | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed key/value pairs."""
     values = dict(values)
@@ -123,7 +132,7 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
     except KeyError:
         raise ConfigError("'desired' (relative target positions) is required")
     ns = desired.size + 1
-    if "num_spacecraft" in values and int(values["num_spacecraft"]) != ns:
+    if "num_spacecraft" in values and _count(values, "num_spacecraft", ns) != ns:
         raise ConfigError(
             f"num_spacecraft = {values['num_spacecraft']} conflicts with "
             f"a desired vector of length {desired.size}"
@@ -151,7 +160,7 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
             min_separation=float(values.get("min_separation", 1e-3)),
         )
         params = MpcParams(
-            horizon=int(values.get("horizon", 9)),
+            horizon=_count(values, "horizon", 9),
             desired_positions=desired,
             state_weight=np.asarray(values.get("state_weight", 1.0), dtype=float),
             product_weight=np.asarray(values.get("product_weight", 0.0), dtype=float),
@@ -167,9 +176,7 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
         solver = SolverSettings(
             eps_abs=float(values.get("eps_abs", 1e-6)),
             eps_rel=float(values.get("eps_rel", 1e-6)),
-            max_iters=int(values.get("max_iters", 20000)),
-            rho=float(values.get("rho", 1.0)),
-            adaptive_rho=bool(values.get("adaptive_rho", True)),
+            max_iters=_count(values, "max_iters", 20000),
             warm_start=bool(values.get("warm_start", True)),
         )
         if "initial_state" not in values:
@@ -180,8 +187,8 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
             solver=solver,
             initial_state=np.asarray(values["initial_state"], dtype=float),
             sample_period=float(values.get("sample_period", 0.5)),
-            steps=int(values.get("steps", 2400)),
-            substeps=int(values.get("substeps", 10)),
+            steps=_count(values, "steps", 2400),
+            substeps=_count(values, "substeps", 10),
             saturation_limit=float(values.get("saturation_limit", 0.1)),
             output_path=values.get("output"),
         )

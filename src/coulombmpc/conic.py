@@ -53,22 +53,6 @@ def vec_dim(side: int) -> int:
     return side * (side + 1) // 2
 
 
-def vec_index(row: int, col: int) -> int:
-    """Position of lower-triangular entry (row, col), row >= col, in the vectorization."""
-    if col > row:
-        row, col = col, row
-    return row * (row + 1) // 2 + col
-
-
-def sym_to_vec(mat: np.ndarray) -> np.ndarray:
-    """Scaled lower-triangular vectorization of a symmetric matrix."""
-    mat = np.asarray(mat, dtype=float)
-    side = mat.shape[0]
-    rows, cols = np.tril_indices(side)
-    scale = np.where(rows == cols, 1.0, SQRT2)
-    return mat[rows, cols] * scale
-
-
 def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather map from a vectorization back to the full ``side x side`` matrix.
 

@@ -86,6 +86,8 @@ class MpcParams:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if not np.isfinite(self.trace_weight):
+            raise ValueError("trace_weight must be finite")
         if self.trace_weight < 0:
             raise ValueError("trace_weight must be nonnegative")
         desired = np.atleast_1d(np.asarray(self.desired_positions, dtype=float))

@@ -24,18 +24,12 @@ from .dynamics import (
     rk4_step,
 )
 from .horizon import MpcParams
-from .solver import SolverSettings
+from .solver import SolverSettings, _check_count
 
 RUN_COMPLETED = "completed"
 RUN_ABORTED_COLLISION = "aborted-collision"
 
 CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
-
-
-def _check_count(value, name: str) -> None:
-    """Reject a count that is not a whole number of at least 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass

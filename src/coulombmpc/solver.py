@@ -8,8 +8,12 @@ Solves
 with K a product of zero / nonnegative / PSD cones, by ADMM: each iteration
 alternates one linear KKT solve (factorized once and reused across
 iterations and solves), a Euclidean projection of the slack onto the cone,
-and a dual ascent step.  Diagonal Ruiz equilibration is applied up front,
-uniform across each PSD block so cone membership is preserved.
+and a dual ascent step.  Diagonal Ruiz equilibration (``_RUIZ_ITERS``
+passes) is applied up front, uniform across each PSD block so cone
+membership is preserved.  The tuning is fixed: KKT regularization
+``_SIGMA``, over-relaxation ``_ALPHA``, and a penalty rho that starts at
+``_RHO_INIT`` and is always adapted (every ``_RHO_CHECK_EVERY`` iterations,
+when the scaled residuals differ by more than ``_RHO_TRIGGER``).
 
 Termination uses residuals of the original (unscaled) data:
 
@@ -23,6 +27,9 @@ Contract:
 - A :class:`ConicSolver` is bound to one problem structure (P, A, c, the
   cones and the settings); each solve takes only a right-hand side b.  The
   workspace (scaling, factorization, buffers) is built on the first solve.
+  The settings are only the tolerances, the iteration budget and whether
+  the controller warm starts.
+- A result is the iterate the solve stopped at, whatever its status.
 - Termination is checked once per block of ``_CHECK_EVERY`` iterations, and
   the solve stops at the first iterate at which a check after every
   iteration would have stopped.  The returned result, the iteration count
@@ -56,13 +63,23 @@ OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
 INFEASIBLE_SUSPECT = "infeasible_suspect"
 
+_RHO_INIT = 1.0  # the first solve's rho; later solves start from the adapted one
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_EQ_FACTOR = 1e3  # zero-cone rows get a stiffer penalty
 _RHO_CHECK_EVERY = 100
 _CHECK_EVERY = 10  # iterations per termination-check block; divides _RHO_CHECK_EVERY
 _RHO_TRIGGER = 5.0
+_SIGMA = 1e-6  # primal regularization of the KKT system
+_ALPHA = 1.6  # over-relaxation
+_RUIZ_ITERS = 10
 _STALL_ITERS = 2000
 _STALL_SCORE = 1e4
+
+
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not a whole number of at least 1."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -70,23 +87,12 @@ class SolverSettings:
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     max_iters: int = 20000
-    rho: float = 1.0
-    adaptive_rho: bool = True
     warm_start: bool = True
-    sigma: float = 1e-6  # primal regularization of the KKT system
-    alpha: float = 1.6  # over-relaxation
-    equilibrate: bool = True
-    ruiz_iters: int = 10
 
     def __post_init__(self):
-        if self.eps_abs <= 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (0 < self.alpha < 2):
-            raise ValueError("alpha must lie in (0, 2)")
-        if self.rho <= 0 or self.sigma <= 0:
-            raise ValueError("rho and sigma must be positive")
+        if not (0 < self.eps_abs < math.inf and 0 <= self.eps_rel < math.inf):
+            raise ValueError("tolerances must be finite, eps_abs positive and eps_rel nonnegative")
+        _check_count(self.max_iters, "max_iters")
 
 
 @dataclass
@@ -170,10 +176,6 @@ class _ConeProjector:
 
         return project
 
-    def project(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The projection of ``v``, into ``out`` when given."""
-        return self.bind(v, np.empty_like(v) if out is None else out)()
-
 
 def _amax(v: np.ndarray) -> float:
     """Infinity norm of v, 0 for an empty vector."""
@@ -245,7 +247,7 @@ def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """Scaled data, cached factorization and iteration buffers of a solver."""
 
-    def __init__(self, P_s, A_s, q_s, d, e, gamma, prob, projector, settings):
+    def __init__(self, P_s, A_s, q_s, d, e, gamma, prob, projector):
         m, n = A_s.shape
         self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
         self.d, self.e, self.gamma = d, e, gamma
@@ -256,7 +258,7 @@ class _Workspace:
         # gives the arrays of its COO path, entry for entry
         self.kkt = sp.bmat(
             [
-                [P_s + settings.sigma * sp.eye(n, format="csc"), A_s.T.tocsc()],
+                [P_s + _SIGMA * sp.eye(n, format="csc"), A_s.T.tocsc()],
                 [A_s, -sp.eye(m, format="csc")],
             ],
             format="csc",
@@ -275,7 +277,7 @@ class _Workspace:
             for r in range(_CHECK_EVERY)
         ]
         # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
-        self.sig = np.concatenate([np.full(n, settings.sigma), np.ones(m)])
+        self.sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
         self.shift = np.concatenate([q_s, np.zeros(m)])
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
@@ -296,7 +298,7 @@ class _Workspace:
         x, y = self.rows[-1, :n], self.y_rows[-1]
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
                         _bind_product(A_s.T, y, np.zeros(n))]
-        self.set_rho(settings.rho)
+        self.set_rho(_RHO_INIT)
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
@@ -338,7 +340,7 @@ class ConicSolver:
 
     # -- setup ---------------------------------------------------------------
     def _prepare(self) -> _Workspace:
-        prob, settings = self.prob, self.settings
+        prob = self.prob
         n = prob.num_vars
         P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
         P_s = P.astype(float)  # astype copies
@@ -348,44 +350,43 @@ class ConicSolver:
         e = np.ones(prob.num_rows)
         gamma = 1.0
         projector = _ConeProjector(prob.cones)
-        if settings.equilibrate:
-            # scaling .data in place equals the D P D and E A D products
-            # entry for entry once the pattern is canonical without zeros
-            for mat in (P_s, A_s):
-                mat.sum_duplicates()
-                mat.eliminate_zeros()
-            p_rows, p_cols = _csc_row_col(P_s)
-            a_rows, a_cols = _csc_row_col(A_s)
-            for _ in range(settings.ruiz_iters):
-                col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
-                col_norm[col_norm == 0] = 1.0
-                dd = 1.0 / np.sqrt(col_norm)
-                row_norm = _row_inf_norms(A_s)
-                # a PSD block must be scaled uniformly or the cone is distorted
-                for flat, *_ in projector.groups:
-                    row_norm[flat] = row_norm[flat].max(axis=1)[:, None]
-                row_norm[row_norm == 0] = 1.0
-                ee = 1.0 / np.sqrt(row_norm)
-                P_s.data *= dd[p_rows]
-                P_s.data *= dd[p_cols]
-                A_s.data *= ee[a_rows]
-                A_s.data *= dd[a_cols]
-                q_s *= dd
-                d *= dd
-                e *= ee
-                # interleaved cost normalization keeps P from dominating the
-                # column norms, so A itself ends up equilibrated too
-                cost_scale = max(
-                    float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
-                    float(_amax(q_s)),
-                )
-                if cost_scale > 0:
-                    step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
-                    P_s.data *= step
-                    q_s = step * q_s
-                    gamma *= step
+        # scaling .data in place equals the D P D and E A D products
+        # entry for entry once the pattern is canonical without zeros
+        for mat in (P_s, A_s):
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
+        p_rows, p_cols = _csc_row_col(P_s)
+        a_rows, a_cols = _csc_row_col(A_s)
+        for _ in range(_RUIZ_ITERS):
+            col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
+            col_norm[col_norm == 0] = 1.0
+            dd = 1.0 / np.sqrt(col_norm)
+            row_norm = _row_inf_norms(A_s)
+            # a PSD block must be scaled uniformly or the cone is distorted
+            for flat, *_ in projector.groups:
+                row_norm[flat] = row_norm[flat].max(axis=1)[:, None]
+            row_norm[row_norm == 0] = 1.0
+            ee = 1.0 / np.sqrt(row_norm)
+            P_s.data *= dd[p_rows]
+            P_s.data *= dd[p_cols]
+            A_s.data *= ee[a_rows]
+            A_s.data *= dd[a_cols]
+            q_s *= dd
+            d *= dd
+            e *= ee
+            # interleaved cost normalization keeps P from dominating the
+            # column norms, so A itself ends up equilibrated too
+            cost_scale = max(
+                float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
+                float(_amax(q_s)),
+            )
+            if cost_scale > 0:
+                step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
+                P_s.data *= step
+                q_s = step * q_s
+                gamma *= step
 
-        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob, projector, settings)
+        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob, projector)
 
     # -- main loop -------------------------------------------------------------
     def solve(
@@ -440,15 +441,12 @@ class ConicSolver:
         # bound once; each ufunc takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
 
-        alpha = settings.alpha
-        beta = 1.0 - alpha
+        alpha, beta = _ALPHA, 1.0 - _ALPHA
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
-        adaptive_rho = settings.adaptive_rho
         max_iters = settings.max_iters
         b_scale, c_scale = _amax(b), ws.c_scale
 
-        best_score = np.inf
-        best = None
+        best_score = np.inf  # the stall rule's best score and its iterate
         best_iter = 0
         status = None
         it = 0  # iterations completed before the current block
@@ -506,7 +504,6 @@ class ConicSolver:
             duals = np.abs(dual, out=dual).max(axis=2, initial=0.0).tolist()
 
             # the per-iteration termination logic, iterate by iterate
-            block_best = None
             for row, (r_prim, az, su, r_dual, pz, aty) in enumerate(zip(*prims, *duals)):
                 k = it + row + 1
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
@@ -520,7 +517,6 @@ class ConicSolver:
                 if score < best_score:
                     best_score = score
                     best_iter = k
-                    block_best = row
                 if r_prim <= eps_prim and r_dual <= eps_dual:
                     status = OPTIMAL
                     break
@@ -531,17 +527,11 @@ class ConicSolver:
                 row = done - 1
             if status is None and failure is not None:
                 raise failure
-            # the slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
-            if block_best is not None:
-                j = block_best
-                best = (z_u[j].copy(), b - w_u[j], y_u[j].copy(), prims[0][j], duals[0][j])
-            elif best is None:  # the first iterate is already non-finite
-                best = (z_u[row].copy(), b - w_u[row], y_u[row].copy(), np.inf, np.inf)
             it += row + 1
             if status is not None:
                 break
 
-            if adaptive_rho and it % _RHO_CHECK_EVERY == 0:
+            if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in; a block that does not end the
                 # solve is full, so its last iterate is in the last row
@@ -557,16 +547,18 @@ class ConicSolver:
                         ws.set_rho(ws.rho_scalar * float(ratio))
                         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
-        z_u, s_u, y_u, r_prim, r_dual = best
+        # the iterate the solve stopped at, in the last block's row; the
+        # slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
+        z = z_u[row].copy()
         return SolveResult(
-            z=z_u,
-            s=s_u,
-            y=y_u,
+            z=z,
+            s=b - w_u[row],
+            y=y_u[row].copy(),
             status=status or MAX_ITERS,
             iterations=it,
-            primal_residual=float(r_prim),
-            dual_residual=float(r_dual),
+            primal_residual=prims[0][row],
+            dual_residual=duals[0][row],
             solve_time=time.perf_counter() - t0,
-            objective=prob.objective_value(z_u),
+            objective=prob.objective_value(z),
         )
 

@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from coulombmpc import ConeDims, ConicProblem
-from coulombmpc.conic import SQRT2, sym_to_vec
+from coulombmpc.conic import SQRT2
+from reference_conic import sym_to_vec
 
 
 def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):

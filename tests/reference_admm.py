@@ -1,12 +1,15 @@
-"""Reference ADMM: the original, unoptimized solver loop, kept verbatim.
+"""Reference ADMM: the original, unoptimized solver loop.
 
 This is the plain iteration the package's :class:`coulombmpc.ConicSolver`
 started from: every vector is freshly allocated, ``A.T`` is rebuilt on each
 iteration, the PSD projection scatters into zeroed stacks, Ruiz
 equilibration multiplies by diagonal matrices and each rho refactor
 reassembles the KKT matrix with ``bmat``.  The optimized solver must
-reproduce its iterates bit for bit (see ``test_solver_reference.py``); the
-only edits below are the class name and imports.
+reproduce its iterates bit for bit (see ``test_solver_reference.py``).
+Besides the class name and imports, two edits follow the solver's rules:
+the fixed tuning (sigma, alpha, the initial rho, the Ruiz passes; always
+equilibrated, rho always adapted) is read from the solver's constants, and a
+result is the iterate the loop stopped at, not the best-scoring one.
 """
 
 from __future__ import annotations
@@ -20,11 +23,15 @@ from scipy.sparse.linalg import splu
 
 from coulombmpc.conic import ConeDims, ConicProblem, vec_dim
 from coulombmpc.solver import (
+    _ALPHA,
     _RHO_CHECK_EVERY,
     _RHO_EQ_FACTOR,
+    _RHO_INIT,
     _RHO_MAX,
     _RHO_MIN,
     _RHO_TRIGGER,
+    _RUIZ_ITERS,
+    _SIGMA,
     _STALL_ITERS,
     _STALL_SCORE,
     INFEASIBLE_SUSPECT,
@@ -173,10 +180,6 @@ class ReferenceSolver:
             _matrix_fingerprint(prob.A),
             np.array(prob.c),
             prob.cones,
-            settings.sigma,
-            settings.rho,
-            settings.equilibrate,
-            settings.ruiz_iters,
         )
         ws = self._ws
         if ws is not None and self._fingerprint_matches(ws.fingerprint, fingerprint):
@@ -188,35 +191,34 @@ class ReferenceSolver:
         d = np.ones(n)
         e = np.ones(prob.num_rows)
         gamma = 1.0
-        if settings.equilibrate:
-            psd_blocks = _psd_row_blocks(prob.cones)
-            for _ in range(settings.ruiz_iters):
-                col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
-                col_norm[col_norm == 0] = 1.0
-                dd = 1.0 / np.sqrt(col_norm)
-                row_norm = _row_inf_norms(A_s)
-                # a PSD block must be scaled uniformly or the cone is distorted
-                for blk in psd_blocks:
-                    row_norm[blk] = row_norm[blk].max()
-                row_norm[row_norm == 0] = 1.0
-                ee = 1.0 / np.sqrt(row_norm)
-                D = sp.diags(dd)
-                P_s = (D @ P_s @ D).tocsc()
-                A_s = (sp.diags(ee) @ A_s @ D).tocsc()
-                q_s *= dd
-                d *= dd
-                e *= ee
-                # interleaved cost normalization keeps P from dominating the
-                # column norms, so A itself ends up equilibrated too
-                cost_scale = max(
-                    float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
-                    float(np.abs(q_s).max()) if q_s.size else 0.0,
-                )
-                if cost_scale > 0:
-                    step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
-                    P_s = (step * P_s).tocsc()
-                    q_s = step * q_s
-                    gamma *= step
+        psd_blocks = _psd_row_blocks(prob.cones)
+        for _ in range(_RUIZ_ITERS):
+            col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
+            col_norm[col_norm == 0] = 1.0
+            dd = 1.0 / np.sqrt(col_norm)
+            row_norm = _row_inf_norms(A_s)
+            # a PSD block must be scaled uniformly or the cone is distorted
+            for blk in psd_blocks:
+                row_norm[blk] = row_norm[blk].max()
+            row_norm[row_norm == 0] = 1.0
+            ee = 1.0 / np.sqrt(row_norm)
+            D = sp.diags(dd)
+            P_s = (D @ P_s @ D).tocsc()
+            A_s = (sp.diags(ee) @ A_s @ D).tocsc()
+            q_s *= dd
+            d *= dd
+            e *= ee
+            # interleaved cost normalization keeps P from dominating the
+            # column norms, so A itself ends up equilibrated too
+            cost_scale = max(
+                float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
+                float(np.abs(q_s).max()) if q_s.size else 0.0,
+            )
+            if cost_scale > 0:
+                step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
+                P_s = (step * P_s).tocsc()
+                q_s = step * q_s
+                gamma *= step
 
         ws = _Workspace(
             P_s=P_s,
@@ -225,14 +227,14 @@ class ReferenceSolver:
             d=d,
             e=e,
             gamma=gamma,
-            rho_base=settings.rho,
-            rho_scalar=settings.rho,
+            rho_base=_RHO_INIT,
+            rho_scalar=_RHO_INIT,
             cones=prob.cones,
-            sigma=settings.sigma,
+            sigma=_SIGMA,
             fingerprint=fingerprint,
         )
         ws.projector = _ConeProjector(prob.cones)
-        ws.set_rho(settings.rho)
+        ws.set_rho(_RHO_INIT)
         self._ws = ws
         return ws
 
@@ -282,12 +284,11 @@ class ReferenceSolver:
             w = np.zeros(mr)
             y = np.zeros(mr)
 
-        sigma, alpha = settings.sigma, settings.alpha
+        sigma, alpha = _SIGMA, _ALPHA
         b_scale = np.abs(b).max() if b.size else 0.0
         c_scale = np.abs(c).max() if c.size else 0.0
 
         best_score = np.inf
-        best = None
         best_iter = 0
         status = MAX_ITERS
         iterations = settings.max_iters
@@ -331,7 +332,6 @@ class ReferenceSolver:
             score = max(r_prim / eps_prim, r_dual / eps_dual)
             if score < best_score:
                 best_score = score
-                best = (z_u, s_u, y_u, r_prim, r_dual)
                 best_iter = it
 
             if r_prim <= eps_prim and r_dual <= eps_dual:
@@ -344,7 +344,7 @@ class ReferenceSolver:
                 iterations = it
                 break
 
-            if settings.adaptive_rho and it % _RHO_CHECK_EVERY == 0:
+            if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in
                 Ax_s = ws.A_s @ x
@@ -366,9 +366,6 @@ class ReferenceSolver:
         else:
             iterations = settings.max_iters
 
-        if best is None:
-            best = (ws.d * x, b - w / ws.e, (ws.e * y) / ws.gamma, np.inf, np.inf)
-        z_u, s_u, y_u, r_prim, r_dual = best
         return SolveResult(
             z=z_u,
             s=s_u,

@@ -12,6 +12,8 @@ The other functions are one-block or one-stage references:
 - ``evaluate_cost``: the structured objective, stage by stage, that the
   conic objective reproduces;
 - ``pack``: the flattening that ``HorizonProblem.unpack`` inverts;
+- ``vec_index`` and ``sym_to_vec``: the scaled lower-triangular
+  vectorization of a symmetric matrix, entry by entry and whole;
 - ``vec_to_sym``: the inverse of ``sym_to_vec``, against which the gathers of
   the cone projector and of ``unpack`` are tested;
 - ``project_psd``: the one-matrix PSD projection that the solver's batched
@@ -23,9 +25,25 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from coulombmpc.conic import SQRT2, ConeDims, ConicProblem, sym_gather, sym_to_vec, vec_dim, vec_index
+from coulombmpc.conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
 from coulombmpc.dynamics import spacecraft_pairs
 from coulombmpc.horizon import HorizonProblem
+
+
+def vec_index(row: int, col: int) -> int:
+    """Position of lower-triangular entry (row, col), row >= col, in the vectorization."""
+    if col > row:
+        row, col = col, row
+    return row * (row + 1) // 2 + col
+
+
+def sym_to_vec(mat: np.ndarray) -> np.ndarray:
+    """Scaled lower-triangular vectorization of a symmetric matrix."""
+    mat = np.asarray(mat, dtype=float)
+    side = mat.shape[0]
+    rows, cols = np.tril_indices(side)
+    scale = np.where(rows == cols, 1.0, SQRT2)
+    return mat[rows, cols] * scale
 
 
 def vec_to_sym(vec: np.ndarray) -> np.ndarray:
@@ -44,7 +62,7 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
     The input is symmetrized defensively; negative eigenvalues are clamped
     to zero.  Kept as the one-matrix reference that the batched PSD step of
-    :meth:`_ConeProjector.project` is tested against.
+    the solver's ``_ConeProjector`` is tested against.
     """
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):

@@ -149,6 +149,45 @@ def test_nonfinite_bounds_are_config_errors(tmp_path, capsys, lines, message):
     assert message in capsys.readouterr().err
 
 
+def twocraft_with(tmp_path, *lines):
+    """The shipped two-craft file with ``lines`` replacing the keys they set."""
+    keys = {line.split("=")[0].strip() for line in lines}
+    kept = [line for line in TWOCRAFT_CFG.read_text().splitlines()
+            if line.split("=")[0].strip() not in keys]
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text("\n".join(kept + list(lines)) + "\n")
+    return cfg
+
+
+@pytest.mark.parametrize("line,message", [
+    ("steps = 2.5", "steps must be a whole number"),
+    ("substeps = 9.5", "substeps must be a whole number"),
+    ("max_iters = 2.5", "max_iters must be a whole number"),
+    ("horizon = 1.5", "horizon must be a whole number"),
+    ("steps = nan", "steps must be a whole number"),
+    ("steps = 1e999", "steps must be a whole number"),
+    ("trace_weight = nan", "trace_weight must be finite"),
+    ("trace_weight = 1e999", "trace_weight must be finite"),
+    ("rho = 1.0", "unknown key 'rho'"),
+    ("adaptive_rho = false", "unknown key 'adaptive_rho'"),
+])
+def test_bad_values_are_config_errors(tmp_path, capsys, line, message):
+    # a fractional count used to be truncated by int(), and a non-finite
+    # trace weight failed inside the solver; the solver's tuning has no keys
+    cfg = twocraft_with(tmp_path, line)
+    with pytest.raises(ConfigError, match=message):
+        load_scenario(cfg)
+    # no --steps: the command-line value would replace the file's
+    assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_whole_float_counts_load(tmp_path):
+    scen = load_scenario(twocraft_with(tmp_path, "steps = 1e3", "max_iters = 5e3"))
+    assert (scen.steps, scen.solver.max_iters) == (1000, 5000)
+    assert type(scen.steps) is int and type(scen.solver.max_iters) is int
+
+
 @pytest.mark.parametrize("config,extra,message", [
     (TWOCRAFT_CFG, ["--grid-points", "5"], "at least 21 charge levels"),
     (FOURCRAFT_CFG, [], "limited to <= 3 spacecraft"),

@@ -11,8 +11,8 @@ from coulombmpc import (
     to_conic,
     update_initial_state,
 )
-from coulombmpc.conic import sym_to_vec, vec_dim, vec_index
-from reference_conic import evaluate_cost, pack, vec_to_sym
+from coulombmpc.conic import vec_dim
+from reference_conic import evaluate_cost, pack, sym_to_vec, vec_index, vec_to_sym
 
 
 def conic_violation(prob, z):
@@ -337,6 +337,14 @@ def test_mpc_params_validation():
             state_weight=1.0, product_weight=0.0, product_delta_weight=0.0,
             state_min=np.array([10.0, -5.0]), state_max=np.array([5.0, 5.0]),  # inverted
         )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mpc_params_rejects_nonfinite_trace_weight(value):
+    # a NaN weight passed the sign check and failed later, inside the
+    # solver, with an error that named no field
+    with pytest.raises(ValueError, match="trace_weight must be finite"):
+        simple_params(2, 2, np.array([50.0]), trace_weight=value)
 
 
 def fourcraft_bounds(**bounds):

@@ -18,6 +18,7 @@ from coulombmpc import (
 from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
 from coulombmpc.solver import (
+    _SIGMA,
     INFEASIBLE_SUSPECT,
     MAX_ITERS,
     OPTIMAL,
@@ -73,22 +74,27 @@ def test_project_psd_rejects_nonfinite():
 
 # -- blockwise cone projection ----------------------------------------------------
 
+def project_cone(cones, v):
+    """The projection of ``v`` onto ``cones``, through a fresh bound call."""
+    return _ConeProjector(cones).bind(v, np.empty_like(v))()
+
+
 def test_project_cone_nonneg_passthrough():
     cones = ConeDims(nonneg=4)
     v = np.array([0.5, 1.0, 0.0, 2.0])
-    assert np.array_equal(_ConeProjector(cones).project(v), v)
+    assert np.array_equal(project_cone(cones, v), v)
 
 
 def test_project_cone_zero_block():
     cones = ConeDims(zero=3)
-    assert np.array_equal(_ConeProjector(cones).project(np.array([1.0, -2.0, 3.0])), np.zeros(3))
+    assert np.array_equal(project_cone(cones, np.array([1.0, -2.0, 3.0])), np.zeros(3))
 
 
 def test_project_cone_mixed_blocks_match_individual():
     rng = np.random.default_rng(2)
     cones = ConeDims(zero=2, nonneg=3, psd=(2, 3, 2))
     v = rng.normal(size=cones.total)
-    out = _ConeProjector(cones).project(v)
+    out = project_cone(cones, v)
     assert np.array_equal(out[:2], np.zeros(2))
     assert np.array_equal(out[2:5], np.maximum(v[2:5], 0.0))
     off = 5
@@ -161,6 +167,23 @@ def test_max_iters_status():
     result = ConicSolver(prob, SolverSettings(max_iters=1)).solve()
     assert result.status == MAX_ITERS
     assert result.iterations == 1
+
+
+@pytest.mark.parametrize("settings,status", [
+    (SolverSettings(max_iters=37), MAX_ITERS),
+    (SolverSettings(max_iters=8000), INFEASIBLE_SUSPECT),
+], ids=["budget", "stall"])
+def test_result_is_the_stopping_iterate(settings, status):
+    # whatever the status, the result is the last iterate, not the best-scoring one
+    prob = ConicProblem(
+        c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]), b=np.array([-1.0, -1.0]),
+        cones=ConeDims(nonneg=2),
+    )
+    seen = []
+    result = ConicSolver(prob, settings).solve(log_callback=lambda *args: seen.append(args))
+    assert result.status == status
+    assert seen[-1] == (result.iterations, result.primal_residual, result.dual_residual)
+    assert np.abs(prob.A @ result.z + result.s - prob.b).max() == pytest.approx(result.primal_residual)
 
 
 def test_nonfinite_data_rejected():
@@ -263,21 +286,23 @@ def test_log_callback_streams_residuals():
     assert all(np.isfinite(rp) and np.isfinite(rd) for _, rp, rd in seen)
 
 
-def test_equilibration_toggle_same_answer():
-    _, prob, expected = build_problems()[3]
-    on = ConicSolver(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8)).solve()
-    off = ConicSolver(prob, SolverSettings(eps_abs=1e-8, eps_rel=1e-8, equilibrate=False)).solve()
-    assert on.objective == pytest.approx(expected, abs=1e-5)
-    assert off.objective == pytest.approx(expected, abs=1e-5)
-
-
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(eps_abs=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverSettings(alpha=2.5)
+    # beyond the signs, each of these made every solve fail: a fractional
+    # budget raised out of solve, a NaN tolerance was never met and an
+    # infinite one always was
+    for field, value in [
+        ("eps_abs", 0.0), ("eps_abs", np.nan), ("eps_abs", np.inf),
+        ("eps_rel", -1e-9), ("eps_rel", np.nan), ("eps_rel", np.inf),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 100.0),
+    ]:
+        with pytest.raises(ValueError, match="tolerances|max_iters"):
+            SolverSettings(**{field: value})
+
+
+def test_settings_are_the_four_a_caller_sets():
+    fields = [f.name for f in dataclasses.fields(SolverSettings)]
+    assert fields == ["eps_abs", "eps_rel", "max_iters", "warm_start"]
+    assert SolverSettings(eps_rel=0.0, max_iters=np.int64(3)).max_iters == 3
 
 
 # -- direct sparse kernels ------------------------------------------------------
@@ -385,13 +410,12 @@ def scrambled(mat, rng):
 def kkt_cases():
     rng = np.random.default_rng(19)
     four, two = shipped_step0("fourcraft.cfg"), shipped_step0("twocraft.cfg")
-    raw = SolverSettings(equilibrate=False)
     return {
-        "fourcraft": (four, SolverSettings()),
-        "twocraft": (two, SolverSettings()),
-        "twocraft-without-P": (dataclasses.replace(two, P=None), SolverSettings()),
-        "twocraft-scrambled-unequilibrated": (
-            dataclasses.replace(two, A=scrambled(two.A, rng), P=scrambled(two.P, rng)), raw),
+        "fourcraft": four,
+        "twocraft": two,
+        "twocraft-without-P": dataclasses.replace(two, P=None),
+        "twocraft-scrambled": dataclasses.replace(
+            two, A=scrambled(two.A, rng), P=scrambled(two.P, rng)),
     }
 
 
@@ -399,11 +423,10 @@ def kkt_cases():
 def test_kkt_matches_coo_assembly(name):
     # the KKT matrix is stacked from CSC blocks; its arrays must be those of
     # bmat's general COO path, which sums duplicates and sorts each column
-    prob, settings = kkt_cases()[name]
-    ws = ConicSolver(prob, settings)._prepare()
+    ws = ConicSolver(kkt_cases()[name])._prepare()
     n, m = ws.P_s.shape[0], ws.A_s.shape[0]
     want = sp.bmat(
-        [[ws.P_s + settings.sigma * sp.eye(n), ws.A_s.T], [ws.A_s, -sp.eye(m)]], format="csc"
+        [[ws.P_s + _SIGMA * sp.eye(n), ws.A_s.T], [ws.A_s, -sp.eye(m)]], format="csc"
     )
     want.data[ws._rho_diag] = -(1.0 / ws.rho_vec)
     for got, expected in ((ws.kkt.indptr, want.indptr), (ws.kkt.indices, want.indices),
