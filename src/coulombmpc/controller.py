@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conic import ConicProblem
-from .dynamics import DiscreteModel, RelativeState, charge_products
+from .dynamics import DiscreteModel, RelativeState, _check_positive, charge_products
 from .horizon import HorizonProblem, MpcParams, build_horizon_problem, to_conic, update_initial_state
 from .recovery import recover, saturate
 from .solver import OPTIMAL, ConicSolver, SolveResult, SolverSettings
@@ -80,9 +80,7 @@ class MpcController:
         self.model = model
         self.params = params
         self.settings = settings or SolverSettings()
-        self.saturation_limit = float(saturation_limit)
-        if self.saturation_limit <= 0:
-            raise ValueError("saturation limit must be positive")
+        self.saturation_limit = _check_positive(saturation_limit, "saturation_limit")
         # template problem; per-step rebuilds only touch the right-hand side
         self._template: HorizonProblem = build_horizon_problem(
             params.desired_state, model, params

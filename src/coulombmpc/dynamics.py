@@ -17,6 +17,7 @@ from a scalar cube on some inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -29,8 +30,26 @@ class SingularityError(ValueError):
     """Two spacecraft are closer than the configured minimum separation."""
 
 
+def _check_count(value, name: str) -> int:
+    """A whole number of at least 1, as an int; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be at least 1 (a whole int, not a bool), got {value!r}")
+    return int(value)
+
+
+def _check_positive(value, name: str) -> float:
+    """A finite, strictly positive number, as a float."""
+    value = float(value)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def _as_float_vector(value, length: int | None = None, name: str = "array") -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name} must be numeric, got {value!r}") from exc
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if length is not None and arr.size != length:
@@ -74,7 +93,7 @@ class FormationConfig:
     min_separation: float = 1e-3  # m, below this pair forces are treated as singular
 
     def __post_init__(self):
-        ns = int(self.num_spacecraft)
+        ns = _check_count(self.num_spacecraft, "num_spacecraft")
         if ns < 2:
             raise ValueError("num_spacecraft must be at least 2")
         object.__setattr__(self, "num_spacecraft", ns)
@@ -84,16 +103,13 @@ class FormationConfig:
             masses = np.full(ns, masses[0])
         if masses.size != ns:
             raise ValueError(f"masses must have length {ns}")
-        if np.any(masses <= 0):
-            raise ValueError("all masses must be strictly positive")
+        if not ((masses > 0) & (masses < math.inf)).all():
+            raise ValueError("masses must be finite and positive")
         masses = masses.copy()  # read-only, so the cached pair plan stays in step
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
-
-        if self.coulomb_constant <= 0:
-            raise ValueError("coulomb_constant must be strictly positive")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be strictly positive")
+        for name in ("coulomb_constant", "min_separation"):
+            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
 
     @property
     def state_dim(self) -> int:
@@ -236,8 +252,7 @@ def rk4_step(
     array ``power`` (see the module notes).  The returned state holds views
     of one fresh vector, not re-validated.
     """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    _check_positive(dt, "step size")
     first, second, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
     half = cfg.num_spacecraft - 1
     q = np.asarray(charges, dtype=float)
@@ -311,14 +326,12 @@ def build_discrete_model(
     reference_positions: np.ndarray, sample_period: float, cfg: FormationConfig
 ) -> DiscreteModel:
     """Exact zero-order-hold discretization of the frozen-coefficient dynamics."""
-    if sample_period <= 0:
-        raise ValueError("sample_period must be positive")
+    h = _check_positive(sample_period, "sample_period")
     ref = _as_float_vector(
         reference_positions, cfg.num_spacecraft - 1, "reference positions"
     )
     gain = relative_input_matrix(ref, cfg)
     half = cfg.num_spacecraft - 1
-    h = float(sample_period)
     A = np.eye(2 * half)
     A[:half, half:] = h * np.eye(half)
     B = np.vstack([0.5 * h * h * gain, h * gain])

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
-from .dynamics import DiscreteModel, RelativeState, pair_count, spacecraft_pairs
+from .dynamics import DiscreteModel, RelativeState, _check_count, pair_count, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
 
@@ -36,6 +36,8 @@ _PSD_EIG_FLOOR = -1e-10
 def _weight_matrix(value, size: int, name: str) -> np.ndarray:
     """Normalize a scalar / diagonal vector / full matrix into a PSD weight matrix."""
     arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     if arr.ndim == 0:
         mat = float(arr) * np.eye(size)
     elif arr.ndim == 1:
@@ -57,10 +59,10 @@ def _weight_matrix(value, size: int, name: str) -> np.ndarray:
 
 
 def _bound(value, size: int, name: str) -> np.ndarray:
-    """A scalar or length-``size`` bound as a finite vector of that length."""
+    """A single value or a length-``size`` bound as a finite vector of that length."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(size, float(arr))
+    if arr.size == 1:
+        arr = np.full(size, arr.item())
     if arr.shape != (size,):
         raise ValueError(f"{name} must have length {size}")
     if not np.isfinite(arr).all():
@@ -84,8 +86,8 @@ class MpcParams:
     product_max: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+        object.__setattr__(self, "horizon", _check_count(self.horizon, "horizon"))
+        object.__setattr__(self, "trace_weight", float(self.trace_weight))
         if not np.isfinite(self.trace_weight):
             raise ValueError("trace_weight must be finite")
         if self.trace_weight < 0:

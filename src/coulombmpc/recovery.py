@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conic import _eigh
+from .dynamics import _check_positive
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ def recover(lifted: np.ndarray, previous: np.ndarray | None = None) -> Recovered
 
 def saturate(charges: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:
     """Clamp each charge to [-limit, +limit]; flags whether anything clipped."""
-    if limit <= 0:
-        raise ValueError("saturation limit must be positive")
+    limit = _check_positive(limit, "saturation_limit")
     charges = np.asarray(charges, dtype=float)
     clipped = np.minimum(np.maximum(charges, -limit), limit)  # np.clip, without its wrapper
     return clipped, bool((clipped != charges).any())

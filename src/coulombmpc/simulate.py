@@ -18,13 +18,15 @@ from .dynamics import (
     FormationConfig,
     RelativeState,
     SingularityError,
+    _check_count,
+    _check_positive,
     build_discrete_model,
     charge_products,
     pair_count,
     rk4_step,
 )
 from .horizon import MpcParams
-from .solver import SolverSettings, _check_count
+from .solver import SolverSettings
 
 RUN_COMPLETED = "completed"
 RUN_ABORTED_COLLISION = "aborted-collision"
@@ -52,12 +54,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"initial_state must have length {self.formation.state_dim}"
             )
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        _check_count(self.steps, "steps")
-        _check_count(self.substeps, "substeps")
-        if not self.saturation_limit > 0:
-            raise ValueError("saturation_limit must be positive")
+        for name in ("sample_period", "saturation_limit"):
+            setattr(self, name, _check_positive(getattr(self, name), name))
+        self.steps = _check_count(self.steps, "steps")
+        self.substeps = _check_count(self.substeps, "substeps")
 
 
 @dataclass

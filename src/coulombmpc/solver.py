@@ -58,6 +58,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .conic import ConeDims, ConicProblem, _eigh, sym_gather, vec_dim
+from .dynamics import _check_count
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -76,12 +77,6 @@ _STALL_ITERS = 2000
 _STALL_SCORE = 1e4
 
 
-def _check_count(value, name: str) -> None:
-    """Reject a count that is not a whole number of at least 1."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1")
-
-
 @dataclass
 class SolverSettings:
     eps_abs: float = 1e-6
@@ -90,9 +85,12 @@ class SolverSettings:
     warm_start: bool = True
 
     def __post_init__(self):
+        self.eps_abs, self.eps_rel = float(self.eps_abs), float(self.eps_rel)
         if not (0 < self.eps_abs < math.inf and 0 <= self.eps_rel < math.inf):
             raise ValueError("tolerances must be finite, eps_abs positive and eps_rel nonnegative")
-        _check_count(self.max_iters, "max_iters")
+        self.max_iters = _check_count(self.max_iters, "max_iters")
+        if not isinstance(self.warm_start, bool):
+            raise ValueError(f"warm_start must be true or false, got {self.warm_start!r}")
 
 
 @dataclass

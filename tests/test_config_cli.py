@@ -170,10 +170,22 @@ def twocraft_with(tmp_path, *lines):
     ("trace_weight = 1e999", "trace_weight must be finite"),
     ("rho = 1.0", "unknown key 'rho'"),
     ("adaptive_rho = false", "unknown key 'adaptive_rho'"),
+    ("min_separation = nan", "min_separation must be finite and positive"),
+    ("coulomb_constant = 1e999", "coulomb_constant must be finite and positive"),
+    ("masses = nan", "masses must be finite and positive"),
+    ("sample_period = 1e999", "sample_period must be finite and positive"),
+    ("product_weight = 1e999", "product_weight must be finite"),
+    ("state_weight = nan", "state_weight must be finite"),
+    ("warm_start = flase", "warm_start must be true or false"),
+    ("steps = true", "steps must be at least 1"),
+    ("desired = abc", "desired must be numeric"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, line, message):
     # a fractional count used to be truncated by int(), and a non-finite
-    # trace weight failed inside the solver; the solver's tuning has no keys
+    # trace weight failed inside the solver; the solver's tuning has no keys.
+    # A NaN separation would turn collision detection off, a non-finite
+    # constant, mass, period or weight would fail every solve (exit 2, no key
+    # named) or run on, a typo of a bool would read as true and a bool as a count
     cfg = twocraft_with(tmp_path, line)
     with pytest.raises(ConfigError, match=message):
         load_scenario(cfg)

@@ -339,10 +339,16 @@ def test_rk4_singularity_detected_beside_a_nan_separation():
 
 
 def test_rk4_rejects_bad_step():
+    # a NaN or infinite step passes `dt <= 0` and would return a NaN state
     cfg = make_config([50.0, 50.0])
     state = RelativeState(np.array([22.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        rk4_step(state, np.zeros(2), 0.0, cfg)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size must be finite and positive"):
+            rk4_step(state, np.zeros(2), dt, cfg)
+        with pytest.raises(ValueError, match="step size must be finite and positive"):
+            propagate(state, np.zeros(2), 10 * dt, 10, cfg)
+        with pytest.raises(ValueError, match="sample_period must be finite and positive"):
+            build_discrete_model(np.array([22.0]), dt, cfg)
 
 
 # -- discrete model -------------------------------------------------------------
@@ -388,3 +394,20 @@ def test_discrete_model_close_to_rk4_near_reference():
 def test_formation_config_validation():
     with pytest.raises(ValueError):
         make_config([50.0, -1.0])
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("min_separation", np.nan, "min_separation must be finite and positive"),
+    ("coulomb_constant", np.inf, "coulomb_constant must be finite and positive"),
+    ("coulomb_constant", 0.0, "coulomb_constant must be finite and positive"),
+    ("masses", [50.0, np.nan], "masses must be finite and positive"),
+    ("masses", np.inf, "masses must be finite and positive"),
+    ("num_spacecraft", True, "num_spacecraft must be at least 1"),
+    ("num_spacecraft", 2.0, "num_spacecraft must be at least 1"),
+])
+def test_formation_config_rejects_bad_physics(field, value, message):
+    # a NaN minimum separation would turn collision detection off, and a
+    # non-finite constant or mass would fail every solve with no field named
+    kwargs = {"num_spacecraft": 2, "masses": 50.0, field: value}
+    with pytest.raises(ValueError, match=message):
+        FormationConfig(**kwargs)

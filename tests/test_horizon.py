@@ -347,6 +347,20 @@ def test_mpc_params_rejects_nonfinite_trace_weight(value):
         simple_params(2, 2, np.array([50.0]), trace_weight=value)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"horizon": 1.5}, "horizon must be at least 1"),
+    ({"horizon": True}, "horizon must be at least 1"),
+    ({"state_weight": np.nan}, "state_weight must be finite"),
+    ({"product_weight": [np.inf]}, "product_weight must be finite"),
+    ({"product_delta_weight": [[np.nan]]}, "product_delta_weight must be finite"),
+])
+def test_mpc_params_rejects_non_count_horizon_and_nonfinite_weights(kwargs, message):
+    # a fractional or boolean horizon would fail later inside to_conic, and a
+    # NaN weight would be reported as not symmetric
+    with pytest.raises(ValueError, match=message):
+        simple_params(2, kwargs.pop("horizon", 2), np.array([50.0]), **kwargs)
+
+
 def fourcraft_bounds(**bounds):
     """Four-craft parameters (6 states, 6 products) with the given bounds."""
     desired = np.array([50.0, 100.0, 150.0])
@@ -375,6 +389,10 @@ def test_product_bounds_broadcast_scalars():
     assert np.array_equal(params.product_min, np.full(6, -0.5))
     assert np.array_equal(params.product_max, np.full(6, 0.5))
     assert np.array_equal(params.state_max, np.full(6, 1e3))
+    # a one-element list broadcasts too, as a scenario file's `product_min = [-0.5]`
+    params = fourcraft_bounds(state_min=[-1e3], product_min=[-0.5])
+    assert np.array_equal(params.state_min, np.full(6, -1e3))
+    assert np.array_equal(params.product_min, np.full(6, -0.5))
 
 
 @pytest.mark.parametrize("field,value", [

@@ -101,8 +101,10 @@ def test_saturate_leaves_in_range_untouched():
 
 
 def test_saturate_rejects_bad_limit():
-    with pytest.raises(ValueError):
-        saturate(np.array([0.1]), 0.0)
+    # a NaN limit would clamp every charge to NaN
+    for limit in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="saturation_limit must be finite and positive"):
+            saturate(np.array([0.1]), limit)
 
 
 def recover_by_linalg_eigh(lifted, previous=None):

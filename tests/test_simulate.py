@@ -52,7 +52,7 @@ def test_zero_charge_propagation_is_pure_drift():
     assert out.positions[0] == pytest.approx(60.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("substeps", [0, -1, 2.5])
+@pytest.mark.parametrize("substeps", [0, -1, 2.5, True])
 def test_propagate_rejects_bad_substeps(substeps):
     scen = twocraft_scenario()
     state = RelativeState(np.array([60.0]), np.array([0.25]))
@@ -62,10 +62,17 @@ def test_propagate_rejects_bad_substeps(substeps):
         twocraft_scenario(substeps=substeps)
 
 
-@pytest.mark.parametrize("steps", [0, -1, 2.5])
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
 def test_scenario_rejects_bad_steps(steps):
     with pytest.raises(ValueError, match="steps must be at least 1"):
         twocraft_scenario(steps=steps)
+
+
+@pytest.mark.parametrize("field", ["sample_period", "saturation_limit"])
+@pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf])
+def test_scenario_rejects_bad_period_and_limit(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        twocraft_scenario(**{field: value})
 
 
 def test_doubling_substeps_is_integration_converged():

@@ -293,10 +293,17 @@ def test_settings_validation():
     for field, value in [
         ("eps_abs", 0.0), ("eps_abs", np.nan), ("eps_abs", np.inf),
         ("eps_rel", -1e-9), ("eps_rel", np.nan), ("eps_rel", np.inf),
-        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 100.0),
+        ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 100.0), ("max_iters", True),
     ]:
         with pytest.raises(ValueError, match="tolerances|max_iters"):
             SolverSettings(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["flase", 0.5, 1, None])
+def test_settings_warm_start_must_be_a_bool(value):
+    # a typo or a number must not read as a silent True
+    with pytest.raises(ValueError, match="warm_start must be true or false"):
+        SolverSettings(warm_start=value)
 
 
 def test_settings_are_the_four_a_caller_sets():
