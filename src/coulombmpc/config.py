@@ -17,9 +17,10 @@ Example::
 
 The loader only parses and maps keys: each key goes to the dataclass field
 that owns it (`FormationConfig`, `MpcParams`, `SolverSettings` or
-`ScenarioConfig`), only when the file gives it, and that dataclass holds the
-default, converts and broadcasts the value and checks it.  The loader keeps
-what belongs to the file format alone: the literals, a count written as a
+`ScenarioConfig`, one row each in `_KEYS_BY_OWNER`), only when the file
+gives it, and that dataclass holds the default, converts and broadcasts the
+value and checks it.  The loader keeps what belongs to the file format
+alone: the literals, a bool for `warm_start` only, a count written as a
 whole float (`1e3` is 1000), the `desired` / `num_spacecraft` agreement, the
 `state_margin` shorthand for a symmetric box of that half-width around the
 desired state (explicit `state_min` / `state_max` arrays override it) and
@@ -30,6 +31,7 @@ one charge limit: the controller clamps to it and the `oracle` grid spans it.
 from __future__ import annotations
 
 import ast
+import itertools
 
 import numpy as np
 
@@ -43,33 +45,19 @@ class ConfigError(ValueError):
     """A scenario file is malformed or inconsistent."""
 
 
-_KNOWN_KEYS = {
-    "num_spacecraft",
-    "masses",
-    "coulomb_constant",
-    "min_separation",
-    "desired",
-    "initial_state",
-    "state_min",
-    "state_max",
-    "state_margin",
-    "product_min",
-    "product_max",
-    "horizon",
-    "state_weight",
-    "product_weight",
-    "product_delta_weight",
-    "trace_weight",
-    "sample_period",
-    "steps",
-    "substeps",
-    "saturation_limit",
-    "warm_start",
-    "eps_abs",
-    "eps_rel",
-    "max_iters",
-    "output",
+# the keys of each dataclass, its field names but for `output` (ScenarioConfig's
+# output_path); the loader reads `desired`, `num_spacecraft` and the state box
+# keys itself
+_KEYS_BY_OWNER = {
+    FormationConfig: ("masses", "coulomb_constant", "min_separation"),
+    MpcParams: ("horizon", "state_weight", "product_weight", "product_delta_weight",
+                "trace_weight", "product_min", "product_max"),
+    SolverSettings: ("eps_abs", "eps_rel", "max_iters", "warm_start"),
+    ScenarioConfig: ("initial_state", "sample_period", "steps", "substeps", "saturation_limit",
+                     "output"),
 }
+_KNOWN_KEYS = {"desired", "num_spacecraft", "state_min", "state_max", "state_margin",
+               *itertools.chain(*_KEYS_BY_OWNER.values())}
 # the defaults of the keys whose dataclass field has none; every other key
 # the file leaves out takes its field's default
 _DEFAULTS = {
@@ -109,6 +97,12 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def scenario_from_values(values: dict, overrides: dict | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed key/value pairs."""
     values = {**_DEFAULTS, **values}
@@ -120,11 +114,13 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
             values[key] = int(value)
         elif key in values and not isinstance(value, int):
             raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    if "output" in values:
-        values["output_path"] = values.pop("output")
+    for key, value in values.items():  # a count rejects a bool itself
+        if key != "warm_start" and key not in _COUNT_KEYS and _holds_bool(value):
+            raise ConfigError(f"{key} must not be true or false (only warm_start is), got {value!r}")
 
-    def given(*keys):  # a key the file leaves out keeps its dataclass default
-        return {key: values[key] for key in keys if key in values}
+    def given(owner):  # a key the file leaves out keeps its dataclass default
+        return {"output_path" if key == "output" else key: values[key]
+                for key in _KEYS_BY_OWNER[owner] if key in values}
 
     try:
         if "desired" not in values:
@@ -136,7 +132,7 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
                 f"num_spacecraft = {values['num_spacecraft']!r} conflicts with "
                 f"a desired vector of length {desired.size}"
             )
-        bounds = given("state_min", "state_max")
+        bounds = {key: values[key] for key in ("state_min", "state_max") if key in values}
         if len(bounds) < 2:
             if "state_margin" not in values:
                 raise ConfigError("give state_min/state_max or a state_margin half-width")
@@ -146,18 +142,10 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
         if "initial_state" not in values:
             raise ConfigError("'initial_state' is required")
         return ScenarioConfig(
-            formation=FormationConfig(
-                num_spacecraft=ns, **given("masses", "coulomb_constant", "min_separation")
-            ),
-            params=MpcParams(
-                desired_positions=desired,
-                **bounds,
-                **given("horizon", "state_weight", "product_weight", "product_delta_weight",
-                        "trace_weight", "product_min", "product_max"),
-            ),
-            solver=SolverSettings(**given("eps_abs", "eps_rel", "max_iters", "warm_start")),
-            **given("initial_state", "sample_period", "steps", "substeps", "saturation_limit",
-                    "output_path"),
+            formation=FormationConfig(num_spacecraft=ns, **given(FormationConfig)),
+            params=MpcParams(desired_positions=desired, **bounds, **given(MpcParams)),
+            solver=SolverSettings(**given(SolverSettings)),
+            **given(ScenarioConfig),
         )
     except ConfigError:
         raise

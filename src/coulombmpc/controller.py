@@ -27,6 +27,7 @@ from .recovery import recover, saturate
 from .solver import OPTIMAL, ConicSolver, SolveResult, SolverSettings
 
 INVALID_MEASUREMENT = "invalid_measurement"
+SATURATION_LIMIT = 0.1  # the default charge limit [10 mC] of a controller and a scenario
 
 
 @dataclass
@@ -75,7 +76,7 @@ class MpcController:
         model: DiscreteModel,
         params: MpcParams,
         settings: SolverSettings | None = None,
-        saturation_limit: float = 0.1,
+        saturation_limit: float = SATURATION_LIMIT,
     ):
         self.model = model
         self.params = params

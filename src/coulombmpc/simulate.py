@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import MpcController, StepRecord
+from .controller import SATURATION_LIMIT, MpcController, StepRecord
 from .dynamics import (
     FormationConfig,
     RelativeState,
@@ -45,7 +45,7 @@ class ScenarioConfig:
     sample_period: float
     steps: int
     substeps: int = 10
-    saturation_limit: float = 0.1  # the one charge limit [10 mC]: clamp and oracle grid
+    saturation_limit: float = SATURATION_LIMIT  # the one charge limit [10 mC]: clamp and oracle grid
     output_path: str | None = None
 
     def __post_init__(self):
@@ -182,16 +182,24 @@ def brute_force_qcqp(
 # CSV telemetry
 # ---------------------------------------------------------------------------
 
-def _csv_header(num_spacecraft: int) -> list[str]:
+# One row per step: k, one run of floats (t, the vectors below, rank_ratio),
+# then the solve's outcome.  Header, writer and reader all follow this layout.
+_CSV_TAIL = ["solver_status", "iters", "solve_time_s", "saturated"]
+
+
+def _csv_vectors(num_spacecraft: int) -> dict[str, list[str]]:
+    """The StepRecord vectors of a row's float run, in order, with their columns."""
+    def cols(prefix, count):
+        return [f"{prefix}_{i + 1}" for i in range(count)]
+
     half = num_spacecraft - 1
-    m = pair_count(num_spacecraft)
-    cols = ["k", "t"]
-    cols += [f"xi_{i + 1}" for i in range(half)]
-    cols += [f"nu_{i + 1}" for i in range(half)]
-    cols += [f"q_{i + 1}" for i in range(num_spacecraft)]
-    cols += [f"u_{i + 1}" for i in range(m)]
-    cols += ["rank_ratio", "solver_status", "iters", "solve_time_s", "saturated"]
-    return cols
+    return {"measured": cols("xi", half) + cols("nu", half), "charges": cols("q", num_spacecraft),
+            "products": cols("u", pair_count(num_spacecraft))}
+
+
+def _csv_header(num_spacecraft: int) -> list[str]:
+    vectors = _csv_vectors(num_spacecraft).values()
+    return ["k", "t", *itertools.chain(*vectors), "rank_ratio", *_CSV_TAIL]
 
 
 def write_csv(log: RunLog, path, num_spacecraft: int | None = None):
@@ -200,67 +208,45 @@ def write_csv(log: RunLog, path, num_spacecraft: int | None = None):
         if not log.records:
             raise ValueError("cannot infer the spacecraft count from an empty log")
         num_spacecraft = log.records[0].charges.size
-    header = _csv_header(num_spacecraft)
+    vectors = _csv_vectors(num_spacecraft)
     fmt = CSV_FLOAT_FORMAT
 
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_csv_header(num_spacecraft)) + "\n")
         for rec in log.records:
-            half = num_spacecraft - 1
-            fields = [str(rec.step), fmt % rec.time]
-            fields += [fmt % v for v in rec.measured[:half]]
-            fields += [fmt % v for v in rec.measured[half:]]
-            fields += [fmt % v for v in rec.charges]
-            fields += [fmt % v for v in rec.products]
-            fields += [
-                fmt % rec.rank_ratio,
-                rec.solver_status,
-                str(rec.iterations),
-                fmt % rec.solve_time,
-                str(int(rec.saturated)),
-            ]
-            fh.write(",".join(fields) + "\n")
+            run = [rec.time, *itertools.chain(*(getattr(rec, name) for name in vectors)),
+                   rec.rank_ratio]
+            tail = [rec.solver_status, str(rec.iterations), fmt % rec.solve_time,
+                    str(int(rec.saturated))]
+            fh.write(",".join([str(rec.step), *(fmt % v for v in run), *tail]) + "\n")
 
 
 def read_csv(path) -> list[StepRecord]:
     """Parse a telemetry file back into step records (inverse of write_csv)."""
     with open(path, "r", newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     ns = sum(1 for col in header if col.startswith("q_"))
-    half = ns - 1
-    m = pair_count(ns)
     if header != _csv_header(ns):
         raise ValueError(f"{path} does not have the expected column layout")
+    vectors = _csv_vectors(ns)
+    ends = list(itertools.accumulate((len(cols) for cols in vectors.values()), initial=0))
 
     records = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         parts = line.split(",")
-        pos = 2
-        xi = np.array([float(v) for v in parts[pos : pos + half]])
-        pos += half
-        nu = np.array([float(v) for v in parts[pos : pos + half]])
-        pos += half
-        q = np.array([float(v) for v in parts[pos : pos + ns]])
-        pos += ns
-        u = np.array([float(v) for v in parts[pos : pos + m]])
-        pos += m
-        records.append(
-            StepRecord(
-                step=int(parts[0]),
-                time=float(parts[1]),
-                measured=np.concatenate([xi, nu]),
-                charges=q,
-                products=u,
-                rank_ratio=float(parts[pos]),
-                solver_status=parts[pos + 1],
-                iterations=int(parts[pos + 2]),
-                solve_time=float(parts[pos + 3]),
-                saturated=bool(int(parts[pos + 4])),
-            )
-        )
+        if len(parts) != len(header):
+            raise ValueError(f"{path} line {lineno}: {len(parts)} fields, expected {len(header)}")
+        k, t, *run, rank_ratio, status, iters, solve_time, saturated = parts
+        floats = [float(v) for v in run]
+        records.append(StepRecord(
+            step=int(k), time=float(t),
+            **{name: np.array(floats[a:b]) for name, a, b in zip(vectors, ends, ends[1:])},
+            rank_ratio=float(rank_ratio), solver_status=status, iterations=int(iters),
+            solve_time=float(solve_time), saturated=bool(int(saturated)),
+        ))
     return records
 
 

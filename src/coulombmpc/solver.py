@@ -245,8 +245,52 @@ def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 class _Workspace:
     """Scaled data, cached factorization and iteration buffers of a solver."""
 
-    def __init__(self, P_s, A_s, q_s, d, e, gamma, prob, projector):
-        m, n = A_s.shape
+    def __init__(self, prob: ConicProblem):
+        n, m = prob.num_vars, prob.num_rows
+        P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
+        P_s = P.astype(float)  # astype copies
+        A_s = prob.A.astype(float)
+        q_s = prob.c.astype(float).copy()
+        d = np.ones(n)
+        e = np.ones(m)
+        gamma = 1.0
+        projector = _ConeProjector(prob.cones)
+        # scaling .data in place equals the D P D and E A D products
+        # entry for entry once the pattern is canonical without zeros
+        for mat in (P_s, A_s):
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
+        p_rows, p_cols = _csc_row_col(P_s)
+        a_rows, a_cols = _csc_row_col(A_s)
+        for _ in range(_RUIZ_ITERS):
+            col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
+            col_norm[col_norm == 0] = 1.0
+            dd = 1.0 / np.sqrt(col_norm)
+            row_norm = _row_inf_norms(A_s)
+            # a PSD block must be scaled uniformly or the cone is distorted
+            for flat, *_ in projector.groups:
+                row_norm[flat] = row_norm[flat].max(axis=1)[:, None]
+            row_norm[row_norm == 0] = 1.0
+            ee = 1.0 / np.sqrt(row_norm)
+            P_s.data *= dd[p_rows]
+            P_s.data *= dd[p_cols]
+            A_s.data *= ee[a_rows]
+            A_s.data *= dd[a_cols]
+            q_s *= dd
+            d *= dd
+            e *= ee
+            # interleaved cost normalization keeps P from dominating the
+            # column norms, so A itself ends up equilibrated too
+            cost_scale = max(
+                float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
+                float(_amax(q_s)),
+            )
+            if cost_scale > 0:
+                step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
+                P_s.data *= step
+                q_s = step * q_s
+                gamma *= step
+
         self.P_s, self.A_s, self.q_s = P_s, A_s, q_s
         self.d, self.e, self.gamma = d, e, gamma
         self.c_scale = _amax(prob.c)
@@ -336,56 +380,6 @@ class ConicSolver:
         self.settings = settings or SolverSettings()
         self._ws: _Workspace | None = None
 
-    # -- setup ---------------------------------------------------------------
-    def _prepare(self) -> _Workspace:
-        prob = self.prob
-        n = prob.num_vars
-        P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
-        P_s = P.astype(float)  # astype copies
-        A_s = prob.A.astype(float)
-        q_s = prob.c.astype(float).copy()
-        d = np.ones(n)
-        e = np.ones(prob.num_rows)
-        gamma = 1.0
-        projector = _ConeProjector(prob.cones)
-        # scaling .data in place equals the D P D and E A D products
-        # entry for entry once the pattern is canonical without zeros
-        for mat in (P_s, A_s):
-            mat.sum_duplicates()
-            mat.eliminate_zeros()
-        p_rows, p_cols = _csc_row_col(P_s)
-        a_rows, a_cols = _csc_row_col(A_s)
-        for _ in range(_RUIZ_ITERS):
-            col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
-            col_norm[col_norm == 0] = 1.0
-            dd = 1.0 / np.sqrt(col_norm)
-            row_norm = _row_inf_norms(A_s)
-            # a PSD block must be scaled uniformly or the cone is distorted
-            for flat, *_ in projector.groups:
-                row_norm[flat] = row_norm[flat].max(axis=1)[:, None]
-            row_norm[row_norm == 0] = 1.0
-            ee = 1.0 / np.sqrt(row_norm)
-            P_s.data *= dd[p_rows]
-            P_s.data *= dd[p_cols]
-            A_s.data *= ee[a_rows]
-            A_s.data *= dd[a_cols]
-            q_s *= dd
-            d *= dd
-            e *= ee
-            # interleaved cost normalization keeps P from dominating the
-            # column norms, so A itself ends up equilibrated too
-            cost_scale = max(
-                float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
-                float(_amax(q_s)),
-            )
-            if cost_scale > 0:
-                step = float(np.clip(1.0 / cost_scale, 1e-8, 1e8))
-                P_s.data *= step
-                q_s = step * q_s
-                gamma *= step
-
-        return _Workspace(P_s, A_s, q_s, d, e, gamma, prob, projector)
-
     # -- main loop -------------------------------------------------------------
     def solve(
         self,
@@ -413,7 +407,7 @@ class ConicSolver:
             raise ValueError("warm start does not match the problem's dimensions")
 
         if self._ws is None:
-            self._ws = self._prepare()
+            self._ws = _Workspace(self.prob)
         ws = self._ws
         d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
         c = prob.c

@@ -1,10 +1,17 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coulombmpc.cli import main
-from coulombmpc.config import ConfigError, load_scenario, parse_config_text, scenario_from_values
+from coulombmpc.config import (
+    _KNOWN_KEYS,
+    ConfigError,
+    load_scenario,
+    parse_config_text,
+    scenario_from_values,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 FOURCRAFT_CFG = REPO / "configs" / "fourcraft.cfg"
@@ -105,6 +112,20 @@ def test_cli_replay_cost(tmp_path, capsys):
     assert "max product error: 0" in text
 
 
+@pytest.mark.parametrize("edit", ["truncated", "extra-field"])
+def test_cli_replay_cost_rejects_row_of_wrong_length(tmp_path, capsys, edit):
+    out = tmp_path / "short.csv"
+    assert main(["run", "--config", str(TWOCRAFT_CFG), "--steps", "3",
+                 "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 3)[0] if edit == "truncated" else lines[2] + ",0"
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    # a runtime error naming the line, not an uncaught IndexError or a silent pass
+    assert main(["replay-cost", str(out), "--config", str(TWOCRAFT_CFG)]) == 2
+    assert f"{out} line 3: " in capsys.readouterr().err
+
+
 def test_cli_oracle(capsys):
     code = main(["oracle", "--config", str(TWOCRAFT_CFG), "--grid-points", "41"])
     assert code == 0
@@ -179,19 +200,39 @@ def twocraft_with(tmp_path, *lines):
     ("warm_start = flase", "warm_start must be true or false"),
     ("steps = true", "steps must be at least 1"),
     ("desired = abc", "desired must be numeric"),
+    ("masses = true", "masses must not be true or false"),
+    ("saturation_limit = true", "saturation_limit must not be true or false"),
+    ("eps_abs = true", "eps_abs must not be true or false"),
+    ("state_margin = true", "state_margin must not be true or false"),
+    ("trace_weight = false", "trace_weight must not be true or false"),
+    ("state_weight = [1.0, True]", "state_weight must not be true or false"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, line, message):
     # a fractional count used to be truncated by int(), and a non-finite
     # trace weight failed inside the solver; the solver's tuning has no keys.
     # A NaN separation would turn collision detection off, a non-finite
     # constant, mass, period or weight would fail every solve (exit 2, no key
-    # named) or run on, a typo of a bool would read as true and a bool as a count
+    # named) or run on, a typo of a bool would read as true, and a bool would
+    # read as a count or as the number 1 or 0
     cfg = twocraft_with(tmp_path, line)
     with pytest.raises(ConfigError, match=message):
         load_scenario(cfg)
     # no --steps: the command-line value would replace the file's
     assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out.csv")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_readme_key_table_lists_every_key():
+    text = (REPO / "README.md").read_text()
+    table = text[text.index("| key | meaning | default |"):text.index("### CSV columns")]
+    rows = [row.split("|")[1] for row in table.splitlines()[2:] if row.startswith("|")]
+    assert {key for row in rows for key in re.findall(r"`(\w+)`", row)} == _KNOWN_KEYS
+
+
+def test_bool_output_path_is_config_error(tmp_path):
+    # True is the int 1: open(True) would write the CSV to standard output
+    with pytest.raises(ConfigError, match="output must not be true or false"):
+        load_scenario(twocraft_with(tmp_path, "output = true"))
 
 
 def test_whole_float_counts_load(tmp_path):

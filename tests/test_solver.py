@@ -26,6 +26,7 @@ from coulombmpc.solver import (
     _col_inf_norms,
     _ConeProjector,
     _row_inf_norms,
+    _Workspace,
 )
 from reference_conic import project_psd, vec_to_sym
 
@@ -430,7 +431,7 @@ def kkt_cases():
 def test_kkt_matches_coo_assembly(name):
     # the KKT matrix is stacked from CSC blocks; its arrays must be those of
     # bmat's general COO path, which sums duplicates and sorts each column
-    ws = ConicSolver(kkt_cases()[name])._prepare()
+    ws = _Workspace(kkt_cases()[name])
     n, m = ws.P_s.shape[0], ws.A_s.shape[0]
     want = sp.bmat(
         [[ws.P_s + _SIGMA * sp.eye(n), ws.A_s.T], [ws.A_s, -sp.eye(m)]], format="csc"
