@@ -88,9 +88,10 @@ class ConeDims:
 class ConicProblem:
     """A quadratic-objective conic program in slack form.
 
-    ``P`` may be None for a linear objective.  ``objective_constant`` is the
-    constant dropped when the objective was put in standard form; it is added
-    back when reporting objective values.
+    ``P`` left out (None) is stored as the empty ``n x n`` CSC matrix: a
+    linear objective.  ``objective_constant`` is the constant dropped when
+    the objective was put in standard form; it is added back when reporting
+    objective values.
     """
 
     c: np.ndarray
@@ -105,11 +106,12 @@ class ConicProblem:
         self.b = np.asarray(self.b, dtype=float)
         if not sp.issparse(self.A) or self.A.format != "csc":
             self.A = sp.csc_matrix(self.A)
-        if self.P is not None:
-            if not sp.issparse(self.P) or self.P.format != "csc":
-                self.P = sp.csc_matrix(self.P)
-            if self.P.shape != (self.c.size, self.c.size):
-                raise ValueError("P must be square with the dimension of c")
+        if self.P is None:
+            self.P = sp.csc_matrix((self.c.size, self.c.size))
+        elif not sp.issparse(self.P) or self.P.format != "csc":
+            self.P = sp.csc_matrix(self.P)
+        if self.P.shape != (self.c.size, self.c.size):
+            raise ValueError("P must be square with the dimension of c")
         if self.A.shape != (self.b.size, self.c.size):
             raise ValueError(
                 f"A has shape {self.A.shape}, expected ({self.b.size}, {self.c.size})"
@@ -128,7 +130,4 @@ class ConicProblem:
         return self.b.size
 
     def objective_value(self, z: np.ndarray) -> float:
-        val = float(self.c @ z) + self.objective_constant
-        if self.P is not None:
-            val += 0.5 * float(z @ (self.P @ z))
-        return val
+        return float(self.c @ z) + self.objective_constant + 0.5 * float(z @ (self.P @ z))

@@ -37,9 +37,16 @@ def _check_count(value, name: str) -> int:
     return int(value)
 
 
+def _not_bool(value, name: str):
+    """``value``, unless it is a bool (or bools), which float() reads as 1 or 0."""
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        raise ValueError(f"{name} must be a number, not true or false, got {value!r}")
+    return value
+
+
 def _check_positive(value, name: str) -> float:
     """A finite, strictly positive number, as a float."""
-    value = float(value)
+    value = float(_not_bool(value, name))
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return value
@@ -98,7 +105,7 @@ class FormationConfig:
             raise ValueError("num_spacecraft must be at least 2")
         object.__setattr__(self, "num_spacecraft", ns)
 
-        masses = _as_float_vector(self.masses, name="masses")
+        masses = _as_float_vector(_not_bool(self.masses, "masses"), name="masses")
         if masses.size == 1:
             masses = np.full(ns, masses[0])
         if masses.size != ns:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
-from .dynamics import DiscreteModel, RelativeState, _check_count, pair_count, spacecraft_pairs
+from .dynamics import DiscreteModel, _check_count, _not_bool, pair_count, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
 
@@ -87,7 +87,7 @@ class MpcParams:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_count(self.horizon, "horizon"))
-        object.__setattr__(self, "trace_weight", float(self.trace_weight))
+        object.__setattr__(self, "trace_weight", float(_not_bool(self.trace_weight, "trace_weight")))
         if not np.isfinite(self.trace_weight):
             raise ValueError("trace_weight must be finite")
         if self.trace_weight < 0:
@@ -204,12 +204,10 @@ class HorizonProblem:
 
 
 def build_horizon_problem(
-    measured: RelativeState | np.ndarray, model: DiscreteModel, params: MpcParams
+    measured: np.ndarray, model: DiscreteModel, params: MpcParams
 ) -> HorizonProblem:
-    """Assemble the per-sample problem for a measured relative state."""
-    if isinstance(measured, RelativeState):
-        measured = measured.as_vector()
-    return HorizonProblem(np.asarray(measured, dtype=float), model, params)
+    """Assemble the per-sample problem for a measured, stacked relative state."""
+    return HorizonProblem(measured, model, params)
 
 
 def _slots(starts, sizes, strides) -> tuple[np.ndarray, np.ndarray]:
@@ -334,15 +332,13 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
 
 
 def update_initial_state(
-    conic: ConicProblem, hp: HorizonProblem, measured: RelativeState | np.ndarray
+    conic: ConicProblem, hp: HorizonProblem, measured: np.ndarray
 ) -> np.ndarray:
     """Right-hand side of ``conic`` with the stage-0 pin set to a fresh measurement.
 
     Only b changes between samples, so a :class:`~coulombmpc.solver.ConicSolver`
     bound to ``conic`` solves the re-pinned problem with its cached factorization.
     """
-    if isinstance(measured, RelativeState):
-        measured = measured.as_vector()
     measured = np.asarray(measured, dtype=float)
     if measured.shape != (hp.state_dim,):
         raise ValueError("measured state has the wrong dimension")

@@ -24,6 +24,7 @@ from .dynamics import (
     charge_products,
     pair_count,
     rk4_step,
+    spacecraft_pairs,
 )
 from .horizon import MpcParams
 from .solver import SolverSettings
@@ -124,7 +125,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunLog:
 # ---------------------------------------------------------------------------
 
 def brute_force_qcqp(
-    measured: RelativeState | np.ndarray,
+    measured: np.ndarray,
     model,
     params: MpcParams,
     grid: np.ndarray,
@@ -144,14 +145,12 @@ def brute_force_qcqp(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 21:
         raise ValueError("grid must be a vector of at least 21 charge levels")
-    if isinstance(measured, RelativeState):
-        measured = measured.as_vector()
     measured = np.asarray(measured, dtype=float)
 
     combos = np.array(list(itertools.product(grid, repeat=ns * N)))
     charges = combos.reshape(-1, N, ns)
     target = params.desired_state
-    pairs_i, pairs_j = np.triu_indices(ns, k=1)
+    pairs = spacecraft_pairs(ns)
 
     total = np.zeros(charges.shape[0])
     feasible = np.ones(charges.shape[0], dtype=bool)
@@ -159,7 +158,7 @@ def brute_force_qcqp(
     prev_products = None
     for j in range(N):
         q = charges[:, j, :]
-        products = q[:, pairs_i] * q[:, pairs_j]
+        products = q[:, pairs[:, 0]] * q[:, pairs[:, 1]]
         state = state @ model.A.T + products @ model.B.T
         dev = state - target
         total += np.einsum("bi,ij,bj->b", dev, params.state_weight, dev)
@@ -203,11 +202,14 @@ def _csv_header(num_spacecraft: int) -> list[str]:
 
 
 def write_csv(log: RunLog, path, num_spacecraft: int | None = None):
-    """Write one row per step; floats carry 17 significant digits."""
+    """Write one row per step; floats carry 17 significant digits.  A spacecraft
+    count other than the records' raises ``ValueError``: the reader would refuse it."""
     if num_spacecraft is None:
         if not log.records:
             raise ValueError("cannot infer the spacecraft count from an empty log")
         num_spacecraft = log.records[0].charges.size
+    if any(rec.charges.size != num_spacecraft for rec in log.records):
+        raise ValueError(f"num_spacecraft = {num_spacecraft} disagrees with the records' charges")
     vectors = _csv_vectors(num_spacecraft)
     fmt = CSV_FLOAT_FORMAT
 
@@ -222,9 +224,10 @@ def write_csv(log: RunLog, path, num_spacecraft: int | None = None):
 
 
 def read_csv(path) -> list[StepRecord]:
-    """Parse a telemetry file back into step records (inverse of write_csv)."""
+    """Parse a telemetry file back into step records (inverse of write_csv).
+    Lines may end in LF or CRLF; a bad row raises ``ValueError`` naming its line."""
     with open(path, "r", newline="") as fh:
-        lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1) if line.strip()]
+        lines = [(lineno, line.rstrip("\r\n")) for lineno, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path} is empty")
     header = lines[0][1].split(",")
@@ -240,13 +243,16 @@ def read_csv(path) -> list[StepRecord]:
         if len(parts) != len(header):
             raise ValueError(f"{path} line {lineno}: {len(parts)} fields, expected {len(header)}")
         k, t, *run, rank_ratio, status, iters, solve_time, saturated = parts
-        floats = [float(v) for v in run]
-        records.append(StepRecord(
-            step=int(k), time=float(t),
-            **{name: np.array(floats[a:b]) for name, a, b in zip(vectors, ends, ends[1:])},
-            rank_ratio=float(rank_ratio), solver_status=status, iterations=int(iters),
-            solve_time=float(solve_time), saturated=bool(int(saturated)),
-        ))
+        try:
+            floats = [float(v) for v in run]
+            records.append(StepRecord(
+                step=int(k), time=float(t),
+                **{name: np.array(floats[a:b]) for name, a, b in zip(vectors, ends, ends[1:])},
+                rank_ratio=float(rank_ratio), solver_status=status, iterations=int(iters),
+                solve_time=float(solve_time), saturated=bool(int(saturated)),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return records
 
 

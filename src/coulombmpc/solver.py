@@ -46,6 +46,7 @@ iterate-major block check, the bound projection) is recorded in CHANGES.md.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .conic import ConeDims, ConicProblem, _eigh, sym_gather, vec_dim
-from .dynamics import _check_count
+from .dynamics import _check_count, _not_bool
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -85,7 +86,8 @@ class SolverSettings:
     warm_start: bool = True
 
     def __post_init__(self):
-        self.eps_abs, self.eps_rel = float(self.eps_abs), float(self.eps_rel)
+        self.eps_abs = float(_not_bool(self.eps_abs, "eps_abs"))
+        self.eps_rel = float(_not_bool(self.eps_rel, "eps_rel"))
         if not (0 < self.eps_abs < math.inf and 0 <= self.eps_rel < math.inf):
             raise ValueError("tolerances must be finite, eps_abs positive and eps_rel nonnegative")
         self.max_iters = _check_count(self.max_iters, "max_iters")
@@ -109,67 +111,55 @@ class SolveResult:
 class _ConeProjector:
     """Projection onto the product cone, batching equal-size PSD blocks.
 
-    Each group of equal-size PSD blocks keeps its ``(k, vec_dim)`` slot
-    indices ``flat`` (the one PSD block layout, which the equilibration reads
-    too), a ``(k, side, side)`` gather index into the slack vector and the
-    matching off-diagonal unscaling, so one fancy index and one divide build
-    the stack of symmetric matrices.
+    A group is a maximal run of consecutive PSD blocks of one side, so its
+    ``k`` blocks fill the slots ``start .. start + k * vec_dim`` (the one PSD
+    block layout, which the equilibration reads too).  It keeps a
+    ``(k, side, side)`` gather index into the slack vector and the matching
+    off-diagonal unscaling, so one fancy index and one divide build the
+    stack of symmetric matrices, and the ``(k, vec_dim)`` rescaling of their
+    lower triangles.
     """
 
     def __init__(self, cones: ConeDims):
         self.zero_end = cones.zero
-        self.nonneg_end = cones.zero + cones.nonneg
-        offsets = []
-        off = self.nonneg_end
-        for side in cones.psd:
-            offsets.append(off)
-            off += vec_dim(side)
+        self.nonneg_end = start = cones.zero + cones.nonneg
         self.groups = []
-        for side in sorted(set(cones.psd)):
-            starts = np.array(
-                [o for o, s in zip(offsets, cones.psd) if s == side], dtype=int
-            )
-            flat = starts[:, None] + np.arange(vec_dim(side))[None, :]
+        for side, run in itertools.groupby(cones.psd):
+            k, dim = len(list(run)), vec_dim(side)
             index, unscale = sym_gather(side)
             lower = np.ravel_multi_index(np.tril_indices(side), (side, side))
-            gather = starts[:, None, None] + index
+            gather = start + dim * np.arange(k)[:, None, None] + index
             # the lower triangles of the stacked matrices, as flat indices
-            lower_all = np.arange(len(starts))[:, None] * side * side + lower
+            lower_all = np.arange(k)[:, None] * side * side + lower
             # full-shape scalings: a same-shape divide or multiply skips broadcasting
             unscale_all = np.broadcast_to(unscale, gather.shape).copy()
-            scale_all = np.broadcast_to(unscale.ravel()[lower], flat.shape).copy()
-            self.groups.append((flat, gather, unscale_all, lower_all, scale_all))
+            scale_all = np.broadcast_to(unscale.ravel()[lower], (k, dim)).copy()
+            self.groups.append((start, gather, unscale_all, lower_all, scale_all))
+            start += k * dim
 
     def bind(self, v: np.ndarray, out: np.ndarray):
         """A call writing the projection of ``v`` into ``out`` (1-D buffers of
         the cone's length) and returning ``out``.  The zero-cone slots are
-        zeroed here, once, so nothing else may write them; a group whose slots
-        form one run gets its lower triangles scaled straight into a
-        ``(k, vec_dim)`` view of ``out``, any other group is scattered."""
+        zeroed here, once, so nothing else may write them; each group gets
+        its lower triangles scaled straight into a ``(k, vec_dim)`` view of
+        ``out``."""
         z, nn = self.zero_end, self.nonneg_end
         out[:z] = 0.0
         v_nn, out_nn = v[z:nn], out[z:nn]
-        groups = []
-        for flat, gather, unscale_all, lower_all, scale_all in self.groups:
-            start = flat[0, 0]
-            run = np.array_equal(flat.ravel(), np.arange(start, start + flat.size))
-            target = out[start : start + flat.size].reshape(flat.shape) if run else None
-            groups.append((flat, gather, unscale_all, lower_all, scale_all, target))
+        groups = [(gather, unscale_all, lower_all, scale_all,
+                   out[start : start + scale_all.size].reshape(scale_all.shape))
+                  for start, gather, unscale_all, lower_all, scale_all in self.groups]
         maximum, multiply, divide = np.maximum, np.multiply, np.divide
 
         def project() -> np.ndarray:
             maximum(v_nn, 0.0, out=out_nn)
-            for flat, gather, unscale_all, lower_all, scale_all, target in groups:
+            for gather, unscale_all, lower_all, scale_all, target in groups:
                 mats = v[gather]
                 divide(mats, unscale_all, mats)
                 eigvals, eigvecs = _eigh(mats)
                 maximum(eigvals, 0.0, out=eigvals)
                 vals = c_einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs).take(lower_all)
-                if target is None:
-                    multiply(vals, scale_all, vals)
-                    out[flat] = vals
-                else:
-                    multiply(vals, scale_all, target)
+                multiply(vals, scale_all, target)
             return out
 
         return project
@@ -180,22 +170,12 @@ def _amax(v: np.ndarray) -> float:
     return np.abs(v).max() if v.size else 0.0
 
 
-def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
-    """Infinity norm of each column of a canonical CSC matrix, 0 when empty:
-    one reduceat over the non-empty columns' runs (a maximum is exact in any order)."""
-    norms = np.zeros(mat.shape[1])
-    starts = mat.indptr[:-1]
-    nonempty = np.flatnonzero(mat.indptr[1:] > starts)
-    if nonempty.size:
-        norms[nonempty] = np.maximum.reduceat(np.abs(mat.data[: mat.indptr[-1]]), starts[nonempty])
-    return norms
-
-
-def _row_inf_norms(mat: sp.csc_matrix) -> np.ndarray:
-    """Infinity norm of each row of a canonical CSC matrix, 0 when empty."""
-    norms = np.zeros(mat.shape[0])
-    nnz = mat.indptr[-1]
-    np.maximum.at(norms, mat.indices[:nnz], np.abs(mat.data[:nnz]))
+def _inf_norms(index: np.ndarray, data: np.ndarray, size: int) -> np.ndarray:
+    """Infinity norm of each of ``size`` rows (or columns) of a sparse matrix,
+    given the row (or column) ``index`` of each stored entry in ``data``; 0
+    when empty.  A maximum is exact in any order."""
+    norms = np.zeros(size)
+    np.maximum.at(norms, index, np.abs(data))
     return norms
 
 
@@ -219,10 +199,9 @@ def _bind_check_products(prob, z_u, y_u, az, pz, aty):
     and A'y of the rows of ``z_u`` and ``y_u``.  The kernels take one
     column per iterate, so z and y are copied in transposed and each
     product is copied back the same way.  They run on all rows, stale
-    ones too; ``pz`` stays 0 without P."""
+    ones too."""
     z_col, y_col = np.zeros(z_u.shape[::-1]), np.zeros(y_u.shape[::-1])
-    pairs = [(prob.A, z_col, az), (prob.A.T, y_col, aty)]
-    pairs += [(prob.P, z_col, pz)] if prob.P is not None else []
+    pairs = [(prob.A, z_col, az), (prob.A.T, y_col, aty), (prob.P, z_col, pz)]
     products = [(_bind_product(mat, x, np.zeros(rows.shape[::-1])), rows)
                 for mat, x, rows in pairs]
     copyto = np.copyto
@@ -247,8 +226,7 @@ class _Workspace:
 
     def __init__(self, prob: ConicProblem):
         n, m = prob.num_vars, prob.num_rows
-        P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
-        P_s = P.astype(float)  # astype copies
+        P_s = prob.P.astype(float)  # astype copies
         A_s = prob.A.astype(float)
         q_s = prob.c.astype(float).copy()
         d = np.ones(n)
@@ -263,13 +241,14 @@ class _Workspace:
         p_rows, p_cols = _csc_row_col(P_s)
         a_rows, a_cols = _csc_row_col(A_s)
         for _ in range(_RUIZ_ITERS):
-            col_norm = np.maximum(_col_inf_norms(P_s), _col_inf_norms(A_s))
+            col_norm = np.maximum(_inf_norms(p_cols, P_s.data, n), _inf_norms(a_cols, A_s.data, n))
             col_norm[col_norm == 0] = 1.0
             dd = 1.0 / np.sqrt(col_norm)
-            row_norm = _row_inf_norms(A_s)
+            row_norm = _inf_norms(a_rows, A_s.data, m)
             # a PSD block must be scaled uniformly or the cone is distorted
-            for flat, *_ in projector.groups:
-                row_norm[flat] = row_norm[flat].max(axis=1)[:, None]
+            for start, *_, scale_all in projector.groups:
+                blocks = row_norm[start : start + scale_all.size].reshape(scale_all.shape)
+                blocks[:] = blocks.max(axis=1)[:, None]
             row_norm[row_norm == 0] = 1.0
             ee = 1.0 / np.sqrt(row_norm)
             P_s.data *= dd[p_rows]
@@ -282,7 +261,7 @@ class _Workspace:
             # interleaved cost normalization keeps P from dominating the
             # column norms, so A itself ends up equilibrated too
             cost_scale = max(
-                float(_col_inf_norms(P_s).mean()) if P_s.nnz else 0.0,
+                float(_inf_norms(p_cols, P_s.data, n).mean()) if P_s.nnz else 0.0,
                 float(_amax(q_s)),
             )
             if cost_scale > 0:
@@ -373,7 +352,7 @@ class ConicSolver:
         if not (
             np.all(np.isfinite(prob.c))
             and np.all(np.isfinite(prob.A.data))
-            and (prob.P is None or np.all(np.isfinite(prob.P.data)))
+            and np.all(np.isfinite(prob.P.data))
         ):
             raise ValueError("problem data contains non-finite entries")
         self.prob = prob

@@ -112,18 +112,22 @@ def test_cli_replay_cost(tmp_path, capsys):
     assert "max product error: 0" in text
 
 
-@pytest.mark.parametrize("edit", ["truncated", "extra-field"])
-def test_cli_replay_cost_rejects_row_of_wrong_length(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit", ["truncated", "extra-field", "unparseable-field"])
+def test_cli_replay_cost_rejects_bad_row(tmp_path, capsys, edit):
     out = tmp_path / "short.csv"
     assert main(["run", "--config", str(TWOCRAFT_CFG), "--steps", "3",
                  "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 3)[0] if edit == "truncated" else lines[2] + ",0"
+    fields = lines[2].split(",")
+    lines[2] = ",".join({"truncated": fields[:-3], "extra-field": fields + ["0"],
+                         "unparseable-field": [fields[0], "abc", *fields[2:]]}[edit])
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     # a runtime error naming the line, not an uncaught IndexError or a silent pass
     assert main(["replay-cost", str(out), "--config", str(TWOCRAFT_CFG)]) == 2
-    assert f"{out} line 3: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{out} line 3: " in err
+    assert edit != "unparseable-field" or "could not convert string to float: 'abc'" in err
 
 
 def test_cli_oracle(capsys):

@@ -89,14 +89,17 @@ def test_nonfinite_measurement_takes_fault_path_without_solving():
     assert controller.state.step_count == 4
 
 
-@pytest.mark.parametrize("limit", [0.0, -0.1, np.nan, np.inf])
-def test_bad_saturation_limit_rejected_at_construction(limit):
+@pytest.mark.parametrize("limit,rule", [
+    (0.0, "finite and positive"), (-0.1, "finite and positive"), (np.nan, "finite and positive"),
+    (np.inf, "finite and positive"), (True, "a number, not true or false"),
+])
+def test_bad_saturation_limit_rejected_at_construction(limit, rule):
     # a NaN limit would apply NaN charges at step 0 and make every later step
     # an invalid measurement
     formation = fourcraft_formation(750.0)
     params = fourcraft_params()
     model = build_discrete_model(params.desired_positions, 0.5, formation)
-    with pytest.raises(ValueError, match="saturation_limit must be finite and positive"):
+    with pytest.raises(ValueError, match=f"saturation_limit must be {rule}"):
         MpcController(model, params, SolverSettings(), saturation_limit=limit)
 
 

@@ -404,6 +404,9 @@ def test_formation_config_validation():
     ("masses", np.inf, "masses must be finite and positive"),
     ("num_spacecraft", True, "num_spacecraft must be at least 1"),
     ("num_spacecraft", 2.0, "num_spacecraft must be at least 1"),
+    ("masses", True, "masses must be a number, not true or false"),
+    ("masses", np.array([True, True]), "masses must be a number, not true or false"),
+    ("coulomb_constant", True, "coulomb_constant must be a number, not true or false"),
 ])
 def test_formation_config_rejects_bad_physics(field, value, message):
     # a NaN minimum separation would turn collision detection off, and a

@@ -339,11 +339,13 @@ def test_mpc_params_validation():
         )
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_mpc_params_rejects_nonfinite_trace_weight(value):
+@pytest.mark.parametrize("value,rule", [
+    (np.nan, "finite"), (np.inf, "finite"), (True, "a number, not true or false"),
+])
+def test_mpc_params_rejects_nonfinite_trace_weight(value, rule):
     # a NaN weight passed the sign check and failed later, inside the
-    # solver, with an error that named no field
-    with pytest.raises(ValueError, match="trace_weight must be finite"):
+    # solver, with an error that named no field; a bool read as 1.0
+    with pytest.raises(ValueError, match=f"trace_weight must be {rule}"):
         simple_params(2, 2, np.array([50.0]), trace_weight=value)
 
 

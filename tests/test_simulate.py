@@ -69,9 +69,13 @@ def test_scenario_rejects_bad_steps(steps):
 
 
 @pytest.mark.parametrize("field", ["sample_period", "saturation_limit"])
-@pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf])
-def test_scenario_rejects_bad_period_and_limit(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+@pytest.mark.parametrize("value,rule", [
+    (0.0, "finite and positive"), (-0.5, "finite and positive"), (np.nan, "finite and positive"),
+    (np.inf, "finite and positive"), (True, "a number, not true or false"),
+])
+def test_scenario_rejects_bad_period_and_limit(field, value, rule):
+    # a bool would build with 1.0: only the scenario file loader rejected it
+    with pytest.raises(ValueError, match=f"{field} must be {rule}"):
         twocraft_scenario(**{field: value})
 
 
@@ -251,6 +255,33 @@ def test_csv_rejects_foreign_layout(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def record_fields(rec):
+    """A step record's CSV fields as bytes and values, for a bitwise comparison."""
+    return [rec.step, np.float64(rec.time).tobytes(), rec.measured.tobytes(), rec.charges.tobytes(),
+            rec.products.tobytes(), np.float64(rec.rank_ratio).tobytes(), rec.solver_status,
+            rec.iterations, np.float64(rec.solve_time).tobytes(), rec.saturated]
+
+
+def test_csv_crlf_copy_reads_back_bit_equal(tmp_path):
+    # a file saved with CRLF line ends was refused as a foreign layout
+    path, crlf = tmp_path / "run.csv", tmp_path / "crlf.csv"
+    write_csv(run_closed_loop(twocraft_scenario(steps=4)), path)
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert crlf.read_bytes().count(b"\r\n") == 5
+    assert [record_fields(r) for r in read_csv(crlf)] == [record_fields(r) for r in read_csv(path)]
+
+
+def test_write_csv_rejects_a_spacecraft_count_the_records_disagree_with(tmp_path):
+    # the header would be a three-craft one over two-craft rows, which
+    # read_csv then rejects
+    path = tmp_path / "run.csv"
+    log = run_closed_loop(twocraft_scenario(steps=2))
+    with pytest.raises(ValueError, match="num_spacecraft = 3 disagrees with the records' charges"):
+        write_csv(log, path, num_spacecraft=3)
+    write_csv(log, path, num_spacecraft=2)
+    assert len(read_csv(path)) == 2
 
 
 def test_replay_cost_consistency(tmp_path):

@@ -23,9 +23,9 @@ from coulombmpc.solver import (
     MAX_ITERS,
     OPTIMAL,
     _bind_product,
-    _col_inf_norms,
     _ConeProjector,
-    _row_inf_norms,
+    _csc_row_col,
+    _inf_norms,
     _Workspace,
 )
 from reference_conic import project_psd, vec_to_sym
@@ -122,9 +122,7 @@ def test_analytic_problem(name, prob, expected):
     assert result.objective == pytest.approx(expected, abs=1e-6)
     # KKT residuals recomputed from scratch, not trusting solver bookkeeping
     primal = prob.A @ result.z + result.s - prob.b
-    grad = prob.c + prob.A.T @ result.y
-    if prob.P is not None:
-        grad = grad + prob.P @ result.z
+    grad = prob.c + prob.A.T @ result.y + prob.P @ result.z
     assert np.abs(primal).max() <= 1e-6
     assert np.abs(grad).max() <= 1e-6
 
@@ -295,8 +293,9 @@ def test_settings_validation():
         ("eps_abs", 0.0), ("eps_abs", np.nan), ("eps_abs", np.inf),
         ("eps_rel", -1e-9), ("eps_rel", np.nan), ("eps_rel", np.inf),
         ("max_iters", 0), ("max_iters", 2.5), ("max_iters", 100.0), ("max_iters", True),
+        ("eps_abs", True), ("eps_rel", np.False_),  # float() reads a bool as 1 or 0
     ]:
-        with pytest.raises(ValueError, match="tolerances|max_iters"):
+        with pytest.raises(ValueError, match=f"tolerances|{field} must be"):
             SolverSettings(**{field: value})
 
 
@@ -346,9 +345,8 @@ def test_direct_kernels_match_sparse_matmul(prob):
     rng = np.random.default_rng(808)
     n, m = prob.num_vars, prob.num_rows
     Z, Y = seeded_block(rng, 10, n), seeded_block(rng, 10, m)
-    P = prob.P if prob.P is not None else sp.csc_matrix((n, n))
-    assert prob.A.format == P.format == "csc" and prob.A.T.format == "csr"
-    for mat, block in ((prob.A, Z), (P, Z), (prob.A.T, Y)):
+    assert prob.A.format == prob.P.format == "csc" and prob.A.T.format == "csr"
+    for mat, block in ((prob.A, Z), (prob.P, Z), (prob.A.T, Y)):
         want = (mat @ block.T).T
         got = _bind_product(mat, block.T.copy(), np.full((mat.shape[0], 10), 7.0))()
         assert got.T.tobytes() == want.tobytes()
@@ -382,7 +380,8 @@ NORM_CASES = {
     "fourcraft-P": shipped_step0("fourcraft.cfg").P,
     "twocraft-A": shipped_step0("twocraft.cfg").A,
     "twocraft-P": shipped_step0("twocraft.cfg").P,
-    "without-P": sp.csc_matrix((8, 8)),  # what the solver uses for P=None
+    "without-P": ConicProblem(c=np.zeros(8), A=sp.csc_matrix((1, 8)), b=np.zeros(1),
+                              cones=ConeDims(nonneg=1)).P,
     "empty-row-and-column": with_empty_row_and_column(shipped_step0("fourcraft.cfg")),
 }
 
@@ -395,10 +394,22 @@ def test_inf_norms_match_scipy(name):
     scaled = mat.copy()
     scaled.data = scaled.data * 10.0 ** rng.integers(-8, 9, scaled.data.size)
     for m in (mat, scaled):
-        assert _col_inf_norms(m).tobytes() == scipy_inf_norms(m, 0).tobytes()
-        assert _row_inf_norms(m).tobytes() == scipy_inf_norms(m, 1).tobytes()
+        rows, cols = _csc_row_col(m)
+        assert _inf_norms(cols, m.data, m.shape[1]).tobytes() == scipy_inf_norms(m, 0).tobytes()
+        assert _inf_norms(rows, m.data, m.shape[0]).tobytes() == scipy_inf_norms(m, 1).tobytes()
     if name == "empty-row-and-column":
-        assert _row_inf_norms(mat)[3] == 0.0 and _col_inf_norms(mat)[5] == 0.0
+        rows, cols = _csc_row_col(mat)
+        assert _inf_norms(rows, mat.data, mat.shape[0])[3] == 0.0
+        assert _inf_norms(cols, mat.data, mat.shape[1])[5] == 0.0
+
+
+def test_absent_P_is_the_empty_square_csc_matrix():
+    # the one place that knows P may be left out: everything after it
+    # reads an n x n CSC matrix
+    prob = ConicProblem(c=np.zeros(3), A=np.ones((2, 3)), b=np.zeros(2), cones=ConeDims(nonneg=2))
+    assert sp.issparse(prob.P) and prob.P.format == "csc"
+    assert prob.P.shape == (3, 3) and prob.P.nnz == 0
+    assert prob.objective_value(np.ones(3)) == 0.0
 
 
 def scrambled(mat, rng):

@@ -165,11 +165,17 @@ def bound_projection(cones):
     return lambda v: projector.bind(v, np.empty_like(v))()
 
 
-def test_projection_matches_reference_projector():
-    fast, ref = bound_projection(INTERLEAVED), reference_admm._ConeProjector(INTERLEAVED)
+# runs of equal sides: the reference stacks every block of a side at once,
+# the solver one run at a time; no matrix's bits depend on the stack size
+RUNS = ConeDims(zero=1, nonneg=2, psd=(2, 2, 3, 3, 3, 2, 4, 2, 2))
+
+
+@pytest.mark.parametrize("cones", [INTERLEAVED, RUNS], ids=["interleaved", "runs"])
+def test_projection_matches_reference_projector(cones):
+    fast, ref = bound_projection(cones), reference_admm._ConeProjector(cones)
     rng = np.random.default_rng(11)
     for _ in range(200):
-        v = rng.normal(size=INTERLEAVED.total) * rng.choice([1e-6, 1.0, 1e6])
+        v = rng.normal(size=cones.total) * rng.choice([1e-6, 1.0, 1e6])
         assert projection_outcome(fast, v) == projection_outcome(ref.project, v)
 
 
@@ -233,9 +239,9 @@ def test_stall_stop_matches_reference():
 
 
 def interleaved_psd_qp():
-    """A QP whose PSD blocks have interleaved sides 2, 3, 2: the side-2 group's
-    slots are two separate runs, so the loop's projection scatters them, and
-    the side-3 block is written straight into the output.  One variable per
+    """A QP whose PSD blocks have interleaved sides 2, 3, 2: each block is a
+    run of its own, so the loop's projection has three groups, two of side
+    2, each written straight into its view of the output.  One variable per
     PSD slot (s = z there); two zero rows fix traces and three nonneg rows
     cap random combinations of a feasible point."""
     cones = ConeDims(zero=2, nonneg=3, psd=(2, 3, 2))
@@ -260,8 +266,10 @@ def interleaved_psd_qp():
 
 def test_interleaved_psd_sizes_match_reference():
     prob = interleaved_psd_qp()
-    side2 = _ConeProjector(prob.cones).groups[0][0]
-    assert side2[1, 0] != side2[0, -1] + 1  # two separate runs: scattered
+    groups = _ConeProjector(prob.cones).groups
+    # one group per run of equal sides, in slot order: (start, block count, side)
+    assert [(start, *gather.shape[:2]) for start, gather, *_ in groups] == [
+        (5, 1, 2), (8, 1, 3), (14, 1, 2)]
     got, got_log = logged(lambda cb: ConicSolver(prob).solve(log_callback=cb))
     ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, log_callback=cb))
     assert got.status == OPTIMAL
