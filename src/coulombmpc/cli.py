@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_scenario
+from .config import _KNOWN_KEYS, ConfigError, load_scenario
 from .dynamics import build_discrete_model
 from .horizon import build_horizon_problem, to_conic
 from .simulate import (
@@ -39,7 +39,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--horizon", type=int, default=None, help="override horizon")
     parser.add_argument(
         "--no-warm-start",
-        action="store_true",
+        action="store_const",
+        const=False,
+        dest="warm_start",
         help="cold-start the solver at every sample",
     )
 
@@ -54,30 +56,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a closed-loop simulation")
     _add_common(p_run)
     p_run.add_argument("--output", default=None, help="CSV output path")
+    p_run.set_defaults(func=_cmd_run)
 
     p_replay = sub.add_parser("replay-cost", help="recompute costs from telemetry")
     p_replay.add_argument("csv", help="telemetry CSV produced by 'run'")
     p_replay.add_argument("--config", required=True, help="scenario file path")
+    p_replay.set_defaults(func=_cmd_replay)
 
     p_oracle = sub.add_parser("oracle", help="brute-force relaxation check")
     _add_common(p_oracle)
     p_oracle.add_argument(
         "--grid-points", type=int, default=41, help="charge levels per spacecraft"
     )
+    p_oracle.set_defaults(func=_cmd_oracle)
     return parser
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "steps", None) is not None:
-        out["steps"] = args.steps
-    if getattr(args, "horizon", None) is not None:
-        out["horizon"] = args.horizon
-    if getattr(args, "no_warm_start", False):
-        out["warm_start"] = False
-    if getattr(args, "output", None) is not None:
-        out["output"] = args.output
-    return out
+    """The scenario keys given on the command line: each flag's dest is its key."""
+    return {key: value for key, value in vars(args).items() if key in _KNOWN_KEYS}
 
 
 def _cmd_run(args) -> int:
@@ -137,13 +134,7 @@ def _cmd_oracle(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "replay-cost":
-            return _cmd_replay(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,14 +18,14 @@ Example::
 The loader only parses and maps keys: each key goes to the dataclass field
 that owns it (`FormationConfig`, `MpcParams`, `SolverSettings` or
 `ScenarioConfig`, one row each in `_KEYS_BY_OWNER`), only when the file
-gives it, and that dataclass holds the default, converts and broadcasts the
-value and checks it.  The loader keeps what belongs to the file format
-alone: the literals, a bool for `warm_start` only, a count written as a
-whole float (`1e3` is 1000), the `desired` / `num_spacecraft` agreement, the
-`state_margin` shorthand for a symmetric box of that half-width around the
-desired state (explicit `state_min` / `state_max` arrays override it) and
-the defaults of the keys whose field has none.  `saturation_limit` is the
-one charge limit: the controller clamps to it and the `oracle` grid spans it.
+gives it, and that dataclass holds every default and the one number rule,
+converts and checks the value.  The loader keeps what belongs to the file
+format alone: the literals, one line per key, a count written as a whole
+float (`1e3` is 1000), the `desired` / `num_spacecraft` agreement and the
+`state_margin` shorthand for a box of that half-width around the desired
+state, each side of which an explicit `state_min` or `state_max` overrides.
+`saturation_limit` is the one charge limit: the controller clamps to it and
+the `oracle` grid spans it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from .dynamics import FormationConfig, _as_float_vector
+from .dynamics import FormationConfig, _as_float_vector, _as_floats
 from .horizon import MpcParams
 from .simulate import ScenarioConfig
 from .solver import SolverSettings
@@ -58,23 +58,12 @@ _KEYS_BY_OWNER = {
 }
 _KNOWN_KEYS = {"desired", "num_spacecraft", "state_min", "state_max", "state_margin",
                *itertools.chain(*_KEYS_BY_OWNER.values())}
-# the defaults of the keys whose dataclass field has none; every other key
-# the file leaves out takes its field's default
-_DEFAULTS = {
-    "masses": 750.0,
-    "horizon": 9,
-    "state_weight": 1.0,
-    "product_weight": 0.0,
-    "product_delta_weight": 0.0,
-    "sample_period": 0.5,
-    "steps": 2400,
-}
 _COUNT_KEYS = ("num_spacecraft", "horizon", "steps", "substeps", "max_iters")
 
 
 def parse_config_text(text: str) -> dict:
     """Parse the key/value lines into a dict of Python values."""
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -86,6 +75,9 @@ def parse_config_text(text: str) -> dict:
         literal = literal.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key!r} is already given on line {first_line[key]}")
+        first_line[key] = lineno
         if literal.lower() in ("true", "false"):
             value = literal.lower() == "true"
         else:
@@ -97,26 +89,15 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _holds_bool(value) -> bool:
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
-
-
 def scenario_from_values(values: dict, overrides: dict | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed key/value pairs."""
-    values = {**_DEFAULTS, **values}
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+    values = {**values, **{k: v for k, v in (overrides or {}).items() if v is not None}}
     for key in _COUNT_KEYS:  # the format writes a count as a whole float too
         value = values.get(key)
         if isinstance(value, float) and value.is_integer():
             values[key] = int(value)
         elif key in values and not isinstance(value, int):
             raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    for key, value in values.items():  # a count rejects a bool itself
-        if key != "warm_start" and key not in _COUNT_KEYS and _holds_bool(value):
-            raise ConfigError(f"{key} must not be true or false (only warm_start is), got {value!r}")
 
     def given(owner):  # a key the file leaves out keeps its dataclass default
         return {"output_path" if key == "output" else key: values[key]
@@ -133,12 +114,12 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
                 f"a desired vector of length {desired.size}"
             )
         bounds = {key: values[key] for key in ("state_min", "state_max") if key in values}
-        if len(bounds) < 2:
-            if "state_margin" not in values:
-                raise ConfigError("give state_min/state_max or a state_margin half-width")
+        if "state_margin" in values:  # an explicit bound overrides its own side
             center = np.concatenate([desired, np.zeros(ns - 1)])
-            bounds = {"state_min": center - values["state_margin"],
-                      "state_max": center + values["state_margin"]}
+            margin = _as_floats(values["state_margin"], "state_margin")
+            bounds = {"state_min": center - margin, "state_max": center + margin, **bounds}
+        elif len(bounds) < 2:
+            raise ConfigError("give state_min/state_max or a state_margin half-width")
         if "initial_state" not in values:
             raise ConfigError("'initial_state' is required")
         return ScenarioConfig(

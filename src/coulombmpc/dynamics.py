@@ -37,26 +37,34 @@ def _check_count(value, name: str) -> int:
     return int(value)
 
 
-def _not_bool(value, name: str):
-    """``value``, unless it is a bool (or bools), which float() reads as 1 or 0."""
-    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+def _as_floats(value, name: str) -> np.ndarray:
+    """``value`` as floats: the one conversion of an input number.  A bool anywhere
+    in it, which float() reads as 1 or 0, and anything float() cannot read
+    raise a ``ValueError`` naming ``name``."""
+    try:
+        floats = np.asarray(value, dtype=float)
+        # numpy would promote a bool among numbers away, so a list's items keep their type
+        items = np.asarray(value, dtype=object if isinstance(value, (list, tuple)) else None)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name} must be numeric, got {value!r}") from exc
+    if items.dtype.kind == "b" or (
+        items.dtype.kind == "O" and any(isinstance(v, (bool, np.bool_)) for v in items.flat)
+    ):
         raise ValueError(f"{name} must be a number, not true or false, got {value!r}")
-    return value
+    return floats
 
 
-def _check_positive(value, name: str) -> float:
-    """A finite, strictly positive number, as a float."""
-    value = float(_not_bool(value, name))
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return value
+def _check_positive(value, name: str, zero_ok: bool = False) -> float:
+    """A finite number, strictly positive (or nonnegative if ``zero_ok``), as a float."""
+    number = _as_floats(value, name).tolist()  # a float, unless value held several
+    if not isinstance(number, float) or not (0 < number < math.inf or zero_ok and number == 0):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+    return number
 
 
 def _as_float_vector(value, length: int | None = None, name: str = "array") -> np.ndarray:
-    try:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{name} must be numeric, got {value!r}") from exc
+    arr = np.atleast_1d(_as_floats(value, name))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if length is not None and arr.size != length:
@@ -95,7 +103,7 @@ class FormationConfig:
     """
 
     num_spacecraft: int
-    masses: np.ndarray
+    masses: np.ndarray = 750.0  # kg, one value for every craft or one per craft
     coulomb_constant: float = COULOMB_CONSTANT
     min_separation: float = 1e-3  # m, below this pair forces are treated as singular
 
@@ -105,7 +113,7 @@ class FormationConfig:
             raise ValueError("num_spacecraft must be at least 2")
         object.__setattr__(self, "num_spacecraft", ns)
 
-        masses = _as_float_vector(_not_bool(self.masses, "masses"), name="masses")
+        masses = _as_float_vector(self.masses, name="masses")
         if masses.size == 1:
             masses = np.full(ns, masses[0])
         if masses.size != ns:

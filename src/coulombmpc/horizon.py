@@ -28,18 +28,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
-from .dynamics import DiscreteModel, _check_count, _not_bool, pair_count, spacecraft_pairs
+from .dynamics import DiscreteModel, _as_float_vector, _as_floats, _check_count, _check_positive
+from .dynamics import pair_count, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
 
 
 def _weight_matrix(value, size: int, name: str) -> np.ndarray:
     """Normalize a scalar / diagonal vector / full matrix into a PSD weight matrix."""
-    arr = np.asarray(value, dtype=float)
+    arr = _as_floats(value, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     if arr.ndim == 0:
-        mat = float(arr) * np.eye(size)
+        mat = arr * np.eye(size)
     elif arr.ndim == 1:
         if arr.size != size:
             raise ValueError(f"{name} diagonal must have length {size}")
@@ -60,7 +61,7 @@ def _weight_matrix(value, size: int, name: str) -> np.ndarray:
 
 def _bound(value, size: int, name: str) -> np.ndarray:
     """A single value or a length-``size`` bound as a finite vector of that length."""
-    arr = np.asarray(value, dtype=float)
+    arr = _as_floats(value, name)
     if arr.size == 1:
         arr = np.full(size, arr.item())
     if arr.shape != (size,):
@@ -74,25 +75,22 @@ def _bound(value, size: int, name: str) -> np.ndarray:
 class MpcParams:
     """Horizon length, tracking target, weights and bounds of the stage problem."""
 
-    horizon: int
     desired_positions: np.ndarray
-    state_weight: np.ndarray
-    product_weight: np.ndarray
-    product_delta_weight: np.ndarray
     state_min: np.ndarray
     state_max: np.ndarray
+    horizon: int = 9
+    state_weight: np.ndarray = 1.0
+    product_weight: np.ndarray = 0.0
+    product_delta_weight: np.ndarray = 0.0
     trace_weight: float = 0.0
     product_min: np.ndarray | None = None
     product_max: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_count(self.horizon, "horizon"))
-        object.__setattr__(self, "trace_weight", float(_not_bool(self.trace_weight, "trace_weight")))
-        if not np.isfinite(self.trace_weight):
-            raise ValueError("trace_weight must be finite")
-        if self.trace_weight < 0:
-            raise ValueError("trace_weight must be nonnegative")
-        desired = np.atleast_1d(np.asarray(self.desired_positions, dtype=float))
+        trace_weight = _check_positive(self.trace_weight, "trace_weight", zero_ok=True)
+        object.__setattr__(self, "trace_weight", trace_weight)
+        desired = _as_float_vector(self.desired_positions, name="desired_positions")
         object.__setattr__(self, "desired_positions", desired)
         ns = desired.size + 1
         n = 2 * desired.size

@@ -9,6 +9,7 @@ closes below the configured minimum separation.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .dynamics import (
     FormationConfig,
     RelativeState,
     SingularityError,
+    _as_float_vector,
     _check_count,
     _check_positive,
     build_discrete_model,
@@ -43,22 +45,22 @@ class ScenarioConfig:
     params: MpcParams
     solver: SolverSettings
     initial_state: np.ndarray
-    sample_period: float
-    steps: int
+    sample_period: float = 0.5
+    steps: int = 2400
     substeps: int = 10
     saturation_limit: float = SATURATION_LIMIT  # the one charge limit [10 mC]: clamp and oracle grid
-    output_path: str | None = None
+    output_path: str | os.PathLike | None = None
 
     def __post_init__(self):
-        self.initial_state = np.asarray(self.initial_state, dtype=float)
-        if self.initial_state.shape != (self.formation.state_dim,):
-            raise ValueError(
-                f"initial_state must have length {self.formation.state_dim}"
-            )
+        self.initial_state = _as_float_vector(
+            self.initial_state, self.formation.state_dim, "initial_state"
+        )
         for name in ("sample_period", "saturation_limit"):
             setattr(self, name, _check_positive(getattr(self, name), name))
         self.steps = _check_count(self.steps, "steps")
         self.substeps = _check_count(self.substeps, "substeps")
+        if not isinstance(self.output_path, (str, os.PathLike, type(None))):
+            raise ValueError(f"output must be a str, os.PathLike or None, got {self.output_path!r}")
 
 
 @dataclass
@@ -260,12 +262,16 @@ def replay_cost(records: list[StepRecord], params: MpcParams) -> dict:
     """Recompute stage costs and product consistency from logged telemetry.
 
     The tracking cost sums over steps with a finite measurement only, so an
-    ``invalid_measurement`` step does not turn it into NaN.
+    ``invalid_measurement`` step does not turn it into NaN.  Records of another
+    spacecraft count than ``params`` raise ``ValueError``.
     """
     target = params.desired_state
     tracking = 0.0
     coupling_error = 0.0
     for rec in records:
+        if rec.charges.size != params.num_spacecraft:
+            raise ValueError(f"the telemetry is of {rec.charges.size} spacecraft, "
+                             f"the scenario of {params.num_spacecraft}")
         dev = rec.measured - target
         if np.isfinite(dev).all():
             tracking += float(dev @ params.state_weight @ dev)

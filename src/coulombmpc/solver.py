@@ -59,7 +59,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .conic import ConeDims, ConicProblem, _eigh, sym_gather, vec_dim
-from .dynamics import _check_count, _not_bool
+from .dynamics import _check_count, _check_positive
 
 OPTIMAL = "optimal"
 MAX_ITERS = "max_iters"
@@ -86,10 +86,8 @@ class SolverSettings:
     warm_start: bool = True
 
     def __post_init__(self):
-        self.eps_abs = float(_not_bool(self.eps_abs, "eps_abs"))
-        self.eps_rel = float(_not_bool(self.eps_rel, "eps_rel"))
-        if not (0 < self.eps_abs < math.inf and 0 <= self.eps_rel < math.inf):
-            raise ValueError("tolerances must be finite, eps_abs positive and eps_rel nonnegative")
+        self.eps_abs = _check_positive(self.eps_abs, "eps_abs")
+        self.eps_rel = _check_positive(self.eps_rel, "eps_rel", zero_ok=True)
         self.max_iters = _check_count(self.max_iters, "max_iters")
         if not isinstance(self.warm_start, bool):
             raise ValueError(f"warm_start must be true or false, got {self.warm_start!r}")

@@ -1,10 +1,11 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coulombmpc.cli import main
+from coulombmpc.cli import _overrides, build_parser, main
 from coulombmpc.config import (
     _KNOWN_KEYS,
     ConfigError,
@@ -89,6 +90,17 @@ def test_inconsistent_counts_rejected():
         })
 
 
+def test_cli_flags_map_to_their_scenario_keys():
+    # each flag's dest is its key, and a flag left out (None) keeps the file's value
+    args = build_parser().parse_args(["run", "--config", "x.cfg", "--steps", "4", "--horizon", "3",
+                                      "--no-warm-start", "--output", "o.csv"])
+    assert _overrides(args) == {"steps": 4, "horizon": 3, "warm_start": False, "output": "o.csv"}
+    args = build_parser().parse_args(["oracle", "--config", "x.cfg"])
+    assert _overrides(args) == {"steps": None, "horizon": None, "warm_start": None}
+    scen = load_scenario(FOURCRAFT_CFG, _overrides(args))
+    assert (scen.steps, scen.params.horizon, scen.solver.warm_start) == (2400, 9, True)
+
+
 def test_cli_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "short.csv"
     code = main([
@@ -128,6 +140,17 @@ def test_cli_replay_cost_rejects_bad_row(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert f"{out} line 3: " in err
     assert edit != "unparseable-field" or "could not convert string to float: 'abc'" in err
+
+
+def test_cli_replay_cost_rejects_other_craft_count(tmp_path, capsys):
+    # a two-craft log against the four-craft scenario raised a bare numpy
+    # broadcast error that named neither count
+    out = tmp_path / "short.csv"
+    assert main(["run", "--config", str(TWOCRAFT_CFG), "--steps", "2",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["replay-cost", str(out), "--config", str(FOURCRAFT_CFG)]) == 2
+    assert "the telemetry is of 2 spacecraft, the scenario of 4" in capsys.readouterr().err
 
 
 def test_cli_oracle(capsys):
@@ -204,12 +227,15 @@ def twocraft_with(tmp_path, *lines):
     ("warm_start = flase", "warm_start must be true or false"),
     ("steps = true", "steps must be at least 1"),
     ("desired = abc", "desired must be numeric"),
-    ("masses = true", "masses must not be true or false"),
-    ("saturation_limit = true", "saturation_limit must not be true or false"),
-    ("eps_abs = true", "eps_abs must not be true or false"),
-    ("state_margin = true", "state_margin must not be true or false"),
-    ("trace_weight = false", "trace_weight must not be true or false"),
-    ("state_weight = [1.0, True]", "state_weight must not be true or false"),
+    ("masses = true", "masses must be a number, not true or false"),
+    ("saturation_limit = true", "saturation_limit must be a number, not true or false"),
+    ("eps_abs = true", "eps_abs must be a number, not true or false"),
+    ("state_margin = true", "state_margin must be a number, not true or false"),
+    ("trace_weight = false", "trace_weight must be a number, not true or false"),
+    ("state_weight = [1.0, True]", "state_weight must be a number, not true or false"),
+    ("eps_abs = abc", "eps_abs must be numeric"),
+    ("sample_period = fast", "sample_period must be numeric"),
+    ("state_margin = wide", "state_margin must be numeric"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, line, message):
     # a fractional count used to be truncated by int(), and a non-finite
@@ -233,10 +259,62 @@ def test_readme_key_table_lists_every_key():
     assert {key for row in rows for key in re.findall(r"`(\w+)`", row)} == _KNOWN_KEYS
 
 
-def test_bool_output_path_is_config_error(tmp_path):
-    # True is the int 1: open(True) would write the CSV to standard output
-    with pytest.raises(ConfigError, match="output must not be true or false"):
-        load_scenario(twocraft_with(tmp_path, "output = true"))
+@pytest.mark.parametrize("field,value,message", [
+    ("params", {"state_weight": True}, "state_weight must be a number, not true or false"),
+    ("params", {"state_weight": "abc"}, "state_weight must be numeric"),
+    ("params", {"state_min": True}, "state_min must be a number, not true or false"),
+    ("params", {"state_min": "abc"}, "state_min must be numeric"),
+    ("params", {"desired_positions": True}, "desired_positions must be a number, not true or"),
+    ("params", {"desired_positions": "abc"}, "desired_positions must be numeric"),
+    ("solver", {"eps_abs": True}, "eps_abs must be a number, not true or false"),
+    ("solver", {"eps_abs": "abc"}, "eps_abs must be numeric"),
+    (None, {"initial_state": True}, "initial_state must be a number, not true or false"),
+    (None, {"initial_state": "abc"}, "initial_state must be numeric"),
+])
+def test_bad_values_from_the_api_name_their_field(field, value, message):
+    # the dataclasses own the number rule, so the Python API gets the file's errors
+    scenario = load_scenario(TWOCRAFT_CFG)
+    with pytest.raises(ValueError, match=message):
+        if field is None:
+            dataclasses.replace(scenario, **value)
+        else:
+            dataclasses.replace(getattr(scenario, field), **value)
+
+
+@pytest.mark.parametrize("line", ["output = true", "output = 2"])
+def test_bool_output_path_is_config_error(tmp_path, line):
+    # True is the int 1 and 2 an int: open() of either writes the CSV to a file
+    # descriptor (standard output or error) and closes it
+    with pytest.raises(ConfigError, match="output must be a str, os.PathLike or None"):
+        load_scenario(twocraft_with(tmp_path, line))
+
+
+def test_output_path_must_be_a_path():
+    scenario = load_scenario(TWOCRAFT_CFG)
+    assert dataclasses.replace(scenario, output_path=Path("out.csv")).output_path == Path("out.csv")
+    for value in (2, True, 0.5):
+        with pytest.raises(ValueError, match="output must be a str, os.PathLike or None"):
+            dataclasses.replace(scenario, output_path=value)
+
+
+def test_duplicate_key_is_config_error(tmp_path):
+    # the later line used to win silently
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("masses = 50.0\ndesired = [50.0]\nmasses = 60.0\n")
+    with pytest.raises(ConfigError, match="line 3: 'masses' is already given on line 1"):
+        load_scenario(cfg)
+    assert main(["run", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("line,box", [
+    ("state_min = [45.0, -1.0]", ([45.0, -1.0], [90.0, 40.0])),
+    ("state_max = [55.0, 1.0]", ([10.0, -40.0], [55.0, 1.0])),
+])
+def test_lone_bound_overrides_its_side_of_the_margin(tmp_path, line, box):
+    # state_margin = 40 gives [10, -40] .. [90, 40]; one explicit bound used to
+    # be dropped for the margin's
+    scen = load_scenario(twocraft_with(tmp_path, line))
+    assert (scen.params.state_min.tolist(), scen.params.state_max.tolist()) == box
 
 
 def test_whole_float_counts_load(tmp_path):
