@@ -20,10 +20,12 @@ that owns it (`FormationConfig`, `MpcParams`, `SolverSettings` or
 `ScenarioConfig`, one row each in `_KEYS_BY_OWNER`), only when the file
 gives it, and that dataclass holds every default and the one number rule,
 converts and checks the value.  The loader keeps what belongs to the file
-format alone: the literals, one line per key, a count written as a whole
-float (`1e3` is 1000), the `desired` / `num_spacecraft` agreement and the
-`state_margin` shorthand for a box of that half-width around the desired
-state, each side of which an explicit `state_min` or `state_max` overrides.
+format alone: the literals (`#` starts a comment outside a quoted value), one
+line per key, no key it does not know, a count written as a whole float
+(`1e3` is 1000), the craft count as the length of `desired` plus one, and
+the `state_margin` shorthand for a box of that positive half-width around
+the desired state, each side of which an explicit `state_min` or
+`state_max` overrides.
 `saturation_limit` is the one charge limit: the controller clamps to it and
 the `oracle` grid spans it.
 """
@@ -35,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from .dynamics import FormationConfig, _as_float_vector, _as_floats
+from .dynamics import FormationConfig, _as_float_vector, _bound
 from .horizon import MpcParams
 from .simulate import ScenarioConfig
 from .solver import SolverSettings
@@ -46,45 +48,42 @@ class ConfigError(ValueError):
 
 
 # the keys of each dataclass, its field names but for `output` (ScenarioConfig's
-# output_path); the loader reads `desired`, `num_spacecraft` and the state box
-# keys itself
+# output_path); the loader reads `desired` and the state box keys itself
 _KEYS_BY_OWNER = {
-    FormationConfig: ("masses", "coulomb_constant", "min_separation"),
+    FormationConfig: ("masses", "min_separation"),
     MpcParams: ("horizon", "state_weight", "product_weight", "product_delta_weight",
-                "trace_weight", "product_min", "product_max"),
+                "trace_weight"),
     SolverSettings: ("eps_abs", "eps_rel", "max_iters", "warm_start"),
     ScenarioConfig: ("initial_state", "sample_period", "steps", "substeps", "saturation_limit",
                      "output"),
 }
-_KNOWN_KEYS = {"desired", "num_spacecraft", "state_min", "state_max", "state_margin",
+_KNOWN_KEYS = {"desired", "state_min", "state_max", "state_margin",
                *itertools.chain(*_KEYS_BY_OWNER.values())}
-_COUNT_KEYS = ("num_spacecraft", "horizon", "steps", "substeps", "max_iters")
+_COUNT_KEYS = ("horizon", "steps", "substeps", "max_iters")
 
 
 def parse_config_text(text: str) -> dict:
     """Parse the key/value lines into a dict of Python values."""
     values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip()  # the line up to a comment
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, literal = line.partition("=")
+        key, _, literal = raw.partition("=")  # a literal may quote a '#'
         key = key.strip()
-        literal = literal.strip()
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"line {lineno}: {key!r} is already given on line {first_line[key]}")
         first_line[key] = lineno
-        if literal.lower() in ("true", "false"):
-            value = literal.lower() == "true"
-        else:
-            try:
-                value = ast.literal_eval(literal)
-            except (ValueError, SyntaxError):
-                value = literal  # bare string (e.g. an output path)
+        try:  # Python's tokenizer drops a trailing comment
+            value = ast.literal_eval(literal.strip())
+        except (ValueError, SyntaxError):
+            value = line.partition("=")[2].strip()  # bare string (e.g. an output path)
+            if value.lower() in ("true", "false"):
+                value = value.lower() == "true"
         values[key] = value
     return values
 
@@ -92,6 +91,9 @@ def parse_config_text(text: str) -> dict:
 def scenario_from_values(values: dict, overrides: dict | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed key/value pairs."""
     values = {**values, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    for key in values:
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown key {key!r}")
     for key in _COUNT_KEYS:  # the format writes a count as a whole float too
         value = values.get(key)
         if isinstance(value, float) and value.is_integer():
@@ -108,15 +110,10 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
             raise ConfigError("'desired' (relative target positions) is required")
         desired = _as_float_vector(values["desired"], name="desired")
         ns = desired.size + 1
-        if values.get("num_spacecraft", ns) != ns:
-            raise ConfigError(
-                f"num_spacecraft = {values['num_spacecraft']!r} conflicts with "
-                f"a desired vector of length {desired.size}"
-            )
         bounds = {key: values[key] for key in ("state_min", "state_max") if key in values}
         if "state_margin" in values:  # an explicit bound overrides its own side
             center = np.concatenate([desired, np.zeros(ns - 1)])
-            margin = _as_floats(values["state_margin"], "state_margin")
+            margin = _bound(values["state_margin"], center.size, "state_margin", positive=True)
             bounds = {"state_min": center - margin, "state_max": center + margin, **bounds}
         elif len(bounds) < 2:
             raise ConfigError("give state_min/state_max or a state_margin half-width")

@@ -63,6 +63,19 @@ def _check_positive(value, name: str, zero_ok: bool = False) -> float:
     return number
 
 
+def _bound(value, size: int, name: str, positive: bool = False) -> np.ndarray:
+    """A single value or a length-``size`` vector as a finite vector of that length,
+    every entry above 0 if ``positive``: the one rule for a per-craft or per-state value."""
+    arr = _as_floats(value, name)
+    if arr.size == 1:
+        arr = np.full(size, arr.item())
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must have length {size}")
+    if not np.isfinite(arr).all() or positive and not (arr > 0).all():
+        raise ValueError(f"{name} must be finite" + (" and positive" if positive else ""))
+    return arr
+
+
 def _as_float_vector(value, length: int | None = None, name: str = "array") -> np.ndarray:
     arr = np.atleast_1d(_as_floats(value, name))
     if arr.ndim != 1:
@@ -97,14 +110,13 @@ def pair_count(num_spacecraft: int) -> int:
 
 @dataclass(frozen=True)
 class FormationConfig:
-    """Physics of the formation: craft count, masses, Coulomb constant and the
-    separation below which pair forces are singular.  The state and product
-    box belong to ``MpcParams``, the charge limit to ``saturation_limit``.
+    """Physics of the formation: craft count, masses and the separation below
+    which pair forces are singular; the Coulomb constant is ``COULOMB_CONSTANT``.
+    The state box belongs to ``MpcParams``, the charge limit to ``saturation_limit``.
     """
 
     num_spacecraft: int
     masses: np.ndarray = 750.0  # kg, one value for every craft or one per craft
-    coulomb_constant: float = COULOMB_CONSTANT
     min_separation: float = 1e-3  # m, below this pair forces are treated as singular
 
     def __post_init__(self):
@@ -113,18 +125,12 @@ class FormationConfig:
             raise ValueError("num_spacecraft must be at least 2")
         object.__setattr__(self, "num_spacecraft", ns)
 
-        masses = _as_float_vector(self.masses, name="masses")
-        if masses.size == 1:
-            masses = np.full(ns, masses[0])
-        if masses.size != ns:
-            raise ValueError(f"masses must have length {ns}")
-        if not ((masses > 0) & (masses < math.inf)).all():
-            raise ValueError("masses must be finite and positive")
-        masses = masses.copy()  # read-only, so the cached pair plan stays in step
+        # a read-only copy, so the cached pair plan stays in step
+        masses = _bound(self.masses, ns, "masses", positive=True).copy()
         masses.setflags(write=False)
         object.__setattr__(self, "masses", masses)
-        for name in ("coulomb_constant", "min_separation"):
-            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
+        separation = _check_positive(self.min_separation, "min_separation")
+        object.__setattr__(self, "min_separation", separation)
 
     @property
     def state_dim(self) -> int:
@@ -211,7 +217,7 @@ def _pair_force_terms(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray
             f"spacecraft {i} and {j} are {dist[worst]:.3e} m apart "
             f"(minimum separation {cfg.min_separation:g} m)"
         )
-    return cfg.coulomb_constant * diff / dist**3
+    return COULOMB_CONSTANT * diff / dist**3
 
 
 def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray:
@@ -277,7 +283,7 @@ def rk4_step(
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")
-    kappa, min_separation = cfg.coulomb_constant, cfg.min_separation
+    kappa, min_separation = COULOMB_CONSTANT, cfg.min_separation
     # stages[0] is [0, y], then the three stage vectors; derivs the four k
     stages = np.zeros((4, 2 * half + 1))
     stages[0, 1 : half + 1] = positions

@@ -28,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
-from .dynamics import DiscreteModel, _as_float_vector, _as_floats, _check_count, _check_positive
-from .dynamics import pair_count, spacecraft_pairs
+from .dynamics import DiscreteModel, _as_float_vector, _as_floats, _bound, _check_count
+from .dynamics import _check_positive, pair_count, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
 
@@ -59,18 +59,6 @@ def _weight_matrix(value, size: int, name: str) -> np.ndarray:
     return mat
 
 
-def _bound(value, size: int, name: str) -> np.ndarray:
-    """A single value or a length-``size`` bound as a finite vector of that length."""
-    arr = _as_floats(value, name)
-    if arr.size == 1:
-        arr = np.full(size, arr.item())
-    if arr.shape != (size,):
-        raise ValueError(f"{name} must have length {size}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class MpcParams:
     """Horizon length, tracking target, weights and bounds of the stage problem."""
@@ -83,8 +71,6 @@ class MpcParams:
     product_weight: np.ndarray = 0.0
     product_delta_weight: np.ndarray = 0.0
     trace_weight: float = 0.0
-    product_min: np.ndarray | None = None
-    product_max: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _check_count(self.horizon, "horizon"))
@@ -104,18 +90,12 @@ class MpcParams:
             "product_delta_weight",
             _weight_matrix(self.product_delta_weight, m, "product_delta_weight"),
         )
-        if (self.product_min is None) != (self.product_max is None):
-            raise ValueError("product bounds must be given as a pair or not at all")
-        boxes = [("state", n)]
-        if self.product_min is not None:
-            boxes.append(("product", m))
-        for kind, size in boxes:
-            lo = _bound(getattr(self, f"{kind}_min"), size, f"{kind}_min")
-            hi = _bound(getattr(self, f"{kind}_max"), size, f"{kind}_max")
-            if np.any(lo >= hi):
-                raise ValueError(f"{kind}_min must be elementwise below {kind}_max")
-            object.__setattr__(self, f"{kind}_min", lo)
-            object.__setattr__(self, f"{kind}_max", hi)
+        lo = _bound(self.state_min, n, "state_min")
+        hi = _bound(self.state_max, n, "state_max")
+        if np.any(lo >= hi):
+            raise ValueError("state_min must be elementwise below state_max")
+        object.__setattr__(self, "state_min", lo)
+        object.__setattr__(self, "state_max", hi)
 
     @property
     def num_spacecraft(self) -> int:
@@ -225,8 +205,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     Row layout: the first ``state_dim`` zero-cone rows pin stage 0 to the
     measured state (so re-pinning a new measurement only rewrites that slice
     of b), followed by dynamics and product-coupling equalities, the state box
-    rows (and product box rows when bounds are configured), then one PSD block
-    per stage.
+    rows, then one PSD block per stage.
 
     A and P are each one stage's nonzero pattern repeated over the horizon,
     each entry moving by its own row and column stride.  A has no repeated
@@ -240,28 +219,24 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     side, d = hp.lifted_side, hp.lifted_vec_dim
     u0, l0 = hp.input_offset(0), hp.lifted_offset(0)
     pairs = spacecraft_pairs(side)
-    bounded = p.product_min is not None
     box = n + N * (n + m)  # the zero cone's end and the first state box row
-    psd = box + 2 * N * (n + m if bounded else n)  # the first PSD row
+    psd = box + 2 * N * n  # the first PSD row
     # int32 indices: each is below a side of its matrix, and int32 is the type
     # scipy picks for those, so its constructor neither checks nor casts them
     stages = np.arange(N, dtype=np.int32)[:, None]
 
     # stage j of A: the rows of dynamics j, the state box of stage j+1 (upper
-    # and lower), coupling j, the product box of stage j (upper and lower) and
-    # PSD slack j; the columns of states j and j+1, inputs j and lifted j
-    groups = [(n, n), (box, n), (box + N * n, n), (n + N * n, m)]
-    if bounded:
-        groups += [(box + 2 * N * n, m), (box + 2 * N * n + N * m, m)]
-    groups.append((psd, d))
+    # and lower), coupling j and PSD slack j; the columns of states j and j+1,
+    # inputs j and lifted j
+    groups = [(n, n), (box, n), (box + N * n, n), (n + N * n, m), (psd, d)]
     starts, sizes = zip(*groups)
     row_base, row_step = _slots(starts, sizes, sizes)
     col_base, col_step = _slots((0, u0, l0), (2 * n, m, d), (n, m, d))
     cp, us, ls = 3 * n, 2 * n, 2 * n + m  # the first coupling row, input and lifted column
     t = np.zeros((row_base.size, col_base.size))
     eye = np.eye(max(n, m, d))
-    # dynamics: states[j+1] - A states[j] - B inputs[j] = 0; the boxes bound
-    # +-states[j+1] and +-inputs[j]; the PSD slack is vec(lifted[j])
+    # dynamics: states[j+1] - A states[j] - B inputs[j] = 0; the box bounds
+    # +-states[j+1]; the PSD slack is vec(lifted[j])
     t[:n, :n] = -hp.model.A
     t[:n, n:us] = t[n : 2 * n, n:us] = eye[:n, :n]
     t[2 * n : cp, n:us] = -eye[:n, :n]
@@ -270,9 +245,6 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     # coupling: inputs[j][l] - lifted[j][i, k] = 0 in scaled vectorization
     lower = pairs[:, 1] * (pairs[:, 1] + 1) // 2 + pairs[:, 0]
     t[cp + np.arange(m), ls + lower] = -1.0 / SQRT2
-    if bounded:
-        t[cp + m : cp + 2 * m, us:ls] = eye[:m, :m]
-        t[cp + 2 * m : cp + 3 * m, us:ls] = -eye[:m, :m]
     t[-d:, ls:] = -eye[:d, :d]
     r, c = np.nonzero(t)
     pin = np.arange(n, dtype=np.int32)  # the stage-0 pin: rows 0..n-1 on states 0
@@ -291,10 +263,6 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     b[:n] = hp.initial_state
     b[box : box + N * n].reshape(N, n)[:] = p.state_max
     b[box + N * n : box + 2 * N * n].reshape(N, n)[:] = -p.state_min
-    if bounded:
-        top = box + 2 * N * n
-        b[top : top + N * m].reshape(N, m)[:] = p.product_max
-        b[top + N * m : psd].reshape(N, m)[:] = -p.product_min
     cones = ConeDims(zero=box, nonneg=psd - box, psd=(side,) * N)
 
     # quadratic objective: 1/2 z'Pz + c'z + const reproduces the stage costs;

@@ -117,8 +117,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     Row layout: the first ``state_dim`` zero-cone rows pin stage 0 to the
     measured state (so re-pinning a new measurement only rewrites that slice
     of b), followed by dynamics and product-coupling equalities, the state box
-    rows (and product box rows when bounds are configured), then one PSD block
-    per stage.
+    rows, then one PSD block per stage.
     """
     p = hp.params
     model = hp.model
@@ -171,16 +170,6 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
         add_block(row, hp.state_offset(j), -np.eye(n))
         b_parts.append(-p.state_min)
         row += n
-    # optional product box, stages 0..N-1
-    if p.product_min is not None:
-        for j in range(N):
-            add_block(row, hp.input_offset(j), np.eye(m))
-            b_parts.append(p.product_max)
-            row += m
-        for j in range(N):
-            add_block(row, hp.input_offset(j), -np.eye(m))
-            b_parts.append(-p.product_min)
-            row += m
     nonneg_dim = row - zero_dim
 
     # PSD slacks: s_block = vec(lifted[j])

@@ -27,10 +27,12 @@ def test_parse_config_text_literals():
         horizon = 7
         warm_start = false
         desired = [50.0]
+        output = 'a#b.csv'  # a quoted '#' is no comment
         """
     )
     assert values == {
-        "masses": [50.0, 60.0], "horizon": 7, "warm_start": False, "desired": [50.0]
+        "masses": [50.0, 60.0], "horizon": 7, "warm_start": False, "desired": [50.0],
+        "output": "a#b.csv",
     }
 
 
@@ -83,11 +85,15 @@ def test_missing_required_keys():
 
 
 def test_inconsistent_counts_rejected():
-    with pytest.raises(ConfigError):
+    # the craft count is the length of desired plus one, so it is no key; an
+    # unknown key given through the Python API was silently dropped
+    with pytest.raises(ConfigError, match="unknown key 'num_spacecraft'"):
         scenario_from_values({
             "desired": [50.0, 100.0], "initial_state": [50.0, 100.0, 0.0, 0.0],
             "state_margin": 10.0, "num_spacecraft": 4,
         })
+    with pytest.raises(ConfigError, match="unknown key 'horizn'"):
+        load_scenario(FOURCRAFT_CFG, {"warm_start": False, "horizn": 3})
 
 
 def test_cli_flags_map_to_their_scenario_keys():
@@ -178,11 +184,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lines,message", [
-    (["state_margin = 1e999"], "state_min must be finite"),
+    (["state_margin = 1e999"], "state_margin must be finite and positive"),
     (["state_min = [10.0, -5.0]", "state_max = [1e999, 5.0]"], "state_max must be finite"),
-    (["state_margin = 40.0", "product_min = -1e999", "product_max = 1.0"],
-     "product_min must be finite"),
-], ids=["infinite-margin", "infinite-state-max", "infinite-product-min"])
+], ids=["infinite-margin", "infinite-state-max"])
 def test_nonfinite_bounds_are_config_errors(tmp_path, capsys, lines, message):
     # the literal 1e999 parses to inf; a bound must be finite, so the file is
     # rejected up front (exit 1) rather than failing every control step
@@ -219,7 +223,10 @@ def twocraft_with(tmp_path, *lines):
     ("rho = 1.0", "unknown key 'rho'"),
     ("adaptive_rho = false", "unknown key 'adaptive_rho'"),
     ("min_separation = nan", "min_separation must be finite and positive"),
-    ("coulomb_constant = 1e999", "coulomb_constant must be finite and positive"),
+    ("product_min = -1.0", "unknown key 'product_min'"),
+    ("product_max = 1.0", "unknown key 'product_max'"),
+    ("num_spacecraft = 2", "unknown key 'num_spacecraft'"),
+    ("coulomb_constant = 1.0", "unknown key 'coulomb_constant'"),
     ("masses = nan", "masses must be finite and positive"),
     ("sample_period = 1e999", "sample_period must be finite and positive"),
     ("product_weight = 1e999", "product_weight must be finite"),
@@ -236,14 +243,19 @@ def twocraft_with(tmp_path, *lines):
     ("eps_abs = abc", "eps_abs must be numeric"),
     ("sample_period = fast", "sample_period must be numeric"),
     ("state_margin = wide", "state_margin must be numeric"),
+    ("state_margin = [1.0, 2.0, 3.0]", "state_margin must have length 2"),
+    ("state_margin = nan", "state_margin must be finite and positive"),
+    ("state_margin = -1.0", "state_margin must be finite and positive"),
 ])
 def test_bad_values_are_config_errors(tmp_path, capsys, line, message):
     # a fractional count used to be truncated by int(), and a non-finite
-    # trace weight failed inside the solver; the solver's tuning has no keys.
+    # trace weight failed inside the solver; the solver's tuning, the craft
+    # count, the Coulomb constant and a product box have no keys.
     # A NaN separation would turn collision detection off, a non-finite
-    # constant, mass, period or weight would fail every solve (exit 2, no key
-    # named) or run on, a typo of a bool would read as true, and a bool would
-    # read as a count or as the number 1 or 0
+    # mass, period or weight would fail every solve (exit 2, no key
+    # named) or run on, a typo of a bool would read as true, a bool would
+    # read as a count or as the number 1 or 0, and a margin of the wrong
+    # length, NaN or below 0 was reported as a broadcast error or a state bound
     cfg = twocraft_with(tmp_path, line)
     with pytest.raises(ConfigError, match=message):
         load_scenario(cfg)
@@ -287,6 +299,14 @@ def test_bool_output_path_is_config_error(tmp_path, line):
     # descriptor (standard output or error) and closes it
     with pytest.raises(ConfigError, match="output must be a str, os.PathLike or None"):
         load_scenario(twocraft_with(tmp_path, line))
+
+
+def test_quoted_hash_stays_in_the_output_path(tmp_path):
+    # the comment used to be cut first, so the CSV went to a file named "'a"
+    out = tmp_path / "a#b.csv"
+    assert main(["run", "--config", str(twocraft_with(tmp_path, f"output = '{out}'  # x")),
+                 "--steps", "2"]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_output_path_must_be_a_path():

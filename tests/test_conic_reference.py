@@ -77,9 +77,9 @@ def test_seeded_family_byte_equal(craft, horizon):
     center = np.concatenate([desired, np.zeros(craft - 1)])
     start = center + rng.normal(0.0, 1.0, n)
     for full in (False, True):
-        for bounded in (False, True):
+        for _ in range(2):
             for trace_weight in (0.0, float(rng.uniform(0.1, 2.0))):
-                limit = rng.uniform(0.01, 1.0, m)
+                rng.uniform(0.01, 1.0, m)  # an unused draw keeps each seed's problems
                 params = MpcParams(
                     horizon=horizon,
                     desired_positions=desired,
@@ -89,8 +89,6 @@ def test_seeded_family_byte_equal(craft, horizon):
                     state_min=center - rng.uniform(1.0, 20.0, n),
                     state_max=center + rng.uniform(1.0, 20.0, n),
                     trace_weight=trace_weight,
-                    product_min=-limit if bounded else None,
-                    product_max=limit if bounded else None,
                 )
                 hp = build_horizon_problem(start, model, params)
                 assert_byte_equal(to_conic(hp), reference_conic.to_conic(hp))

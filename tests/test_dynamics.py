@@ -398,15 +398,12 @@ def test_formation_config_validation():
 
 @pytest.mark.parametrize("field,value,message", [
     ("min_separation", np.nan, "min_separation must be finite and positive"),
-    ("coulomb_constant", np.inf, "coulomb_constant must be finite and positive"),
-    ("coulomb_constant", 0.0, "coulomb_constant must be finite and positive"),
     ("masses", [50.0, np.nan], "masses must be finite and positive"),
     ("masses", np.inf, "masses must be finite and positive"),
     ("num_spacecraft", True, "num_spacecraft must be at least 1"),
     ("num_spacecraft", 2.0, "num_spacecraft must be at least 1"),
     ("masses", True, "masses must be a number, not true or false"),
     ("masses", np.array([True, True]), "masses must be a number, not true or false"),
-    ("coulomb_constant", True, "coulomb_constant must be a number, not true or false"),
 ])
 def test_formation_config_rejects_bad_physics(field, value, message):
     # a NaN minimum separation would turn collision detection off, and a

@@ -42,8 +42,6 @@ def simple_params(ns, horizon, desired, trace_weight=0.0, margin=1e4, **kw):
         state_min=center - margin,
         state_max=center + margin,
         trace_weight=trace_weight,
-        product_min=kw.get("product_min"),
-        product_max=kw.get("product_max"),
     )
 
 
@@ -104,15 +102,6 @@ def test_fourcraft_structure_counts():
     assert prob.cones.psd == (4,) * 9            # 9 lifted blocks of side 4
     assert prob.cones.zero == 6 + 9 * 6 + 9 * 6  # pin + dynamics + coupling
     assert prob.cones.nonneg == 2 * 9 * 6
-
-
-def test_product_bounds_add_rows(twocraft_formation):
-    desired = np.array([50.0])
-    params = simple_params(2, 3, desired, product_min=[-1.0], product_max=[1.0])
-    model = model_for(twocraft_formation, desired)
-    hp = build_horizon_problem(np.array([50.0, 0.0]), model, params)
-    prob = to_conic(hp)
-    assert prob.cones.nonneg == 2 * 3 * 2 + 2 * 3 * 1
 
 
 def test_pack_unpack_round_trip(threecraft_formation):
@@ -366,7 +355,7 @@ def test_mpc_params_rejects_non_count_horizon_and_nonfinite_weights(kwargs, mess
 def fourcraft_bounds(**bounds):
     """Four-craft parameters (6 states, 6 products) with the given bounds."""
     desired = np.array([50.0, 100.0, 150.0])
-    kwargs = dict(state_min=-1e3, state_max=1e3, product_min=-1.0, product_max=1.0)
+    kwargs = dict(state_min=-1e3, state_max=1e3)
     kwargs.update(bounds)
     return MpcParams(horizon=2, desired_positions=desired, state_weight=1.0,
                      product_weight=0.0, product_delta_weight=0.0, **kwargs)
@@ -376,8 +365,6 @@ def fourcraft_bounds(**bounds):
     ("state_min", -np.inf),
     ("state_max", np.inf),
     ("state_min", [-1.0, np.nan, -1.0, -1.0, -1.0, -1.0]),
-    ("product_min", -np.inf),
-    ("product_max", [1.0, 1.0, 1.0, np.nan, 1.0, 1.0]),
 ])
 def test_mpc_params_rejects_nonfinite_bounds(field, value):
     # an infinite or NaN bound would put a non-finite entry in b, which every
@@ -386,23 +373,20 @@ def test_mpc_params_rejects_nonfinite_bounds(field, value):
         fourcraft_bounds(**{field: value})
 
 
-def test_product_bounds_broadcast_scalars():
-    params = fourcraft_bounds(product_min=-0.5, product_max=0.5)
-    assert np.array_equal(params.product_min, np.full(6, -0.5))
-    assert np.array_equal(params.product_max, np.full(6, 0.5))
+def test_state_bounds_broadcast_scalars():
+    params = fourcraft_bounds()
     assert np.array_equal(params.state_max, np.full(6, 1e3))
-    # a one-element list broadcasts too, as a scenario file's `product_min = [-0.5]`
-    params = fourcraft_bounds(state_min=[-1e3], product_min=[-0.5])
+    # a one-element list broadcasts too, as a scenario file's `state_min = [-1e3]`
+    params = fourcraft_bounds(state_min=[-1e3])
     assert np.array_equal(params.state_min, np.full(6, -1e3))
-    assert np.array_equal(params.product_min, np.full(6, -0.5))
 
 
 @pytest.mark.parametrize("field,value", [
-    ("product_min", -np.ones(5)),
-    ("product_max", np.ones(7)),
-    ("product_min", -np.ones((2, 3))),
-    ("product_max", np.ones((6, 1))),
+    ("state_min", -np.ones(5)),
+    ("state_max", np.ones(7)),
+    ("state_min", -np.ones((2, 3))),
+    ("state_max", np.ones((6, 1))),
 ])
-def test_product_bounds_wrong_shape_rejected(field, value):
+def test_state_bounds_wrong_shape_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must have length 6"):
         fourcraft_bounds(**{field: value})
