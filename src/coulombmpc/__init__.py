@@ -10,7 +10,6 @@ matrix.
 from .conic import ConeDims, ConicProblem, vec_dim
 from .controller import (
     INVALID_MEASUREMENT,
-    ControllerState,
     MpcController,
     StepRecord,
     warm_start_payload,
@@ -36,7 +35,7 @@ from .horizon import (
     to_conic,
     update_initial_state,
 )
-from .recovery import RecoveredCharges, recover, saturate
+from .recovery import recover, saturate
 from .simulate import (
     RUN_ABORTED_COLLISION,
     RUN_COMPLETED,

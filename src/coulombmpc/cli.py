@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
     scenario = load_scenario(args.config, _overrides(args))
     log = run_closed_loop(scenario)
     if scenario.output_path:
-        write_csv(log, scenario.output_path, scenario.formation.num_spacecraft)
+        write_csv(log, scenario.output_path)
         print(f"wrote {len(log.records)} steps to {scenario.output_path}")
     summary = log.summary
     print(f"status:           {log.status}")

@@ -108,7 +108,7 @@ def scenario_from_values(values: dict, overrides: dict | None = None) -> Scenari
     try:
         if "desired" not in values:
             raise ConfigError("'desired' (relative target positions) is required")
-        desired = _as_float_vector(values["desired"], name="desired")
+        desired = _as_float_vector(values["desired"], name="desired", finite=True)
         ns = desired.size + 1
         bounds = {key: values[key] for key in ("state_min", "state_max") if key in values}
         if "state_margin" in values:  # an explicit bound overrides its own side

@@ -11,12 +11,12 @@ throughout the run.
 On solver failure, or on a measurement with non-finite entries (status
 :data:`INVALID_MEASUREMENT`, no solve attempted), the controller applies
 zero charges (the passive-safe actuation: no charge, no force), logs the
-fault and keeps the previous warm start.
+fault in the step record and keeps the previous warm start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +28,6 @@ from .solver import OPTIMAL, ConicSolver, SolveResult, SolverSettings
 
 INVALID_MEASUREMENT = "invalid_measurement"
 SATURATION_LIMIT = 0.1  # the default charge limit [10 mC] of a controller and a scenario
-
-
-@dataclass
-class ControllerState:
-    """Mutable loop state carried from one sample to the next."""
-
-    previous_result: SolveResult | None = None
-    previous_charges: np.ndarray | None = None
-    step_count: int = 0
-    faults: list[tuple[int, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -88,38 +78,41 @@ class MpcController:
         )
         self._conic_template: ConicProblem = to_conic(self._template)
         self._solver = ConicSolver(self._conic_template, self.settings)
-        self.state = ControllerState()
+        # loop state carried from one sample to the next
+        self.previous_result: SolveResult | None = None
+        self.previous_charges: np.ndarray | None = None
+        self.step_count = 0
 
     def step(self, measured: RelativeState | np.ndarray) -> tuple[np.ndarray, StepRecord]:
         """Compute and return the charges to hold over the next sample period."""
         if isinstance(measured, RelativeState):
             measured = measured.as_vector()
-        measured = np.asarray(measured, dtype=float)
+        measured = np.array(measured, dtype=float)  # the record's own copy
 
-        k = self.state.step_count
+        k = self.step_count
         # a wrong-length measurement is a caller bug and raises while pinning
         if measured.shape == (self.model.state_dim,) and not np.isfinite(measured).all():
             status, iterations, solve_time, objective = INVALID_MEASUREMENT, 0, 0.0, float("nan")
         else:
             b = update_initial_state(self._conic_template, self._template, measured)
-            warm = warm_start_payload(self.state.previous_result, self.settings)
+            warm = warm_start_payload(self.previous_result, self.settings)
             result = self._solver.solve(b, warm=warm)
             status, iterations = result.status, result.iterations
             solve_time, objective = result.solve_time, result.objective
 
         if status == OPTIMAL:
             _, _, lifted = self._template.unpack(result.z)
-            recovered = recover(lifted[0], previous=self.state.previous_charges)
+            recovered = recover(lifted[0], previous=self.previous_charges)
             charges, clipped = saturate(recovered.charges, self.saturation_limit)
             rank_ratio = recovered.rank_ratio
-            self.state.previous_result = result
+            self.previous_result = result
         else:
             # fault path: passive-safe zero charges, keep the old warm start
             charges = np.zeros(self.params.num_spacecraft)
             clipped = False
             rank_ratio = float("nan")
-            self.state.faults.append((k, status))
 
+        charges.setflags(write=False)  # shared by the record and the next step's sign reference
         record = StepRecord(
             step=k,
             time=k * self.model.sample_period,
@@ -133,6 +126,6 @@ class MpcController:
             saturated=clipped,
             objective=objective,
         )
-        self.state.previous_charges = charges
-        self.state.step_count = k + 1
-        return charges, record
+        self.previous_charges = charges
+        self.step_count = k + 1
+        return charges.copy(), record  # the caller's own copy

@@ -76,12 +76,15 @@ def _bound(value, size: int, name: str, positive: bool = False) -> np.ndarray:
     return arr
 
 
-def _as_float_vector(value, length: int | None = None, name: str = "array") -> np.ndarray:
+def _as_float_vector(value, length: int | None = None, name: str = "array",
+                     finite: bool = False) -> np.ndarray:
     arr = np.atleast_1d(_as_floats(value, name))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if length is not None and arr.size != length:
         raise ValueError(f"{name} must have length {length}, got {arr.size}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -332,7 +335,6 @@ class DiscreteModel:
     sample_period: float
     A: np.ndarray
     B: np.ndarray
-    reference_positions: np.ndarray
 
     @property
     def state_dim(self) -> int:
@@ -356,4 +358,4 @@ def build_discrete_model(
     A = np.eye(2 * half)
     A[:half, half:] = h * np.eye(half)
     B = np.vstack([0.5 * h * h * gain, h * gain])
-    return DiscreteModel(h, A, B, ref)
+    return DiscreteModel(h, A, B)

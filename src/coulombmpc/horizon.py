@@ -76,7 +76,7 @@ class MpcParams:
         object.__setattr__(self, "horizon", _check_count(self.horizon, "horizon"))
         trace_weight = _check_positive(self.trace_weight, "trace_weight", zero_ok=True)
         object.__setattr__(self, "trace_weight", trace_weight)
-        desired = _as_float_vector(self.desired_positions, name="desired_positions")
+        desired = _as_float_vector(self.desired_positions, name="desired_positions", finite=True)
         object.__setattr__(self, "desired_positions", desired)
         ns = desired.size + 1
         n = 2 * desired.size

@@ -28,7 +28,6 @@ class RecoveredCharges:
     """
 
     charges: np.ndarray
-    dominant_eigenvalue: float
     rank_ratio: float
 
 
@@ -63,7 +62,7 @@ def recover(lifted: np.ndarray, previous: np.ndarray | None = None) -> Recovered
 
     trace = float(eigvals.sum())
     ratio = 1.0 if trace <= 0.0 else min(dominant / trace, 1.0)
-    return RecoveredCharges(charges=charges, dominant_eigenvalue=dominant, rank_ratio=ratio)
+    return RecoveredCharges(charges=charges, rank_ratio=ratio)
 
 
 def saturate(charges: np.ndarray, limit: float) -> tuple[np.ndarray, bool]:

@@ -29,12 +29,13 @@ from .dynamics import (
     spacecraft_pairs,
 )
 from .horizon import MpcParams
-from .solver import SolverSettings
+from .solver import OPTIMAL, SolverSettings
 
 RUN_COMPLETED = "completed"
 RUN_ABORTED_COLLISION = "aborted-collision"
 
 CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
+ORACLE_MAX_COMBINATIONS = 41**4  # brute_force_qcqp's cap: 41 levels of 4 craft peak at 670 MB RSS
 
 
 @dataclass
@@ -52,8 +53,11 @@ class ScenarioConfig:
     output_path: str | os.PathLike | None = None
 
     def __post_init__(self):
+        if self.formation.num_spacecraft != self.params.num_spacecraft:
+            raise ValueError(f"formation.num_spacecraft = {self.formation.num_spacecraft} "
+                             f"disagrees with params.num_spacecraft = {self.params.num_spacecraft}")
         self.initial_state = _as_float_vector(
-            self.initial_state, self.formation.state_dim, "initial_state"
+            self.initial_state, self.formation.state_dim, "initial_state", finite=True
         )
         for name in ("sample_period", "saturation_limit"):
             setattr(self, name, _check_positive(getattr(self, name), name))
@@ -116,7 +120,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunLog:
             max((np.abs(r.charges).max() for r in records), default=0.0)
         ),
         "total_solve_time": float(sum(r.solve_time for r in records)),
-        "fault_count": len(controller.state.faults),
+        "fault_count": sum(1 for r in records if r.solver_status != OPTIMAL),
         "saturation_count": sum(1 for r in records if r.saturated),
     }
     return RunLog(records=records, status=status, summary=summary)
@@ -138,18 +142,21 @@ def brute_force_qcqp(
     over the whole horizon, rolls out the frozen linear model and evaluates
     the tracking + input + smoothing cost directly.  States violating the box
     bounds (stages 1..N) are discarded.  Exponential in craft count and
-    horizon; guarded to at most 3 craft and 2 stages.
+    horizon: more than ``ORACLE_MAX_COMBINATIONS`` combinations raise
+    ``ValueError`` before anything is allocated.  The combinations are in
+    ``itertools.product`` order, so a tie goes to the first of them.
     """
     ns = params.num_spacecraft
     N = params.horizon
-    if ns > 3 or N > 2:
-        raise ValueError("grid search is limited to <= 3 spacecraft and horizon <= 2")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 21:
         raise ValueError("grid must be a vector of at least 21 charge levels")
+    if grid.size ** (ns * N) > ORACLE_MAX_COMBINATIONS:
+        raise ValueError(f"grid search of {grid.size}**{ns * N} charge combinations is above "
+                         f"the cap of {ORACLE_MAX_COMBINATIONS:,}")
     measured = np.asarray(measured, dtype=float)
 
-    combos = np.array(list(itertools.product(grid, repeat=ns * N)))
+    combos = grid[np.indices((grid.size,) * (ns * N)).reshape(ns * N, -1).T]
     charges = combos.reshape(-1, N, ns)
     target = params.desired_state
     pairs = spacecraft_pairs(ns)
@@ -203,15 +210,13 @@ def _csv_header(num_spacecraft: int) -> list[str]:
     return ["k", "t", *itertools.chain(*vectors), "rank_ratio", *_CSV_TAIL]
 
 
-def write_csv(log: RunLog, path, num_spacecraft: int | None = None):
-    """Write one row per step; floats carry 17 significant digits.  A spacecraft
-    count other than the records' raises ``ValueError``: the reader would refuse it."""
-    if num_spacecraft is None:
-        if not log.records:
-            raise ValueError("cannot infer the spacecraft count from an empty log")
-        num_spacecraft = log.records[0].charges.size
-    if any(rec.charges.size != num_spacecraft for rec in log.records):
-        raise ValueError(f"num_spacecraft = {num_spacecraft} disagrees with the records' charges")
+def write_csv(log: RunLog, path):
+    """Write one row per step; floats carry 17 significant digits.  A log whose
+    records carry other than one spacecraft count raises ``ValueError``."""
+    counts = sorted({rec.charges.size for rec in log.records})
+    if len(counts) != 1:
+        raise ValueError(f"the records must carry one spacecraft count, got {counts}")
+    num_spacecraft = counts[0]
     vectors = _csv_vectors(num_spacecraft)
     fmt = CSV_FLOAT_FORMAT
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coulombmpc import FormationConfig
 from coulombmpc.cli import _overrides, build_parser, main
 from coulombmpc.config import (
     _KNOWN_KEYS,
@@ -186,13 +187,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("lines,message", [
     (["state_margin = 1e999"], "state_margin must be finite and positive"),
     (["state_min = [10.0, -5.0]", "state_max = [1e999, 5.0]"], "state_max must be finite"),
-], ids=["infinite-margin", "infinite-state-max"])
+    (["desired = [1e999]", "state_min = [10.0, -5.0]", "state_max = [90.0, 5.0]"],
+     "desired must be finite"),
+], ids=["infinite-margin", "infinite-state-max", "infinite-desired-in-a-box"])
 def test_nonfinite_bounds_are_config_errors(tmp_path, capsys, lines, message):
     # the literal 1e999 parses to inf; a bound must be finite, so the file is
-    # rejected up front (exit 1) rather than failing every control step
+    # rejected up front (exit 1) rather than failing every control step; an
+    # infinite target failed when the controller was built (exit 2)
     cfg = tmp_path / "unbounded.cfg"
+    keys = {"state_margin", *(line.split("=")[0].strip() for line in lines)}
     kept = [line for line in TWOCRAFT_CFG.read_text().splitlines()
-            if not line.startswith("state_margin")]
+            if line.split("=")[0].strip() not in keys]
     cfg.write_text("\n".join(kept + lines) + "\n")
     with pytest.raises(ConfigError, match=message):
         load_scenario(cfg)
@@ -234,6 +239,8 @@ def twocraft_with(tmp_path, *lines):
     ("warm_start = flase", "warm_start must be true or false"),
     ("steps = true", "steps must be at least 1"),
     ("desired = abc", "desired must be numeric"),
+    ("desired = [1e999]", "desired must be finite"),
+    ("initial_state = [50.4, 1e999]", "initial_state must be finite"),
     ("masses = true", "masses must be a number, not true or false"),
     ("saturation_limit = true", "saturation_limit must be a number, not true or false"),
     ("eps_abs = true", "eps_abs must be a number, not true or false"),
@@ -282,6 +289,10 @@ def test_readme_key_table_lists_every_key():
     ("solver", {"eps_abs": "abc"}, "eps_abs must be numeric"),
     (None, {"initial_state": True}, "initial_state must be a number, not true or false"),
     (None, {"initial_state": "abc"}, "initial_state must be numeric"),
+    ("params", {"desired_positions": [np.inf]}, "desired_positions must be finite"),
+    (None, {"initial_state": [50.4, np.inf]}, "initial_state must be finite"),
+    (None, {"formation": FormationConfig(num_spacecraft=3)},
+     r"formation.num_spacecraft = 3 disagrees with params.num_spacecraft = 2"),
 ])
 def test_bad_values_from_the_api_name_their_field(field, value, message):
     # the dataclasses own the number rule, so the Python API gets the file's errors
@@ -345,12 +356,21 @@ def test_whole_float_counts_load(tmp_path):
 
 @pytest.mark.parametrize("config,extra,message", [
     (TWOCRAFT_CFG, ["--grid-points", "5"], "at least 21 charge levels"),
-    (FOURCRAFT_CFG, [], "limited to <= 3 spacecraft"),
+    (FOURCRAFT_CFG, [], "grid search of 41**36 charge combinations is above the cap of 2,825,761"),
 ], ids=["too-few-grid-points", "too-many-craft"])
 def test_cli_oracle_usage_error_exit_code(capsys, config, extra, message):
     # a request outside the grid search's limits is a configuration error
     assert main(["oracle", "--config", str(config), *extra]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_cli_oracle_rejects_three_craft_over_two_stages(tmp_path, capsys):
+    # 41**6 = 4.75e9 combinations passed the old craft-and-horizon limit
+    cfg = twocraft_with(tmp_path, "desired = [50.0, 100.0]", "horizon = 2",
+                        "initial_state = [50.4, 100.0, -0.01, 0.0]",
+                        "state_weight = [1.0, 1.0, 20.0, 20.0]")
+    assert main(["oracle", "--config", str(cfg)]) == 1
+    assert "grid search of 41**6 charge combinations is above the cap" in capsys.readouterr().err
 
 
 def test_cli_runtime_abort_exit_code(tmp_path):

@@ -56,37 +56,33 @@ def test_fault_path_applies_zero_and_continues():
     charges, record = controller.step(measured)
     assert record.solver_status == MAX_ITERS
     assert np.array_equal(charges, np.zeros(4))
-    assert controller.state.faults == [(0, MAX_ITERS)]
-    assert controller.state.previous_result is None  # warm start not poisoned
+    assert controller.previous_result is None  # warm start not poisoned
     charges, record = controller.step(measured)
-    assert record.step == 1
+    assert (record.step, record.solver_status) == (1, MAX_ITERS)
     assert np.array_equal(charges, np.zeros(4))
-    assert len(controller.state.faults) == 2
 
 
 def test_nonfinite_measurement_takes_fault_path_without_solving():
     controller, _, _, _ = make_controller()
     good = np.array([53.0, 109.0, 147.0, 0.0, 0.0, 0.0])
     controller.step(good)
-    warm = controller.state.previous_result
+    warm = controller.previous_result
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver must not see a non-finite measurement")
 
     controller._solver.solve = no_solve
-    for bad_value in (np.nan, np.inf, -np.inf):
+    for step, bad_value in enumerate((np.nan, np.inf, -np.inf), start=1):
         bad = good.copy()
         bad[0] = bad_value
         charges, record = controller.step(bad)
         assert np.array_equal(charges, np.zeros(4))
-        assert record.solver_status == INVALID_MEASUREMENT
+        assert (record.step, record.solver_status) == (step, INVALID_MEASUREMENT)
         assert record.iterations == 0
         assert not record.saturated
         assert np.isnan(record.rank_ratio)
-        assert controller.state.previous_result is warm  # warm start kept
-    assert controller.state.faults == [(1, INVALID_MEASUREMENT), (2, INVALID_MEASUREMENT),
-                                       (3, INVALID_MEASUREMENT)]
-    assert controller.state.step_count == 4
+        assert controller.previous_result is warm  # warm start kept
+    assert controller.step_count == 4
 
 
 @pytest.mark.parametrize("limit,rule", [
@@ -109,14 +105,14 @@ def test_wrong_length_measurement_still_raises():
         controller.step(np.array([53.0, 109.0, 147.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         controller.step(np.array([np.nan, 109.0, 147.0, 0.0, 0.0]))
-    assert controller.state.faults == []
+    assert controller.step_count == 0
 
 
 def test_warm_start_payload_policy():
     # only the policy is left: the previous result when warm starting is on
     controller, _, _, _ = make_controller()
     controller.step(np.array([52.0, 104.0, 148.5, 0.0, 0.0, 0.0]))
-    previous = controller.state.previous_result
+    previous = controller.previous_result
     assert previous is not None
     assert warm_start_payload(previous, SolverSettings()) is previous
     assert warm_start_payload(previous, SolverSettings(warm_start=False)) is None

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from coulombmpc import (
     run_closed_loop,
     write_csv,
 )
-from coulombmpc.simulate import RUN_ABORTED_COLLISION, RUN_COMPLETED
+from coulombmpc.simulate import ORACLE_MAX_COMBINATIONS, RUN_ABORTED_COLLISION, RUN_COMPLETED
+from coulombmpc.solver import OPTIMAL
 
 
 def twocraft_scenario(**kw):
@@ -143,6 +145,37 @@ def test_summary_fields():
     assert len(log.records) == 6
 
 
+def test_fault_count_is_the_non_optimal_records():
+    # a cold first solve runs out of iterations; the warm-started ones do not
+    log = run_closed_loop(twocraft_scenario(steps=8, solver=SolverSettings(max_iters=100)))
+    faults = sum(1 for r in log.records if r.solver_status != OPTIMAL)
+    assert 0 < faults < len(log.records)
+    assert log.summary["fault_count"] == faults
+
+
+def test_caller_edits_reach_neither_the_log_nor_the_controller():
+    # the record kept the caller's measurement buffer, and the returned charges
+    # were the record's and the next step's sign reference
+    scen = twocraft_scenario(steps=6)
+    model = build_discrete_model(scen.params.desired_positions, scen.sample_period, scen.formation)
+    runs = []
+    for meddle in (False, True):
+        controller = MpcController(model, scen.params, scen.solver)
+        state, records = RelativeState.from_vector(scen.initial_state), []
+        for _ in range(scen.steps):
+            buf = state.as_vector()
+            charges, record = controller.step(buf)
+            records.append(record)
+            state = propagate(state, charges, scen.sample_period, scen.substeps, scen.formation)
+            if meddle:
+                buf[:] = [60.0, 0.5]
+                charges *= -1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    record.charges[0] = 1.0  # also the next step's sign reference
+        runs.append([[f for i, f in enumerate(record_fields(r)) if i != 8] for r in records])
+    assert runs[1] == runs[0]  # every CSV field but the solve time
+
+
 # -- brute-force oracle ---------------------------------------------------------------
 
 def oracle_cost(start, plan, model, params):
@@ -163,13 +196,38 @@ def oracle_cost(start, plan, model, params):
 
 
 def test_brute_force_guards():
+    # the combination count is checked before anything is allocated: 21**6
+    # combinations of 3 craft over 2 stages used to pass a craft-and-horizon limit
     scen = twocraft_scenario()
     model = build_discrete_model(scen.params.desired_positions, 0.5, scen.formation)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 21 charge levels"):
         brute_force_qcqp(scen.initial_state, model, scen.params, np.linspace(-1, 1, 5))
-    big = dataclasses.replace(scen.params, horizon=3)
-    with pytest.raises(ValueError):
-        brute_force_qcqp(scen.initial_state, model, big, np.linspace(-1, 1, 21))
+    assert 41**4 <= ORACLE_MAX_COMBINATIONS < 42**4
+    cap = f"above the cap of {ORACLE_MAX_COMBINATIONS:,}"
+    two_stages = dataclasses.replace(scen.params, horizon=2)
+    with pytest.raises(ValueError, match=rf"grid search of 42\*\*4 charge combinations is {cap}"):
+        brute_force_qcqp(scen.initial_state, model, two_stages, np.linspace(-1, 1, 42))
+    formation = FormationConfig(num_spacecraft=3, masses=50.0)
+    params = MpcParams(desired_positions=[50.0, 100.0], horizon=2, state_min=-500.0,
+                       state_max=500.0)
+    model = build_discrete_model(params.desired_positions, 0.5, formation)
+    with pytest.raises(ValueError, match=rf"grid search of 21\*\*6 charge combinations is {cap}"):
+        brute_force_qcqp(np.zeros(4), model, params, np.linspace(-1, 1, 21))
+
+
+def test_brute_force_ties_go_to_the_first_product_combination():
+    # q and -q have the same products, so the argmin is decided by the
+    # enumeration order, which is itertools.product's
+    scen = twocraft_scenario(horizon=1)
+    model = build_discrete_model(scen.params.desired_positions, 0.5, scen.formation)
+    grid = np.linspace(-0.2, 0.2, 21)
+    for start in (np.array([50.0, 0.0]), np.array([50.4, -0.01]), np.array([49.0, 0.02])):
+        best_q, best_cost = brute_force_qcqp(start, model, scen.params, grid)
+        costs = [oracle_cost(start, [q], model, scen.params)
+                 for q in itertools.product(grid, repeat=2)]
+        first = next(i for i, c in enumerate(costs) if c <= min(costs) * (1 + 1e-12) + 1e-15)
+        assert tuple(best_q.ravel()) == list(itertools.product(grid, repeat=2))[first]
+        assert best_cost == pytest.approx(min(costs), rel=1e-12, abs=1e-15)
 
 
 def test_brute_force_equilibrium_prefers_zero():
@@ -200,14 +258,6 @@ def test_three_craft_products_never_all_negative():
 
 
 # -- CSV telemetry -----------------------------------------------------------------
-
-def test_csv_empty_log_is_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_csv(RunLog(records=[], status=RUN_COMPLETED), path, num_spacecraft=4)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("k,t,xi_1,xi_2,xi_3,nu_1")
-
 
 def test_csv_round_trip_bitwise(tmp_path):
     log = run_closed_loop(twocraft_scenario(steps=7))
@@ -273,15 +323,13 @@ def test_csv_crlf_copy_reads_back_bit_equal(tmp_path):
     assert [record_fields(r) for r in read_csv(crlf)] == [record_fields(r) for r in read_csv(path)]
 
 
-def test_write_csv_rejects_a_spacecraft_count_the_records_disagree_with(tmp_path):
-    # the header would be a three-craft one over two-craft rows, which
-    # read_csv then rejects
+def test_write_csv_rejects_records_of_two_craft_counts(tmp_path):
+    # one header cannot describe rows of two layouts, which read_csv would reject
     path = tmp_path / "run.csv"
-    log = run_closed_loop(twocraft_scenario(steps=2))
-    with pytest.raises(ValueError, match="num_spacecraft = 3 disagrees with the records' charges"):
-        write_csv(log, path, num_spacecraft=3)
-    write_csv(log, path, num_spacecraft=2)
-    assert len(read_csv(path)) == 2
+    records = (run_closed_loop(twocraft_scenario(steps=2)).records
+               + run_closed_loop(fourcraft_scenario(steps=1)).records)
+    with pytest.raises(ValueError, match=r"one spacecraft count, got \[2, 4\]"):
+        write_csv(RunLog(records=records, status=RUN_COMPLETED), path)
 
 
 def test_replay_cost_consistency(tmp_path):
