@@ -89,22 +89,17 @@ def _as_float_vector(value, length: int | None = None, name: str = "array",
 
 
 @lru_cache(maxsize=None)
-def _pair_table(num_spacecraft: int) -> np.ndarray:
-    first, second = np.triu_indices(num_spacecraft, k=1)
-    table = np.column_stack([first, second])
-    table.setflags(write=False)
-    return table
-
-
 def spacecraft_pairs(num_spacecraft: int) -> np.ndarray:
-    """All index pairs (i, j), i < j, ordered (0,1), (0,2), ..., (n-2, n-1).
+    """All index pairs (i, j), i < j, ordered (0,1), (0,2), ..., (n-2, n-1), read-only.
 
     This fixed ordering defines which spacecraft pair each flattened
     charge-product index refers to, everywhere in the package.
     """
     if num_spacecraft < 2:
         raise ValueError("a formation needs at least two spacecraft")
-    return _pair_table(num_spacecraft)
+    table = np.column_stack(np.triu_indices(num_spacecraft, k=1))
+    table.setflags(write=False)
+    return table
 
 
 def pair_count(num_spacecraft: int) -> int:
@@ -141,20 +136,20 @@ class FormationConfig:
 
     @cached_property
     def _pair_plan(self) -> tuple[np.ndarray, ...]:
-        """The constant plan of an RK4 substep.
+        """The constant plan of :func:`_input_block`.
 
-        The relative input matrix is ``others - lead``, rows 1.. of the
-        absolute input matrix minus its row 0; a substep keeps them as a
-        ``(2, n - 1, pairs)`` block whose second half repeats row 0 in every
-        row, so the subtraction is same-shape.  Each pair's force lands on
-        its second craft's row, on its first craft's row, or, for a first
-        craft 0, on every repeated row.  The plan holds each pair's first and
-        second craft, and per landing spot its flat index in the block, the
-        first and second craft of its pair and the landing craft's mass,
-        negated for a second craft.
+        The input matrix is held as a ``(2, n - 1, pairs)`` block: ``others``,
+        rows 1.. of the absolute input matrix, and ``lead``, its row 0 repeated
+        in every row, so the relative matrix ``others - lead`` is a same-shape
+        subtraction.  Each pair's force lands on its second craft's row, on its
+        first craft's row, or, for a first craft 0, on every repeated row; the
+        first landing spots are the second crafts', one per pair in pair order.
+        The plan holds each pair's first and second craft, and per landing
+        spot its flat index in the block, the first and second craft of its
+        pair and the landing craft's mass, negated for a second craft.
         """
         half = self.num_spacecraft - 1
-        pairs = _pair_table(self.num_spacecraft)
+        pairs = spacecraft_pairs(self.num_spacecraft)
         first, second = pairs[:, 0].copy(), pairs[:, 1].copy()
         count = len(pairs)
         cols = np.arange(count)
@@ -208,19 +203,31 @@ def charge_products(charges: np.ndarray) -> np.ndarray:
     return q[pairs[:, 0]] * q[pairs[:, 1]]
 
 
-def _pair_force_terms(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray:
-    """Force per unit charge product on the first craft of each pair, kappa*(x_i-x_j)/|..|^3."""
-    pairs = spacecraft_pairs(cfg.num_spacecraft)
-    diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+def _input_block(x: np.ndarray, cfg: FormationConfig, block=None) -> np.ndarray:
+    """The input matrix at craft positions ``x[:n]`` as the ``(2, n - 1, pairs)``
+    block of :attr:`FormationConfig._pair_plan`, flat, written into ``block``
+    (zeros off the landing spots; a fresh one if None): the one pair-force kernel.
+
+    A pair below ``min_separation`` raises :class:`SingularityError` naming the
+    first closest pair (Python's ``min`` screens: it is below the limit or NaN
+    whenever a pair is); a NaN separation alone does not.  The block is
+    bit-identical to the textbook matrix of ``tests/test_dynamics.py``: ``-t / m``
+    is ``t / (-m)``, IEEE division being sign-symmetric, and each landing spot
+    computes its pair's ``kappa * diff / dist**3`` by the same elementwise
+    operations, ``dist**3`` by numpy's array ``power`` (see the module notes).
+    """
+    first, _, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
+    if block is None:
+        block = np.zeros(2 * (cfg.num_spacecraft - 1) * len(first))
+    diff = x[spot_first] - x[spot_second]
     dist = np.abs(diff)
-    if np.any(dist < cfg.min_separation):
-        worst = int(np.nanargmin(dist))  # a NaN separation is not the closest
-        i, j = pairs[worst]
+    if not min(dist.tolist()) >= cfg.min_separation and np.any(dist < cfg.min_separation):
+        worst = int(np.nanargmin(dist[: len(first)]))  # a NaN separation is not the closest
         raise SingularityError(
-            f"spacecraft {i} and {j} are {dist[worst]:.3e} m apart "
-            f"(minimum separation {cfg.min_separation:g} m)"
-        )
-    return COULOMB_CONSTANT * diff / dist**3
+            f"spacecraft {spot_first[worst]} and {spot_second[worst]} are "
+            f"{dist[worst]:.3e} m apart (minimum separation {cfg.min_separation:g} m)")
+    block[spot] = COULOMB_CONSTANT * diff / dist**3 / signed_masses
+    return block
 
 
 def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray:
@@ -230,13 +237,8 @@ def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.nda
     equally and oppositely on the two craft, divided by their masses.
     """
     x = _as_float_vector(positions, cfg.num_spacecraft, "positions")
-    pairs = spacecraft_pairs(cfg.num_spacecraft)
-    terms = _pair_force_terms(x, cfg)
-    mat = np.zeros((cfg.num_spacecraft, len(pairs)))
-    cols = np.arange(len(pairs))
-    mat[pairs[:, 0], cols] = terms / cfg.masses[pairs[:, 0]]
-    mat[pairs[:, 1], cols] = -terms / cfg.masses[pairs[:, 1]]
-    return mat
+    others, lead = _input_block(x, cfg).reshape(2, cfg.num_spacecraft - 1, -1)
+    return np.vstack([lead[:1], others])
 
 
 def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np.ndarray:
@@ -246,9 +248,8 @@ def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np
     positions implied by placing craft 1 at the origin.
     """
     rel = _as_float_vector(rel_positions, cfg.num_spacecraft - 1, "relative positions")
-    x = np.concatenate([[0.0], rel])
-    absolute = absolute_input_matrix(x, cfg)
-    return absolute[1:] - absolute[0]
+    others, lead = _input_block(np.concatenate([[0.0], rel]), cfg).reshape(2, rel.size, -1)
+    return others - lead
 
 
 def rk4_step(
@@ -256,28 +257,18 @@ def rk4_step(
 ) -> RelativeState:
     """One classical fourth-order Runge-Kutta step with the charges held constant.
 
-    The stages evaluate the time derivative ``[velocities;
-    relative_input_matrix(positions) @ charge_products(charges)]`` without
-    its per-call checks and containers: the same floating-point operations in
-    the same order, on the formation's cached pair plan and buffers set up
-    once per step, so the result is bit-identical to the textbook RK4 on that
-    derivative kept in ``tests/test_dynamics.py``.
-    Each stage vector sits in a buffer ``[0, positions, velocities]`` whose
-    leading 0 is craft 1, so the pair gathers read it directly, and each
-    stage derivative is written in place: the velocities copied, then the
-    accelerations by the BLAS matvec ``(others - lead) @ products``, whose
-    summation order fixes the bits.  The rewrites are exact: ``-t / m`` is
-    ``t / (-m)`` (IEEE division is sign-symmetric); a pair's force term is
-    computed once per landing spot of the pair plan, by the same elementwise
-    operations, so one divide by the signed masses and one scatter fill
-    ``others`` and the repeated ``lead`` rows; and the separation test
-    screens with Python's ``min``, which is below the limit or NaN whenever
-    some pair is below it, before the full test.  ``dist**3`` stays numpy's
-    array ``power`` (see the module notes).  The returned state holds views
-    of one fresh vector, not re-validated.
+    The stages evaluate ``[velocities; relative_input_matrix(positions) @
+    charge_products(charges)]`` by the same floating-point operations in the
+    same order, without its per-call checks and containers, so the result is
+    bit-identical to the textbook RK4 kept in ``tests/test_dynamics.py``.  Each
+    stage vector sits in a buffer ``[0, positions, velocities]`` whose leading 0
+    is craft 1, which :func:`_input_block` reads directly into one block per
+    step; the accelerations are the BLAS matvec ``(others - lead) @ products``,
+    whose summation order fixes the bits.  The returned state holds views of
+    one fresh vector, not re-validated.
     """
     _check_positive(dt, "step size")
-    first, second, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
+    first, second = cfg._pair_plan[:2]
     half = cfg.num_spacecraft - 1
     q = np.asarray(charges, dtype=float)
     if q.shape != (half + 1,):
@@ -286,26 +277,19 @@ def rk4_step(
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")
-    kappa, min_separation = COULOMB_CONSTANT, cfg.min_separation
     # stages[0] is [0, y], then the three stage vectors; derivs the four k
     stages = np.zeros((4, 2 * half + 1))
     stages[0, 1 : half + 1] = positions
     stages[0, half + 1 :] = velocities
     derivs = np.empty((4, 2 * half))
-    block = np.zeros((2, half, len(first)))  # entries off the landing spots stay 0
-    block_flat, others, lead = block.reshape(-1), block[0], block[1]
+    block = np.zeros(2 * half * len(first))  # entries off the landing spots stay 0
+    others, lead = block.reshape(2, half, -1)
     y = stages[0, 1:]
     step = np.empty(2 * half)
 
     for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
         stage, k = stages[i], derivs[i]
-        diff = stage[spot_first] - stage[spot_second]
-        dist = np.abs(diff)
-        # Python's min is below the limit or NaN whenever some pair is too close
-        if not min(dist.tolist()) >= min_separation:
-            _pair_force_terms(stage[: half + 1], cfg)  # raises if some pair is too close
-        terms = kappa * diff / dist**3
-        block_flat[spot] = terms / signed_masses
+        _input_block(stage, cfg, block)
         k[:half] = stage[half + 1 :]
         np.matmul(others - lead, products, k[half:])
         if coeff is not None:  # the next stage vector, y + coeff * k
@@ -351,7 +335,7 @@ def build_discrete_model(
     """Exact zero-order-hold discretization of the frozen-coefficient dynamics."""
     h = _check_positive(sample_period, "sample_period")
     ref = _as_float_vector(
-        reference_positions, cfg.num_spacecraft - 1, "reference positions"
+        reference_positions, cfg.num_spacecraft - 1, "reference positions", finite=True
     )
     gain = relative_input_matrix(ref, cfg)
     half = cfg.num_spacecraft - 1

@@ -35,7 +35,7 @@ RUN_COMPLETED = "completed"
 RUN_ABORTED_COLLISION = "aborted-collision"
 
 CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
-ORACLE_MAX_COMBINATIONS = 41**4  # brute_force_qcqp's cap: 41 levels of 4 craft peak at 670 MB RSS
+ORACLE_MAX_COMBINATIONS = 41**4  # brute_force_qcqp's cap: 41 levels of 4 craft peak at 93 MB RSS
 
 
 @dataclass
@@ -144,7 +144,9 @@ def brute_force_qcqp(
     bounds (stages 1..N) are discarded.  Exponential in craft count and
     horizon: more than ``ORACLE_MAX_COMBINATIONS`` combinations raise
     ``ValueError`` before anything is allocated.  The combinations are in
-    ``itertools.product`` order, so a tie goes to the first of them.
+    ``itertools.product`` order, one chunk per level of the first charge, and
+    a later chunk wins only with a strictly lower cost, so a tie goes to the
+    first of them.
     """
     ns = params.num_spacecraft
     N = params.horizon
@@ -156,34 +158,37 @@ def brute_force_qcqp(
                          f"the cap of {ORACLE_MAX_COMBINATIONS:,}")
     measured = np.asarray(measured, dtype=float)
 
-    combos = grid[np.indices((grid.size,) * (ns * N)).reshape(ns * N, -1).T]
-    charges = combos.reshape(-1, N, ns)
+    rest = grid[np.indices((grid.size,) * (ns * N - 1)).reshape(ns * N - 1, -1).T]
     target = params.desired_state
     pairs = spacecraft_pairs(ns)
+    best_charges, best_cost = None, np.inf
+    for level in grid:  # the chunk of the combinations whose first charge is level
+        charges = np.column_stack([np.full(len(rest), level), rest]).reshape(-1, N, ns)
+        total = np.zeros(charges.shape[0])
+        feasible = np.ones(charges.shape[0], dtype=bool)
+        state = np.broadcast_to(measured, (charges.shape[0], measured.size)).copy()
+        prev_products = None
+        for j in range(N):
+            q = charges[:, j, :]
+            products = q[:, pairs[:, 0]] * q[:, pairs[:, 1]]
+            state = state @ model.A.T + products @ model.B.T
+            dev = state - target
+            total += np.einsum("bi,ij,bj->b", dev, params.state_weight, dev)
+            total += np.einsum("bi,ij,bj->b", products, params.product_weight, products)
+            if prev_products is not None:
+                delta = products - prev_products
+                total += np.einsum(
+                    "bi,ij,bj->b", delta, params.product_delta_weight, delta
+                )
+            feasible &= np.all(state <= params.state_max + 1e-12, axis=1)
+            feasible &= np.all(state >= params.state_min - 1e-12, axis=1)
+            prev_products = products
 
-    total = np.zeros(charges.shape[0])
-    feasible = np.ones(charges.shape[0], dtype=bool)
-    state = np.broadcast_to(measured, (charges.shape[0], measured.size)).copy()
-    prev_products = None
-    for j in range(N):
-        q = charges[:, j, :]
-        products = q[:, pairs[:, 0]] * q[:, pairs[:, 1]]
-        state = state @ model.A.T + products @ model.B.T
-        dev = state - target
-        total += np.einsum("bi,ij,bj->b", dev, params.state_weight, dev)
-        total += np.einsum("bi,ij,bj->b", products, params.product_weight, products)
-        if prev_products is not None:
-            delta = products - prev_products
-            total += np.einsum(
-                "bi,ij,bj->b", delta, params.product_delta_weight, delta
-            )
-        feasible &= np.all(state <= params.state_max + 1e-12, axis=1)
-        feasible &= np.all(state >= params.state_min - 1e-12, axis=1)
-        prev_products = products
-
-    total = np.where(feasible, total, np.inf)
-    best = int(np.argmin(total))
-    return charges[best], float(total[best])
+        total = np.where(feasible, total, np.inf)
+        best = int(np.argmin(total))
+        if best_charges is None or total[best] < best_cost:
+            best_charges, best_cost = charges[best], float(total[best])
+    return best_charges, best_cost
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,28 @@ from coulombmpc.config import load_scenario
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def textbook_absolute_matrix(positions, cfg):
+    """The absolute input matrix column by column, independent of the package's
+    kernel: pair (i, j) gets ``t / m_i`` in row i and ``-t / m_j`` in row j."""
+    pairs = spacecraft_pairs(cfg.num_spacecraft)
+    diff = positions[pairs[:, 0]] - positions[pairs[:, 1]]
+    terms = COULOMB_CONSTANT * diff / np.abs(diff) ** 3
+    mat = np.zeros((cfg.num_spacecraft, len(pairs)))
+    cols = np.arange(len(pairs))
+    mat[pairs[:, 0], cols] = terms / cfg.masses[pairs[:, 0]]
+    mat[pairs[:, 1], cols] = -terms / cfg.masses[pairs[:, 1]]
+    return mat
+
+
+def textbook_relative_matrix(rel_positions, cfg):
+    absolute = textbook_absolute_matrix(np.concatenate([[0.0], rel_positions]), cfg)
+    return absolute[1:] - absolute[0]
+
+
 def continuous_rhs(state: RelativeState, charges: np.ndarray, cfg: FormationConfig) -> np.ndarray:
     """Time derivative of the packed relative state [positions; velocities]:
     the reference right-hand side that ``rk4_step`` evaluates without checks."""
-    accel = relative_input_matrix(state.positions, cfg) @ charge_products(charges)
+    accel = textbook_relative_matrix(state.positions, cfg) @ charge_products(charges)
     return np.concatenate([state.velocities, accel])
 
 
@@ -287,6 +305,37 @@ def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
     assert np.all(np.isfinite(fast.as_vector()))
 
 
+def input_matrix_cases(name, rng):
+    """Formations and absolute positions: an oracle case's formation near its
+    initial geometry, or random formations with the craft in random order."""
+    if name == "random":
+        for ns in (2, 3, 4, 5, 6) * 4:
+            positions, masses = random_formation(rng, ns)
+            yield make_config(masses), rng.uniform(-100.0, 100.0) + rng.permutation(positions)
+        return
+    cfg, initial, _, _ = rk4_oracle_case(name)
+    rel = initial[: cfg.num_spacecraft - 1]
+    for _ in range(20):
+        offsets = rng.uniform(-1.0, 1.0, rel.size)
+        yield cfg, rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], rel + offsets])
+
+
+@pytest.mark.parametrize("name", [
+    "twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses", "random"
+])
+def test_input_matrices_byte_equal_to_textbook_matrix(name):
+    # the package's one pair-force kernel against the column-by-column oracle
+    rng = np.random.default_rng(5)
+    for cfg, positions in input_matrix_cases(name, rng):
+        rel = positions[1:] - positions[0]
+        for got, expected in (
+            (absolute_input_matrix(positions, cfg), textbook_absolute_matrix(positions, cfg)),
+            (relative_input_matrix(rel, cfg), textbook_relative_matrix(rel, cfg)),
+        ):
+            assert got.shape == expected.shape and got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("name", ["twocraft", "fourcraft"])
 def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
     # propagate chains rk4_step over each hold; the holds chain in turn
@@ -323,19 +372,34 @@ def test_formation_masses_are_a_read_only_copy():
         cfg.masses[0] = 1.0
 
 
-def test_rk4_singularity_names_closest_pair():
-    cfg = make_config([50.0, 50.0, 50.0])
-    state = RelativeState(np.array([5e-4, 100.0]), np.zeros(2))
-    with pytest.raises(SingularityError, match="spacecraft 0 and 1 are 5.000e-04 m apart"):
-        rk4_step(state, np.full(3, 0.1), 0.1, cfg)
+# the three entry points of the one separation check, at relative positions
+SEPARATION_CHECKS = {
+    "rk4_step": lambda rel, cfg: rk4_step(
+        RelativeState(rel, np.zeros(rel.size)), np.full(cfg.num_spacecraft, 0.1), 0.1, cfg),
+    "relative_input_matrix": relative_input_matrix,
+    "absolute_input_matrix": lambda rel, cfg: absolute_input_matrix(
+        np.concatenate([[0.0], rel]), cfg),
+}
 
 
-def test_rk4_singularity_detected_beside_a_nan_separation():
+@pytest.mark.parametrize("entry", SEPARATION_CHECKS)
+@pytest.mark.parametrize("rel, pair, gap", [
+    ([5e-4, 100.0], "0 and 1", "5.000e-04"),
+    ([2e-4, 4e-4], "0 and 1", "2.000e-04"),  # a tie with pair (1, 2) goes to the first pair
+    ([100.0, 100.0004, 100.0006], "2 and 3", "2.000e-04"),  # two pairs too close
+])
+def test_rk4_singularity_names_closest_pair(entry, rel, pair, gap):
+    cfg = make_config([50.0] * (len(rel) + 1))
+    with pytest.raises(SingularityError, match=f"spacecraft {pair} are {gap} m apart"):
+        SEPARATION_CHECKS[entry](np.array(rel), cfg)
+
+
+@pytest.mark.parametrize("entry", SEPARATION_CHECKS)
+def test_rk4_singularity_detected_beside_a_nan_separation(entry):
     # a NaN separation elsewhere must not hide a pair that is too close
     cfg = make_config([50.0, 50.0, 50.0])
-    state = RelativeState(np.array([5e-4, np.nan]), np.zeros(2))
     with pytest.raises(SingularityError, match="spacecraft 0 and 1 are 5.000e-04 m apart"):
-        rk4_step(state, np.full(3, 0.1), 0.1, cfg)
+        SEPARATION_CHECKS[entry](np.array([5e-4, np.nan]), cfg)
 
 
 def test_rk4_rejects_bad_step():
@@ -359,6 +423,14 @@ def test_discrete_model_block_structure():
     assert np.array_equal(model.A, np.array([[1.0, 0.5], [0.0, 1.0]]))
     gain = relative_input_matrix(np.array([40.0]), cfg)
     assert np.allclose(model.B, np.vstack([0.125 * gain, 0.5 * gain]), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("reference", [[np.nan, 100.0, 150.0], [50.0, np.inf, 150.0]])
+def test_discrete_model_rejects_a_non_finite_reference(reference):
+    # it would build a NaN B, found only later as non-finite problem data
+    cfg = make_config([50.0, 60.0, 70.0, 80.0])
+    with pytest.raises(ValueError, match="reference positions must be finite"):
+        build_discrete_model(np.array(reference), 0.5, cfg)
 
 
 def test_discrete_model_unforced_matches_A():

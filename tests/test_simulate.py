@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,23 @@ def test_brute_force_guards():
     model = build_discrete_model(params.desired_positions, 0.5, formation)
     with pytest.raises(ValueError, match=rf"grid search of 21\*\*6 charge combinations is {cap}"):
         brute_force_qcqp(np.zeros(4), model, params, np.linspace(-1, 1, 21))
+
+
+def test_oracle_at_the_cap_peaks_below_250_mb():
+    # four craft at horizon 1 are 41**4 combinations: held all at once they
+    # peaked at 670 MB; one chunk per level of the first charge keeps it small
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    # the child reports its own peak, which no other test's child can raise
+    script = ("import resource, sys; from coulombmpc.cli import main; code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "oracle", "--config", str(root / "configs" / "fourcraft.cfg"),
+         "--horizon", "1"], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "grid optimum cost" in done.stdout
+    peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 250, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_brute_force_ties_go_to_the_first_product_combination():
