@@ -35,15 +35,7 @@ EXIT_RUNTIME = 2
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="scenario file path")
-    parser.add_argument("--steps", type=int, default=None, help="override step count")
     parser.add_argument("--horizon", type=int, default=None, help="override horizon")
-    parser.add_argument(
-        "--no-warm-start",
-        action="store_const",
-        const=False,
-        dest="warm_start",
-        help="cold-start the solver at every sample",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a closed-loop simulation")
     _add_common(p_run)
+    p_run.add_argument("--steps", type=int, default=None, help="override step count")
+    p_run.add_argument(
+        "--no-warm-start",
+        action="store_const",
+        const=False,
+        dest="warm_start",
+        help="cold-start the solver at every sample",
+    )
     p_run.add_argument("--output", default=None, help="CSV output path")
     p_run.set_defaults(func=_cmd_run)
 

@@ -15,6 +15,7 @@ product of their vectorizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,8 +54,10 @@ def vec_dim(side: int) -> int:
     return side * (side + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather map from a vectorization back to the full ``side x side`` matrix.
+    """Gather map from a vectorization back to the full ``side x side`` matrix,
+    read-only: the one table of the vectorization's layout.
 
     Returns ``(index, scale)``, both ``side x side``: entry (i, j) of the
     matrix is ``vec[index[i, j]] / scale[i, j]``.
@@ -63,6 +66,8 @@ def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.empty((side, side), dtype=int)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
     scale = np.where(rows == cols, 1.0, SQRT2)[index]
+    index.setflags(write=False)
+    scale.setflags(write=False)
     return index, scale
 
 

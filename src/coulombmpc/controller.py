@@ -32,7 +32,7 @@ SATURATION_LIMIT = 0.1  # the default charge limit [10 mC] of a controller and a
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Everything logged about one controller step."""
+    """Everything logged about one controller step: one telemetry CSV row."""
 
     step: int
     time: float
@@ -44,7 +44,6 @@ class StepRecord:
     iterations: int
     solve_time: float
     saturated: bool
-    objective: float = float("nan")  # not part of the CSV column contract
 
 
 def warm_start_payload(
@@ -92,13 +91,12 @@ class MpcController:
         k = self.step_count
         # a wrong-length measurement is a caller bug and raises while pinning
         if measured.shape == (self.model.state_dim,) and not np.isfinite(measured).all():
-            status, iterations, solve_time, objective = INVALID_MEASUREMENT, 0, 0.0, float("nan")
+            status, iterations, solve_time = INVALID_MEASUREMENT, 0, 0.0
         else:
             b = update_initial_state(self._conic_template, self._template, measured)
             warm = warm_start_payload(self.previous_result, self.settings)
             result = self._solver.solve(b, warm=warm)
-            status, iterations = result.status, result.iterations
-            solve_time, objective = result.solve_time, result.objective
+            status, iterations, solve_time = result.status, result.iterations, result.solve_time
 
         if status == OPTIMAL:
             _, _, lifted = self._template.unpack(result.z)
@@ -124,7 +122,6 @@ class MpcController:
             iterations=iterations,
             solve_time=solve_time,
             saturated=clipped,
-            objective=objective,
         )
         self.previous_charges = charges
         self.step_count = k + 1

@@ -38,11 +38,11 @@ def _check_count(value, name: str) -> int:
 
 
 def _as_floats(value, name: str) -> np.ndarray:
-    """``value`` as floats: the one conversion of an input number.  A bool anywhere
-    in it, which float() reads as 1 or 0, and anything float() cannot read
-    raise a ``ValueError`` naming ``name``."""
+    """``value`` as floats, in a read-only array of its own: the one conversion of
+    an input number.  A bool anywhere in it, which float() reads as 1 or 0, and
+    anything float() cannot read raise a ``ValueError`` naming ``name``."""
     try:
-        floats = np.asarray(value, dtype=float)
+        floats = np.array(value, dtype=float)
         # numpy would promote a bool among numbers away, so a list's items keep their type
         items = np.asarray(value, dtype=object if isinstance(value, (list, tuple)) else None)
     except (ValueError, TypeError) as exc:
@@ -51,6 +51,7 @@ def _as_floats(value, name: str) -> np.ndarray:
         items.dtype.kind == "O" and any(isinstance(v, (bool, np.bool_)) for v in items.flat)
     ):
         raise ValueError(f"{name} must be a number, not true or false, got {value!r}")
+    floats.setflags(write=False)
     return floats
 
 
@@ -64,11 +65,13 @@ def _check_positive(value, name: str, zero_ok: bool = False) -> float:
 
 
 def _bound(value, size: int, name: str, positive: bool = False) -> np.ndarray:
-    """A single value or a length-``size`` vector as a finite vector of that length,
-    every entry above 0 if ``positive``: the one rule for a per-craft or per-state value."""
+    """A single value or a length-``size`` vector as a finite read-only vector of
+    that length, every entry above 0 if ``positive``: the one rule for a value
+    given once or per craft, state or product."""
     arr = _as_floats(value, name)
     if arr.size == 1:
         arr = np.full(size, arr.item())
+        arr.setflags(write=False)
     if arr.shape != (size,):
         raise ValueError(f"{name} must have length {size}")
     if not np.isfinite(arr).all() or positive and not (arr > 0).all():
@@ -123,10 +126,7 @@ class FormationConfig:
             raise ValueError("num_spacecraft must be at least 2")
         object.__setattr__(self, "num_spacecraft", ns)
 
-        # a read-only copy, so the cached pair plan stays in step
-        masses = _bound(self.masses, ns, "masses", positive=True).copy()
-        masses.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "masses", _bound(self.masses, ns, "masses", positive=True))
         separation = _check_positive(self.min_separation, "min_separation")
         object.__setattr__(self, "min_separation", separation)
 

@@ -35,27 +35,22 @@ _PSD_EIG_FLOOR = -1e-10
 
 
 def _weight_matrix(value, size: int, name: str) -> np.ndarray:
-    """Normalize a scalar / diagonal vector / full matrix into a PSD weight matrix."""
+    """A read-only PSD ``size x size`` weight matrix: a full matrix as given, made
+    exactly symmetric, or else :func:`~coulombmpc.dynamics._bound`'s one value
+    or one per entry, on the diagonal."""
     arr = _as_floats(value, name)
-    if not np.isfinite(arr).all():
+    if arr.ndim != 2:
+        arr = np.diag(_bound(arr, size, name))
+    elif arr.shape != (size, size):
+        raise ValueError(f"{name} must be {size}x{size}")
+    elif not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    if arr.ndim == 0:
-        mat = arr * np.eye(size)
-    elif arr.ndim == 1:
-        if arr.size != size:
-            raise ValueError(f"{name} diagonal must have length {size}")
-        mat = np.diag(arr)
-    elif arr.ndim == 2:
-        if arr.shape != (size, size):
-            raise ValueError(f"{name} must be {size}x{size}")
-        mat = arr.copy()
-    else:
-        raise ValueError(f"{name} must be a scalar, vector or matrix")
-    if not np.allclose(mat, mat.T, atol=1e-12):
+    if not np.allclose(arr, arr.T, atol=1e-12):
         raise ValueError(f"{name} must be symmetric")
-    mat = 0.5 * (mat + mat.T)
+    mat = 0.5 * (arr + arr.T)
     if mat.size and np.linalg.eigvalsh(mat).min() < _PSD_EIG_FLOOR:
         raise ValueError(f"{name} must be positive semidefinite")
+    mat.setflags(write=False)
     return mat
 
 
@@ -146,9 +141,6 @@ class HorizonProblem:
     def lifted_vec_dim(self) -> int:
         return vec_dim(self.lifted_side)
 
-    def state_offset(self, stage: int) -> int:
-        return stage * self.state_dim
-
     def input_offset(self, stage: int) -> int:
         return (self.num_stages + 1) * self.state_dim + stage * self.input_dim
 
@@ -219,6 +211,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     side, d = hp.lifted_side, hp.lifted_vec_dim
     u0, l0 = hp.input_offset(0), hp.lifted_offset(0)
     pairs = spacecraft_pairs(side)
+    index, _ = sym_gather(side)
     box = n + N * (n + m)  # the zero cone's end and the first state box row
     psd = box + 2 * N * n  # the first PSD row
     # int32 indices: each is below a side of its matrix, and int32 is the type
@@ -243,8 +236,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     t[:n, us:ls] = -hp.model.B
     t[cp : cp + m, us:ls] = eye[:m, :m]
     # coupling: inputs[j][l] - lifted[j][i, k] = 0 in scaled vectorization
-    lower = pairs[:, 1] * (pairs[:, 1] + 1) // 2 + pairs[:, 0]
-    t[cp + np.arange(m), ls + lower] = -1.0 / SQRT2
+    t[cp + np.arange(m), ls + index[pairs[:, 0], pairs[:, 1]]] = -1.0 / SQRT2
     t[-d:, ls:] = -eye[:d, :d]
     r, c = np.nonzero(t)
     pin = np.arange(n, dtype=np.int32)  # the stage-0 pin: rows 0..n-1 on states 0
@@ -292,7 +284,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     c = np.zeros(hp.num_vars)
     c[n : (N + 1) * n].reshape(N, n)[:] += -2.0 * (p.state_weight @ target)
     if p.trace_weight:  # on the diagonal slots of each lifted block
-        c[l0:].reshape(N, d)[:, [a * (a + 3) // 2 for a in range(side)]] += p.trace_weight
+        c[l0:].reshape(N, d)[:, np.diagonal(index)] += p.trace_weight
     constant = float(N * (target @ p.state_weight @ target))
     return ConicProblem(c=c, A=A, b=b, cones=cones, P=P, objective_constant=constant)
 

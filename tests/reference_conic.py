@@ -5,12 +5,16 @@ the per-block oracles the vectorised package code is tested against.
 :func:`coulombmpc.to_conic` started from: it appends the COO triplets of
 every block, stage by stage, to Python lists.  The package builds the same
 triplets from per-stage templates and must give a byte-equal problem (see
-``test_conic_reference.py``); the only edits below are the imports.
+``test_conic_reference.py``); the only edits below are the imports and the
+block offsets, which come from :func:`offsets` rather than from
+``HorizonProblem``, so a slip in the package's layout is not copied here.
 
 The other functions are one-block or one-stage references:
 
 - ``evaluate_cost``: the structured objective, stage by stage, that the
   conic objective reproduces;
+- ``offsets``: the variable layout, states, then inputs, then lifted
+  matrices, from the dimensions alone;
 - ``pack``: the flattening that ``HorizonProblem.unpack`` inverts;
 - ``vec_index`` and ``sym_to_vec``: the scaled lower-triangular
   vectorization of a symmetric matrix, entry by entry and whole;
@@ -72,6 +76,23 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
+def offsets(N: int, n: int, m: int, d: int):
+    """The state, input and lifted offsets of a stage and the variable count of
+    N stages, n states, m products and lifted vectorizations of length d: the
+    reference layout of the decision vector."""
+
+    def state(j):
+        return j * n
+
+    def inputs(j):
+        return (N + 1) * n + j * m
+
+    def lifted(j):
+        return (N + 1) * n + N * m + j * d
+
+    return state, inputs, lifted, (N + 1) * n + N * (m + d)
+
+
 def pack(hp: HorizonProblem, states: np.ndarray, inputs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     """Flatten a (states, inputs, lifted) trajectory into a decision vector:
     the per-stage reference that the vectorised ``unpack`` must invert."""
@@ -79,11 +100,12 @@ def pack(hp: HorizonProblem, states: np.ndarray, inputs: np.ndarray, lifted: np.
     states = np.asarray(states, dtype=float).reshape(N + 1, n)
     inputs = np.asarray(inputs, dtype=float).reshape(N, m)
     lifted = np.asarray(lifted, dtype=float).reshape(N, hp.lifted_side, hp.lifted_side)
-    z = np.empty(hp.num_vars)
+    _, _, lifted_offset, num_vars = offsets(N, n, m, hp.lifted_vec_dim)
+    z = np.empty(num_vars)
     z[: (N + 1) * n] = states.ravel()
     z[(N + 1) * n : (N + 1) * n + N * m] = inputs.ravel()
     for j in range(N):
-        off = hp.lifted_offset(j)
+        off = lifted_offset(j)
         z[off : off + hp.lifted_vec_dim] = sym_to_vec(lifted[j])
     return z
 
@@ -124,6 +146,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     N, n, m = hp.num_stages, hp.state_dim, hp.input_dim
     side, d = hp.lifted_side, hp.lifted_vec_dim
     pairs = spacecraft_pairs(side)
+    state_offset, input_offset, lifted_offset, num_vars = offsets(N, n, m, d)
 
     rows: list[int] = []
     cols: list[int] = []
@@ -138,24 +161,24 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
 
     row = 0
     # stage-0 pin
-    add_block(row, hp.state_offset(0), np.eye(n))
+    add_block(row, state_offset(0), np.eye(n))
     b_parts.append(hp.initial_state)
     row += n
     # dynamics: states[j+1] - A states[j] - B inputs[j] = 0
     for j in range(N):
-        add_block(row, hp.state_offset(j + 1), np.eye(n))
-        add_block(row, hp.state_offset(j), -model.A)
-        add_block(row, hp.input_offset(j), -model.B)
+        add_block(row, state_offset(j + 1), np.eye(n))
+        add_block(row, state_offset(j), -model.A)
+        add_block(row, input_offset(j), -model.B)
         b_parts.append(np.zeros(n))
         row += n
     # coupling: inputs[j][l] - lifted[j][i, k] = 0 in scaled vectorization
     for j in range(N):
         for l, (i, k) in enumerate(pairs):
             rows.append(row)
-            cols.append(hp.input_offset(j) + l)
+            cols.append(input_offset(j) + l)
             vals.append(1.0)
             rows.append(row)
-            cols.append(hp.lifted_offset(j) + vec_index(k, i))
+            cols.append(lifted_offset(j) + vec_index(k, i))
             vals.append(-1.0 / SQRT2)
             row += 1
     b_parts.append(np.zeros(N * m))
@@ -163,23 +186,23 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
 
     # state box, stages 1..N
     for j in range(1, N + 1):
-        add_block(row, hp.state_offset(j), np.eye(n))
+        add_block(row, state_offset(j), np.eye(n))
         b_parts.append(p.state_max)
         row += n
     for j in range(1, N + 1):
-        add_block(row, hp.state_offset(j), -np.eye(n))
+        add_block(row, state_offset(j), -np.eye(n))
         b_parts.append(-p.state_min)
         row += n
     nonneg_dim = row - zero_dim
 
     # PSD slacks: s_block = vec(lifted[j])
     for j in range(N):
-        add_block(row, hp.lifted_offset(j), -np.eye(d))
+        add_block(row, lifted_offset(j), -np.eye(d))
         b_parts.append(np.zeros(d))
         row += d
 
     A = sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(row, hp.num_vars))
+        sp.coo_matrix((vals, (rows, cols)), shape=(row, num_vars))
     )
     b = np.concatenate(b_parts)
     cones = ConeDims(zero=zero_dim, nonneg=nonneg_dim, psd=(side,) * N)
@@ -189,7 +212,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     P_rows: list[int] = []
     P_cols: list[int] = []
     P_vals: list[float] = []
-    c = np.zeros(hp.num_vars)
+    c = np.zeros(num_vars)
 
     def add_quad(row0: int, col0: int, block: np.ndarray):
         r, cc = np.nonzero(block)
@@ -198,21 +221,21 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
         P_vals.extend(block[r, cc].tolist())
 
     for j in range(1, N + 1):
-        add_quad(hp.state_offset(j), hp.state_offset(j), 2.0 * p.state_weight)
-        c[hp.state_offset(j) : hp.state_offset(j) + n] += -2.0 * (p.state_weight @ target)
-        add_quad(hp.input_offset(j - 1), hp.input_offset(j - 1), 2.0 * p.product_weight)
+        add_quad(state_offset(j), state_offset(j), 2.0 * p.state_weight)
+        c[state_offset(j) : state_offset(j) + n] += -2.0 * (p.state_weight @ target)
+        add_quad(input_offset(j - 1), input_offset(j - 1), 2.0 * p.product_weight)
     for j in range(1, N):
-        add_quad(hp.input_offset(j), hp.input_offset(j), 2.0 * p.product_delta_weight)
-        add_quad(hp.input_offset(j - 1), hp.input_offset(j - 1), 2.0 * p.product_delta_weight)
-        add_quad(hp.input_offset(j), hp.input_offset(j - 1), -2.0 * p.product_delta_weight)
-        add_quad(hp.input_offset(j - 1), hp.input_offset(j), -2.0 * p.product_delta_weight)
+        add_quad(input_offset(j), input_offset(j), 2.0 * p.product_delta_weight)
+        add_quad(input_offset(j - 1), input_offset(j - 1), 2.0 * p.product_delta_weight)
+        add_quad(input_offset(j), input_offset(j - 1), -2.0 * p.product_delta_weight)
+        add_quad(input_offset(j - 1), input_offset(j), -2.0 * p.product_delta_weight)
     if p.trace_weight:
         for j in range(N):
             for a in range(side):
-                c[hp.lifted_offset(j) + vec_index(a, a)] += p.trace_weight
+                c[lifted_offset(j) + vec_index(a, a)] += p.trace_weight
 
     P = sp.csc_matrix(
-        sp.coo_matrix((P_vals, (P_rows, P_cols)), shape=(hp.num_vars, hp.num_vars))
+        sp.coo_matrix((P_vals, (P_rows, P_cols)), shape=(num_vars, num_vars))
     )
     constant = float(N * (target @ p.state_weight @ target))
     return ConicProblem(c=c, A=A, b=b, cones=cones, P=P, objective_constant=constant)

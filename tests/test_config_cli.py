@@ -103,9 +103,18 @@ def test_cli_flags_map_to_their_scenario_keys():
                                       "--no-warm-start", "--output", "o.csv"])
     assert _overrides(args) == {"steps": 4, "horizon": 3, "warm_start": False, "output": "o.csv"}
     args = build_parser().parse_args(["oracle", "--config", "x.cfg"])
-    assert _overrides(args) == {"steps": None, "horizon": None, "warm_start": None}
+    assert _overrides(args) == {"horizon": None}
     scen = load_scenario(FOURCRAFT_CFG, _overrides(args))
     assert (scen.steps, scen.params.horizon, scen.solver.warm_start) == (2400, 9, True)
+
+
+@pytest.mark.parametrize("flag", [["--steps", "3"], ["--no-warm-start"]])
+def test_oracle_takes_no_run_flags(capsys, flag):
+    # the oracle runs one cold solve and no simulation: a run flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["oracle", "--config", str(TWOCRAFT_CFG), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):

@@ -368,8 +368,10 @@ def test_formation_masses_are_a_read_only_copy():
     cfg = make_config(masses)
     masses[0] = 1.0
     assert cfg.masses[0] == 50.0
-    with pytest.raises(ValueError):
-        cfg.masses[0] = 1.0
+    # from a vector and from one value broadcast to every craft alike
+    for cfg in (cfg, FormationConfig(num_spacecraft=3, masses=50.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.masses[0] = 1.0
 
 
 # the three entry points of the one separation check, at relative positions

@@ -11,7 +11,8 @@ from coulombmpc import (
     to_conic,
     update_initial_state,
 )
-from coulombmpc.conic import vec_dim
+from coulombmpc.conic import sym_gather, vec_dim
+from coulombmpc.horizon import _weight_matrix
 from reference_conic import evaluate_cost, pack, sym_to_vec, vec_index, vec_to_sym
 
 
@@ -73,6 +74,19 @@ def test_vec_index_matches_tril_order():
     for pos, (r, c) in enumerate(zip(rows, cols)):
         assert vec_index(r, c) == pos
         assert vec_index(c, r) == pos
+
+
+def test_sym_gather_is_one_cached_read_only_table():
+    # to_conic reads its coupling columns and trace slots from this table
+    for side in (2, 3, 4):
+        index, scale = sym_gather(side)
+        assert sym_gather(side)[0] is index and sym_gather(side)[1] is scale
+        for r in range(side):
+            for c in range(side):
+                assert index[r, c] == vec_index(r, c)
+        for arr in (index, scale):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
 
 
 # -- problem structure -----------------------------------------------------------
@@ -350,6 +364,43 @@ def test_mpc_params_rejects_non_count_horizon_and_nonfinite_weights(kwargs, mess
     # NaN weight would be reported as not symmetric
     with pytest.raises(ValueError, match=message):
         simple_params(2, kwargs.pop("horizon", 2), np.array([50.0]), **kwargs)
+
+
+def test_weight_matrix_takes_the_bound_rule():
+    # one value or one per entry goes on the diagonal, byte for byte as the
+    # scaled identity and np.diag; a one-element list broadcasts like a bound
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        size = int(rng.integers(1, 8))
+        s, v = float(rng.choice([0.0, rng.uniform(0.0, 1e4)])), rng.uniform(0.0, 1e4, size)
+        assert _weight_matrix(s, size, "w").tobytes() == (s * np.eye(size)).tobytes()
+        assert _weight_matrix(v, size, "w").tobytes() == np.diag(v).tobytes()
+        assert _weight_matrix(v.tolist(), size, "w").tobytes() == np.diag(v).tobytes()
+    assert np.array_equal(_weight_matrix([2.5], 3, "w"), 2.5 * np.eye(3))
+    with pytest.raises(ValueError, match="w must have length 3"):
+        _weight_matrix([1.0, 2.0], 3, "w")
+    with pytest.raises(ValueError, match="w must be 3x3"):
+        _weight_matrix(np.eye(2), 3, "w")
+
+
+@pytest.mark.parametrize("scalars", [False, True], ids=["vectors", "scalars"])
+def test_mpc_params_keep_their_own_read_only_arrays(scalars):
+    # the params kept the caller's desired and bound buffers, so writing into
+    # them changed a frozen params object after a controller was built from it
+    d = np.array([50.0])
+    lo, hi = (np.array(-1e3), np.array(1e3)) if scalars else (np.array([0.0, -1.0]),
+                                                                np.array([100.0, 1.0]))
+    params = MpcParams(desired_positions=d, state_min=lo, state_max=hi,
+                       state_weight=1.0 if scalars else [1.0, 20.0],
+                       product_weight=[0.5], product_delta_weight=np.eye(1))
+    before = [params.desired_positions.copy(), params.state_min.copy(), params.state_max.copy()]
+    d[...], lo[...], hi[...] = 60.0, 10.0, 90.0
+    after = [params.desired_positions, params.state_min, params.state_max]
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    for name in ("desired_positions", "state_min", "state_max", "state_weight",
+                 "product_weight", "product_delta_weight"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(params, name)[0] = 1.0
 
 
 def fourcraft_bounds(**bounds):
