@@ -136,39 +136,51 @@ class FormationConfig:
 
     @cached_property
     def _pair_plan(self) -> tuple[np.ndarray, ...]:
-        """The constant plan of :func:`_input_block`.
+        """The constant plan of :func:`_input_block`: :func:`_pair_layout` of the
+        craft count, shared by every formation of that count, with each landing
+        spot's craft replaced by its mass, negated for a second craft."""
+        *layout, landing = _pair_layout(self.num_spacecraft)
+        signed_masses = self.masses[landing]
+        seconds = signed_masses[: len(layout[0])]  # the first spots are the second crafts'
+        np.negative(seconds, seconds)
+        signed_masses.setflags(write=False)
+        return (*layout, signed_masses)
 
-        The input matrix is held as a ``(2, n - 1, pairs)`` block: ``others``,
-        rows 1.. of the absolute input matrix, and ``lead``, its row 0 repeated
-        in every row, so the relative matrix ``others - lead`` is a same-shape
-        subtraction.  Each pair's force lands on its second craft's row, on its
-        first craft's row, or, for a first craft 0, on every repeated row; the
-        first landing spots are the second crafts', one per pair in pair order.
-        The plan holds each pair's first and second craft, and per landing
-        spot its flat index in the block, the first and second craft of its
-        pair and the landing craft's mass, negated for a second craft.
-        """
-        half = self.num_spacecraft - 1
-        pairs = spacecraft_pairs(self.num_spacecraft)
-        first, second = pairs[:, 0].copy(), pairs[:, 1].copy()
-        count = len(pairs)
-        cols = np.arange(count)
-        led = first == 0  # the pairs that act on craft 0
-        lead_cols = np.tile(cols[led], half)
-        lead_rows = np.repeat(np.arange(half), led.sum())
-        pair_of = np.concatenate([cols, cols[~led], lead_cols])
-        spot = np.concatenate([
-            (second - 1) * count + cols,
-            (first[~led] - 1) * count + cols[~led],
-            (half + lead_rows) * count + lead_cols,
-        ])
-        signed_masses = np.concatenate([
-            -self.masses[second], self.masses[first[~led]], self.masses[first[lead_cols]],
-        ])
-        plan = first, second, first[pair_of], second[pair_of], spot, signed_masses
-        for arr in plan:
-            arr.setflags(write=False)
-        return plan
+
+@lru_cache(maxsize=None)
+def _pair_layout(num_spacecraft: int) -> tuple[np.ndarray, ...]:
+    """The part of :attr:`FormationConfig._pair_plan` that depends on the craft
+    count alone, read-only.
+
+    The input matrix is held as a ``(2, n - 1, pairs)`` block: ``others``,
+    rows 1.. of the absolute input matrix, and ``lead``, its row 0 repeated in
+    every row, so the relative matrix ``others - lead`` is a same-shape
+    subtraction.  Each pair's force lands on its second craft's row, on its
+    first craft's row, or, for a first craft 0, on every repeated row; the
+    first landing spots are the second crafts', one per pair in pair order.
+    The layout holds each pair's first and second craft, and per landing spot
+    its flat index in the block, the first and second craft of its pair and
+    the landing craft.
+    """
+    half = num_spacecraft - 1
+    pairs = spacecraft_pairs(num_spacecraft)
+    first, second = pairs[:, 0].copy(), pairs[:, 1].copy()
+    count = len(pairs)
+    cols = np.arange(count)
+    led = first == 0  # the pairs that act on craft 0
+    lead_cols = np.tile(cols[led], half)
+    lead_rows = np.repeat(np.arange(half), led.sum())
+    pair_of = np.concatenate([cols, cols[~led], lead_cols])
+    spot = np.concatenate([
+        (second - 1) * count + cols,
+        (first[~led] - 1) * count + cols[~led],
+        (half + lead_rows) * count + lead_cols,
+    ])
+    landing = np.concatenate([second, first[~led], first[lead_cols]])
+    layout = first, second, first[pair_of], second[pair_of], spot, landing
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 @dataclass(frozen=True)
@@ -203,10 +215,12 @@ def charge_products(charges: np.ndarray) -> np.ndarray:
     return q[pairs[:, 0]] * q[pairs[:, 1]]
 
 
-def _input_block(x: np.ndarray, cfg: FormationConfig, block=None) -> np.ndarray:
+def _input_block(x: np.ndarray, cfg: FormationConfig, block=None, terms=None) -> np.ndarray:
     """The input matrix at craft positions ``x[:n]`` as the ``(2, n - 1, pairs)``
     block of :attr:`FormationConfig._pair_plan`, flat, written into ``block``
-    (zeros off the landing spots; a fresh one if None): the one pair-force kernel.
+    (zeros off the landing spots) through ``terms``, three scratch vectors of
+    one entry per landing spot; both fresh if ``block`` is None.  The one
+    pair-force kernel.
 
     A pair below ``min_separation`` raises :class:`SingularityError` naming the
     first closest pair (Python's ``min`` screens: it is below the limit or NaN
@@ -219,14 +233,20 @@ def _input_block(x: np.ndarray, cfg: FormationConfig, block=None) -> np.ndarray:
     first, _, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
     if block is None:
         block = np.zeros(2 * (cfg.num_spacecraft - 1) * len(first))
-    diff = x[spot_first] - x[spot_second]
-    dist = np.abs(diff)
+        terms = np.empty((3, len(spot)))
+    diff, dist, cube = terms
+    np.subtract(x[spot_first], x[spot_second], diff)
+    np.absolute(diff, dist)
     if not min(dist.tolist()) >= cfg.min_separation and np.any(dist < cfg.min_separation):
         worst = int(np.nanargmin(dist[: len(first)]))  # a NaN separation is not the closest
         raise SingularityError(
             f"spacecraft {spot_first[worst]} and {spot_second[worst]} are "
             f"{dist[worst]:.3e} m apart (minimum separation {cfg.min_separation:g} m)")
-    block[spot] = COULOMB_CONSTANT * diff / dist**3 / signed_masses
+    np.power(dist, 3.0, cube)  # the loop of dist**3, without its int exponent's conversion
+    np.multiply(COULOMB_CONSTANT, diff, diff)
+    np.divide(diff, cube, diff)
+    np.divide(diff, signed_masses, diff)
+    block[spot] = diff
     return block
 
 
@@ -253,22 +273,28 @@ def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np
 
 
 def rk4_step(
-    state: RelativeState, charges: np.ndarray, dt: float, cfg: FormationConfig
+    state: RelativeState, charges: np.ndarray, dt: float, cfg: FormationConfig,
+    substeps: int = 1,
 ) -> RelativeState:
-    """One classical fourth-order Runge-Kutta step with the charges held constant.
+    """``substeps`` classical fourth-order Runge-Kutta steps of size ``dt`` with
+    the charges held constant: the package's one RK4 kernel, called once per hold.
 
-    The stages evaluate ``[velocities; relative_input_matrix(positions) @
-    charge_products(charges)]`` by the same floating-point operations in the
-    same order, without its per-call checks and containers, so the result is
-    bit-identical to the textbook RK4 kept in ``tests/test_dynamics.py``.  Each
-    stage vector sits in a buffer ``[0, positions, velocities]`` whose leading 0
-    is craft 1, which :func:`_input_block` reads directly into one block per
-    step; the accelerations are the BLAS matvec ``(others - lead) @ products``,
-    whose summation order fixes the bits.  The returned state holds views of
-    one fresh vector, not re-validated.
+    The step size, the count, the charges and the state are checked once and the
+    charge products formed once; the substeps then run their four stages in
+    buffers built once, every elementwise operation writing into one through
+    ``out``.  A stage evaluates ``[velocities; relative_input_matrix(positions) @
+    charge_products(charges)]``, separation check included, by the same
+    floating-point operations in the same order, and a substep ends in
+    ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so each substep is
+    bit-identical to the textbook RK4 kept in ``tests/test_dynamics.py``.  A stage
+    vector sits in a buffer ``[0, positions, velocities]`` whose leading 0 is
+    craft 1, which :func:`_input_block` reads directly; the accelerations are the
+    BLAS matvec ``(others - lead) @ products``, whose summation order fixes the
+    bits.  The returned state holds views of a fresh vector, not re-validated.
     """
-    _check_positive(dt, "step size")
-    first, second = cfg._pair_plan[:2]
+    dt = _check_positive(dt, "step size")
+    substeps = _check_count(substeps, "substeps")
+    first, second, _, _, spot, _ = cfg._pair_plan
     half = cfg.num_spacecraft - 1
     q = np.asarray(charges, dtype=float)
     if q.shape != (half + 1,):
@@ -277,29 +303,45 @@ def rk4_step(
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")
-    # stages[0] is [0, y], then the three stage vectors; derivs the four k
+    # stages[i] is [0, y] for i = 0, then [0, stage vector i]; derivs[i] is k(i+1)
     stages = np.zeros((4, 2 * half + 1))
     stages[0, 1 : half + 1] = positions
     stages[0, half + 1 :] = velocities
     derivs = np.empty((4, 2 * half))
     block = np.zeros(2 * half * len(first))  # entries off the landing spots stay 0
     others, lead = block.reshape(2, half, -1)
+    relative = np.empty_like(others)
+    terms = tuple(np.empty((3, len(spot))))
     y = stages[0, 1:]
-    step = np.empty(2 * half)
-
-    for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None)):
-        stage, k = stages[i], derivs[i]
-        _input_block(stage, cfg, block)
-        k[:half] = stage[half + 1 :]
-        np.matmul(others - lead, products, k[half:])
-        if coeff is not None:  # the next stage vector, y + coeff * k
-            np.multiply(coeff, k, step)
-            np.add(y, step, stages[i + 1, 1:])
+    step, total = np.empty((2, 2 * half))
     k1, k2, k3, k4 = derivs
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    sixth = dt / 6.0
+    # per stage: its buffer and velocities, its k and k's halves, and for the
+    # first three the coefficient and the next stage vector, y + coeff * k
+    plan = [(stages[i], stages[i, half + 1 :], derivs[i], derivs[i, :half], derivs[i, half:],
+             coeff, None if coeff is None else stages[i + 1, 1:])
+            for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None))]
+
+    for _ in range(substeps):
+        for stage, stage_vel, k, k_vel, k_acc, coeff, following in plan:
+            _input_block(stage, cfg, block, terms)
+            np.copyto(k_vel, stage_vel)
+            np.subtract(others, lead, relative)
+            np.matmul(relative, products, k_acc)
+            if coeff is not None:
+                np.multiply(coeff, k, step)
+                np.add(y, step, following)
+        # y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), into y
+        np.multiply(2.0, k2, step)
+        np.add(k1, step, total)
+        np.multiply(2.0, k3, step)
+        np.add(total, step, total)
+        np.add(total, k4, total)
+        np.multiply(sixth, total, total)
+        np.add(y, total, y)
     result = object.__new__(RelativeState)
-    object.__setattr__(result, "positions", out[:half])
-    object.__setattr__(result, "velocities", out[half:])
+    object.__setattr__(result, "positions", y[:half])
+    object.__setattr__(result, "velocities", y[half:])
     return result
 
 

@@ -111,7 +111,7 @@ class HorizonProblem:
     params: MpcParams
 
     def __post_init__(self):
-        init = np.asarray(self.initial_state, dtype=float)
+        init = _as_floats(self.initial_state, "initial_state")
         if init.shape != (self.model.state_dim,):
             raise ValueError("initial state does not match the model dimension")
         object.__setattr__(self, "initial_state", init)

@@ -81,12 +81,11 @@ def propagate(
     substeps: int,
     cfg: FormationConfig,
 ) -> RelativeState:
-    """Integrate the nonlinear plant over one hold interval with RK4 substeps."""
+    """Integrate the nonlinear plant over one hold interval: one call of the RK4
+    kernel :func:`~coulombmpc.dynamics.rk4_step`, which runs the ``substeps``
+    steps of size ``duration / substeps`` on buffers built once per hold."""
     _check_count(substeps, "substeps")
-    dt = duration / substeps
-    for _ in range(substeps):
-        state = rk4_step(state, charges, dt, cfg)
-    return state
+    return rk4_step(state, charges, duration / substeps, cfg, substeps)
 
 
 def run_closed_loop(cfg: ScenarioConfig) -> RunLog:

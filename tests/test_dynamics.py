@@ -336,9 +336,11 @@ def test_input_matrices_byte_equal_to_textbook_matrix(name):
             assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("name", ["twocraft", "fourcraft"])
+@pytest.mark.parametrize(
+    "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
+)
 def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
-    # propagate chains rk4_step over each hold; the holds chain in turn
+    # propagate runs a hold's substeps in one rk4_step call; the holds chain in turn
     cfg, initial, dt, substeps = rk4_oracle_case(name)
     duration = dt * substeps
     rng = np.random.default_rng(11)
@@ -349,6 +351,75 @@ def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
         for _ in range(substeps):
             slow = rk4_on_continuous_rhs(slow, charges, duration / substeps, cfg)
         assert fast.as_vector().tobytes() == slow.as_vector().tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
+)
+def test_rk4_substeps_byte_equal_to_chained_single_steps(name):
+    # one call of k substeps is k chained one-substep calls, byte for byte
+    cfg, initial, dt, substeps = rk4_oracle_case(name)
+    rng = np.random.default_rng(13)
+    state = RelativeState.from_vector(initial)
+    for count in (1, 2, 3, substeps, 25):
+        charges = rng.uniform(-0.05, 0.05, cfg.num_spacecraft)
+        chained = state
+        for _ in range(count):
+            chained = rk4_step(chained, charges, dt, cfg)
+        held = rk4_step(state, charges, dt, cfg, count)
+        assert held.as_vector().tobytes() == chained.as_vector().tobytes()
+        state = held
+
+
+def test_propagate_result_shares_no_memory():
+    cfg, initial, dt, substeps = rk4_oracle_case("threecraft-unequal-masses")
+    state = RelativeState.from_vector(initial)
+    charges = np.array([0.03, -0.02, 0.01])
+    previous = propagate(state, charges, dt * substeps, substeps, cfg)
+    current = propagate(previous, charges, dt * substeps, substeps, cfg)
+    for arr in (previous.positions, previous.velocities, current.positions, current.velocities):
+        assert arr.shape == (2,) and arr.dtype == np.float64
+    for new, old in ((previous, state), (current, previous)):
+        for a in (new.positions, new.velocities):
+            for b in (old.positions, old.velocities):
+                assert not np.shares_memory(a, b)
+    # and the input is left as it was
+    assert np.array_equal(previous.as_vector(), propagate(
+        state, charges, dt * substeps, substeps, cfg).as_vector())
+
+
+@pytest.mark.parametrize("masses, initial, charges", [
+    # two craft drifting together, pulled by opposite charges
+    ([50.0, 50.0], [5e-3, -0.01], [1e-6, -1e-6]),
+    # the middle pair of three closes while the outer craft stays clear
+    ([50.0, 120.0, 310.0], [40.0, 40.0047, 0.0, -0.01], [0.0, 0.0, 0.0]),
+])
+def test_propagate_raises_mid_hold_like_chained_single_steps(masses, initial, charges):
+    # a pair crossing min_separation at substep 2 or later of a hold raises the
+    # message of the one-substep chain at that substep
+    cfg = make_config(masses)
+    state = RelativeState.from_vector(np.array(initial))
+    charges = np.array(charges)
+    chained = state
+    with pytest.raises(SingularityError) as expected:
+        for substep in range(10):
+            chained = rk4_step(chained, charges, 0.05, cfg)
+    assert substep >= 1
+    with pytest.raises(SingularityError) as got:
+        propagate(state, charges, 0.5, 10, cfg)
+    assert str(got.value) == str(expected.value)
+
+
+def test_pair_layout_shared_per_craft_count():
+    light, heavy = make_config([50.0, 60.0, 70.0]), make_config([500.0, 600.0, 700.0])
+    *light_layout, light_masses = light._pair_plan
+    *heavy_layout, heavy_masses = heavy._pair_plan
+    assert all(a is b for a, b in zip(light_layout, heavy_layout))
+    assert np.array_equal(heavy_masses, 10.0 * light_masses)
+    # the second crafts' spots carry the negated mass
+    assert light_masses.tolist() == [-60.0, -70.0, -70.0, 60.0, 50.0, 50.0, 50.0, 50.0]
+    for arr in light._pair_plan:
+        assert not arr.flags.writeable
 
 
 @pytest.mark.parametrize("craft, count", [(4, 3), (4, 5), (2, 1)])

@@ -275,6 +275,17 @@ def test_update_initial_state_repins_b(twocraft_formation):
     assert np.array_equal(prob.b, template_b)
 
 
+def test_horizon_problem_keeps_its_own_initial_state(twocraft_formation):
+    # writing into the caller's buffer afterwards leaves the problem as built
+    desired = np.array([50.0])
+    params = simple_params(2, 3, desired)
+    x = np.array([50.4, 0.0])
+    hp = build_horizon_problem(x, model_for(twocraft_formation, desired), params)
+    x[0] = 99.0
+    assert to_conic(hp).b[0] == 50.4
+    assert not hp.initial_state.flags.writeable
+
+
 def test_equilibrium_solution_is_zero(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 3, desired, trace_weight=1.0, product_delta_weight=10.0)
