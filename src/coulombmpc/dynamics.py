@@ -136,7 +136,7 @@ class FormationConfig:
 
     @cached_property
     def _pair_plan(self) -> tuple[np.ndarray, ...]:
-        """The constant plan of :func:`_input_block`: :func:`_pair_layout` of the
+        """The constant plan of :func:`_bind_input_block`: :func:`_pair_layout` of the
         craft count, shared by every formation of that count, with each landing
         spot's craft replaced by its mass, negated for a second craft."""
         *layout, landing = _pair_layout(self.num_spacecraft)
@@ -215,11 +215,12 @@ def charge_products(charges: np.ndarray) -> np.ndarray:
     return q[pairs[:, 0]] * q[pairs[:, 1]]
 
 
-def _input_block(x: np.ndarray, cfg: FormationConfig, block=None, terms=None) -> np.ndarray:
-    """The input matrix at craft positions ``x[:n]`` as the ``(2, n - 1, pairs)``
-    block of :attr:`FormationConfig._pair_plan`, flat, written into ``block``
-    (zeros off the landing spots) through ``terms``, three scratch vectors of
-    one entry per landing spot; both fresh if ``block`` is None.  The one
+def _bind_input_block(cfg: FormationConfig, block: np.ndarray | None = None):
+    """A call ``kernel(x)`` writing the input matrix at craft positions ``x[:n]``
+    into ``block``, the flat ``(2, n - 1, pairs)`` block of
+    :attr:`FormationConfig._pair_plan` (zeros off the landing spots; fresh if
+    None), and returning it.  The plan, the scratch of one entry per landing
+    spot and a vector of the Coulomb constant are bound once.  The one
     pair-force kernel.
 
     A pair below ``min_separation`` raises :class:`SingularityError` naming the
@@ -228,26 +229,34 @@ def _input_block(x: np.ndarray, cfg: FormationConfig, block=None, terms=None) ->
     bit-identical to the textbook matrix of ``tests/test_dynamics.py``: ``-t / m``
     is ``t / (-m)``, IEEE division being sign-symmetric, and each landing spot
     computes its pair's ``kappa * diff / dist**3`` by the same elementwise
-    operations, ``dist**3`` by numpy's array ``power`` (see the module notes).
+    operations, ``dist**3`` by numpy's array ``power`` (see the module notes);
+    an elementwise product with a vector of kappa is the one with kappa.
     """
     first, _, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
     if block is None:
         block = np.zeros(2 * (cfg.num_spacecraft - 1) * len(first))
-        terms = np.empty((3, len(spot)))
-    diff, dist, cube = terms
-    np.subtract(x[spot_first], x[spot_second], diff)
-    np.absolute(diff, dist)
-    if not min(dist.tolist()) >= cfg.min_separation and np.any(dist < cfg.min_separation):
-        worst = int(np.nanargmin(dist[: len(first)]))  # a NaN separation is not the closest
-        raise SingularityError(
-            f"spacecraft {spot_first[worst]} and {spot_second[worst]} are "
-            f"{dist[worst]:.3e} m apart (minimum separation {cfg.min_separation:g} m)")
-    np.power(dist, 3.0, cube)  # the loop of dist**3, without its int exponent's conversion
-    np.multiply(COULOMB_CONSTANT, diff, diff)
-    np.divide(diff, cube, diff)
-    np.divide(diff, signed_masses, diff)
-    block[spot] = diff
-    return block
+    diff, dist, cube = np.empty((3, len(spot)))
+    kappa = np.full(len(spot), COULOMB_CONSTANT)
+    limit = cfg.min_separation
+    subtract, absolute, power, multiply, divide = (
+        np.subtract, np.absolute, np.power, np.multiply, np.divide)
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        subtract(x[spot_first], x[spot_second], diff)
+        absolute(diff, dist)
+        if not min(dist.tolist()) >= limit and np.any(dist < limit):
+            worst = int(np.nanargmin(dist[: len(first)]))  # a NaN separation is not the closest
+            raise SingularityError(
+                f"spacecraft {spot_first[worst]} and {spot_second[worst]} are "
+                f"{dist[worst]:.3e} m apart (minimum separation {limit:g} m)")
+        power(dist, 3.0, cube)  # the loop of dist**3, without its int exponent's conversion
+        multiply(kappa, diff, diff)
+        divide(diff, cube, diff)
+        divide(diff, signed_masses, diff)
+        block[spot] = diff
+        return block
+
+    return kernel
 
 
 def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray:
@@ -257,7 +266,7 @@ def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.nda
     equally and oppositely on the two craft, divided by their masses.
     """
     x = _as_float_vector(positions, cfg.num_spacecraft, "positions")
-    others, lead = _input_block(x, cfg).reshape(2, cfg.num_spacecraft - 1, -1)
+    others, lead = _bind_input_block(cfg)(x).reshape(2, cfg.num_spacecraft - 1, -1)
     return np.vstack([lead[:1], others])
 
 
@@ -268,7 +277,7 @@ def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np
     positions implied by placing craft 1 at the origin.
     """
     rel = _as_float_vector(rel_positions, cfg.num_spacecraft - 1, "relative positions")
-    others, lead = _input_block(np.concatenate([[0.0], rel]), cfg).reshape(2, rel.size, -1)
+    others, lead = _bind_input_block(cfg)(np.concatenate([[0.0], rel])).reshape(2, rel.size, -1)
     return others - lead
 
 
@@ -279,22 +288,27 @@ def rk4_step(
     """``substeps`` classical fourth-order Runge-Kutta steps of size ``dt`` with
     the charges held constant: the package's one RK4 kernel, called once per hold.
 
-    The step size, the count, the charges and the state are checked once and the
-    charge products formed once; the substeps then run their four stages in
-    buffers built once, every elementwise operation writing into one through
-    ``out``.  A stage evaluates ``[velocities; relative_input_matrix(positions) @
-    charge_products(charges)]``, separation check included, by the same
-    floating-point operations in the same order, and a substep ends in
-    ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so each substep is
-    bit-identical to the textbook RK4 kept in ``tests/test_dynamics.py``.  A stage
-    vector sits in a buffer ``[0, positions, velocities]`` whose leading 0 is
-    craft 1, which :func:`_input_block` reads directly; the accelerations are the
-    BLAS matvec ``(others - lead) @ products``, whose summation order fixes the
-    bits.  The returned state holds views of a fresh vector, not re-validated.
+    The step size, the count, the charges and the state are checked once, the
+    charge products formed once and the pair-force kernel bound once; the
+    substeps then run their four stages in buffers built once, every
+    elementwise operation writing into one through ``out``.  A stage evaluates
+    ``[velocities; relative_input_matrix(positions) @ charge_products(charges)]``,
+    separation check included, by the same floating-point operations in the
+    same order, and a substep ends in ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``,
+    so each substep is bit-identical to the textbook RK4 kept in
+    ``tests/test_dynamics.py``.  Each stage is one row ``[0, positions,
+    velocities, accelerations]``: the leading 0 is craft 1, which the kernel
+    reads directly, and the stage's derivative k is the view of its velocities
+    and accelerations.  The accelerations are the BLAS matvec ``(others - lead)
+    @ products``, whose summation order fixes the bits; ``others - lead`` is
+    subtracted on flat views, and the scalar operands (the stage coefficients,
+    2 and dt/6) are vectors built once, an elementwise product being the same
+    either way.  The returned state holds views of a fresh vector, not
+    re-validated.
     """
     dt = _check_positive(dt, "step size")
     substeps = _check_count(substeps, "substeps")
-    first, second, _, _, spot, _ = cfg._pair_plan
+    first, second, *_ = cfg._pair_plan
     half = cfg.num_spacecraft - 1
     q = np.asarray(charges, dtype=float)
     if q.shape != (half + 1,):
@@ -303,42 +317,46 @@ def rk4_step(
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")
-    # stages[i] is [0, y] for i = 0, then [0, stage vector i]; derivs[i] is k(i+1)
-    stages = np.zeros((4, 2 * half + 1))
+    dim = 2 * half
+    # stages[i] is [0, y, k1's accelerations] for i = 0, then [0, stage vector
+    # i, its accelerations]: k(i+1) is stages[i, half + 1:]
+    stages = np.zeros((4, 3 * half + 1))
     stages[0, 1 : half + 1] = positions
-    stages[0, half + 1 :] = velocities
-    derivs = np.empty((4, 2 * half))
-    block = np.zeros(2 * half * len(first))  # entries off the landing spots stay 0
-    others, lead = block.reshape(2, half, -1)
-    relative = np.empty_like(others)
-    terms = tuple(np.empty((3, len(spot))))
-    y = stages[0, 1:]
-    step, total = np.empty((2, 2 * half))
-    k1, k2, k3, k4 = derivs
-    sixth = dt / 6.0
-    # per stage: its buffer and velocities, its k and k's halves, and for the
-    # first three the coefficient and the next stage vector, y + coeff * k
-    plan = [(stages[i], stages[i, half + 1 :], derivs[i], derivs[i, :half], derivs[i, half:],
-             coeff, None if coeff is None else stages[i + 1, 1:])
+    stages[0, half + 1 : dim + 1] = velocities
+    size = half * len(first)
+    block = np.zeros(2 * size)  # entries off the landing spots stay 0
+    others, lead = block[:size], block[size:]
+    relative = np.empty(size)
+    matrix = relative.reshape(half, -1)
+    kernel = _bind_input_block(cfg, block)
+    y = stages[0, 1 : dim + 1]
+    step, total = np.empty((2, dim))
+    k1, k2, k3, k4 = stages[:, half + 1 :]
+    two, sixth = np.full(dim, 2.0), np.full(dim, dt / 6.0)
+    # per stage: its row, its k and k's accelerations, and for the first three
+    # the coefficient and the next stage vector, y + coeff * k
+    plan = [(stages[i], stages[i, half + 1 :], stages[i, dim + 1 :],
+             None if coeff is None else np.full(dim, coeff),
+             None if coeff is None else stages[i + 1, 1 : dim + 1])
             for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None))]
+    subtract, matmul, multiply, add = np.subtract, np.matmul, np.multiply, np.add
 
     for _ in range(substeps):
-        for stage, stage_vel, k, k_vel, k_acc, coeff, following in plan:
-            _input_block(stage, cfg, block, terms)
-            np.copyto(k_vel, stage_vel)
-            np.subtract(others, lead, relative)
-            np.matmul(relative, products, k_acc)
+        for stage, k, k_acc, coeff, following in plan:
+            kernel(stage)
+            subtract(others, lead, relative)
+            matmul(matrix, products, k_acc)
             if coeff is not None:
-                np.multiply(coeff, k, step)
-                np.add(y, step, following)
+                multiply(coeff, k, step)
+                add(y, step, following)
         # y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), into y
-        np.multiply(2.0, k2, step)
-        np.add(k1, step, total)
-        np.multiply(2.0, k3, step)
-        np.add(total, step, total)
-        np.add(total, k4, total)
-        np.multiply(sixth, total, total)
-        np.add(y, total, y)
+        multiply(two, k2, step)
+        add(k1, step, total)
+        multiply(two, k3, step)
+        add(total, step, total)
+        add(total, k4, total)
+        multiply(sixth, total, total)
+        add(y, total, y)
     result = object.__new__(RelativeState)
     object.__setattr__(result, "positions", y[:half])
     object.__setattr__(result, "velocities", y[half:])

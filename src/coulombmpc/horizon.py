@@ -240,14 +240,15 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     t[-d:, ls:] = -eye[:d, :d]
     r, c = np.nonzero(t)
     pin = np.arange(n, dtype=np.int32)  # the stage-0 pin: rows 0..n-1 on states 0
+    rows = np.concatenate((pin, row_base[r] + row_step[r] * stages), axis=None)
+    cols = np.concatenate((pin, col_base[c] + col_step[c] * stages), axis=None)
+    # no entry repeats, so the CSC arrays are the triplets sorted by column,
+    # then row: the arrays scipy's triplet constructor builds, without its sort
+    order = np.argsort(cols.astype(np.int64) * (psd + N * d) + rows)
+    indptr = np.zeros(hp.num_vars + 1, np.int32)
+    np.cumsum(np.bincount(cols, minlength=hp.num_vars), out=indptr[1:])
     A = sp.csc_matrix(
-        (
-            np.concatenate([np.ones(n)] + [t[r, c]] * N),
-            (
-                np.concatenate((pin, row_base[r] + row_step[r] * stages), axis=None),
-                np.concatenate((pin, col_base[c] + col_step[c] * stages), axis=None),
-            ),
-        ),
+        (np.concatenate([np.ones(n)] + [t[r, c]] * N)[order], rows[order], indptr),
         shape=(psd + N * d, hp.num_vars),
     )
 

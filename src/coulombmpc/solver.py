@@ -30,11 +30,14 @@ Contract:
   The settings are only the tolerances, the iteration budget and whether
   the controller warm starts.
 - A result is the iterate the solve stopped at, whatever its status.
-- Termination is checked once per block of ``_CHECK_EVERY`` iterations, and
-  the solve stops at the first iterate at which a check after every
-  iteration would have stopped.  The returned result, the iteration count
-  and the ``log_callback`` stream are bit-identical to the plain loop kept in
-  ``tests/reference_admm.py``; identical inputs give identical iterates.
+- Termination is checked once per block of at most ``_CHECK_EVERY``
+  iterations.  Blocks end at every multiple of ``_RHO_CHECK_EVERY``, and a
+  block also ends at the warm start's iteration count (an int of at least
+  1), where receding-horizon solves often stop.  The solve stops at the
+  first iterate at which a check after every iteration would have stopped.
+  The returned result, the iteration count and the ``log_callback`` stream
+  are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
+  identical inputs give identical iterates.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``
   and scipy's ``_sparsetools`` kernels, each checked against its public
@@ -69,7 +72,7 @@ _RHO_INIT = 1.0  # the first solve's rho; later solves start from the adapted on
 _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_EQ_FACTOR = 1e3  # zero-cone rows get a stiffer penalty
 _RHO_CHECK_EVERY = 100
-_CHECK_EVERY = 10  # iterations per termination-check block; divides _RHO_CHECK_EVERY
+_CHECK_EVERY = 10  # the most iterations per termination-check block
 _RHO_TRIGGER = 5.0
 _SIGMA = 1e-6  # primal regularization of the KKT system
 _ALPHA = 1.6  # over-relaxation
@@ -286,7 +289,8 @@ class _Workspace:
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
         # the iterate [x; w] and y of each iteration of a check block, one row
-        # each; an iteration reads the row before it (row 0 the last row).
+        # each; an iteration reads the row before it (row 0 the last row, where
+        # a short block leaves its last iterate).
         # row_views[r]: the previous [x; w], w and y, then this row's x, w and y
         self.rows = np.zeros((_CHECK_EVERY, n + m))
         self.y_rows = np.zeros((_CHECK_EVERY, m))
@@ -317,6 +321,9 @@ class _Workspace:
         x, y = self.rows[-1, :n], self.y_rows[-1]
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
                         _bind_product(A_s.T, y, np.zeros(n))]
+        # the returned z and its unscaled P z, for the objective
+        self.z = np.zeros(n)
+        self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
         self.set_rho(_RHO_INIT)
 
     def refactor(self):
@@ -369,8 +376,8 @@ class ConicSolver:
         ``warm`` is a previous result of the same structure; a warm start
         whose sizes do not match raises ``ValueError``.  ``log_callback(k,
         r_prim, r_dual)`` receives every checked iterate k = 1..iterations in
-        order, in bursts after each block of ``_CHECK_EVERY`` iterations, and
-        nothing past the returned iteration count.
+        order, in bursts after each block of iterations, and nothing past the
+        returned iteration count.
         """
         t0 = time.perf_counter()
         prob, settings = self.prob, self.settings
@@ -419,9 +426,16 @@ class ConicSolver:
         best_iter = 0
         status = None
         it = 0  # iterations completed before the current block
+        # a warm start's own count, an int of at least 1, also ends a block:
+        # receding-horizon solves often stop where the previous one did
+        warm_end = 0 if warm is None else warm.iterations
+        if isinstance(warm_end, bool) or not isinstance(warm_end, (int, np.integer)):
+            warm_end = 0
 
         while it < max_iters:
-            count = min(_CHECK_EVERY, max_iters - it)
+            count = min(_CHECK_EVERY, max_iters - it, _RHO_CHECK_EVERY - it % _RHO_CHECK_EVERY)
+            if it < warm_end < it + count:
+                count = warm_end - it
             done = 0
             failure = None
             try:
@@ -499,11 +513,15 @@ class ConicSolver:
             it += row + 1
             if status is not None:
                 break
+            if count < _CHECK_EVERY:
+                # a short block: its last iterate goes where the next block and
+                # the rho balance read it, the last row
+                copyto(start, ws.rows[row])
+                copyto(y_start, ws.y_rows[row])
 
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
-                # iteration actually lives in; a block that does not end the
-                # solve is full, so its last iterate is in the last row
+                # iteration actually lives in, at the last iterate
                 w = ws.rows[-1, n:]
                 Ax_s, Px_s, Aty_s = [product() for product in ws.balance]
                 rp_s = _amax(Ax_s - w) / max(_amax(Ax_s), _amax(w), 1e-12)
@@ -518,7 +536,11 @@ class ConicSolver:
 
         # the iterate the solve stopped at, in the last block's row; the
         # slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
-        z = z_u[row].copy()
+        copyto(ws.z, z_u[row])
+        z = ws.z.copy()
+        # ConicProblem.objective_value(z), its P @ z by the same kernel
+        pz = ws.objective_product()
+        objective = float(c @ z) + prob.objective_constant + 0.5 * float(z @ pz)
         return SolveResult(
             z=z,
             s=b - w_u[row],
@@ -528,6 +550,6 @@ class ConicSolver:
             primal_residual=prims[0][row],
             dual_residual=duals[0][row],
             solve_time=time.perf_counter() - t0,
-            objective=prob.objective_value(z),
+            objective=objective,
         )
 

@@ -47,13 +47,11 @@ def untagged_reference_results(monkeypatch):
 
 
 def assert_identical(got, ref):
-    assert got.status == ref.status
-    assert got.iterations == ref.iterations
-    assert got.primal_residual == ref.primal_residual
-    assert got.dual_residual == ref.dual_residual
-    assert np.array_equal(got.z, ref.z)
-    assert np.array_equal(got.s, ref.s)
-    assert np.array_equal(got.y, ref.y)
+    # every field but the wall time, field by field
+    for field in dataclasses.fields(SolveResult):
+        if field.name != "solve_time":
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
 
 class PairedSolver:
@@ -97,13 +95,22 @@ def test_analytic_problems_match_reference(name, prob, expected, settings):
     assert_identical(ConicSolver(prob, settings).solve(), ReferenceSolver().solve(prob, settings))
 
 
-def test_analytic_warm_resolve_matches_reference():
-    _, prob, _ = build_problems()[8]
+# a warm start's iteration count also ends a check block: None keeps the
+# previous solve's count, an offset sets it that far from the re-solve's stop
+@pytest.mark.parametrize("offset", [None, -3, -1, 0, 1, 4])
+@pytest.mark.parametrize("name,prob,expected", build_problems())
+def test_analytic_warm_resolve_matches_reference(name, prob, expected, offset):
     nudged = prob.b + np.where(np.arange(prob.b.size) == 0, 1e-3, 0.0)
     fast, slow = ConicSolver(prob), ReferenceSolver()
     first_fast, first_slow = fast.solve(), slow.solve(prob)
-    assert_identical(fast.solve(nudged, warm=first_fast),
-                     slow.solve(dataclasses.replace(prob, b=nudged), warm=first_slow))
+    nudged_prob = dataclasses.replace(prob, b=nudged)
+    ref, ref_log = logged(lambda cb: slow.solve(nudged_prob, warm=first_slow, log_callback=cb))
+    warm = first_fast if offset is None else dataclasses.replace(
+        first_fast, iterations=ref.iterations + offset)
+    got, got_log = logged(lambda cb: fast.solve(nudged, warm=warm, log_callback=cb))
+    assert ref.status == OPTIMAL
+    assert_identical(got, ref)
+    assert got_log == ref_log
 
 
 def fourcraft_step0():
@@ -210,18 +217,67 @@ def test_log_stream_matches_reference(name, prob, expected):
     assert [k for k, _, _ in got_log] == list(range(1, got.iterations + 1))
 
 
+def cold_warm(prob, count):
+    """A warm start at the cold start's iterate (z = 0, s = b, y = 0) that
+    reports ``count`` iterations: its iterates are the cold solve's, and only
+    the end of a check block moves."""
+    zeros = np.zeros(prob.num_vars)
+    return SolveResult(z=zeros, s=prob.b.copy(), y=np.zeros(prob.num_rows), status=OPTIMAL,
+                       iterations=count, primal_residual=0.0, dual_residual=0.0,
+                       solve_time=0.0, objective=0.0)
+
+
+# warm counts: mid-block, and 95, whose short blocks 90-95 and 95-100 leave the
+# last iterate before the rho check at 100 in a copied row, or beyond the budget
+@pytest.mark.parametrize("warm_count", [None, 5, 95], ids=["cold", "warm5", "warm95"])
 @pytest.mark.parametrize("max_iters", [1, 9, 10, 11, 37, 101])
 @pytest.mark.parametrize("name,prob,expected", build_problems())
-def test_iteration_budget_at_block_edges_matches_reference(name, prob, expected, max_iters):
+def test_iteration_budget_at_block_edges_matches_reference(name, prob, expected, max_iters,
+                                                           warm_count):
     # tolerances no problem meets within the budget, so every run ends on it
     settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=max_iters)
-    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
-    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
+    warm = None if warm_count is None else cold_warm(prob, warm_count)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(warm=warm, log_callback=cb))
+    ref, ref_log = logged(
+        lambda cb: ReferenceSolver().solve(prob, settings, warm=warm, log_callback=cb))
     assert got.status == MAX_ITERS
     assert got.iterations == max_iters
     assert_identical(got, ref)
     assert got_log == ref_log
     assert [k for k, _, _ in got_log] == list(range(1, max_iters + 1))
+
+
+def check_passes(monkeypatch):
+    """A list that gets one entry per block check of every solver whose
+    workspace is built from now on."""
+    passes = []
+    bind = solver_module._bind_check_products
+
+    def counting(*args):
+        check_products = bind(*args)
+        return lambda: passes.append(None) or check_products()
+
+    monkeypatch.setattr(solver_module, "_bind_check_products", counting)
+    return passes
+
+
+# only an int of at least 1 moves a block end: blocks end at 5, 15, 25, 35 and
+# 37, or as cold at 10, 20, 30 and 37, for a caller-built warm start's count
+@pytest.mark.parametrize("count,expected_passes", [
+    (5, 5), (np.int64(5), 5), (0, 4), (-5, 4), (2.5, 4), (5.0, 4), (True, 4),
+    (np.float64(5.0), 4), (None, 4), ("5", 4),
+])
+def test_only_a_whole_warm_count_ends_a_block(monkeypatch, count, expected_passes):
+    _, prob, _ = build_problems()[0]
+    settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=37)
+    warm = cold_warm(prob, count)
+    passes = check_passes(monkeypatch)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(warm=warm, log_callback=cb))
+    assert len(passes) == expected_passes
+    ref, ref_log = logged(
+        lambda cb: ReferenceSolver().solve(prob, settings, warm=warm, log_callback=cb))
+    assert_identical(got, ref)
+    assert got_log == ref_log
 
 
 def test_stall_stop_matches_reference():
