@@ -23,7 +23,6 @@ from .dynamics import (
     absolute_input_matrix,
     build_discrete_model,
     charge_products,
-    pair_count,
     relative_input_matrix,
     rk4_step,
     spacecraft_pairs,

@@ -23,6 +23,8 @@ from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError
 from numpy.linalg._umath_linalg import eigh_lo
 
+from .dynamics import _check_count
+
 SQRT2 = float(np.sqrt(2.0))
 
 
@@ -73,16 +75,17 @@ def sym_gather(side: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ConeDims:
-    """Dimensions of the product cone, in the fixed order zero / nonneg / PSD."""
+    """Dimensions of the product cone, in the fixed order zero / nonneg / PSD:
+    ints, not bools, ``zero`` and ``nonneg`` at least 0 and PSD sides at least 1."""
 
     zero: int = 0
     nonneg: int = 0
     psd: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.zero < 0 or self.nonneg < 0 or any(s <= 0 for s in self.psd):
-            raise ValueError("cone dimensions must be nonnegative (PSD sides positive)")
-        object.__setattr__(self, "psd", tuple(int(s) for s in self.psd))
+        object.__setattr__(self, "zero", _check_count(self.zero, "zero", 0))
+        object.__setattr__(self, "nonneg", _check_count(self.nonneg, "nonneg", 0))
+        object.__setattr__(self, "psd", tuple(_check_count(s, "a PSD side") for s in self.psd))
 
     @property
     def total(self) -> int:
@@ -95,8 +98,8 @@ class ConicProblem:
 
     ``P`` left out (None) is stored as the empty ``n x n`` CSC matrix: a
     linear objective.  ``objective_constant`` is the constant dropped when
-    the objective was put in standard form; it is added back when reporting
-    objective values.
+    the objective was put in standard form; the solver adds it back in
+    ``SolveResult.objective``.
     """
 
     c: np.ndarray
@@ -133,6 +136,3 @@ class ConicProblem:
     @property
     def num_rows(self) -> int:
         return self.b.size
-
-    def objective_value(self, z: np.ndarray) -> float:
-        return float(self.c @ z) + self.objective_constant + 0.5 * float(z @ (self.P @ z))

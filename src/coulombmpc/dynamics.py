@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,10 +30,10 @@ class SingularityError(ValueError):
     """Two spacecraft are closer than the configured minimum separation."""
 
 
-def _check_count(value, name: str) -> int:
-    """A whole number of at least 1, as an int; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be at least 1 (a whole int, not a bool), got {value!r}")
+def _check_count(value, name: str, least: int = 1) -> int:
+    """A whole number of at least ``least``, as an int; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be at least {least} (a whole int, not a bool), got {value!r}")
     return int(value)
 
 
@@ -96,7 +96,8 @@ def spacecraft_pairs(num_spacecraft: int) -> np.ndarray:
     """All index pairs (i, j), i < j, ordered (0,1), (0,2), ..., (n-2, n-1), read-only.
 
     This fixed ordering defines which spacecraft pair each flattened
-    charge-product index refers to, everywhere in the package.
+    charge-product index refers to, everywhere in the package, and its length
+    is the one pair count.
     """
     if num_spacecraft < 2:
         raise ValueError("a formation needs at least two spacecraft")
@@ -105,15 +106,13 @@ def spacecraft_pairs(num_spacecraft: int) -> np.ndarray:
     return table
 
 
-def pair_count(num_spacecraft: int) -> int:
-    return num_spacecraft * (num_spacecraft - 1) // 2
-
-
 @dataclass(frozen=True)
 class FormationConfig:
     """Physics of the formation: craft count, masses and the separation below
     which pair forces are singular; the Coulomb constant is ``COULOMB_CONSTANT``.
-    The state box belongs to ``MpcParams``, the charge limit to ``saturation_limit``.
+    The state box belongs to ``MpcParams``, the charge limit to ``saturation_limit``,
+    the pair order and count to :func:`spacecraft_pairs` and the pair-force
+    kernel's plan to :func:`_bind_input_block`.
     """
 
     num_spacecraft: int
@@ -134,23 +133,11 @@ class FormationConfig:
     def state_dim(self) -> int:
         return 2 * (self.num_spacecraft - 1)
 
-    @cached_property
-    def _pair_plan(self) -> tuple[np.ndarray, ...]:
-        """The constant plan of :func:`_bind_input_block`: :func:`_pair_layout` of the
-        craft count, shared by every formation of that count, with each landing
-        spot's craft replaced by its mass, negated for a second craft."""
-        *layout, landing = _pair_layout(self.num_spacecraft)
-        signed_masses = self.masses[landing]
-        seconds = signed_masses[: len(layout[0])]  # the first spots are the second crafts'
-        np.negative(seconds, seconds)
-        signed_masses.setflags(write=False)
-        return (*layout, signed_masses)
-
 
 @lru_cache(maxsize=None)
 def _pair_layout(num_spacecraft: int) -> tuple[np.ndarray, ...]:
-    """The part of :attr:`FormationConfig._pair_plan` that depends on the craft
-    count alone, read-only.
+    """The plan of :func:`_bind_input_block` that depends on the craft count
+    alone, read-only, one per count.
 
     The input matrix is held as a ``(2, n - 1, pairs)`` block: ``others``,
     rows 1.. of the absolute input matrix, and ``lead``, its row 0 repeated in
@@ -215,13 +202,15 @@ def charge_products(charges: np.ndarray) -> np.ndarray:
     return q[pairs[:, 0]] * q[pairs[:, 1]]
 
 
-def _bind_input_block(cfg: FormationConfig, block: np.ndarray | None = None):
-    """A call ``kernel(x)`` writing the input matrix at craft positions ``x[:n]``
-    into ``block``, the flat ``(2, n - 1, pairs)`` block of
-    :attr:`FormationConfig._pair_plan` (zeros off the landing spots; fresh if
-    None), and returning it.  The plan, the scratch of one entry per landing
-    spot and a vector of the Coulomb constant are bound once.  The one
-    pair-force kernel.
+def _bind_input_block(cfg: FormationConfig):
+    """The one pair-force kernel and the one owner of its block: returns
+    ``(kernel, others, lead)``, where the call ``kernel(x)`` writes the input
+    matrix at craft positions ``x[:n]`` into the ``(2, n - 1, pairs)`` block of
+    :func:`_pair_layout`, whose two ``(n - 1, pairs)`` halves are the views
+    ``others`` and ``lead`` (zeros off the landing spots).  The block, the
+    layout with each landing spot's craft replaced by its mass (negated for a
+    second craft), the scratch of one entry per landing spot and a vector of
+    the Coulomb constant are built once per bind.
 
     A pair below ``min_separation`` raises :class:`SingularityError` naming the
     first closest pair (Python's ``min`` screens: it is below the limit or NaN
@@ -232,20 +221,23 @@ def _bind_input_block(cfg: FormationConfig, block: np.ndarray | None = None):
     operations, ``dist**3`` by numpy's array ``power`` (see the module notes);
     an elementwise product with a vector of kappa is the one with kappa.
     """
-    first, _, spot_first, spot_second, spot, signed_masses = cfg._pair_plan
-    if block is None:
-        block = np.zeros(2 * (cfg.num_spacecraft - 1) * len(first))
+    first, _, spot_first, spot_second, spot, landing = _pair_layout(cfg.num_spacecraft)
+    count = len(first)
+    signed_masses = cfg.masses[landing]
+    np.negative(signed_masses[:count], signed_masses[:count])  # the second crafts' spots
+    block = np.zeros((2, cfg.num_spacecraft - 1, count))
+    flat = block.reshape(-1)
     diff, dist, cube = np.empty((3, len(spot)))
     kappa = np.full(len(spot), COULOMB_CONSTANT)
     limit = cfg.min_separation
     subtract, absolute, power, multiply, divide = (
         np.subtract, np.absolute, np.power, np.multiply, np.divide)
 
-    def kernel(x: np.ndarray) -> np.ndarray:
+    def kernel(x: np.ndarray) -> None:
         subtract(x[spot_first], x[spot_second], diff)
         absolute(diff, dist)
         if not min(dist.tolist()) >= limit and np.any(dist < limit):
-            worst = int(np.nanargmin(dist[: len(first)]))  # a NaN separation is not the closest
+            worst = int(np.nanargmin(dist[:count]))  # a NaN separation is not the closest
             raise SingularityError(
                 f"spacecraft {spot_first[worst]} and {spot_second[worst]} are "
                 f"{dist[worst]:.3e} m apart (minimum separation {limit:g} m)")
@@ -253,10 +245,9 @@ def _bind_input_block(cfg: FormationConfig, block: np.ndarray | None = None):
         multiply(kappa, diff, diff)
         divide(diff, cube, diff)
         divide(diff, signed_masses, diff)
-        block[spot] = diff
-        return block
+        flat[spot] = diff
 
-    return kernel
+    return kernel, block[0], block[1]
 
 
 def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.ndarray:
@@ -266,7 +257,8 @@ def absolute_input_matrix(positions: np.ndarray, cfg: FormationConfig) -> np.nda
     equally and oppositely on the two craft, divided by their masses.
     """
     x = _as_float_vector(positions, cfg.num_spacecraft, "positions")
-    others, lead = _bind_input_block(cfg)(x).reshape(2, cfg.num_spacecraft - 1, -1)
+    kernel, others, lead = _bind_input_block(cfg)
+    kernel(x)
     return np.vstack([lead[:1], others])
 
 
@@ -277,7 +269,8 @@ def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np
     positions implied by placing craft 1 at the origin.
     """
     rel = _as_float_vector(rel_positions, cfg.num_spacecraft - 1, "relative positions")
-    others, lead = _bind_input_block(cfg)(np.concatenate([[0.0], rel])).reshape(2, rel.size, -1)
+    kernel, others, lead = _bind_input_block(cfg)
+    kernel(np.concatenate([[0.0], rel]))
     return others - lead
 
 
@@ -289,7 +282,8 @@ def rk4_step(
     the charges held constant: the package's one RK4 kernel, called once per hold.
 
     The step size, the count, the charges and the state are checked once, the
-    charge products formed once and the pair-force kernel bound once; the
+    charge products formed once in :func:`spacecraft_pairs` order and the
+    pair-force kernel, with its block, bound once by :func:`_bind_input_block`; the
     substeps then run their four stages in buffers built once, every
     elementwise operation writing into one through ``out``.  A stage evaluates
     ``[velocities; relative_input_matrix(positions) @ charge_products(charges)]``,
@@ -308,7 +302,7 @@ def rk4_step(
     """
     dt = _check_positive(dt, "step size")
     substeps = _check_count(substeps, "substeps")
-    first, second, *_ = cfg._pair_plan
+    first, second, *_ = _pair_layout(cfg.num_spacecraft)
     half = cfg.num_spacecraft - 1
     q = np.asarray(charges, dtype=float)
     if q.shape != (half + 1,):
@@ -323,12 +317,9 @@ def rk4_step(
     stages = np.zeros((4, 3 * half + 1))
     stages[0, 1 : half + 1] = positions
     stages[0, half + 1 : dim + 1] = velocities
-    size = half * len(first)
-    block = np.zeros(2 * size)  # entries off the landing spots stay 0
-    others, lead = block[:size], block[size:]
-    relative = np.empty(size)
-    matrix = relative.reshape(half, -1)
-    kernel = _bind_input_block(cfg, block)
+    kernel, others, lead = _bind_input_block(cfg)
+    matrix = np.empty_like(others)
+    others, lead, relative = others.reshape(-1), lead.reshape(-1), matrix.reshape(-1)
     y = stages[0, 1 : dim + 1]
     step, total = np.empty((2, dim))
     k1, k2, k3, k4 = stages[:, half + 1 :]

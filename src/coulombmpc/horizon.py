@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
 from .dynamics import DiscreteModel, _as_float_vector, _as_floats, _bound, _check_count
-from .dynamics import _check_positive, pair_count, spacecraft_pairs
+from .dynamics import _check_positive, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
 
@@ -75,7 +75,7 @@ class MpcParams:
         object.__setattr__(self, "desired_positions", desired)
         ns = desired.size + 1
         n = 2 * desired.size
-        m = pair_count(ns)
+        m = len(spacecraft_pairs(ns))
         object.__setattr__(self, "state_weight", _weight_matrix(self.state_weight, n, "state_weight"))
         object.__setattr__(
             self, "product_weight", _weight_matrix(self.product_weight, m, "product_weight")
@@ -115,7 +115,7 @@ class HorizonProblem:
         if init.shape != (self.model.state_dim,):
             raise ValueError("initial state does not match the model dimension")
         object.__setattr__(self, "initial_state", init)
-        if self.model.input_dim != pair_count(self.params.num_spacecraft):
+        if self.model.input_dim != len(spacecraft_pairs(self.params.num_spacecraft)):
             raise ValueError("model input dimension does not match the pair count")
         if self.model.state_dim != 2 * (self.params.num_spacecraft - 1):
             raise ValueError("model state dimension does not match the spacecraft count")
@@ -151,15 +151,18 @@ class HorizonProblem:
             + stage * self.lifted_vec_dim
         )
 
-    @property
+    @cached_property
     def num_vars(self) -> int:
         return self.lifted_offset(self.num_stages - 1) + self.lifted_vec_dim
 
     # -- point unpacking -----------------------------------------------------
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (states, inputs, lifted matrices) trajectory of a decision vector."""
+        """The (states, inputs, lifted matrices) trajectory of a decision vector
+        of length ``num_vars``; another shape raises ``ValueError``."""
         N, n, m = self.num_stages, self.state_dim, self.input_dim
         z = np.asarray(z, dtype=float)
+        if z.shape != (self.num_vars,):
+            raise ValueError(f"z must have length {self.num_vars}, got shape {z.shape}")
         states = z[: (N + 1) * n].reshape(N + 1, n)
         inputs = z[(N + 1) * n : (N + 1) * n + N * m].reshape(N, m)
         gather, scale = self._lifted_gather

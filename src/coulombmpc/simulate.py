@@ -24,7 +24,6 @@ from .dynamics import (
     _check_positive,
     build_discrete_model,
     charge_products,
-    pair_count,
     rk4_step,
     spacecraft_pairs,
 )
@@ -206,7 +205,7 @@ def _csv_vectors(num_spacecraft: int) -> dict[str, list[str]]:
 
     half = num_spacecraft - 1
     return {"measured": cols("xi", half) + cols("nu", half), "charges": cols("q", num_spacecraft),
-            "products": cols("u", pair_count(num_spacecraft))}
+            "products": cols("u", len(spacecraft_pairs(num_spacecraft)))}
 
 
 def _csv_header(num_spacecraft: int) -> list[str]:
@@ -243,7 +242,7 @@ def read_csv(path) -> list[StepRecord]:
         raise ValueError(f"{path} is empty")
     header = lines[0][1].split(",")
     ns = sum(1 for col in header if col.startswith("q_"))
-    if header != _csv_header(ns):
+    if ns < 2 or header != _csv_header(ns):
         raise ValueError(f"{path} does not have the expected column layout")
     vectors = _csv_vectors(ns)
     ends = list(itertools.accumulate((len(cols) for cols in vectors.values()), initial=0))

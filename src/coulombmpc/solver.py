@@ -538,7 +538,7 @@ class ConicSolver:
         # slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
         copyto(ws.z, z_u[row])
         z = ws.z.copy()
-        # ConicProblem.objective_value(z), its P @ z by the same kernel
+        # c'z + constant + z'Pz/2, its P @ z by the bound kernel
         pz = ws.objective_product()
         objective = float(c @ z) + prob.objective_constant + 0.5 * float(z @ pz)
         return SolveResult(

@@ -9,7 +9,9 @@ reproduce its iterates bit for bit (see ``test_solver_reference.py``).
 Besides the class name and imports, two edits follow the solver's rules:
 the fixed tuning (sigma, alpha, the initial rho, the Ruiz passes; always
 equilibrated, rho always adapted) is read from the solver's constants, and a
-result is the iterate the loop stopped at, not the best-scoring one.
+result is the iterate the loop stopped at, not the best-scoring one.  The
+objective formula the loop reports, ``c'z + constant + z'Pz/2``, is kept
+here as :func:`objective_value`, the tests' one copy of it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ def _psd_row_blocks(cones: ConeDims) -> list[slice]:
         blocks.append(slice(off, off + d))
         off += d
     return blocks
+
+
+def objective_value(prob: ConicProblem, z: np.ndarray) -> float:
+    """The objective ``c'z + constant + z'Pz/2`` of ``prob`` at ``z``, in this order."""
+    return float(prob.c @ z) + prob.objective_constant + 0.5 * float(z @ (prob.P @ z))
 
 
 @dataclass
@@ -375,7 +382,7 @@ class ReferenceSolver:
             primal_residual=float(r_prim),
             dual_residual=float(r_dual),
             solve_time=time.perf_counter() - t0,
-            objective=prob.objective_value(z_u),
+            objective=objective_value(prob, z_u),
             cones=prob.cones,
         )
 

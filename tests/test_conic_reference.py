@@ -17,12 +17,14 @@ from coulombmpc import (
     MpcParams,
     build_discrete_model,
     build_horizon_problem,
-    pair_count,
+    spacecraft_pairs,
     to_conic,
 )
 from coulombmpc.config import load_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+pytestmark = pytest.mark.bitexact
 
 
 def assert_same_bytes(new, ref, what):
@@ -73,7 +75,7 @@ def test_seeded_family_byte_equal(craft, horizon):
     formation = FormationConfig(num_spacecraft=craft,
                                 masses=rng.uniform(50.0, 750.0, craft))
     model = build_discrete_model(desired, 0.5, formation)
-    n, m = 2 * (craft - 1), pair_count(craft)
+    n, m = 2 * (craft - 1), len(spacecraft_pairs(craft))
     center = np.concatenate([desired, np.zeros(craft - 1)])
     start = center + rng.normal(0.0, 1.0, n)
     for full in (False, True):

@@ -17,6 +17,7 @@ from coulombmpc import (
     spacecraft_pairs,
 )
 from coulombmpc.config import load_scenario
+from coulombmpc.dynamics import _pair_layout
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +77,13 @@ def make_config(masses):
 def test_pair_order_three_craft():
     # flattened index order (1,2), (1,3), (2,3) in 1-based labels
     assert spacecraft_pairs(3).tolist() == [[0, 1], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("craft", [-3, 0, 1])
+def test_spacecraft_pairs_need_two_craft(craft):
+    # the one pair count: no closed form beside it counts pairs of fewer craft
+    with pytest.raises(ValueError, match="a formation needs at least two spacecraft"):
+        spacecraft_pairs(craft)
 
 
 def test_charge_products_zero():
@@ -287,6 +295,7 @@ def rk4_oracle_case(name):
 @pytest.mark.parametrize(
     "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
 )
+@pytest.mark.bitexact
 def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
     cfg, initial, dt, substeps = rk4_oracle_case(name)
     half = cfg.num_spacecraft - 1
@@ -323,6 +332,7 @@ def input_matrix_cases(name, rng):
 @pytest.mark.parametrize("name", [
     "twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses", "random"
 ])
+@pytest.mark.bitexact
 def test_input_matrices_byte_equal_to_textbook_matrix(name):
     # the package's one pair-force kernel against the column-by-column oracle
     rng = np.random.default_rng(5)
@@ -339,6 +349,7 @@ def test_input_matrices_byte_equal_to_textbook_matrix(name):
 @pytest.mark.parametrize(
     "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
 )
+@pytest.mark.bitexact
 def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
     # propagate runs a hold's substeps in one rk4_step call; the holds chain in turn
     cfg, initial, dt, substeps = rk4_oracle_case(name)
@@ -356,6 +367,7 @@ def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
 @pytest.mark.parametrize(
     "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
 )
+@pytest.mark.bitexact
 def test_rk4_substeps_byte_equal_to_chained_single_steps(name):
     # one call of k substeps is k chained one-substep calls, byte for byte
     cfg, initial, dt, substeps = rk4_oracle_case(name)
@@ -371,6 +383,7 @@ def test_rk4_substeps_byte_equal_to_chained_single_steps(name):
         state = held
 
 
+@pytest.mark.bitexact
 def test_propagate_result_shares_no_memory():
     cfg, initial, dt, substeps = rk4_oracle_case("threecraft-unequal-masses")
     state = RelativeState.from_vector(initial)
@@ -394,6 +407,7 @@ def test_propagate_result_shares_no_memory():
     # the middle pair of three closes while the outer craft stays clear
     ([50.0, 120.0, 310.0], [40.0, 40.0047, 0.0, -0.01], [0.0, 0.0, 0.0]),
 ])
+@pytest.mark.bitexact
 def test_propagate_raises_mid_hold_like_chained_single_steps(masses, initial, charges):
     # a pair crossing min_separation at substep 2 or later of a hold raises the
     # message of the one-substep chain at that substep
@@ -411,14 +425,16 @@ def test_propagate_raises_mid_hold_like_chained_single_steps(masses, initial, ch
 
 
 def test_pair_layout_shared_per_craft_count():
-    light, heavy = make_config([50.0, 60.0, 70.0]), make_config([500.0, 600.0, 700.0])
-    *light_layout, light_masses = light._pair_plan
-    *heavy_layout, heavy_masses = heavy._pair_plan
-    assert all(a is b for a, b in zip(light_layout, heavy_layout))
-    assert np.array_equal(heavy_masses, 10.0 * light_masses)
-    # the second crafts' spots carry the negated mass
-    assert light_masses.tolist() == [-60.0, -70.0, -70.0, 60.0, 50.0, 50.0, 50.0, 50.0]
-    for arr in light._pair_plan:
+    # one read-only layout per craft count, whatever the masses: the kernel
+    # gathers its signed masses at bind time
+    layout = _pair_layout(3)
+    assert _pair_layout(3) is layout
+    assert _pair_layout(4) is not layout and len(_pair_layout(4)[0]) == 6
+    first, second, *_, landing = layout
+    assert [first.tolist(), second.tolist()] == spacecraft_pairs(3).T.tolist()
+    # the landing crafts: each pair's second craft first, in pair order
+    assert landing.tolist() == [1, 2, 2, 1, 0, 0, 0, 0]
+    for arr in layout:
         assert not arr.flags.writeable
 
 

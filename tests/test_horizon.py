@@ -13,6 +13,7 @@ from coulombmpc import (
 )
 from coulombmpc.conic import sym_gather, vec_dim
 from coulombmpc.horizon import _weight_matrix
+from reference_admm import objective_value
 from reference_conic import evaluate_cost, pack, sym_to_vec, vec_index, vec_to_sym
 
 
@@ -135,6 +136,17 @@ def test_pack_unpack_round_trip(threecraft_formation):
     assert np.allclose(l2, lifted, atol=1e-14)
 
 
+@pytest.mark.parametrize("extra", [5, -1])
+def test_unpack_rejects_a_vector_of_another_length(threecraft_formation, extra):
+    # 5 entries too many were dropped silently, one too few raised IndexError
+    desired = np.array([40.0, 80.0])
+    model = model_for(threecraft_formation, desired)
+    hp = build_horizon_problem(np.array([41.0, 79.0, 0.0, 0.0]), model, simple_params(3, 4, desired))
+    size = hp.num_vars + extra
+    with pytest.raises(ValueError, match=rf"z must have length {hp.num_vars}, got shape \({size},\)"):
+        hp.unpack(np.zeros(size))
+
+
 # -- feasible point transfer -------------------------------------------------------
 
 def rollout(hp, charge_plan):
@@ -178,7 +190,7 @@ def test_objective_transfer_matches_structured_cost(threecraft_formation):
     states, inputs, lifted = rollout(hp, plan)
     z = pack(hp, states, inputs, lifted)
     structured = evaluate_cost(hp, states, inputs, lifted)
-    assert prob.objective_value(z) == pytest.approx(structured, rel=1e-9)
+    assert objective_value(prob, z) == pytest.approx(structured, rel=1e-9)
     assert conic_violation(prob, z) <= 1e-8
 
 
@@ -351,6 +363,13 @@ def test_mpc_params_validation():
             state_weight=1.0, product_weight=0.0, product_delta_weight=0.0,
             state_min=np.array([10.0, -5.0]), state_max=np.array([5.0, 5.0]),  # inverted
         )
+
+
+@pytest.mark.parametrize("desired", [[], np.zeros(0)])
+def test_mpc_params_of_one_craft_rejected(desired):
+    # no desired relative position is one craft, which has no pair to actuate
+    with pytest.raises(ValueError, match="a formation needs at least two spacecraft"):
+        MpcParams(desired_positions=desired, state_min=-1.0, state_max=1.0)
 
 
 @pytest.mark.parametrize("value,rule", [

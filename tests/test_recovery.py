@@ -140,6 +140,7 @@ def recovery_inputs():
     yield np.diag([1.0, -1e-9]), np.array([0.0, 1.0])  # orthogonal: default rule
 
 
+@pytest.mark.bitexact
 def test_recover_bit_identical_to_linalg_eigh_reference():
     for mat, previous in recovery_inputs():
         rec = recover(mat, previous=previous)
@@ -149,6 +150,7 @@ def test_recover_bit_identical_to_linalg_eigh_reference():
         assert rec.charges.dtype == np.float64 and rec.charges.shape == (mat.shape[0],)
 
 
+@pytest.mark.bitexact
 def test_saturate_bit_identical_to_clip():
     rng = np.random.default_rng(22)
     charges = np.concatenate([rng.uniform(-0.3, 0.3, 200), [0.1, -0.1, 0.0, -0.0]])

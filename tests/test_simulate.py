@@ -320,10 +320,15 @@ def test_csv_round_trip_keeps_invalid_measurement_record(tmp_path):
     assert_same_records(records, read_csv(path))
 
 
-def test_csv_rejects_foreign_layout(tmp_path):
+@pytest.mark.parametrize("text", [
+    "a,b,c\n1,2,3\n",
+    # the layout of one craft, which has no pair: not a formation's log
+    "k,t,q_1,rank_ratio,solver_status,iters,solve_time_s,saturated\n0,0,0,1,optimal,1,0,0\n",
+])
+def test_csv_rejects_foreign_layout(tmp_path, text):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    path.write_text(text)
+    with pytest.raises(ValueError, match="does not have the expected column layout"):
         read_csv(path)
 
 

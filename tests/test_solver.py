@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from analytic_problems import build_problems
+from reference_admm import objective_value
 from coulombmpc import (
     ConeDims,
     ConicProblem,
@@ -104,6 +105,28 @@ def test_project_cone_mixed_blocks_match_individual():
         expected = project_psd(vec_to_sym(v[off : off + d]))
         assert np.allclose(vec_to_sym(out[off : off + d]), expected, atol=1e-12)
         off += d
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"psd": (2.5,)}, "a PSD side must be at least 1"),   # was psd=(2,)
+    ({"psd": (True,)}, "a PSD side must be at least 1"),
+    ({"psd": (0,)}, "a PSD side must be at least 1"),
+    ({"zero": 1.5}, "zero must be at least 0"),           # was a total of 1.5
+    ({"zero": True}, "zero must be at least 0"),          # was one row
+    ({"zero": -1}, "zero must be at least 0"),
+    ({"nonneg": 2.0}, "nonneg must be at least 0"),
+    ({"nonneg": False}, "nonneg must be at least 0"),
+    ({"nonneg": -1}, "nonneg must be at least 0"),
+])
+def test_cone_dims_take_whole_dimensions_only(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ConeDims(**kwargs)
+
+
+def test_cone_dims_store_numpy_integers_as_ints():
+    cones = ConeDims(zero=np.int64(2), nonneg=np.int32(0), psd=[np.int64(3), 2])
+    assert (cones.zero, cones.nonneg, cones.psd, cones.total) == (2, 0, (3, 2), 11)
+    assert all(type(v) is int for v in (cones.zero, cones.nonneg, *cones.psd))
 
 
 def test_project_cone_dimension_mismatch():
@@ -339,6 +362,7 @@ def seeded_block(rng, rows, cols):
     shipped_step0("twocraft.cfg"),
     dataclasses.replace(shipped_step0("twocraft.cfg"), P=None),
 ], ids=["fourcraft", "twocraft", "twocraft-without-P"])
+@pytest.mark.bitexact
 def test_direct_kernels_match_sparse_matmul(prob):
     # the solver's check and rho balance call scipy's private sparsetools
     # kernels directly; they must give the bytes of the public product
@@ -387,6 +411,7 @@ NORM_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(NORM_CASES))
+@pytest.mark.bitexact
 def test_inf_norms_match_scipy(name):
     # the equilibration reads these norms from the raw CSC arrays
     mat = NORM_CASES[name]
@@ -409,7 +434,7 @@ def test_absent_P_is_the_empty_square_csc_matrix():
     prob = ConicProblem(c=np.zeros(3), A=np.ones((2, 3)), b=np.zeros(2), cones=ConeDims(nonneg=2))
     assert sp.issparse(prob.P) and prob.P.format == "csc"
     assert prob.P.shape == (3, 3) and prob.P.nnz == 0
-    assert prob.objective_value(np.ones(3)) == 0.0
+    assert objective_value(prob, np.ones(3)) == 0.0
 
 
 def scrambled(mat, rng):
@@ -439,6 +464,7 @@ def kkt_cases():
 
 
 @pytest.mark.parametrize("name", sorted(kkt_cases()))
+@pytest.mark.bitexact
 def test_kkt_matches_coo_assembly(name):
     # the KKT matrix is stacked from CSC blocks; its arrays must be those of
     # bmat's general COO path, which sums duplicates and sorts each column

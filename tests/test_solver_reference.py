@@ -38,6 +38,8 @@ from reference_admm import ReferenceSolver
 TWOCRAFT_CFG = Path(__file__).resolve().parent.parent / "configs" / "twocraft.cfg"
 TIGHT = SolverSettings(eps_abs=1e-9, eps_rel=1e-9, max_iters=100000)
 
+pytestmark = pytest.mark.bitexact
+
 
 @pytest.fixture(autouse=True)
 def untagged_reference_results(monkeypatch):
