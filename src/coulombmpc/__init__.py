@@ -30,7 +30,6 @@ from .dynamics import (
 from .horizon import (
     HorizonProblem,
     MpcParams,
-    build_horizon_problem,
     to_conic,
     update_initial_state,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import _KNOWN_KEYS, ConfigError, load_scenario
 from .dynamics import build_discrete_model
-from .horizon import build_horizon_problem, to_conic
+from .horizon import HorizonProblem, to_conic, update_initial_state
 from .simulate import (
     RUN_COMPLETED,
     brute_force_qcqp,
@@ -118,8 +118,11 @@ def _cmd_oracle(args) -> int:
         )
     except ValueError as exc:  # a grid or problem outside the search's limits
         raise ConfigError(str(exc)) from exc
-    hp = build_horizon_problem(scenario.initial_state, model, params)
-    result = ConicSolver(to_conic(hp), scenario.solver).solve()
+    hp = HorizonProblem(model, params)
+    conic = to_conic(hp)
+    result = ConicSolver(conic, scenario.solver).solve(
+        update_initial_state(conic, hp, scenario.initial_state)
+    )
     if result.status != OPTIMAL:
         print(f"solver did not converge: {result.status}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -22,7 +22,7 @@ import numpy as np
 
 from .conic import ConicProblem
 from .dynamics import DiscreteModel, RelativeState, _check_positive, charge_products
-from .horizon import HorizonProblem, MpcParams, build_horizon_problem, to_conic, update_initial_state
+from .horizon import HorizonProblem, MpcParams, to_conic, update_initial_state
 from .recovery import recover, saturate
 from .solver import OPTIMAL, ConicSolver, SolveResult, SolverSettings
 
@@ -72,9 +72,7 @@ class MpcController:
         self.settings = settings or SolverSettings()
         self.saturation_limit = _check_positive(saturation_limit, "saturation_limit")
         # template problem; per-step rebuilds only touch the right-hand side
-        self._template: HorizonProblem = build_horizon_problem(
-            params.desired_state, model, params
-        )
+        self._template = HorizonProblem(model, params)
         self._conic_template: ConicProblem = to_conic(self._template)
         self._solver = ConicSolver(self._conic_template, self.settings)
         # loop state carried from one sample to the next
@@ -90,10 +88,10 @@ class MpcController:
 
         k = self.step_count
         # a wrong-length measurement is a caller bug and raises while pinning
-        if measured.shape == (self.model.state_dim,) and not np.isfinite(measured).all():
+        b = update_initial_state(self._conic_template, self._template, measured)
+        if not np.isfinite(measured).all():
             status, iterations, solve_time = INVALID_MEASUREMENT, 0, 0.0
         else:
-            b = update_initial_state(self._conic_template, self._template, measured)
             warm = warm_start_payload(self.previous_result, self.settings)
             result = self._solver.solve(b, warm=warm)
             status, iterations, solve_time = result.status, result.iterations, result.solve_time

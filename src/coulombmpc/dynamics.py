@@ -91,16 +91,19 @@ def _as_float_vector(value, length: int | None = None, name: str = "array",
     return arr
 
 
-@lru_cache(maxsize=None)
 def spacecraft_pairs(num_spacecraft: int) -> np.ndarray:
     """All index pairs (i, j), i < j, ordered (0,1), (0,2), ..., (n-2, n-1), read-only.
 
     This fixed ordering defines which spacecraft pair each flattened
     charge-product index refers to, everywhere in the package, and its length
-    is the one pair count.
+    is the one pair count.  It owns the craft-count rule too: a count that is
+    a bool, not a whole int, or below two raises ``ValueError``.
     """
-    if num_spacecraft < 2:
-        raise ValueError("a formation needs at least two spacecraft")
+    return _pair_table(_check_count(num_spacecraft, "num_spacecraft", least=2))
+
+
+@lru_cache(maxsize=None)
+def _pair_table(num_spacecraft: int) -> np.ndarray:
     table = np.column_stack(np.triu_indices(num_spacecraft, k=1))
     table.setflags(write=False)
     return table
@@ -111,8 +114,9 @@ class FormationConfig:
     """Physics of the formation: craft count, masses and the separation below
     which pair forces are singular; the Coulomb constant is ``COULOMB_CONSTANT``.
     The state box belongs to ``MpcParams``, the charge limit to ``saturation_limit``,
-    the pair order and count to :func:`spacecraft_pairs` and the pair-force
-    kernel's plan to :func:`_bind_input_block`.
+    the pair order, the pair count and the craft-count rule to
+    :func:`spacecraft_pairs` and the pair-force kernel's plan to
+    :func:`_bind_input_block`.
     """
 
     num_spacecraft: int
@@ -120,9 +124,8 @@ class FormationConfig:
     min_separation: float = 1e-3  # m, below this pair forces are treated as singular
 
     def __post_init__(self):
-        ns = _check_count(self.num_spacecraft, "num_spacecraft")
-        if ns < 2:
-            raise ValueError("num_spacecraft must be at least 2")
+        spacecraft_pairs(self.num_spacecraft)  # the one craft-count rule
+        ns = int(self.num_spacecraft)
         object.__setattr__(self, "num_spacecraft", ns)
 
         object.__setattr__(self, "masses", _bound(self.masses, ns, "masses", positive=True))

@@ -10,6 +10,8 @@ Decision variables per horizon of length N (state dimension n, m charge
 products, lifted matrices of side equal to the spacecraft count):
 
     states[0..N]     predicted stacked relative states, stage 0 pinned
+                     (to_conic pins the target, update_initial_state a
+                     measurement)
     inputs[0..N-1]   predicted charge products
     lifted[0..N-1]   lifted charge outer-product matrices
 
@@ -104,17 +106,12 @@ class MpcParams:
 
 @dataclass(frozen=True)
 class HorizonProblem:
-    """A fully assembled instance of the per-sample relaxation."""
+    """The decision-vector layout of the per-sample relaxation of ``params`` on ``model``."""
 
-    initial_state: np.ndarray
     model: DiscreteModel
     params: MpcParams
 
     def __post_init__(self):
-        init = _as_floats(self.initial_state, "initial_state")
-        if init.shape != (self.model.state_dim,):
-            raise ValueError("initial state does not match the model dimension")
-        object.__setattr__(self, "initial_state", init)
         if self.model.input_dim != len(spacecraft_pairs(self.params.num_spacecraft)):
             raise ValueError("model input dimension does not match the pair count")
         if self.model.state_dim != 2 * (self.params.num_spacecraft - 1):
@@ -122,65 +119,37 @@ class HorizonProblem:
 
     # -- variable layout ----------------------------------------------------
     @property
-    def num_stages(self) -> int:
-        return self.params.horizon
-
-    @property
-    def state_dim(self) -> int:
-        return self.model.state_dim
-
-    @property
-    def input_dim(self) -> int:
-        return self.model.input_dim
-
-    @property
-    def lifted_side(self) -> int:
-        return self.params.num_spacecraft
-
-    @property
     def lifted_vec_dim(self) -> int:
-        return vec_dim(self.lifted_side)
+        return vec_dim(self.params.num_spacecraft)
 
     def input_offset(self, stage: int) -> int:
-        return (self.num_stages + 1) * self.state_dim + stage * self.input_dim
+        return (self.params.horizon + 1) * self.model.state_dim + stage * self.model.input_dim
 
     def lifted_offset(self, stage: int) -> int:
-        return (
-            (self.num_stages + 1) * self.state_dim
-            + self.num_stages * self.input_dim
-            + stage * self.lifted_vec_dim
-        )
+        return self.input_offset(self.params.horizon) + stage * self.lifted_vec_dim
 
     @cached_property
     def num_vars(self) -> int:
-        return self.lifted_offset(self.num_stages - 1) + self.lifted_vec_dim
+        return self.lifted_offset(self.params.horizon)
 
     # -- point unpacking -----------------------------------------------------
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (states, inputs, lifted matrices) trajectory of a decision vector
         of length ``num_vars``; another shape raises ``ValueError``."""
-        N, n, m = self.num_stages, self.state_dim, self.input_dim
         z = np.asarray(z, dtype=float)
         if z.shape != (self.num_vars,):
             raise ValueError(f"z must have length {self.num_vars}, got shape {z.shape}")
-        states = z[: (N + 1) * n].reshape(N + 1, n)
-        inputs = z[(N + 1) * n : (N + 1) * n + N * m].reshape(N, m)
-        gather, scale = self._lifted_gather
-        return states, inputs, z[gather] / scale
+        N, u0, l0, gather, scale = self._unpack_plan
+        return z[:u0].reshape(N + 1, -1), z[u0:l0].reshape(N, -1), z[gather] / scale
 
     @cached_property
-    def _lifted_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index into z and unscaling of every lifted matrix entry, stage by stage."""
-        index, scale = sym_gather(self.lifted_side)
-        starts = self.lifted_offset(0) + self.lifted_vec_dim * np.arange(self.num_stages)
-        return starts[:, None, None] + index, scale
-
-
-def build_horizon_problem(
-    measured: np.ndarray, model: DiscreteModel, params: MpcParams
-) -> HorizonProblem:
-    """Assemble the per-sample problem for a measured, stacked relative state."""
-    return HorizonProblem(measured, model, params)
+    def _unpack_plan(self) -> tuple[int, int, int, np.ndarray, np.ndarray]:
+        """The horizon, the first input and lifted columns, and the index into z
+        and unscaling of every lifted matrix entry, stage by stage."""
+        N, u0, l0 = self.params.horizon, self.input_offset(0), self.lifted_offset(0)
+        index, scale = sym_gather(self.params.num_spacecraft)
+        starts = l0 + self.lifted_vec_dim * np.arange(N)
+        return N, u0, l0, starts[:, None, None] + index, scale
 
 
 def _slots(starts, sizes, strides) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +166,11 @@ def _slots(starts, sizes, strides) -> tuple[np.ndarray, np.ndarray]:
 def to_conic(hp: HorizonProblem) -> ConicProblem:
     """Flatten the structured problem into standard conic form.
 
-    Row layout: the first ``state_dim`` zero-cone rows pin stage 0 to the
-    measured state (so re-pinning a new measurement only rewrites that slice
-    of b), followed by dynamics and product-coupling equalities, the state box
-    rows, then one PSD block per stage.
+    Row layout: the first ``state_dim`` zero-cone rows pin stage 0, here to
+    the target ``params.desired_state`` (:func:`update_initial_state` re-pins
+    a measurement by rewriting only that slice of b), followed by dynamics
+    and product-coupling equalities, the state box rows, then one PSD block
+    per stage.
 
     A and P are each one stage's nonzero pattern repeated over the horizon,
     each entry moving by its own row and column stride.  A has no repeated
@@ -210,8 +180,8 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     per delta j the blocks (j, j), (j-1, j-1), (j, j-1), (j-1, j).
     """
     p = hp.params
-    N, n, m = hp.num_stages, hp.state_dim, hp.input_dim
-    side, d = hp.lifted_side, hp.lifted_vec_dim
+    N, n, m = p.horizon, hp.model.state_dim, hp.model.input_dim
+    side, d = p.num_spacecraft, hp.lifted_vec_dim
     u0, l0 = hp.input_offset(0), hp.lifted_offset(0)
     pairs = spacecraft_pairs(side)
     index, _ = sym_gather(side)
@@ -256,7 +226,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     )
 
     b = np.zeros(psd + N * d)
-    b[:n] = hp.initial_state
+    b[:n] = p.desired_state
     b[box : box + N * n].reshape(N, n)[:] = p.state_max
     b[box + N * n : box + 2 * N * n].reshape(N, n)[:] = -p.state_min
     cones = ConeDims(zero=box, nonneg=psd - box, psd=(side,) * N)
@@ -296,14 +266,17 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
 def update_initial_state(
     conic: ConicProblem, hp: HorizonProblem, measured: np.ndarray
 ) -> np.ndarray:
-    """Right-hand side of ``conic`` with the stage-0 pin set to a fresh measurement.
+    """Right-hand side of ``conic`` with the stage-0 pin set to a measurement.
 
-    Only b changes between samples, so a :class:`~coulombmpc.solver.ConicSolver`
-    bound to ``conic`` solves the re-pinned problem with its cached factorization.
+    This is the one writer of a measured state into b, and its one shape
+    check.  Only b changes between samples, so a
+    :class:`~coulombmpc.solver.ConicSolver` bound to ``conic`` solves the
+    re-pinned problem with its cached factorization.
     """
+    n = hp.model.state_dim
     measured = np.asarray(measured, dtype=float)
-    if measured.shape != (hp.state_dim,):
+    if measured.shape != (n,):
         raise ValueError("measured state has the wrong dimension")
     b = conic.b.copy()
-    b[: hp.state_dim] = measured
+    b[:n] = measured
     return b

@@ -270,8 +270,9 @@ def replay_cost(records: list[StepRecord], params: MpcParams) -> dict:
     """Recompute stage costs and product consistency from logged telemetry.
 
     The tracking cost sums over steps with a finite measurement only, so an
-    ``invalid_measurement`` step does not turn it into NaN.  Records of another
-    spacecraft count than ``params`` raise ``ValueError``.
+    ``invalid_measurement`` step does not turn it into NaN.  A non-finite
+    product error, from a NaN charge or product in the log, is reported as NaN.
+    Records of another spacecraft count than ``params`` raise ``ValueError``.
     """
     target = params.desired_state
     tracking = 0.0
@@ -283,9 +284,9 @@ def replay_cost(records: list[StepRecord], params: MpcParams) -> dict:
         dev = rec.measured - target
         if np.isfinite(dev).all():
             tracking += float(dev @ params.state_weight @ dev)
-        coupling_error = max(
-            coupling_error,
-            float(np.abs(rec.products - charge_products(rec.charges)).max()),
+        # np.maximum keeps a NaN error, which max() would drop
+        coupling_error = float(
+            np.maximum(coupling_error, np.abs(rec.products - charge_products(rec.charges)).max())
         )
     return {
         "steps": len(records),

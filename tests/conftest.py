@@ -1,7 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from coulombmpc import FormationConfig, MpcParams, ScenarioConfig, SolverSettings
+from coulombmpc import (
+    FormationConfig,
+    HorizonProblem,
+    MpcParams,
+    ScenarioConfig,
+    SolverSettings,
+    to_conic,
+    update_initial_state,
+)
 
 FOURCRAFT_DESIRED = np.array([50.0, 100.0, 150.0])
 FOURCRAFT_INITIAL = np.array([53.0, 109.0, 147.0, 0.0, 0.0, 0.0])
@@ -48,3 +58,12 @@ def twocraft_formation():
 @pytest.fixture
 def threecraft_formation():
     return FormationConfig(num_spacecraft=3, masses=np.array([40.0, 55.0, 70.0]))
+
+
+def pinned_problem(model, params, start):
+    """The horizon layout of ``params`` on ``model`` and its conic problem with
+    stage 0 pinned at ``start`` the controller's way: the template of
+    ``to_conic`` re-pinned by ``update_initial_state``."""
+    hp = HorizonProblem(model, params)
+    conic = to_conic(hp)
+    return hp, dataclasses.replace(conic, b=update_initial_state(conic, hp, start))

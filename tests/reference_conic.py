@@ -5,14 +5,17 @@ the per-block oracles the vectorised package code is tested against.
 :func:`coulombmpc.to_conic` started from: it appends the COO triplets of
 every block, stage by stage, to Python lists.  The package builds the same
 triplets from per-stage templates and must give a byte-equal problem (see
-``test_conic_reference.py``); the only edits below are the imports and the
+``test_conic_reference.py``); the only edits below are the imports, the
 block offsets, which come from :func:`offsets` rather than from
-``HorizonProblem``, so a slip in the package's layout is not copied here.
+``HorizonProblem``, so a slip in the package's layout is not copied here, and
+the stage-0 pin, which is the ``start`` argument: the package pins the target
+and re-pins a start with ``update_initial_state``.
 
 The other functions are one-block or one-stage references:
 
 - ``evaluate_cost``: the structured objective, stage by stage, that the
   conic objective reproduces;
+- ``dims``: the horizon and sizes, read from the params and the model;
 - ``offsets``: the variable layout, states, then inputs, then lifted
   matrices, from the dimensions alone;
 - ``pack``: the flattening that ``HorizonProblem.unpack`` inverts;
@@ -76,6 +79,11 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
 
 
+def dims(hp: HorizonProblem) -> tuple[int, int, int, int]:
+    """The horizon, state dimension, product count and lifted side of ``hp``."""
+    return hp.params.horizon, hp.model.state_dim, hp.model.input_dim, hp.params.num_spacecraft
+
+
 def offsets(N: int, n: int, m: int, d: int):
     """The state, input and lifted offsets of a stage and the variable count of
     N stages, n states, m products and lifted vectorizations of length d: the
@@ -96,10 +104,10 @@ def offsets(N: int, n: int, m: int, d: int):
 def pack(hp: HorizonProblem, states: np.ndarray, inputs: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     """Flatten a (states, inputs, lifted) trajectory into a decision vector:
     the per-stage reference that the vectorised ``unpack`` must invert."""
-    N, n, m = hp.num_stages, hp.state_dim, hp.input_dim
+    N, n, m, side = dims(hp)
     states = np.asarray(states, dtype=float).reshape(N + 1, n)
     inputs = np.asarray(inputs, dtype=float).reshape(N, m)
-    lifted = np.asarray(lifted, dtype=float).reshape(N, hp.lifted_side, hp.lifted_side)
+    lifted = np.asarray(lifted, dtype=float).reshape(N, side, side)
     _, _, lifted_offset, num_vars = offsets(N, n, m, hp.lifted_vec_dim)
     z = np.empty(num_vars)
     z[: (N + 1) * n] = states.ravel()
@@ -116,10 +124,10 @@ def evaluate_cost(
     """Objective value of a trajectory: tracking + input + smoothing + trace
     terms, stage by stage; the reference for the objective :func:`to_conic` builds."""
     p = hp.params
-    N = hp.num_stages
-    states = np.asarray(states, dtype=float).reshape(N + 1, hp.state_dim)
-    inputs = np.asarray(inputs, dtype=float).reshape(N, hp.input_dim)
-    lifted = np.asarray(lifted, dtype=float).reshape(N, hp.lifted_side, hp.lifted_side)
+    N, n, m, side = dims(hp)
+    states = np.asarray(states, dtype=float).reshape(N + 1, n)
+    inputs = np.asarray(inputs, dtype=float).reshape(N, m)
+    lifted = np.asarray(lifted, dtype=float).reshape(N, side, side)
     target = p.desired_state
     total = 0.0
     for j in range(1, N + 1):
@@ -133,18 +141,18 @@ def evaluate_cost(
     return float(total)
 
 
-def to_conic(hp: HorizonProblem) -> ConicProblem:
+def to_conic(hp: HorizonProblem, start: np.ndarray) -> ConicProblem:
     """Flatten the structured problem into standard conic form.
 
     Row layout: the first ``state_dim`` zero-cone rows pin stage 0 to the
-    measured state (so re-pinning a new measurement only rewrites that slice
-    of b), followed by dynamics and product-coupling equalities, the state box
-    rows, then one PSD block per stage.
+    stacked state ``start`` (so re-pinning a new measurement only rewrites
+    that slice of b), followed by dynamics and product-coupling equalities,
+    the state box rows, then one PSD block per stage.
     """
     p = hp.params
     model = hp.model
-    N, n, m = hp.num_stages, hp.state_dim, hp.input_dim
-    side, d = hp.lifted_side, hp.lifted_vec_dim
+    N, n, m, side = dims(hp)
+    d = hp.lifted_vec_dim
     pairs = spacecraft_pairs(side)
     state_offset, input_offset, lifted_offset, num_vars = offsets(N, n, m, d)
 
@@ -162,7 +170,7 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     row = 0
     # stage-0 pin
     add_block(row, state_offset(0), np.eye(n))
-    b_parts.append(hp.initial_state)
+    b_parts.append(np.asarray(start, dtype=float))
     row += n
     # dynamics: states[j+1] - A states[j] - B inputs[j] = 0
     for j in range(N):

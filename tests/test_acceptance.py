@@ -22,17 +22,18 @@ from conftest import (
 )
 from coulombmpc import (
     FormationConfig,
+    HorizonProblem,
     MpcParams,
     RelativeState,
     SolverSettings,
     brute_force_qcqp,
     build_discrete_model,
-    build_horizon_problem,
     charge_products,
     recover,
     rk4_step,
     run_closed_loop,
     to_conic,
+    update_initial_state,
     write_csv,
     read_csv,
 )
@@ -151,21 +152,23 @@ def test_criterion_4_relaxation_bound_two_craft():
         state_max=np.array([500.0, 5.0]), trace_weight=0.0,
     )
     settings = SolverSettings(eps_abs=1e-9, eps_rel=1e-9, max_iters=200000)
+    # recovery quality is assessed with a small rank-promoting weight,
+    # the mechanism the controller itself relies on
+    hp_base = HorizonProblem(model, base)
+    hp = HorizonProblem(model, dataclasses.replace(base, trace_weight=1e-4))
+    conic_base, conic = to_conic(hp_base), to_conic(hp)
     rng = np.random.default_rng(2024)
     worst_gap = -np.inf
     worst_ratio = 0.0
     for _ in range(20):
         start = np.array([50.0 + rng.uniform(-0.5, 0.5), rng.uniform(-0.02, 0.02)])
         _, grid_cost = brute_force_qcqp(start, model, base, grid)
-        relaxed = ConicSolver(to_conic(build_horizon_problem(start, model, base)), settings).solve()
+        relaxed = ConicSolver(conic_base, settings).solve(
+            update_initial_state(conic_base, hp_base, start))
         assert relaxed.status == OPTIMAL
         worst_gap = max(worst_gap, relaxed.objective - grid_cost)
 
-        # recovery quality is assessed with a small rank-promoting weight,
-        # the mechanism the controller itself relies on
-        rounding = dataclasses.replace(base, trace_weight=1e-4)
-        hp = build_horizon_problem(start, model, rounding)
-        lifted_sol = ConicSolver(to_conic(hp), settings).solve()
+        lifted_sol = ConicSolver(conic, settings).solve(update_initial_state(conic, hp, start))
         _, _, lifted = hp.unpack(lifted_sol.z)
         products = charge_products(recover(lifted[0]).charges)
         nxt = model.A @ start + model.B @ products

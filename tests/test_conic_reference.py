@@ -3,7 +3,9 @@
 A, P, b, c, the cones and the objective constant must be the same bytes: P
 sums repeated entries on its input blocks, and that sum depends on the
 order of the triplets, so a change of order that is exact in real arithmetic
-can still change P's last bits.
+can still change P's last bits.  The package pins stage 0 the controller's
+one way, ``update_initial_state`` on the template, and its b must equal the
+reference's b pinned at the same start.
 """
 
 from pathlib import Path
@@ -15,10 +17,11 @@ import reference_conic
 from coulombmpc import (
     FormationConfig,
     MpcParams,
+    HorizonProblem,
     build_discrete_model,
-    build_horizon_problem,
     spacecraft_pairs,
     to_conic,
+    update_initial_state,
 )
 from coulombmpc.config import load_scenario
 
@@ -33,14 +36,16 @@ def assert_same_bytes(new, ref, what):
     assert new.tobytes() == ref.tobytes(), what
 
 
-def assert_byte_equal(new, ref):
+def assert_byte_equal(new, ref, pinned):
+    """``new`` and ``ref`` are the same bytes, with the re-pinned right-hand
+    side ``pinned`` in place of ``new.b``."""
     for name in ("A", "P"):
         a, b = getattr(new, name), getattr(ref, name)
         assert a.format == b.format == "csc", name
         assert a.shape == b.shape, name
         for part in ("indptr", "indices", "data"):
             assert_same_bytes(getattr(a, part), getattr(b, part), f"{name}.{part}")
-    assert_same_bytes(new.b, ref.b, "b")
+    assert_same_bytes(pinned, ref.b, "b")
     assert_same_bytes(new.c, ref.c, "c")
     assert new.cones == ref.cones
     assert type(new.objective_constant) is type(ref.objective_constant)
@@ -53,9 +58,13 @@ def test_shipped_configs_byte_equal(name):
     params = scenario.params
     model = build_discrete_model(params.desired_positions, scenario.sample_period,
                                  scenario.formation)
+    hp = HorizonProblem(model, params)
+    new = to_conic(hp)
+    # the template is the reference pinned at the target, byte for byte
+    assert_byte_equal(new, reference_conic.to_conic(hp, params.desired_state), new.b)
     for start in (scenario.initial_state, params.desired_state):
-        hp = build_horizon_problem(start, model, params)
-        assert_byte_equal(to_conic(hp), reference_conic.to_conic(hp))
+        b = update_initial_state(new, hp, start)
+        assert_byte_equal(new, reference_conic.to_conic(hp, start), b)
 
 
 def seeded_weight(rng, size, scale, full):
@@ -92,8 +101,10 @@ def test_seeded_family_byte_equal(craft, horizon):
                     state_max=center + rng.uniform(1.0, 20.0, n),
                     trace_weight=trace_weight,
                 )
-                hp = build_horizon_problem(start, model, params)
-                assert_byte_equal(to_conic(hp), reference_conic.to_conic(hp))
+                hp = HorizonProblem(model, params)
+                new = to_conic(hp)
+                assert_byte_equal(new, reference_conic.to_conic(hp, start),
+                                  update_initial_state(new, hp, start))
 
 
 def test_zero_weights_byte_equal(twocraft_formation):
@@ -104,7 +115,9 @@ def test_zero_weights_byte_equal(twocraft_formation):
         horizon=3, desired_positions=desired, state_weight=0.0, product_weight=0.0,
         product_delta_weight=0.0, state_min=-100.0, state_max=100.0,
     )
-    hp = build_horizon_problem(np.array([51.0, 0.0]), model, params)
+    hp = HorizonProblem(model, params)
     new = to_conic(hp)
     assert new.P.nnz == 0
-    assert_byte_equal(new, reference_conic.to_conic(hp))
+    start = np.array([51.0, 0.0])
+    assert_byte_equal(new, reference_conic.to_conic(hp, start),
+                      update_initial_state(new, hp, start))

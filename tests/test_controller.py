@@ -99,13 +99,23 @@ def test_bad_saturation_limit_rejected_at_construction(limit, rule):
         MpcController(model, params, SolverSettings(), saturation_limit=limit)
 
 
-def test_wrong_length_measurement_still_raises():
+@pytest.mark.parametrize("bad", [
+    [53.0, 109.0, 147.0, 0.0, 0.0],
+    [np.nan, 109.0, 147.0, 0.0, 0.0],
+    [53.0, 109.0, 147.0, 0.0, 0.0, 0.0, np.nan],
+    [[53.0, 109.0, 147.0], [0.0, 0.0, 0.0]],
+])
+def test_wrong_length_measurement_still_raises(bad):
+    # the pin is the one shape check, NaN or not; a right-length NaN
+    # measurement is a logged fault, not an error
     controller, _, _, _ = make_controller()
-    with pytest.raises(ValueError):
-        controller.step(np.array([53.0, 109.0, 147.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        controller.step(np.array([np.nan, 109.0, 147.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="measured state has the wrong dimension"):
+        controller.step(np.array(bad))
     assert controller.step_count == 0
+    charges, record = controller.step(np.array([np.nan, 109.0, 147.0, 0.0, 0.0, 0.0]))
+    assert (record.step, record.solver_status) == (0, INVALID_MEASUREMENT)
+    assert np.array_equal(charges, np.zeros(4))
+    assert controller.step_count == 1
 
 
 def test_warm_start_payload_policy():

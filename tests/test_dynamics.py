@@ -79,11 +79,22 @@ def test_pair_order_three_craft():
     assert spacecraft_pairs(3).tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
-@pytest.mark.parametrize("craft", [-3, 0, 1])
+CRAFT_COUNT_RULE = r"num_spacecraft must be at least 2 \(a whole int, not a bool\)"
+
+
+@pytest.mark.parametrize("craft", [-3, 0, 1, True, 3.5, 2.0, np.float64(4.0), "3"])
 def test_spacecraft_pairs_need_two_craft(craft):
-    # the one pair count: no closed form beside it counts pairs of fewer craft
-    with pytest.raises(ValueError, match="a formation needs at least two spacecraft"):
+    # the one craft-count rule and the one pair count: 3.5 gave the
+    # four-craft table, and the formation kept a floor of its own
+    with pytest.raises(ValueError, match=CRAFT_COUNT_RULE):
         spacecraft_pairs(craft)
+    with pytest.raises(ValueError, match=CRAFT_COUNT_RULE):
+        FormationConfig(num_spacecraft=craft)
+
+
+def test_spacecraft_pairs_take_a_numpy_count():
+    assert spacecraft_pairs(np.int64(3)) is spacecraft_pairs(3)
+    assert FormationConfig(num_spacecraft=np.int64(3)).num_spacecraft == 3
 
 
 def test_charge_products_zero():
@@ -561,8 +572,8 @@ def test_formation_config_validation():
     ("min_separation", np.nan, "min_separation must be finite and positive"),
     ("masses", [50.0, np.nan], "masses must be finite and positive"),
     ("masses", np.inf, "masses must be finite and positive"),
-    ("num_spacecraft", True, "num_spacecraft must be at least 1"),
-    ("num_spacecraft", 2.0, "num_spacecraft must be at least 1"),
+    ("num_spacecraft", True, "num_spacecraft must be at least 2"),
+    ("num_spacecraft", 2.0, "num_spacecraft must be at least 2"),
     ("masses", True, "masses must be a number, not true or false"),
     ("masses", np.array([True, True]), "masses must be a number, not true or false"),
 ])

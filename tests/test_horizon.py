@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import pinned_problem
 from coulombmpc import (
     ConicSolver,
+    HorizonProblem,
     MpcParams,
     SolverSettings,
     build_discrete_model,
-    build_horizon_problem,
     charge_products,
     to_conic,
     update_initial_state,
@@ -96,7 +97,7 @@ def test_single_stage_structure(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 1, desired)
     model = model_for(twocraft_formation, desired)
-    hp = build_horizon_problem(np.array([51.0, 0.0]), model, params)
+    hp = HorizonProblem(model, params)
     prob = to_conic(hp)
     n, m, d = 2, 1, 3
     assert hp.num_vars == 2 * n + m + d
@@ -112,8 +113,7 @@ def test_fourcraft_structure_counts():
     formation = fourcraft_formation()
     params = fourcraft_params()
     model = model_for(formation, params.desired_positions)
-    hp = build_horizon_problem(params.desired_state, model, params)
-    prob = to_conic(hp)
+    prob = to_conic(HorizonProblem(model, params))
     assert prob.cones.psd == (4,) * 9            # 9 lifted blocks of side 4
     assert prob.cones.zero == 6 + 9 * 6 + 9 * 6  # pin + dynamics + coupling
     assert prob.cones.nonneg == 2 * 9 * 6
@@ -123,7 +123,7 @@ def test_pack_unpack_round_trip(threecraft_formation):
     desired = np.array([40.0, 80.0])
     params = simple_params(3, 4, desired)
     model = model_for(threecraft_formation, desired)
-    hp = build_horizon_problem(np.array([41.0, 79.0, 0.0, 0.0]), model, params)
+    hp = HorizonProblem(model, params)
     rng = np.random.default_rng(3)
     states = rng.normal(size=(5, 4))
     inputs = rng.normal(size=(4, 3))
@@ -141,7 +141,7 @@ def test_unpack_rejects_a_vector_of_another_length(threecraft_formation, extra):
     # 5 entries too many were dropped silently, one too few raised IndexError
     desired = np.array([40.0, 80.0])
     model = model_for(threecraft_formation, desired)
-    hp = build_horizon_problem(np.array([41.0, 79.0, 0.0, 0.0]), model, simple_params(3, 4, desired))
+    hp = HorizonProblem(model, simple_params(3, 4, desired))
     size = hp.num_vars + extra
     with pytest.raises(ValueError, match=rf"z must have length {hp.num_vars}, got shape \({size},\)"):
         hp.unpack(np.zeros(size))
@@ -149,13 +149,14 @@ def test_unpack_rejects_a_vector_of_another_length(threecraft_formation, extra):
 
 # -- feasible point transfer -------------------------------------------------------
 
-def rollout(hp, charge_plan):
-    """Lift a per-stage charge plan into a (states, inputs, lifted) trajectory."""
-    N = hp.num_stages
-    states = np.zeros((N + 1, hp.state_dim))
-    inputs = np.zeros((N, hp.input_dim))
-    lifted = np.zeros((N, hp.lifted_side, hp.lifted_side))
-    states[0] = hp.initial_state
+def rollout(hp, start, charge_plan):
+    """Lift a per-stage charge plan from ``start`` into a (states, inputs,
+    lifted) trajectory."""
+    N, side = hp.params.horizon, hp.params.num_spacecraft
+    states = np.zeros((N + 1, hp.model.state_dim))
+    inputs = np.zeros((N, hp.model.input_dim))
+    lifted = np.zeros((N, side, side))
+    states[0] = start
     for j in range(N):
         q = charge_plan[j]
         inputs[j] = charge_products(q)
@@ -168,9 +169,9 @@ def test_unforced_point_is_conic_feasible(threecraft_formation):
     desired = np.array([40.0, 80.0])
     params = simple_params(3, 5, desired)
     model = model_for(threecraft_formation, desired)
-    hp = build_horizon_problem(np.array([40.0, 80.0, 0.0, 0.0]), model, params)
-    prob = to_conic(hp)
-    states, inputs, lifted = rollout(hp, np.zeros((5, 3)))
+    start = np.array([40.0, 80.0, 0.0, 0.0])
+    hp, prob = pinned_problem(model, params, start)
+    states, inputs, lifted = rollout(hp, start, np.zeros((5, 3)))
     z = pack(hp, states, inputs, lifted)
     assert conic_violation(prob, z) <= 1e-9
 
@@ -183,11 +184,11 @@ def test_objective_transfer_matches_structured_cost(threecraft_formation):
         product_weight=0.5, product_delta_weight=200.0,
     )
     model = model_for(threecraft_formation, desired)
-    hp = build_horizon_problem(np.array([40.5, 79.0, 0.01, -0.02]), model, params)
-    prob = to_conic(hp)
+    start = np.array([40.5, 79.0, 0.01, -0.02])
+    hp, prob = pinned_problem(model, params, start)
     rng = np.random.default_rng(4)
     plan = rng.uniform(-0.2, 0.2, size=(4, 3))
-    states, inputs, lifted = rollout(hp, plan)
+    states, inputs, lifted = rollout(hp, start, plan)
     z = pack(hp, states, inputs, lifted)
     structured = evaluate_cost(hp, states, inputs, lifted)
     assert objective_value(prob, z) == pytest.approx(structured, rel=1e-9)
@@ -204,13 +205,12 @@ def test_relaxation_soundness_lifted_charges_cost_identity(threecraft_formation)
                                  state_weight=2.0, product_delta_weight=10.0)
     model = model_for(threecraft_formation, desired)
     start = np.array([40.2, 80.3, 0.0, 0.0])
-    hp = build_horizon_problem(start, model, params_lifted)
-    hp_plain = build_horizon_problem(start, model, params_plain)
-    prob = to_conic(hp)
+    hp, prob = pinned_problem(model, params_lifted, start)
+    hp_plain = HorizonProblem(model, params_plain)
     rng = np.random.default_rng(5)
     for _ in range(5):
         plan = rng.uniform(-0.1, 0.1, size=(3, 3))
-        states, inputs, lifted = rollout(hp, plan)
+        states, inputs, lifted = rollout(hp, start, plan)
         z = pack(hp, states, inputs, lifted)
         assert conic_violation(prob, z) <= 1e-8
         plain = evaluate_cost(hp_plain, states, inputs, lifted)
@@ -227,7 +227,7 @@ def test_cost_zero_at_equilibrium(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 3, desired, trace_weight=2.0)
     model = model_for(twocraft_formation, desired)
-    hp = build_horizon_problem(np.array([50.0, 0.0]), model, params)
+    hp = HorizonProblem(model, params)
     states = np.tile(params.desired_state, (4, 1))
     assert evaluate_cost(hp, states, np.zeros((3, 1)), np.zeros((3, 2, 2))) == 0.0
 
@@ -236,7 +236,7 @@ def test_cost_single_deviation_quadratic(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 1, desired, state_weight=np.eye(2))
     model = model_for(twocraft_formation, desired)
-    hp = build_horizon_problem(np.array([50.0, 0.0]), model, params)
+    hp = HorizonProblem(model, params)
     states = np.tile(params.desired_state, (2, 1))
     delta = 0.37
     states[1, 0] += delta
@@ -252,7 +252,7 @@ def test_cost_matches_independent_recomputation(threecraft_formation):
         product_weight=0.25, product_delta_weight=1e6,
     )
     model = model_for(threecraft_formation, desired)
-    hp = build_horizon_problem(np.array([40.7, 79.2, 0.02, 0.01]), model, params)
+    hp = HorizonProblem(model, params)
     rng = np.random.default_rng(6)
     states = rng.normal(size=(7, 4))
     inputs = rng.normal(size=(6, 3)) * 0.01
@@ -277,32 +277,24 @@ def test_update_initial_state_repins_b(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 4, desired)
     model = model_for(twocraft_formation, desired)
-    hp = build_horizon_problem(np.array([50.0, 0.0]), model, params)
+    hp = HorizonProblem(model, params)
     prob = to_conic(hp)
+    assert np.array_equal(prob.b[:2], params.desired_state)  # the template pins the target
     new_state = np.array([51.5, -0.2])
     template_b = prob.b.copy()
     b = update_initial_state(prob, hp, new_state)
     assert np.array_equal(b[:2], new_state)
     assert np.array_equal(b[2:], prob.b[2:])
     assert np.array_equal(prob.b, template_b)
-
-
-def test_horizon_problem_keeps_its_own_initial_state(twocraft_formation):
-    # writing into the caller's buffer afterwards leaves the problem as built
-    desired = np.array([50.0])
-    params = simple_params(2, 3, desired)
-    x = np.array([50.4, 0.0])
-    hp = build_horizon_problem(x, model_for(twocraft_formation, desired), params)
-    x[0] = 99.0
-    assert to_conic(hp).b[0] == 50.4
-    assert not hp.initial_state.flags.writeable
+    with pytest.raises(ValueError, match="measured state has the wrong dimension"):
+        update_initial_state(prob, hp, np.array([51.5, -0.2, 0.0]))
 
 
 def test_equilibrium_solution_is_zero(twocraft_formation):
     desired = np.array([50.0])
     params = simple_params(2, 3, desired, trace_weight=1.0, product_delta_weight=10.0)
     model = model_for(twocraft_formation, desired)
-    hp = build_horizon_problem(params.desired_state, model, params)
+    hp = HorizonProblem(model, params)
     result = ConicSolver(to_conic(hp), SolverSettings(eps_abs=1e-9, eps_rel=1e-9)).solve()
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.0, abs=1e-6)
@@ -323,10 +315,10 @@ def test_label_permutation_preserves_optimum():
                                state_weight=np.array(weight_diag),
                                trace_weight=0.5, product_delta_weight=100.0)
         model = build_discrete_model(desired_positions, 0.5, formation)
-        hp = build_horizon_problem(
-            np.concatenate([desired_positions, [0.0, 0.0]]) + np.asarray(start_offsets),
-            model, params)
-        return ConicSolver(to_conic(hp), SolverSettings(eps_abs=1e-9, eps_rel=1e-9)).solve()
+        _, prob = pinned_problem(
+            model, params,
+            np.concatenate([desired_positions, [0.0, 0.0]]) + np.asarray(start_offsets))
+        return ConicSolver(prob, SolverSettings(eps_abs=1e-9, eps_rel=1e-9)).solve()
 
     base = build(desired, masses, [1.0, 2.0, 30.0, 40.0], [0.4, -0.3, 0.01, -0.02])
     # craft labels (1,2,3) -> (1,3,2): relative coordinates swap, so do the
@@ -368,7 +360,7 @@ def test_mpc_params_validation():
 @pytest.mark.parametrize("desired", [[], np.zeros(0)])
 def test_mpc_params_of_one_craft_rejected(desired):
     # no desired relative position is one craft, which has no pair to actuate
-    with pytest.raises(ValueError, match="a formation needs at least two spacecraft"):
+    with pytest.raises(ValueError, match="num_spacecraft must be at least 2"):
         MpcParams(desired_positions=desired, state_min=-1.0, state_max=1.0)
 
 

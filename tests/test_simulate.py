@@ -368,6 +368,25 @@ def test_replay_cost_consistency(tmp_path):
     assert stats["tracking_cost"] > 0.0
 
 
+@pytest.mark.parametrize("column", ["u_1", "q_1"])
+@pytest.mark.parametrize("row", [0, 2])
+def test_replay_cost_reports_a_nan_product_error(tmp_path, column, row):
+    # max() kept 0.0 against a NaN error, so a NaN product or charge in the
+    # log was reported as no product error at all
+    scen = twocraft_scenario(steps=5)
+    path = tmp_path / "run.csv"
+    write_csv(run_closed_loop(scen), path)
+    lines = path.read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    fields = lines[1 + row].split(",")
+    fields[index] = "nan"
+    lines[1 + row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    stats = replay_cost(read_csv(path), scen.params)
+    assert stats["steps"] == 5
+    assert np.isnan(stats["max_product_error"])
+
+
 def test_replay_cost_skips_invalid_measurement(tmp_path):
     scen = twocraft_scenario()
     model = build_discrete_model(scen.params.desired_positions, scen.sample_period, scen.formation)

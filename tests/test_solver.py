@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from analytic_problems import build_problems
+from conftest import pinned_problem
 from reference_admm import objective_value
 from coulombmpc import (
     ConeDims,
@@ -13,8 +14,6 @@ from coulombmpc import (
     ConicSolver,
     SolverSettings,
     build_discrete_model,
-    build_horizon_problem,
-    to_conic,
 )
 from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
@@ -344,7 +343,7 @@ def shipped_step0(name):
     model = build_discrete_model(
         scenario.params.desired_positions, scenario.sample_period, scenario.formation
     )
-    return to_conic(build_horizon_problem(scenario.initial_state, model, scenario.params))
+    return pinned_problem(model, scenario.params, scenario.initial_state)[1]
 
 
 def seeded_block(rng, rows, cols):

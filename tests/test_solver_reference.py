@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from analytic_problems import build_problems
-from conftest import FOURCRAFT_INITIAL, fourcraft_scenario
+from conftest import FOURCRAFT_INITIAL, fourcraft_scenario, pinned_problem
 from coulombmpc import (
     ConeDims,
     ConicProblem,
@@ -24,9 +24,7 @@ from coulombmpc import (
     SolveResult,
     SolverSettings,
     build_discrete_model,
-    build_horizon_problem,
     propagate,
-    to_conic,
 )
 from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
@@ -121,8 +119,7 @@ def fourcraft_step0():
     model = build_discrete_model(
         scenario.params.desired_positions, scenario.sample_period, scenario.formation
     )
-    template = build_horizon_problem(FOURCRAFT_INITIAL, model, scenario.params)
-    return to_conic(template), scenario
+    return pinned_problem(model, scenario.params, FOURCRAFT_INITIAL)[1], scenario
 
 
 def test_fourcraft_cold_step_matches_reference(monkeypatch):
