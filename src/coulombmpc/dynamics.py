@@ -149,8 +149,8 @@ def _pair_layout(num_spacecraft: int) -> tuple[np.ndarray, ...]:
     first craft's row, or, for a first craft 0, on every repeated row; the
     first landing spots are the second crafts', one per pair in pair order.
     The layout holds each pair's first and second craft, and per landing spot
-    its flat index in the block, the first and second craft of its pair and
-    the landing craft.
+    its flat index in the block, the first and second craft of its pair, the
+    landing craft and the sign of its mass (-1 for a second craft).
     """
     half = num_spacecraft - 1
     pairs = spacecraft_pairs(num_spacecraft)
@@ -167,7 +167,9 @@ def _pair_layout(num_spacecraft: int) -> tuple[np.ndarray, ...]:
         (half + lead_rows) * count + lead_cols,
     ])
     landing = np.concatenate([second, first[~led], first[lead_cols]])
-    layout = first, second, first[pair_of], second[pair_of], spot, landing
+    sign = np.ones(len(spot))
+    sign[:count] = -1.0
+    layout = first, second, first[pair_of], second[pair_of], spot, landing, sign
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -224,10 +226,9 @@ def _bind_input_block(cfg: FormationConfig):
     operations, ``dist**3`` by numpy's array ``power`` (see the module notes);
     an elementwise product with a vector of kappa is the one with kappa.
     """
-    first, _, spot_first, spot_second, spot, landing = _pair_layout(cfg.num_spacecraft)
+    first, _, spot_first, spot_second, spot, landing, sign = _pair_layout(cfg.num_spacecraft)
     count = len(first)
-    signed_masses = cfg.masses[landing]
-    np.negative(signed_masses[:count], signed_masses[:count])  # the second crafts' spots
+    signed_masses = cfg.masses[landing] * sign  # an exact sign flip
     block = np.zeros((2, cfg.num_spacecraft - 1, count))
     flat = block.reshape(-1)
     diff, dist, cube = np.empty((3, len(spot)))

@@ -33,11 +33,18 @@ Contract:
 - Termination is checked once per block of at most ``_CHECK_EVERY``
   iterations.  Blocks end at every multiple of ``_RHO_CHECK_EVERY``, and a
   block also ends at the warm start's iteration count (an int of at least
-  1), where receding-horizon solves often stop.  The solve stops at the
-  first iterate at which a check after every iteration would have stopped.
-  The returned result, the iteration count and the ``log_callback`` stream
-  are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
+  1), where receding-horizon solves often stop.  Once that count has
+  settled, that is when the solver's previous solve stopped ``optimal``
+  exactly at its own warm start's count, the first block runs straight to
+  the first of this solve's warm count, the next rho check and the budget,
+  and is checked in one pass.  The solve stops at the first iterate at
+  which a check after every iteration would have stopped.  The returned
+  result, the iteration count and the ``log_callback`` stream are
+  bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
+- Iterate k is kept in row (k - 1) % ``_RHO_CHECK_EVERY`` of a ring, so
+  every block is one run of rows: the check reads it in place, into
+  buffers sized for the longest block, and multiplies no stale row.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``
   and scipy's ``_sparsetools`` kernels, each checked against its public
@@ -195,21 +202,21 @@ def _bind_product(mat, x: np.ndarray, out: np.ndarray):
     return product
 
 
-def _bind_check_products(prob, z_u, y_u, az, pz, aty):
-    """A call setting the rows of ``az``, ``pz`` and ``aty`` to A z, P z
-    and A'y of the rows of ``z_u`` and ``y_u``.  The kernels take one
-    column per iterate, so z and y are copied in transposed and each
-    product is copied back the same way.  They run on all rows, stale
-    ones too."""
-    z_col, y_col = np.zeros(z_u.shape[::-1]), np.zeros(y_u.shape[::-1])
-    pairs = [(prob.A, z_col, az), (prob.A.T, y_col, aty), (prob.P, z_col, pz)]
-    products = [(_bind_product(mat, x, np.zeros(rows.shape[::-1])), rows)
-                for mat, x, rows in pairs]
+def _bind_check_products(mats, z_u, y_u, columns, az, pz, aty):
+    """A call setting the rows of ``az``, ``pz`` and ``aty`` to A z, P z and
+    A'y of the iterates in the columns of ``z_u`` and ``y_u``.  The kernels
+    take and give one column per iterate, so each product goes to a
+    contiguous (size, k) view of the flat buffer ``columns`` and is copied
+    back transposed; no stale iterate is multiplied.  ``mats`` is (A, A', P)."""
+    k = z_u.shape[1]
+    products, offset = [], 0
+    for mat, x, rows in zip(mats, (z_u, y_u, z_u), (az, aty, pz)):
+        out = columns[offset : offset + mat.shape[0] * k].reshape(mat.shape[0], k)
+        products.append((_bind_product(mat, x, out), rows))
+        offset += out.size
     copyto = np.copyto
 
     def check_products():
-        copyto(z_col, z_u.T)
-        copyto(y_col, y_u.T)
         for product, rows in products:
             copyto(rows, product().T)
 
@@ -288,35 +295,32 @@ class _Workspace:
         self.kkt.sum_duplicates()
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
-        # the iterate [x; w] and y of each iteration of a check block, one row
-        # each; an iteration reads the row before it (row 0 the last row, where
-        # a short block leaves its last iterate).
+        # a ring of iterates: [x; w] and y of iteration k in row (k - 1) %
+        # ring, so a block, which never crosses a multiple of ring, is one run
+        # of rows.  An iteration reads the row before it (row 0 the last row,
+        # where a solve puts its start and the rho balance reads iterate ring).
         # row_views[r]: the previous [x; w], w and y, then this row's x, w and y
-        self.rows = np.zeros((_CHECK_EVERY, n + m))
-        self.y_rows = np.zeros((_CHECK_EVERY, m))
+        ring = _RHO_CHECK_EVERY
+        self.rows = np.zeros((ring, n + m))
+        self.y_rows = np.zeros((ring, m))
         self.row_views = [
             (self.rows[r - 1], self.rows[r - 1, n:], self.y_rows[r - 1],
              self.rows[r, :n], self.rows[r, n:], self.y_rows[r])
-            for r in range(_CHECK_EVERY)
+            for r in range(ring)
         ]
+        # the ring's scaled x, w and y, one iterate per row
+        self.ring_views = self.rows[:, :n], self.rows[:, n:], self.y_rows
         # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
         self.sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
         self.shift = np.concatenate([q_s, np.zeros(m)])
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
         self.project = projector.bind(self.proj_in, self.proj_out)
-        # the unscaled counterparts of a block's iterates, one row each, and
-        # [residual, A z, s] and [residual, P z, A'y] of the batched check
-        z_u, w_u, y_u = (np.zeros((_CHECK_EVERY, size)) for size in (n, m, m))
-        prim, dual = np.zeros((3, _CHECK_EVERY, m)), np.zeros((3, _CHECK_EVERY, n))
-        # check_views[k]: a block's scaled x, w and y, then the first k rows of
-        # the check buffers (k iterates done)
-        self.check_views = [
-            (self.rows[:k, :n], self.rows[:k, n:], self.y_rows[:k],
-             z_u[:k], w_u[:k], y_u[:k], prim[:, :k], dual[:, :k])
-            for k in range(_CHECK_EVERY + 1)
-        ]
-        self.check_products = _bind_check_products(prob, z_u, y_u, prim[1], dual[1], dual[2])
+        # flat buffers of the batched check, sized for the longest block; a
+        # block of k iterates uses contiguous views of their heads (check_view)
+        self.check_mats = prob.A, prob.A.T, prob.P
+        self.check_buffers = [np.zeros(ring * size) for size in (n, m, m, 3 * m, 3 * n, m + 2 * n)]
+        self.check_views = [None] * (ring + 1)
         # the rho balance's scaled products of the last row's x and y
         x, y = self.rows[-1, :n], self.y_rows[-1]
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
@@ -325,6 +329,22 @@ class _Workspace:
         self.z = np.zeros(n)
         self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
         self.set_rho(_RHO_INIT)
+
+    def check_view(self, k: int):
+        """The batched check of a block of k iterates, bound on first use and
+        kept: the unscaled z, w and y, [residual, A z, s] and [residual, P z,
+        A'y], one iterate per row, and the call forming the products.  z and
+        y are (k, size) views of (size, k) buffers, one iterate per column as
+        the kernels take them; the rest are contiguous, so each infinity norm
+        is a contiguous reduction."""
+        m, n = self.check_mats[0].shape
+        shapes = (n, k), (k, m), (m, k), (3, k, m), (3, k, n)
+        z_col, w_u, y_col, prim, dual = (buf[: math.prod(shape)].reshape(shape)
+                                         for buf, shape in zip(self.check_buffers, shapes))
+        products = _bind_check_products(self.check_mats, z_col, y_col, self.check_buffers[-1],
+                                        prim[1], dual[1], dual[2])
+        self.check_views[k] = view = z_col.T, w_u, y_col.T, prim, dual, products
+        return view
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
@@ -363,6 +383,8 @@ class ConicSolver:
         self.prob = prob
         self.settings = settings or SolverSettings()
         self._ws: _Workspace | None = None
+        # the last solve ended optimal exactly at its own warm start's count
+        self._settled = False
 
     # -- main loop -------------------------------------------------------------
     def solve(
@@ -411,7 +433,8 @@ class ConicSolver:
         y_rho = shift[n:]
         x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        row_views, check_views, check_products = ws.row_views, ws.check_views, ws.check_products
+        row_views, check_views, check_view = ws.row_views, ws.check_views, ws.check_view
+        x_ring, w_ring, y_ring = ws.ring_views
         project = ws.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
         # bound once; each ufunc takes its out positionally
@@ -431,15 +454,21 @@ class ConicSolver:
         warm_end = 0 if warm is None else warm.iterations
         if isinstance(warm_end, bool) or not isinstance(warm_end, (int, np.integer)):
             warm_end = 0
+        # once the count has settled (the last solve stopped optimal at its own
+        # warm start's count), the first block runs straight to this one's
+        settled, self._settled = self._settled and warm_end > 0, False
+        longest = _RHO_CHECK_EVERY if settled else _CHECK_EVERY
 
         while it < max_iters:
-            count = min(_CHECK_EVERY, max_iters - it, _RHO_CHECK_EVERY - it % _RHO_CHECK_EVERY)
+            lo = it % _RHO_CHECK_EVERY  # the block's first row in the ring
+            count = min(longest, max_iters - it, _RHO_CHECK_EVERY - lo)
             if it < warm_end < it + count:
                 count = warm_end - it
+            longest = _CHECK_EVERY
             done = 0
             failure = None
             try:
-                for xw, w, y, x_next, w_next, y_next in row_views[:count]:
+                for xw, w, y, x_next, w_next, y_next in row_views[lo : lo + count]:
                     # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
                     divide(y, rho_vec, y_rho)
                     multiply(sig, xw, rhs)
@@ -472,10 +501,11 @@ class ConicSolver:
 
             # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
-            x_s, w_s, y_s, z_u, w_u, y_u, prim, dual = check_views[done]
-            multiply(d, x_s, z_u)
-            divide(w_s, e, w_u)
-            multiply(e, y_s, y_u)
+            z_u, w_u, y_u, prim, dual, check_products = check_views[done] or check_view(done)
+            rows = slice(lo, lo + done)
+            multiply(d, x_ring[rows], z_u)
+            divide(w_ring[rows], e, w_u)
+            multiply(e, y_ring[rows], y_u)
             divide(y_u, gamma, y_u)
             check_products()
             subtract(prim[1], w_u, prim[0])
@@ -513,11 +543,6 @@ class ConicSolver:
             it += row + 1
             if status is not None:
                 break
-            if count < _CHECK_EVERY:
-                # a short block: its last iterate goes where the next block and
-                # the rho balance read it, the last row
-                copyto(start, ws.rows[row])
-                copyto(y_start, ws.y_rows[row])
 
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
@@ -534,6 +559,7 @@ class ConicSolver:
                         ws.set_rho(ws.rho_scalar * float(ratio))
                         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
+        self._settled = status == OPTIMAL and it == warm_end
         # the iterate the solve stopped at, in the last block's row; the
         # slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
         copyto(ws.z, z_u[row])

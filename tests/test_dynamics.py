@@ -441,10 +441,12 @@ def test_pair_layout_shared_per_craft_count():
     layout = _pair_layout(3)
     assert _pair_layout(3) is layout
     assert _pair_layout(4) is not layout and len(_pair_layout(4)[0]) == 6
-    first, second, *_, landing = layout
+    first, second, *_, landing, sign = layout
     assert [first.tolist(), second.tolist()] == spacecraft_pairs(3).T.tolist()
-    # the landing crafts: each pair's second craft first, in pair order
+    # the landing crafts: each pair's second craft first, in pair order, and
+    # the sign of each one's mass, negative for a second craft
     assert landing.tolist() == [1, 2, 2, 1, 0, 0, 0, 0]
+    assert sign.tolist() == [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     for arr in layout:
         assert not arr.flags.writeable
 

@@ -29,11 +29,13 @@ from coulombmpc import (
 from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
+from coulombmpc.simulate import run_closed_loop
 from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _ConeProjector
 import reference_admm
 from reference_admm import ReferenceSolver
 
-TWOCRAFT_CFG = Path(__file__).resolve().parent.parent / "configs" / "twocraft.cfg"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TWOCRAFT_CFG = CONFIGS / "twocraft.cfg"
 TIGHT = SolverSettings(eps_abs=1e-9, eps_rel=1e-9, max_iters=100000)
 
 pytestmark = pytest.mark.bitexact
@@ -279,11 +281,16 @@ def test_only_a_whole_warm_count_ends_a_block(monkeypatch, count, expected_passe
     assert got_log == ref_log
 
 
-def test_stall_stop_matches_reference():
-    # x <= -1 and x >= 1: the stall rule ends the solve, and both solvers
-    # return the iterate they stopped at
-    prob = ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
+def stall_problem():
+    """x <= -1 and x >= 1: infeasible, so the stall rule ends its solves."""
+    return ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
                         b=np.array([-1.0, -1.0]), cones=ConeDims(nonneg=2))
+
+
+def test_stall_stop_matches_reference():
+    # the stall rule ends the solve, and both solvers return the iterate
+    # they stopped at
+    prob = stall_problem()
     settings = SolverSettings(max_iters=8000)
     got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
     ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
@@ -291,6 +298,150 @@ def test_stall_stop_matches_reference():
     assert got.iterations < settings.max_iters
     assert_identical(got, ref)
     assert got_log == ref_log
+
+
+# -- a settled solve: its first block runs straight to the warm start's count -----
+
+def scheduled_passes(stop, warm_count, settled):
+    """The check passes of a solve that stops at iteration ``stop`` within its
+    budget: blocks of at most 10 iterations, ending at every multiple of 100
+    and at the warm count; a settled solve's first block runs to the first
+    of the warm count and 100."""
+    it = passes = 0
+    while it < stop:
+        end = min(it + (100 if settled and it == 0 else 10), it // 100 * 100 + 100)
+        if it < warm_count < end:
+            end = warm_count
+        it, passes = end, passes + 1
+    return passes
+
+
+def two_solves(monkeypatch, prob, settings, first, second):
+    """Solve ``prob`` twice with one ConicSolver and one ReferenceSolver, warm
+    started from ``first`` and then ``second``; both solves must match the
+    reference exactly, log streams included.  Returns both results and the
+    check passes of the second solve."""
+    passes = check_passes(monkeypatch)
+    fast, slow = ConicSolver(prob, settings), ReferenceSolver()
+    results = []
+    for warm in (first, second):
+        before = len(passes)
+        got, got_log = logged(lambda cb: fast.solve(warm=warm, log_callback=cb))
+        ref, ref_log = logged(lambda cb: slow.solve(prob, settings, warm=warm, log_callback=cb))
+        assert_identical(got, ref)
+        assert got_log == ref_log
+        results.append(got)
+    return *results, len(passes) - before
+
+
+# the first solve stops optimal at its own warm count, which settles the
+# second; that one stops after, at or before its warm count (the cold count
+# moved by the offset) and is checked in two passes, one and one
+@pytest.mark.parametrize("offset,expected_passes", [(-3, 2), (0, 1), (4, 1)],
+                         ids=["stops-after", "stops-at", "stops-before"])
+@pytest.mark.parametrize("name,prob,expected", build_problems())
+def test_settled_solve_matches_reference(monkeypatch, name, prob, expected, offset,
+                                         expected_passes):
+    stop = ConicSolver(prob).solve().iterations  # under 100, so rho stays put
+    first, second, passes = two_solves(monkeypatch, prob, SolverSettings(),
+                                       cold_warm(prob, stop), cold_warm(prob, stop + offset))
+    assert first.status == second.status == OPTIMAL
+    assert first.iterations == second.iterations == stop
+    assert passes == expected_passes
+
+
+# tight solves run past 100, so a warm count of 100 or 150 puts the rho
+# balance at the end of a long first block
+@pytest.mark.parametrize("count", [5, 28, 95, 100, 150])
+@pytest.mark.parametrize("settings", [SolverSettings(), TIGHT], ids=["default", "tight"])
+@pytest.mark.parametrize("name,prob,expected", build_problems())
+def test_settled_warm_counts_match_reference(monkeypatch, name, prob, expected, settings, count):
+    stop = ConicSolver(prob, settings).solve().iterations
+    first, second, passes = two_solves(monkeypatch, prob, settings,
+                                       cold_warm(prob, stop), cold_warm(prob, count))
+    assert first.status == second.status == OPTIMAL and first.iterations == stop
+    assert passes == scheduled_passes(second.iterations, count, settled=True)
+
+
+def test_settled_first_block_runs_through_the_rho_balance(monkeypatch):
+    prob = {name: prob for name, prob, _ in build_problems()}["lp_covering"]
+    stop = ConicSolver(prob, TIGHT).solve().iterations
+    _, second, passes = two_solves(monkeypatch, prob, TIGHT,
+                                   cold_warm(prob, stop), cold_warm(prob, 150))
+    # one block to 100 and the rho balance, blocks ending at 110, ..., 150,
+    # then the block that stops at 151
+    assert second.status == OPTIMAL and second.iterations == 151
+    assert passes == 7
+
+
+@pytest.mark.parametrize("name,prob,expected", build_problems())
+def test_settled_budget_below_warm_count_matches_reference(monkeypatch, name, prob, expected):
+    # the budget is the first solve's count; the second starts far off and
+    # runs its whole budget in one block, short of its warm count
+    stop = ConicSolver(prob).solve().iterations
+    settings = SolverSettings(max_iters=stop)
+    far = dataclasses.replace(cold_warm(prob, stop + 20), z=np.full(prob.num_vars, 1e3),
+                              y=np.full(prob.num_rows, 1e3))
+    first, second, passes = two_solves(monkeypatch, prob, settings, cold_warm(prob, stop), far)
+    assert first.status == OPTIMAL
+    assert second.status == MAX_ITERS and second.iterations == stop
+    assert passes == 1
+
+
+def test_budget_stop_at_warm_count_does_not_settle(monkeypatch):
+    _, prob, _ = build_problems()[0]
+    settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=37)
+    first, second, passes = two_solves(monkeypatch, prob, settings,
+                                       cold_warm(prob, 37), cold_warm(prob, 37))
+    assert first.status == second.status == MAX_ITERS and first.iterations == 37
+    # blocks end at 10, 20, 30 and 37, where a settled solve would check once
+    assert passes == 4
+
+
+def test_infeasible_stop_at_warm_count_does_not_settle(monkeypatch):
+    prob, settings = stall_problem(), SolverSettings(max_iters=8000)
+    stop = ConicSolver(prob, settings).solve().iterations
+    first, second, passes = two_solves(monkeypatch, prob, settings,
+                                       cold_warm(prob, stop), cold_warm(prob, stop))
+    assert first.status == second.status == INFEASIBLE_SUSPECT and first.iterations == stop
+    assert passes == scheduled_passes(second.iterations, stop, settled=False)
+    assert passes != scheduled_passes(second.iterations, stop, settled=True)
+
+
+def test_cold_solve_after_a_settled_one_keeps_short_blocks(monkeypatch):
+    _, prob, _ = build_problems()[0]
+    stop = ConicSolver(prob).solve().iterations
+    _, second, passes = two_solves(monkeypatch, prob, SolverSettings(), cold_warm(prob, stop), None)
+    assert second.iterations == stop
+    assert passes == scheduled_passes(stop, 0, settled=False) > 1
+
+
+def counted_iterations(monkeypatch):
+    """A list that gets one entry per iteration computed, checked or not, by
+    every solver whose workspace is built from now on."""
+    computed = []
+    bind = _ConeProjector.bind
+
+    def counting(self, v, out):
+        project = bind(self, v, out)
+        return lambda: computed.append(None) or project()
+
+    monkeypatch.setattr(_ConeProjector, "bind", counting)
+    return computed
+
+
+# the shipped two-craft run and a four-craft warm run: check passes, iterations
+# computed and iterations reported (without settled first blocks the runs take
+# 395 and 523 passes, and the four-craft one computes 5,094 iterations)
+@pytest.mark.parametrize("config,steps,expected", [
+    ("twocraft.cfg", 120, (165, 3717, 3710)),
+    ("fourcraft.cfg", 40, (463, 5104, 4937)),
+])
+def test_check_passes_of_shipped_runs(monkeypatch, config, steps, expected):
+    passes, computed = check_passes(monkeypatch), counted_iterations(monkeypatch)
+    log = run_closed_loop(load_scenario(CONFIGS / config, {"steps": steps}))
+    assert len(log.records) == steps
+    assert (len(passes), len(computed), sum(r.iterations for r in log.records)) == expected
 
 
 def interleaved_psd_qp():
