@@ -34,17 +34,19 @@ Contract:
   iterations.  Blocks end at every multiple of ``_RHO_CHECK_EVERY``, and a
   block also ends at the warm start's iteration count (an int of at least
   1), where receding-horizon solves often stop.  Once that count has
-  settled, that is when the solver's previous solve stopped ``optimal``
-  exactly at its own warm start's count, the first block runs straight to
-  the first of this solve's warm count, the next rho check and the budget,
-  and is checked in one pass.  The solve stops at the first iterate at
-  which a check after every iteration would have stopped.  The returned
-  result, the iteration count and the ``log_callback`` stream are
-  bit-identical to the plain loop kept in ``tests/reference_admm.py``;
+  settled, that is when the solver's last ``_SETTLED_AFTER`` solves each
+  stopped ``optimal`` exactly at their own warm start's count, the first
+  block runs straight to the first of this solve's warm count, the next rho
+  check and the budget, and is checked in one pass.  The solve stops at the
+  first iterate at which a check after every iteration would have stopped.
+  The returned result, the iteration count and the ``log_callback`` stream
+  are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
-- Iterate k is kept in row (k - 1) % ``_RHO_CHECK_EVERY`` of a ring, so
-  every block is one run of rows: the check reads it in place, into
-  buffers sized for the longest block, and multiplies no stale row.
+- A block's iterates fill rows from row 0 of buffers sized for the longest
+  block, so the check reads them in place and multiplies no stale row.  A
+  block of ``_CHECK_EVERY`` iterates ends in the start row, the one row 0
+  reads; any other copies its last iterate there, for the next block and
+  the rho balance.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``
   and scipy's ``_sparsetools`` kernels, each checked against its public
@@ -80,6 +82,7 @@ _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_EQ_FACTOR = 1e3  # zero-cone rows get a stiffer penalty
 _RHO_CHECK_EVERY = 100
 _CHECK_EVERY = 10  # the most iterations per termination-check block
+_SETTLED_AFTER = 3  # solves in a row stopping at their warm count settle it
 _RHO_TRIGGER = 5.0
 _SIGMA = 1e-6  # primal regularization of the KKT system
 _ALPHA = 1.6  # over-relaxation
@@ -295,34 +298,35 @@ class _Workspace:
         self.kkt.sum_duplicates()
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
-        # a ring of iterates: [x; w] and y of iteration k in row (k - 1) %
-        # ring, so a block, which never crosses a multiple of ring, is one run
-        # of rows.  An iteration reads the row before it (row 0 the last row,
-        # where a solve puts its start and the rho balance reads iterate ring).
+        # the iterate [x; w] and y of each iteration of a check block, one row
+        # each, as many rows as the longest block, a settled solve's first;
+        # an iteration reads the row before it, and row 0 reads the last row
+        # of a full block, where a solve puts its start and any other block
+        # leaves its last iterate for the next block and the rho balance.
         # row_views[r]: the previous [x; w], w and y, then this row's x, w and y
-        ring = _RHO_CHECK_EVERY
-        self.rows = np.zeros((ring, n + m))
-        self.y_rows = np.zeros((ring, m))
+        longest, last = _RHO_CHECK_EVERY, _CHECK_EVERY - 1
+        self.rows = np.zeros((longest, n + m))
+        self.y_rows = np.zeros((longest, m))
         self.row_views = [
-            (self.rows[r - 1], self.rows[r - 1, n:], self.y_rows[r - 1],
+            (self.rows[p], self.rows[p, n:], self.y_rows[p],
              self.rows[r, :n], self.rows[r, n:], self.y_rows[r])
-            for r in range(ring)
+            for r, p in enumerate([last, *range(longest - 1)])
         ]
-        # the ring's scaled x, w and y, one iterate per row
-        self.ring_views = self.rows[:, :n], self.rows[:, n:], self.y_rows
+        self.start = self.rows[last], self.y_rows[last]
         # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
         self.sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
         self.shift = np.concatenate([q_s, np.zeros(m)])
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
         self.project = projector.bind(self.proj_in, self.proj_out)
-        # flat buffers of the batched check, sized for the longest block; a
-        # block of k iterates uses contiguous views of their heads (check_view)
+        # check_views[k]: the batched check of a block of k iterates, bound for
+        # every short block here and for a settled solve's first block when a
+        # solve first settles (a cold solve never needs those)
         self.check_mats = prob.A, prob.A.T, prob.P
-        self.check_buffers = [np.zeros(ring * size) for size in (n, m, m, 3 * m, 3 * n, m + 2 * n)]
-        self.check_views = [None] * (ring + 1)
-        # the rho balance's scaled products of the last row's x and y
-        x, y = self.rows[-1, :n], self.y_rows[-1]
+        self.check_views = []
+        self.bind_checks(_CHECK_EVERY)
+        # the rho balance's scaled products of the start row's x and y
+        x, y = self.rows[last, :n], self.y_rows[last]
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
                         _bind_product(A_s.T, y, np.zeros(n))]
         # the returned z and its unscaled P z, for the objective
@@ -330,21 +334,26 @@ class _Workspace:
         self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
         self.set_rho(_RHO_INIT)
 
-    def check_view(self, k: int):
-        """The batched check of a block of k iterates, bound on first use and
-        kept: the unscaled z, w and y, [residual, A z, s] and [residual, P z,
-        A'y], one iterate per row, and the call forming the products.  z and
-        y are (k, size) views of (size, k) buffers, one iterate per column as
-        the kernels take them; the rest are contiguous, so each infinity norm
-        is a contiguous reduction."""
+    def bind_checks(self, longest: int):
+        """Bind ``check_views[k]`` for each k up to ``longest`` not bound yet, on
+        the heads of flat buffers sized for ``longest``: the unscaled z, w and
+        y, [residual, A z, s], [residual, P z, A'y] and the kernels' output
+        columns.  A view is a block's scaled x, w and y, then the check's
+        views and its products call.  z and y are (k, size) views of (size, k)
+        buffers, one iterate per column as the kernels take them; the rest are
+        contiguous, so each infinity norm is a contiguous reduction."""
         m, n = self.check_mats[0].shape
-        shapes = (n, k), (k, m), (m, k), (3, k, m), (3, k, n)
-        z_col, w_u, y_col, prim, dual = (buf[: math.prod(shape)].reshape(shape)
-                                         for buf, shape in zip(self.check_buffers, shapes))
-        products = _bind_check_products(self.check_mats, z_col, y_col, self.check_buffers[-1],
-                                        prim[1], dual[1], dual[2])
-        self.check_views[k] = view = z_col.T, w_u, y_col.T, prim, dual, products
-        return view
+        z_flat, w_flat, y_flat = (np.zeros(longest * size) for size in (n, m, m))
+        prim_flat, dual_flat = np.zeros(3 * longest * m), np.zeros(3 * longest * n)
+        columns = np.zeros(longest * (m + 2 * n))
+        for k in range(len(self.check_views), longest + 1):
+            z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
+            prim = prim_flat[: 3 * k * m].reshape(3, k, m)
+            dual = dual_flat[: 3 * k * n].reshape(3, k, n)
+            products = _bind_check_products(self.check_mats, z_col, y_col, columns,
+                                            prim[1], dual[1], dual[2])
+            self.check_views.append((self.rows[:k, :n], self.rows[:k, n:], self.y_rows[:k], z_col.T,
+                                     w_flat[: k * m].reshape(k, m), y_col.T, prim, dual, products))
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
@@ -383,8 +392,9 @@ class ConicSolver:
         self.prob = prob
         self.settings = settings or SolverSettings()
         self._ws: _Workspace | None = None
-        # the last solve ended optimal exactly at its own warm start's count
-        self._settled = False
+        # the solves in a row that stopped optimal exactly at their own warm
+        # start's count
+        self._held = 0
 
     # -- main loop -------------------------------------------------------------
     def solve(
@@ -419,8 +429,8 @@ class ConicSolver:
         c = prob.c
         b_s = e * b
 
-        # the first iteration starts from the last row, the row before row 0
-        start, y_start = ws.rows[-1], ws.y_rows[-1]
+        # the first iteration starts from the start row, the row before row 0
+        start, y_start = ws.start
         if warm is not None:
             start[:n] = warm.z / d
             start[n:] = e * (b - warm.s)
@@ -433,8 +443,7 @@ class ConicSolver:
         y_rho = shift[n:]
         x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        row_views, check_views, check_view = ws.row_views, ws.check_views, ws.check_view
-        x_ring, w_ring, y_ring = ws.ring_views
+        row_views, check_views = ws.row_views, ws.check_views
         project = ws.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
         # bound once; each ufunc takes its out positionally
@@ -454,21 +463,23 @@ class ConicSolver:
         warm_end = 0 if warm is None else warm.iterations
         if isinstance(warm_end, bool) or not isinstance(warm_end, (int, np.integer)):
             warm_end = 0
-        # once the count has settled (the last solve stopped optimal at its own
-        # warm start's count), the first block runs straight to this one's
-        settled, self._settled = self._settled and warm_end > 0, False
-        longest = _RHO_CHECK_EVERY if settled else _CHECK_EVERY
+        # once the count has settled (the last _SETTLED_AFTER solves each
+        # stopped optimal at their own warm start's count), the first block
+        # runs straight to this one's
+        held, self._held = self._held, 0
+        longest = _RHO_CHECK_EVERY if held >= _SETTLED_AFTER and warm_end > 0 else _CHECK_EVERY
+        if len(check_views) <= longest:
+            ws.bind_checks(longest)
 
         while it < max_iters:
-            lo = it % _RHO_CHECK_EVERY  # the block's first row in the ring
-            count = min(longest, max_iters - it, _RHO_CHECK_EVERY - lo)
+            count = min(longest, max_iters - it, _RHO_CHECK_EVERY - it % _RHO_CHECK_EVERY)
             if it < warm_end < it + count:
                 count = warm_end - it
             longest = _CHECK_EVERY
             done = 0
             failure = None
             try:
-                for xw, w, y, x_next, w_next, y_next in row_views[lo : lo + count]:
+                for xw, w, y, x_next, w_next, y_next in row_views[:count]:
                     # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
                     divide(y, rho_vec, y_rho)
                     multiply(sig, xw, rhs)
@@ -501,11 +512,10 @@ class ConicSolver:
 
             # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
-            z_u, w_u, y_u, prim, dual, check_products = check_views[done] or check_view(done)
-            rows = slice(lo, lo + done)
-            multiply(d, x_ring[rows], z_u)
-            divide(w_ring[rows], e, w_u)
-            multiply(e, y_ring[rows], y_u)
+            x_s, w_s, y_s, z_u, w_u, y_u, prim, dual, check_products = check_views[done]
+            multiply(d, x_s, z_u)
+            divide(w_s, e, w_u)
+            multiply(e, y_s, y_u)
             divide(y_u, gamma, y_u)
             check_products()
             subtract(prim[1], w_u, prim[0])
@@ -543,11 +553,16 @@ class ConicSolver:
             it += row + 1
             if status is not None:
                 break
+            if count != _CHECK_EVERY:
+                # the block's last iterate goes where the next block and the
+                # rho balance read it, the start row
+                copyto(start, ws.rows[row])
+                copyto(y_start, ws.y_rows[row])
 
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in, at the last iterate
-                w = ws.rows[-1, n:]
+                w = start[n:]
                 Ax_s, Px_s, Aty_s = [product() for product in ws.balance]
                 rp_s = _amax(Ax_s - w) / max(_amax(Ax_s), _amax(w), 1e-12)
                 rd_s = _amax(Px_s + q_s + Aty_s) / max(
@@ -559,7 +574,7 @@ class ConicSolver:
                         ws.set_rho(ws.rho_scalar * float(ratio))
                         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
-        self._settled = status == OPTIMAL and it == warm_end
+        self._held = held + 1 if status == OPTIMAL and it == warm_end else 0
         # the iterate the solve stopped at, in the last block's row; the
         # slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
         copyto(ws.z, z_u[row])

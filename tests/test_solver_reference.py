@@ -30,7 +30,8 @@ from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
 from coulombmpc.simulate import run_closed_loop
-from coulombmpc.solver import INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _ConeProjector
+from coulombmpc.solver import (INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _SETTLED_AFTER,
+                               _ConeProjector)
 import reference_admm
 from reference_admm import ReferenceSolver
 
@@ -281,16 +282,11 @@ def test_only_a_whole_warm_count_ends_a_block(monkeypatch, count, expected_passe
     assert got_log == ref_log
 
 
-def stall_problem():
-    """x <= -1 and x >= 1: infeasible, so the stall rule ends its solves."""
-    return ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
-                        b=np.array([-1.0, -1.0]), cones=ConeDims(nonneg=2))
-
-
 def test_stall_stop_matches_reference():
-    # the stall rule ends the solve, and both solvers return the iterate
-    # they stopped at
-    prob = stall_problem()
+    # x <= -1 and x >= 1: the stall rule ends the solve, and both solvers
+    # return the iterate they stopped at
+    prob = ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
+                        b=np.array([-1.0, -1.0]), cones=ConeDims(nonneg=2))
     settings = SolverSettings(max_iters=8000)
     got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
     ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
@@ -302,51 +298,67 @@ def test_stall_stop_matches_reference():
 
 # -- a settled solve: its first block runs straight to the warm start's count -----
 
-def scheduled_passes(stop, warm_count, settled):
+def schedule(stop, warm_count, settled):
     """The check passes of a solve that stops at iteration ``stop`` within its
-    budget: blocks of at most 10 iterations, ending at every multiple of 100
-    and at the warm count; a settled solve's first block runs to the first
-    of the warm count and 100."""
+    budget, and the iterations it computes, through the end of the block
+    holding ``stop``: blocks of at most 10 iterations, ending at every
+    multiple of 100 and at the warm count; a settled solve's first block runs
+    to the first of the warm count and 100."""
     it = passes = 0
     while it < stop:
         end = min(it + (100 if settled and it == 0 else 10), it // 100 * 100 + 100)
         if it < warm_count < end:
             end = warm_count
         it, passes = end, passes + 1
-    return passes
+    return passes, it
 
 
-def two_solves(monkeypatch, prob, settings, first, second):
-    """Solve ``prob`` twice with one ConicSolver and one ReferenceSolver, warm
-    started from ``first`` and then ``second``; both solves must match the
-    reference exactly, log streams included.  Returns both results and the
-    check passes of the second solve."""
+def solves(monkeypatch, prob, settings, warms):
+    """Solve ``prob`` warm started from each of ``warms`` in turn with one
+    ConicSolver and one ReferenceSolver; every solve must match the reference
+    exactly, log streams included.  Returns the last result and its check
+    passes."""
     passes = check_passes(monkeypatch)
     fast, slow = ConicSolver(prob, settings), ReferenceSolver()
-    results = []
-    for warm in (first, second):
+    for warm in warms:
         before = len(passes)
         got, got_log = logged(lambda cb: fast.solve(warm=warm, log_callback=cb))
         ref, ref_log = logged(lambda cb: slow.solve(prob, settings, warm=warm, log_callback=cb))
         assert_identical(got, ref)
         assert got_log == ref_log
-        results.append(got)
-    return *results, len(passes) - before
+    return got, len(passes) - before
 
 
-# the first solve stops optimal at its own warm count, which settles the
-# second; that one stops after, at or before its warm count (the cold count
-# moved by the offset) and is checked in two passes, one and one
+def probe_stops(prob, settings, count):
+    """The iteration counts of ``count`` solves in turn by one ConicSolver
+    (later solves start from the rho earlier ones adapted).  A warm start at
+    the cold start's iterate moves no iterate, so they are also the counts of
+    such warm solves, whatever counts the warm starts report."""
+    solver = ConicSolver(prob, settings)
+    return [solver.solve().iterations for _ in range(count)]
+
+
+def settling(prob, settings):
+    """Warm starts for ``_SETTLED_AFTER`` solves of ``prob`` by one solver
+    that each stop at their own warm count, which settles the next solve when
+    they all stop optimal, and the iteration count of that next solve."""
+    *counts, last = probe_stops(prob, settings, _SETTLED_AFTER + 1)
+    return [cold_warm(prob, count) for count in counts], last
+
+
+# the first solves stop optimal at their own warm count, which settles the
+# last; that one stops after, at or before its warm count (its count moved by
+# the offset) and is checked in two passes, one and one
 @pytest.mark.parametrize("offset,expected_passes", [(-3, 2), (0, 1), (4, 1)],
                          ids=["stops-after", "stops-at", "stops-before"])
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_settled_solve_matches_reference(monkeypatch, name, prob, expected, offset,
                                          expected_passes):
-    stop = ConicSolver(prob).solve().iterations  # under 100, so rho stays put
-    first, second, passes = two_solves(monkeypatch, prob, SolverSettings(),
-                                       cold_warm(prob, stop), cold_warm(prob, stop + offset))
-    assert first.status == second.status == OPTIMAL
-    assert first.iterations == second.iterations == stop
+    warms, stop = settling(prob, SolverSettings())
+    assert stop < 100  # so the offset warm count ends the first block
+    got, passes = solves(monkeypatch, prob, SolverSettings(),
+                         warms + [cold_warm(prob, stop + offset)])
+    assert got.status == OPTIMAL and got.iterations == stop
     assert passes == expected_passes
 
 
@@ -356,64 +368,71 @@ def test_settled_solve_matches_reference(monkeypatch, name, prob, expected, offs
 @pytest.mark.parametrize("settings", [SolverSettings(), TIGHT], ids=["default", "tight"])
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_settled_warm_counts_match_reference(monkeypatch, name, prob, expected, settings, count):
-    stop = ConicSolver(prob, settings).solve().iterations
-    first, second, passes = two_solves(monkeypatch, prob, settings,
-                                       cold_warm(prob, stop), cold_warm(prob, count))
-    assert first.status == second.status == OPTIMAL and first.iterations == stop
-    assert passes == scheduled_passes(second.iterations, count, settled=True)
+    warms, stop = settling(prob, settings)
+    got, passes = solves(monkeypatch, prob, settings, warms + [cold_warm(prob, count)])
+    assert got.status == OPTIMAL and got.iterations == stop
+    assert passes == schedule(stop, count, settled=True)[0]
 
 
 def test_settled_first_block_runs_through_the_rho_balance(monkeypatch):
     prob = {name: prob for name, prob, _ in build_problems()}["lp_covering"]
-    stop = ConicSolver(prob, TIGHT).solve().iterations
-    _, second, passes = two_solves(monkeypatch, prob, TIGHT,
-                                   cold_warm(prob, stop), cold_warm(prob, 150))
+    warms, _ = settling(prob, TIGHT)
+    got, passes = solves(monkeypatch, prob, TIGHT, warms + [cold_warm(prob, 150)])
     # one block to 100 and the rho balance, blocks ending at 110, ..., 150,
     # then the block that stops at 151
-    assert second.status == OPTIMAL and second.iterations == 151
+    assert got.status == OPTIMAL and got.iterations == 151
     assert passes == 7
 
 
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_settled_budget_below_warm_count_matches_reference(monkeypatch, name, prob, expected):
-    # the budget is the first solve's count; the second starts far off and
-    # runs its whole budget in one block, short of its warm count
-    stop = ConicSolver(prob).solve().iterations
-    settings = SolverSettings(max_iters=stop)
-    far = dataclasses.replace(cold_warm(prob, stop + 20), z=np.full(prob.num_vars, 1e3),
-                              y=np.full(prob.num_rows, 1e3))
-    first, second, passes = two_solves(monkeypatch, prob, settings, cold_warm(prob, stop), far)
-    assert first.status == OPTIMAL
-    assert second.status == MAX_ITERS and second.iterations == stop
+    # the budget is the first solve's count; the settled solve starts far off
+    # and runs its whole budget in one block, short of its warm count
+    warms, _ = settling(prob, SolverSettings())
+    settings = SolverSettings(max_iters=warms[0].iterations)
+    far = dataclasses.replace(cold_warm(prob, settings.max_iters + 20),
+                              z=np.full(prob.num_vars, 1e3), y=np.full(prob.num_rows, 1e3))
+    got, passes = solves(monkeypatch, prob, settings, warms + [far])
+    assert got.status == MAX_ITERS and got.iterations == settings.max_iters
     assert passes == 1
+
+
+def test_too_few_held_solves_do_not_settle(monkeypatch):
+    _, prob, _ = build_problems()[0]
+    warms, _ = settling(prob, SolverSettings())
+    got, passes = solves(monkeypatch, prob, SolverSettings(), warms)
+    stop = warms[-1].iterations
+    assert got.status == OPTIMAL and got.iterations == stop
+    assert passes == schedule(stop, stop, settled=False)[0] > 1
 
 
 def test_budget_stop_at_warm_count_does_not_settle(monkeypatch):
     _, prob, _ = build_problems()[0]
     settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=37)
-    first, second, passes = two_solves(monkeypatch, prob, settings,
-                                       cold_warm(prob, 37), cold_warm(prob, 37))
-    assert first.status == second.status == MAX_ITERS and first.iterations == 37
+    got, passes = solves(monkeypatch, prob, settings, [cold_warm(prob, 37)] * (_SETTLED_AFTER + 1))
+    assert got.status == MAX_ITERS and got.iterations == 37
     # blocks end at 10, 20, 30 and 37, where a settled solve would check once
     assert passes == 4
 
 
 def test_infeasible_stop_at_warm_count_does_not_settle(monkeypatch):
-    prob, settings = stall_problem(), SolverSettings(max_iters=8000)
-    stop = ConicSolver(prob, settings).solve().iterations
-    first, second, passes = two_solves(monkeypatch, prob, settings,
-                                       cold_warm(prob, stop), cold_warm(prob, stop))
-    assert first.status == second.status == INFEASIBLE_SUSPECT and first.iterations == stop
-    assert passes == scheduled_passes(second.iterations, stop, settled=False)
-    assert passes != scheduled_passes(second.iterations, stop, settled=True)
+    # x <= -1 and x >= 1: the stall rule ends every solve at its warm count
+    prob = ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
+                        b=np.array([-1.0, -1.0]), cones=ConeDims(nonneg=2))
+    settings = SolverSettings(max_iters=8000)
+    warms, stop = settling(prob, settings)
+    got, passes = solves(monkeypatch, prob, settings, warms + [cold_warm(prob, stop)])
+    assert got.status == INFEASIBLE_SUSPECT and got.iterations == stop
+    assert passes == schedule(stop, stop, settled=False)[0]
+    assert passes != schedule(stop, stop, settled=True)[0]
 
 
-def test_cold_solve_after_a_settled_one_keeps_short_blocks(monkeypatch):
+def test_cold_solve_after_settling_ones_keeps_short_blocks(monkeypatch):
     _, prob, _ = build_problems()[0]
-    stop = ConicSolver(prob).solve().iterations
-    _, second, passes = two_solves(monkeypatch, prob, SolverSettings(), cold_warm(prob, stop), None)
-    assert second.iterations == stop
-    assert passes == scheduled_passes(stop, 0, settled=False) > 1
+    warms, stop = settling(prob, SolverSettings())
+    got, passes = solves(monkeypatch, prob, SolverSettings(), warms + [None])
+    assert got.iterations == stop
+    assert passes == schedule(stop, 0, settled=False)[0] > 1
 
 
 def counted_iterations(monkeypatch):
@@ -430,18 +449,21 @@ def counted_iterations(monkeypatch):
     return computed
 
 
-# the shipped two-craft run and a four-craft warm run: check passes, iterations
-# computed and iterations reported (without settled first blocks the runs take
-# 395 and 523 passes, and the four-craft one computes 5,094 iterations)
-@pytest.mark.parametrize("config,steps,expected", [
-    ("twocraft.cfg", 120, (165, 3717, 3710)),
-    ("fourcraft.cfg", 40, (463, 5104, 4937)),
-])
-def test_check_passes_of_shipped_runs(monkeypatch, config, steps, expected):
+# the shipped two-craft run and a four-craft warm run: the check passes and
+# the iterations computed are those of the schedule, replayed on each step's
+# iteration count and warm count (every step solves and stops optimal, so the
+# warm count is the last step's)
+@pytest.mark.parametrize("config,steps", [("twocraft.cfg", 120), ("fourcraft.cfg", 40)])
+def test_check_passes_of_shipped_runs(monkeypatch, config, steps):
     passes, computed = check_passes(monkeypatch), counted_iterations(monkeypatch)
     log = run_closed_loop(load_scenario(CONFIGS / config, {"steps": steps}))
-    assert len(log.records) == steps
-    assert (len(passes), len(computed), sum(r.iterations for r in log.records)) == expected
+    assert [r.solver_status for r in log.records] == [OPTIMAL] * steps
+    expected, warm_count, held_solves = np.zeros(2, dtype=int), 0, 0
+    for record in log.records:
+        expected += schedule(record.iterations, warm_count, settled=held_solves >= _SETTLED_AFTER)
+        held_solves = held_solves + 1 if record.iterations == warm_count else 0
+        warm_count = record.iterations
+    assert [len(passes), len(computed)] == expected.tolist()
 
 
 def interleaved_psd_qp():
