@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
 from .dynamics import DiscreteModel, _as_float_vector, _as_floats, _bound, _check_count
@@ -245,16 +246,19 @@ def to_conic(hp: HorizonProblem) -> ConicProblem:
     # (j, j), (j-1, j-1), (j, j-1), (j-1, j), counted from inputs j-1
     shifts = np.array([[m, 0, m, 0], [m, 0, 0, m]], np.int32)[:, :, None] + u0
     drc = (np.array([dr, dc], np.int32)[:, None, :] + shifts).reshape(2, -1) + m * stages[:-1, None]
-    P = sp.csc_matrix(
-        (
-            np.concatenate([w[wr, wc]] * N + [np.concatenate([dv, dv, -dv, -dv])] * (N - 1)),
-            (
-                np.concatenate((base[wr] + step[wr] * stages, drc[:, 0]), axis=None),
-                np.concatenate((base[wc] + step[wc] * stages, drc[:, 1]), axis=None),
-            ),
-        ),
-        shape=(hp.num_vars, hp.num_vars),
-    )
+    vals = np.concatenate([w[wr, wc]] * N + [np.concatenate([dv, dv, -dv, -dv])] * (N - 1))
+    rows = np.concatenate((base[wr] + step[wr] * stages, drc[:, 0]), axis=None)
+    cols = np.concatenate((base[wc] + step[wc] * stages, drc[:, 1]), axis=None)
+    # the kernels scipy's triplet constructor runs, without its checks: each
+    # column's entries in triplet order, sorted unless they already are, and
+    # each run of one row summed in turn; the constructor trims to indptr[-1]
+    nv = hp.num_vars
+    indptr, indices, data = np.empty(nv + 1, np.int32), np.empty_like(rows), np.empty_like(vals)
+    _sparsetools.coo_tocsr(nv, nv, vals.size, cols, rows, vals, indptr, indices, data)
+    if not _sparsetools.csr_has_sorted_indices(nv, indptr, indices):
+        _sparsetools.csr_sort_indices(nv, indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(nv, nv, indptr, indices, data)
+    P = sp.csc_matrix((data, indices, indptr), shape=(nv, nv))
     c = np.zeros(hp.num_vars)
     c[n : (N + 1) * n].reshape(N, n)[:] += -2.0 * (p.state_weight @ target)
     if p.trace_weight:  # on the diagonal slots of each lifted block

@@ -37,8 +37,12 @@ Contract:
   settled, that is when the solver's last ``_SETTLED_AFTER`` solves each
   stopped ``optimal`` exactly at their own warm start's count, the first
   block runs straight to the first of this solve's warm count, the next rho
-  check and the budget, and is checked in one pass.  The solve stops at the
-  first iterate at which a check after every iteration would have stopped.
+  check and the budget, and is checked in one pass.  A check decides the
+  plain loop's termination rules (a non-finite residual, convergence, the
+  stall rule) for every iterate of its block in one vectorized pass, in
+  iterate order, carrying the stall rule's best score from block to block.
+  The solve stops at the first iterate at which a check after every
+  iteration would have stopped.
   The returned result, the iteration count and the ``log_callback`` stream
   are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
@@ -48,9 +52,10 @@ Contract:
   reads; any other copies its last iterate there, for the next block and
   the rho balance.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
-  ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``
-  and scipy's ``_sparsetools`` kernels, each checked against its public
-  counterpart in ``tests/test_solver.py``.
+  ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``,
+  numpy's error-state context variable (the termination decision runs
+  quiet) and scipy's ``_sparsetools`` kernels, each checked against its
+  public counterpart in ``tests/test_solver.py``.
 
 How the loop reaches that bit for bit (the stacked ``[x; w]`` iterate, the
 iterate-major block check, the bound projection) is recorded in CHANGES.md.
@@ -67,6 +72,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from numpy._core.multiarray import c_einsum
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
@@ -89,9 +95,10 @@ _ALPHA = 1.6  # over-relaxation
 _RUIZ_ITERS = 10
 _STALL_ITERS = 2000
 _STALL_SCORE = 1e4
+_QUIET = _make_extobj(all="ignore")  # the error state of the termination decision
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverSettings:
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
@@ -99,9 +106,9 @@ class SolverSettings:
     warm_start: bool = True
 
     def __post_init__(self):
-        self.eps_abs = _check_positive(self.eps_abs, "eps_abs")
-        self.eps_rel = _check_positive(self.eps_rel, "eps_rel", zero_ok=True)
-        self.max_iters = _check_count(self.max_iters, "max_iters")
+        object.__setattr__(self, "eps_abs", _check_positive(self.eps_abs, "eps_abs"))
+        object.__setattr__(self, "eps_rel", _check_positive(self.eps_rel, "eps_rel", zero_ok=True))
+        object.__setattr__(self, "max_iters", _check_count(self.max_iters, "max_iters"))
         if not isinstance(self.warm_start, bool):
             raise ValueError(f"warm_start must be true or false, got {self.warm_start!r}")
 
@@ -156,24 +163,31 @@ class _ConeProjector:
         ``out``."""
         z, nn = self.zero_end, self.nonneg_end
         out[:z] = 0.0
-        v_nn, out_nn = v[z:nn], out[z:nn]
-        groups = [(gather, unscale_all, lower_all, scale_all,
+        v_nn, out_nn, zeros_nn = v[z:nn], out[z:nn], _constant(0.0, nn - z)
+        groups = [(gather, unscale_all, lower_all, scale_all, _constant(0.0, gather.shape[:2]),
                    out[start : start + scale_all.size].reshape(scale_all.shape))
                   for start, gather, unscale_all, lower_all, scale_all in self.groups]
         maximum, multiply, divide = np.maximum, np.multiply, np.divide
 
         def project() -> np.ndarray:
-            maximum(v_nn, 0.0, out=out_nn)
-            for gather, unscale_all, lower_all, scale_all, target in groups:
+            maximum(v_nn, zeros_nn, out=out_nn)
+            for gather, unscale_all, lower_all, scale_all, zeros, target in groups:
                 mats = v[gather]
                 divide(mats, unscale_all, mats)
                 eigvals, eigvecs = _eigh(mats)
-                maximum(eigvals, 0.0, out=eigvals)
+                maximum(eigvals, zeros, out=eigvals)
                 vals = c_einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs).take(lower_all)
                 multiply(vals, scale_all, target)
             return out
 
         return project
+
+
+def _constant(value: float, shape) -> np.ndarray:
+    """A read-only array of ``value``: a ufunc operand with the scalar's bits, unconverted."""
+    arr = np.full(shape, value)
+    arr.setflags(write=False)
+    return arr
 
 
 def _amax(v: np.ndarray) -> float:
@@ -316,6 +330,7 @@ class _Workspace:
         # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
         self.sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
         self.shift = np.concatenate([q_s, np.zeros(m)])
+        self.alpha, self.beta = _constant(_ALPHA, n + m), _constant(1.0 - _ALPHA, n + m)
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
         self.project = projector.bind(self.proj_in, self.proj_out)
@@ -337,15 +352,17 @@ class _Workspace:
     def bind_checks(self, longest: int):
         """Bind ``check_views[k]`` for each k up to ``longest`` not bound yet, on
         the heads of flat buffers sized for ``longest``: the unscaled z, w and
-        y, [residual, A z, s], [residual, P z, A'y] and the kernels' output
-        columns.  A view is a block's scaled x, w and y, then the check's
-        views and its products call.  z and y are (k, size) views of (size, k)
+        y, [residual, A z, s], [residual, P z, A'y], their (3, 2, k) infinity
+        norms and the kernels' output columns.  A view is a block's scaled x,
+        w and y, then the check's views (y also flat, beside as many gammas)
+        and its products call.  z and y are (k, size) views of (size, k)
         buffers, one iterate per column as the kernels take them; the rest are
         contiguous, so each infinity norm is a contiguous reduction."""
         m, n = self.check_mats[0].shape
         z_flat, w_flat, y_flat = (np.zeros(longest * size) for size in (n, m, m))
         prim_flat, dual_flat = np.zeros(3 * longest * m), np.zeros(3 * longest * n)
-        columns = np.zeros(longest * (m + 2 * n))
+        norms_flat, columns = np.zeros(6 * longest), np.zeros(longest * (m + 2 * n))
+        gammas = np.broadcast_to(self.gamma, longest * m)  # read-only, no memory: stride 0
         for k in range(len(self.check_views), longest + 1):
             z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
             prim = prim_flat[: 3 * k * m].reshape(3, k, m)
@@ -353,7 +370,9 @@ class _Workspace:
             products = _bind_check_products(self.check_mats, z_col, y_col, columns,
                                             prim[1], dual[1], dual[2])
             self.check_views.append((self.rows[:k, :n], self.rows[:k, n:], self.y_rows[:k], z_col.T,
-                                     w_flat[: k * m].reshape(k, m), y_col.T, prim, dual, products))
+                                     w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k],
+                                     gammas[: m * k], prim, dual,
+                                     norms_flat[: 6 * k].reshape(3, 2, k), products))
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
@@ -446,13 +465,14 @@ class ConicSolver:
         row_views, check_views = ws.row_views, ws.check_views
         project = ws.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
-        # bound once; each ufunc takes its out positionally
+        # bound once; each ufunc but maximum takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
+        maximum, quiet, unquiet = np.maximum, _extobj_contextvar.set, _extobj_contextvar.reset
 
-        alpha, beta = _ALPHA, 1.0 - _ALPHA
+        alpha, beta = ws.alpha, ws.beta
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
         max_iters = settings.max_iters
-        b_scale, c_scale = _amax(b), ws.c_scale
+        floors = np.array([[_amax(b)], [ws.c_scale]])  # under each side's termination scale
 
         best_score = np.inf  # the stall rule's best score and its iterate
         best_iter = 0
@@ -512,47 +532,61 @@ class ConicSolver:
 
             # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
-            x_s, w_s, y_s, z_u, w_u, y_u, prim, dual, check_products = check_views[done]
+            x_s, w_s, y_s, z_u, w_u, y_u, y_all, gammas, prim, dual, norms, check_products = \
+                check_views[done]
             multiply(d, x_s, z_u)
             divide(w_s, e, w_u)
             multiply(e, y_s, y_u)
-            divide(y_u, gamma, y_u)
+            divide(y_all, gammas, y_all)  # y_u / gamma, on y_u's contiguous buffer
             check_products()
             subtract(prim[1], w_u, prim[0])
             subtract(b, w_u, prim[2])
             add(dual[1], c, dual[0])
             add(dual[0], dual[2], dual[0])
-            # one pass per side: the infinity norms of all three, 0 when empty
-            prims = np.abs(prim, out=prim).max(axis=2, initial=0.0).tolist()
-            duals = np.abs(dual, out=dual).max(axis=2, initial=0.0).tolist()
+            # one pass per side: the infinity norms of all three, 0 when empty;
+            # norms rows: [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|]
+            np.abs(prim, out=prim).max(axis=2, initial=0.0, out=norms[:, 0])
+            np.abs(dual, out=dual).max(axis=2, initial=0.0, out=norms[:, 1])
 
-            # the per-iteration termination logic, iterate by iterate
-            for row, (r_prim, az, su, r_dual, pz, aty) in enumerate(zip(*prims, *duals)):
-                k = it + row + 1
-                if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
-                    status = INFEASIBLE_SUSPECT
-                    break
-                eps_prim = eps_abs + eps_rel * max(az, su, b_scale)
-                eps_dual = eps_abs + eps_rel * max(pz, aty, c_scale)
-                if log_callback is not None:
+            # the plain loop's termination rules for every iterate at once, in
+            # the quiet error state of its Python floats (a row that is not
+            # finite divides inf by inf): eps = eps_abs + eps_rel * max(two
+            # norms, floor) per side, a score max(r / eps), NaN where r is not finite
+            token = quiet(_QUIET)
+            r, eps, scratch = norms  # eps in place of the two norms' rows
+            maximum(eps, scratch, out=eps)
+            maximum(eps, floors, out=eps)
+            multiply(eps_rel, eps, eps)
+            add(eps_abs, eps, eps)
+            ratio = divide(r, eps, eps)  # in place, then + (r - r): 0, or NaN if r is not
+            add(ratio, subtract(r, r, scratch), ratio)
+            score = maximum(ratio[0], ratio[1])
+            unquiet(token)
+            # a row stops at a NaN score or, converged, at most 1: rounding is
+            # monotonic, so r / eps <= 1 exactly when r <= eps
+            goes = (score > 1.0).tolist()
+            row = goes.index(False) if False in goes else done
+            if best_score > _STALL_SCORE and it + row - best_iter > _STALL_ITERS:
+                # the stall rule may stop a row before; the best score and its iterate per row
+                ks = np.arange(it + 1, it + row + 1)
+                best = np.minimum.accumulate(np.append(best_score, score[:row]))
+                best_at = np.maximum.accumulate(np.where(score[:row] < best[:-1], ks, best_iter))
+                stalls = np.flatnonzero((ks - best_at > _STALL_ITERS) & (best[1:] > _STALL_SCORE))
+                row = int(stalls[0]) if stalls.size else row
+            if log_callback is not None:  # each row up to the stop, and it unless not finite
+                logged = row + (row < done and not math.isnan(score.item(row)))
+                for k, r_prim, r_dual in zip(itertools.count(it + 1), *r[:, :logged].tolist()):
                     log_callback(k, r_prim, r_dual)
-                score = max(r_prim / eps_prim, r_dual / eps_dual)
-                if score < best_score:
-                    best_score = score
-                    best_iter = k
-                if r_prim <= eps_prim and r_dual <= eps_dual:
-                    status = OPTIMAL
-                    break
-                if k - best_iter > _STALL_ITERS and best_score > _STALL_SCORE:
-                    status = INFEASIBLE_SUSPECT
-                    break
-            else:
-                row = done - 1
-            if status is None and failure is not None:
-                raise failure
-            it += row + 1
-            if status is not None:
+            if row < done:
+                status = OPTIMAL if score.item(row) <= 1.0 else INFEASIBLE_SUSPECT
+                it += row + 1
                 break
+            if failure is not None:
+                raise failure
+            i = score.argmin()  # the block's best score and its iterate carry over
+            if score.item(i) < best_score:
+                best_score, best_iter = score.item(i), it + int(i) + 1
+            it, row = it + done, done - 1
             if count != _CHECK_EVERY:
                 # the block's last iterate goes where the next block and the
                 # rho balance read it, the start row
@@ -588,8 +622,8 @@ class ConicSolver:
             y=y_u[row].copy(),
             status=status or MAX_ITERS,
             iterations=it,
-            primal_residual=prims[0][row],
-            dual_residual=duals[0][row],
+            primal_residual=r.item(0, row),
+            dual_residual=r.item(1, row),
             solve_time=time.perf_counter() - t0,
             objective=objective,
         )

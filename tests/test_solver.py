@@ -18,6 +18,7 @@ from coulombmpc import (
 from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
 from coulombmpc.solver import (
+    _ALPHA,
     _SIGMA,
     INFEASIBLE_SUSPECT,
     MAX_ITERS,
@@ -328,6 +329,16 @@ def test_settings_warm_start_must_be_a_bool(value):
         SolverSettings(warm_start=value)
 
 
+def test_settings_are_frozen_so_their_checks_hold():
+    # a budget of 0 set on a running controller's settings made its next
+    # step raise out of the solve
+    settings = SolverSettings()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        settings.max_iters = 0
+    with pytest.raises(ValueError, match="max_iters must be"):
+        dataclasses.replace(settings, max_iters=0)
+
+
 def test_settings_are_the_four_a_caller_sets():
     fields = [f.name for f in dataclasses.fields(SolverSettings)]
     assert fields == ["eps_abs", "eps_rel", "max_iters", "warm_start"]
@@ -434,6 +445,22 @@ def test_absent_P_is_the_empty_square_csc_matrix():
     assert sp.issparse(prob.P) and prob.P.format == "csc"
     assert prob.P.shape == (3, 3) and prob.P.nnz == 0
     assert objective_value(prob, np.ones(3)) == 0.0
+
+
+def test_bound_operands_are_read_only():
+    # the loop's constant operands, bound once where a scalar was: alpha and
+    # 1 - alpha, each check view's gammas and the projection's zeros
+    ws = _Workspace(shipped_step0("fourcraft.cfg"))
+    ws.bind_checks(100)
+    cells = [cell.cell_contents for cell in ws.project.__closure__]
+    bound = dict(zip(ws.project.__code__.co_freevars, cells))
+    operands = [(ws.alpha, _ALPHA), (ws.beta, 1.0 - _ALPHA), (bound["zeros_nn"], 0.0)]
+    operands += [(group[4], 0.0) for group in bound["groups"]]
+    operands += [(view[7], ws.gamma) for view in ws.check_views[1:]]
+    assert len(operands) == 3 + 1 + 100
+    for operand, value in operands:
+        assert not operand.flags.writeable
+        assert np.all(operand == value)
 
 
 def scrambled(mat, rng):

@@ -2,11 +2,13 @@
 
 ``reference_admm.ReferenceSolver`` is the original, allocation-per-operation
 iteration.  Every comparison here is exact: ``np.array_equal`` on z, s and y,
-``==`` on status, iteration count and residuals.
+``==`` on status, iteration count and residuals, a NaN matching a NaN.
 """
 
 import dataclasses
+import math
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,10 @@ def assert_identical(got, ref):
     for field in dataclasses.fields(SolveResult):
         if field.name != "solve_time":
             a, b = getattr(got, field.name), getattr(ref, field.name)
-            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), field.name
+            else:
+                assert a == b or isinstance(a, float) and math.isnan(a) and math.isnan(b), field.name
 
 
 class PairedSolver:
@@ -282,11 +287,15 @@ def test_only_a_whole_warm_count_ends_a_block(monkeypatch, count, expected_passe
     assert got_log == ref_log
 
 
-def test_stall_stop_matches_reference():
-    # x <= -1 and x >= 1: the stall rule ends the solve, and both solvers
-    # return the iterate they stopped at
-    prob = ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
+def two_sided_infeasible():
+    """x <= -1 and x >= 1: the stall rule ends a solve of it."""
+    return ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
                         b=np.array([-1.0, -1.0]), cones=ConeDims(nonneg=2))
+
+
+def test_stall_stop_matches_reference():
+    # both solvers return the iterate they stopped at
+    prob = two_sided_infeasible()
     settings = SolverSettings(max_iters=8000)
     got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
     ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
@@ -348,9 +357,10 @@ def settling(prob, settings):
 
 # the first solves stop optimal at their own warm count, which settles the
 # last; that one stops after, at or before its warm count (its count moved by
-# the offset) and is checked in two passes, one and one
-@pytest.mark.parametrize("offset,expected_passes", [(-3, 2), (0, 1), (4, 1)],
-                         ids=["stops-after", "stops-at", "stops-before"])
+# the offset) and is checked in two passes, one and one; one after, it stops
+# at row 0 of its second block
+@pytest.mark.parametrize("offset,expected_passes", [(-3, 2), (-1, 2), (0, 1), (4, 1)],
+                         ids=["stops-after", "stops-at-row-0", "stops-at", "stops-before"])
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_settled_solve_matches_reference(monkeypatch, name, prob, expected, offset,
                                          expected_passes):
@@ -416,15 +426,74 @@ def test_budget_stop_at_warm_count_does_not_settle(monkeypatch):
 
 
 def test_infeasible_stop_at_warm_count_does_not_settle(monkeypatch):
-    # x <= -1 and x >= 1: the stall rule ends every solve at its warm count
-    prob = ConicProblem(c=np.array([1.0]), A=sp.csc_matrix([[1.0], [-1.0]]),
-                        b=np.array([-1.0, -1.0]), cones=ConeDims(nonneg=2))
+    # the stall rule ends every solve at its warm count
+    prob = two_sided_infeasible()
     settings = SolverSettings(max_iters=8000)
     warms, stop = settling(prob, settings)
     got, passes = solves(monkeypatch, prob, settings, warms + [cold_warm(prob, stop)])
     assert got.status == INFEASIBLE_SUSPECT and got.iterations == stop
     assert passes == schedule(stop, stop, settled=False)[0]
     assert passes != schedule(stop, stop, settled=True)[0]
+
+
+# with a stall score of 0 and these stall iterations, a solve settled under
+# the shipped rule stalls at iteration 25-29; it converges at 67-93 without
+STALLING = [("lp_box", 2), ("lp_covering", 1), ("sdp_min_trace_unit_coupling", 1),
+            ("sdp_min_eigenvalue", 1)]
+
+
+# the settled first block runs to the warm count: to 30 it holds the stall, to
+# 95 the stall and, later, the iterate the solve converges at without it
+@pytest.mark.parametrize("count", [30, 95], ids=["stall", "stall-then-convergence"])
+@pytest.mark.parametrize("name,stall_iters", STALLING)
+def test_stall_in_a_settled_first_block_matches_reference(monkeypatch, name, stall_iters,
+                                                          count):
+    prob = {name: prob for name, prob, _ in build_problems()}[name]
+    warms, stop = settling(prob, SolverSettings())
+    passes = check_passes(monkeypatch)
+    fast, slow = ConicSolver(prob), ReferenceSolver()
+    for warm in warms:
+        assert_identical(fast.solve(warm=warm), slow.solve(prob, warm=warm))
+    for module in (solver_module, reference_admm):
+        monkeypatch.setattr(module, "_STALL_ITERS", stall_iters)
+        monkeypatch.setattr(module, "_STALL_SCORE", 0.0)
+    before, warm = len(passes), cold_warm(prob, count)
+    got, got_log = logged(lambda cb: fast.solve(warm=warm, log_callback=cb))
+    ref, ref_log = logged(lambda cb: slow.solve(prob, warm=warm, log_callback=cb))
+    assert_identical(got, ref)
+    assert got_log == ref_log
+    assert got.status == INFEASIBLE_SUSPECT and got.iterations < 30 and stop < 95
+    assert len(passes) - before == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_stall_of_overflowing_scores_matches_reference():
+    # a tolerance so small that every score overflows to inf: none beats the
+    # first, so the stall rule ends the solve after _STALL_ITERS + 1 iterations
+    prob = two_sided_infeasible()
+    settings = SolverSettings(eps_abs=5e-324, eps_rel=0.0, max_iters=8000)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
+    assert got.status == INFEASIBLE_SUSPECT
+    assert got.iterations == solver_module._STALL_ITERS + 1
+    assert_identical(got, ref)
+    assert got_log == ref_log
+
+
+# the stall rule ends the solve at 2,167, row 6 of its block: budgets that end
+# that block there, or one or four iterations before
+@pytest.mark.parametrize("before", [0, 1, 4])
+def test_budget_ending_mid_block_near_a_stall_matches_reference(before):
+    prob = two_sided_infeasible()
+    stall = ReferenceSolver().solve(prob, SolverSettings(max_iters=8000)).iterations
+    settings = SolverSettings(max_iters=stall - before)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
+    assert stall % 10 > before
+    assert got.status == (INFEASIBLE_SUSPECT if before == 0 else MAX_ITERS)
+    assert got.iterations == settings.max_iters
+    assert_identical(got, ref)
+    assert got_log == ref_log
 
 
 def test_cold_solve_after_settling_ones_keeps_short_blocks(monkeypatch):
@@ -516,29 +585,59 @@ def test_interleaved_psd_sizes_at_block_edges_match_reference(max_iters):
     assert got_log == ref_log
 
 
-@pytest.mark.parametrize("call,slot", [(3, -1), (14, 0), (25, 150)])
-def test_nonfinite_projection_ends_the_solve_at_its_iteration(monkeypatch, call, slot):
-    # a NaN slack ends the solve at the iteration that produced it, even
-    # though iterations computed after it in the same block may raise
-    # (eigh on an all-NaN slack); the poison goes into the projection the
-    # loop calls, the one _ConeProjector.bind hands the workspace
-    bind = _ConeProjector.bind
-    calls = []
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_residual_ends_the_solve_at_its_iteration():
+    # a warm start near the top of the float range: the first iterate's dual
+    # residual overflows to inf, though each of its terms, and so its
+    # tolerance, is finite
+    prob = {name: prob for name, prob, _ in build_problems()}["qp_clip_to_orthant"]
+    warm = dataclasses.replace(cold_warm(prob, 5), z=np.array([1.42310045e307, 4.59701852e307]),
+                               s=np.array([-9.27555622e307, 3.24253909e307]),
+                               y=np.array([2.14475842e307, -5.17261824e307]))
+    got, got_log = logged(lambda cb: ConicSolver(prob).solve(warm=warm, log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, warm=warm, log_callback=cb))
+    assert got.status == INFEASIBLE_SUSPECT and got.iterations == 1
+    assert math.isfinite(got.primal_residual) and got.dual_residual == math.inf
+    assert_identical(got, ref)
+    assert got_log == ref_log == []
 
-    def poisoned_bind(self, v, out):
-        project = bind(self, v, out)
 
-        def poisoned():
-            calls.append(None)
-            project()
-            if len(calls) == call:
-                out[slot] = np.nan
-            return out
+def poison_projections(monkeypatch, call, slot, value):
+    """Make the ``call``-th projection of the solver, and that of the
+    reference, write ``value`` into ``slot`` of its output.  The solver's is
+    the one ``_ConeProjector.bind`` hands the workspace; each counts its own."""
+    bind, project = _ConeProjector.bind, reference_admm._ConeProjector.project
+    fast_calls, ref_calls = [], []
 
-        return poisoned
+    def poisoned(calls, out):
+        calls.append(None)
+        if len(calls) == call:
+            out[slot] = value
+        return out
 
-    monkeypatch.setattr(_ConeProjector, "bind", poisoned_bind)
+    monkeypatch.setattr(_ConeProjector, "bind", lambda self, v, out: partial(
+        lambda project: poisoned(fast_calls, project()), bind(self, v, out)))
+    monkeypatch.setattr(reference_admm._ConeProjector, "project",
+                        lambda self, v: poisoned(ref_calls, project(self, v)))
+
+
+# slots: the last PSD slot, a zero-cone one and a nonneg one; an iteration
+# after a block end is row 0 of the next block, after a best score carried over
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("call,slot,value", [
+    (3, -1, np.nan), (14, 0, np.nan), (25, 150, np.nan),
+    (11, 150, np.inf), (21, -1, -np.inf), (31, 0, np.nan),
+])
+def test_nonfinite_projection_ends_the_solve_at_its_iteration(monkeypatch, call, slot, value):
+    # a non-finite slack ends the solve at the iteration that produced it, as
+    # it ends the plain loop, even though iterations computed after it in the
+    # same block may raise (eigh on an all-NaN slack)
+    poison_projections(monkeypatch, call, slot, value)
     prob, scenario = fourcraft_step0()
-    result = ConicSolver(prob, scenario.solver).solve()
-    assert result.status == INFEASIBLE_SUSPECT
-    assert result.iterations == call
+    got, got_log = logged(lambda cb: ConicSolver(prob, scenario.solver).solve(log_callback=cb))
+    ref, ref_log = logged(
+        lambda cb: ReferenceSolver().solve(prob, scenario.solver, log_callback=cb))
+    assert got.status == INFEASIBLE_SUSPECT
+    assert got.iterations == call
+    assert_identical(got, ref)
+    assert got_log == ref_log
