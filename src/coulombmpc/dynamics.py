@@ -18,6 +18,8 @@ from a scalar cube on some inputs.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,6 +133,11 @@ class FormationConfig:
         object.__setattr__(self, "masses", _bound(self.masses, ns, "masses", positive=True))
         separation = _check_positive(self.min_separation, "min_separation")
         object.__setattr__(self, "min_separation", separation)
+
+    def __reduce__(self):
+        # a copy or an unpickled formation is rebuilt through its checks, so
+        # its masses stay a read-only vector of its own, as a bound hold reads them
+        return FormationConfig, (self.num_spacecraft, self.masses, self.min_separation)
 
     @property
     def state_dim(self) -> int:
@@ -278,53 +285,26 @@ def relative_input_matrix(rel_positions: np.ndarray, cfg: FormationConfig) -> np
     return others - lead
 
 
-def rk4_step(
-    state: RelativeState, charges: np.ndarray, dt: float, cfg: FormationConfig,
-    substeps: int = 1,
-) -> RelativeState:
-    """``substeps`` classical fourth-order Runge-Kutta steps of size ``dt`` with
-    the charges held constant: the package's one RK4 kernel, called once per hold.
-
-    The step size, the count, the charges and the state are checked once, the
-    charge products formed once in :func:`spacecraft_pairs` order and the
-    pair-force kernel, with its block, bound once by :func:`_bind_input_block`; the
-    substeps then run their four stages in buffers built once, every
-    elementwise operation writing into one through ``out``.  A stage evaluates
-    ``[velocities; relative_input_matrix(positions) @ charge_products(charges)]``,
-    separation check included, by the same floating-point operations in the
-    same order, and a substep ends in ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``,
-    so each substep is bit-identical to the textbook RK4 kept in
-    ``tests/test_dynamics.py``.  Each stage is one row ``[0, positions,
-    velocities, accelerations]``: the leading 0 is craft 1, which the kernel
-    reads directly, and the stage's derivative k is the view of its velocities
-    and accelerations.  The accelerations are the BLAS matvec ``(others - lead)
-    @ products``, whose summation order fixes the bits; ``others - lead`` is
-    subtracted on flat views, and the scalar operands (the stage coefficients,
-    2 and dt/6) are vectors built once, an elementwise product being the same
-    either way.  The returned state holds views of a fresh vector, not
-    re-validated.
+def _bind_hold(cfg: FormationConfig, dt: float, substeps: int):
+    """The bound hold of :func:`rk4_step` for a checked step size and substep
+    count: returns ``hold(positions, velocities, q)``, which runs the
+    ``substeps`` steps from that state under the charges ``q`` and returns the
+    final packed state as a fresh vector.  The pair-force kernel with its
+    block, the four stage rows, the scratch and the coefficient vectors are
+    built once per bind, and each call overwrites every entry it reads.
     """
-    dt = _check_positive(dt, "step size")
-    substeps = _check_count(substeps, "substeps")
     first, second, *_ = _pair_layout(cfg.num_spacecraft)
     half = cfg.num_spacecraft - 1
-    q = np.asarray(charges, dtype=float)
-    if q.shape != (half + 1,):
-        raise ValueError(f"charges must have length {half + 1}, got shape {q.shape}")
-    products = q[first] * q[second]
-    positions, velocities = state.positions, state.velocities
-    if positions.size != half:
-        raise ValueError(f"relative positions must have length {half}, got {positions.size}")
     dim = 2 * half
     # stages[i] is [0, y, k1's accelerations] for i = 0, then [0, stage vector
     # i, its accelerations]: k(i+1) is stages[i, half + 1:]
     stages = np.zeros((4, 3 * half + 1))
-    stages[0, 1 : half + 1] = positions
-    stages[0, half + 1 : dim + 1] = velocities
     kernel, others, lead = _bind_input_block(cfg)
     matrix = np.empty_like(others)
     others, lead, relative = others.reshape(-1), lead.reshape(-1), matrix.reshape(-1)
     y = stages[0, 1 : dim + 1]
+    y_positions, y_velocities = y[:half], y[half:]
+    products = np.empty(len(first))
     step, total = np.empty((2, dim))
     k1, k2, k3, k4 = stages[:, half + 1 :]
     two, sixth = np.full(dim, 2.0), np.full(dim, dt / 6.0)
@@ -334,24 +314,91 @@ def rk4_step(
              None if coeff is None else np.full(dim, coeff),
              None if coeff is None else stages[i + 1, 1 : dim + 1])
             for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None))]
-    subtract, matmul, multiply, add = np.subtract, np.matmul, np.multiply, np.add
+    subtract, matmul, multiply, add, copyto = (
+        np.subtract, np.matmul, np.multiply, np.add, np.copyto)
 
-    for _ in range(substeps):
-        for stage, k, k_acc, coeff, following in plan:
-            kernel(stage)
-            subtract(others, lead, relative)
-            matmul(matrix, products, k_acc)
-            if coeff is not None:
-                multiply(coeff, k, step)
-                add(y, step, following)
-        # y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), into y
-        multiply(two, k2, step)
-        add(k1, step, total)
-        multiply(two, k3, step)
-        add(total, step, total)
-        add(total, k4, total)
-        multiply(sixth, total, total)
-        add(y, total, y)
+    def hold(positions: np.ndarray, velocities: np.ndarray, q: np.ndarray) -> np.ndarray:
+        copyto(y_positions, positions)
+        copyto(y_velocities, velocities)
+        multiply(q[first], q[second], products)
+        for _ in range(substeps):
+            for stage, k, k_acc, coeff, following in plan:
+                kernel(stage)
+                subtract(others, lead, relative)
+                matmul(matrix, products, k_acc)
+                if coeff is not None:
+                    multiply(coeff, k, step)
+                    add(y, step, following)
+            # y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4), into y
+            multiply(two, k2, step)
+            add(k1, step, total)
+            multiply(two, k3, step)
+            add(total, step, total)
+            add(total, k4, total)
+            multiply(sixth, total, total)
+            add(y, total, y)
+        return y.copy()
+
+    return hold
+
+
+class _HoldSlot(threading.local):
+    """The last hold :func:`rk4_step` bound in this thread, as (a weak
+    reference to its formation, dt, substeps, hold): concurrent callers never
+    share its buffers, the formation stays free to be collected, pickled or
+    copied, and a thread keeps one bound hold at most."""
+
+    plan = (lambda: None, None, None, None)
+
+
+_hold_slot = _HoldSlot()
+
+
+def rk4_step(
+    state: RelativeState, charges: np.ndarray, dt: float, cfg: FormationConfig,
+    substeps: int = 1,
+) -> RelativeState:
+    """``substeps`` classical fourth-order Runge-Kutta steps of size ``dt`` with
+    the charges held constant: the package's one RK4 kernel, called once per hold.
+
+    The hold is bound by :func:`_bind_hold` (the pair-force kernel of
+    :func:`_bind_input_block` with its block, the stage buffers and the
+    coefficient vectors) once per formation, step size and substep count and
+    per thread, and reused while the three repeat.  A float ``dt`` and an int
+    ``substeps`` equal to the bound ones, which were checked, need no check;
+    any other value is checked before the lookup.  Each call checks the
+    charges and the state, forms the charge products once in
+    :func:`spacecraft_pairs` order and runs the substeps' four stages, every
+    elementwise operation writing into a bound buffer through ``out``.  A stage
+    evaluates ``[velocities; relative_input_matrix(positions) @
+    charge_products(charges)]``, separation check included, by the same
+    floating-point operations in the same order, and a substep ends in ``y +
+    (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so each substep is bit-identical to
+    the textbook RK4 kept in ``tests/test_dynamics.py``.  Each stage is one row
+    ``[0, positions, velocities, accelerations]``: the leading 0 is craft 1,
+    which the kernel reads directly, and the stage's derivative k is the view
+    of its velocities and accelerations.  The accelerations are the BLAS
+    matvec ``(others - lead) @ products``, whose summation order fixes the
+    bits; ``others - lead`` is subtracted on flat views, and the scalar
+    operands (the stage coefficients, 2 and dt/6) are vectors built once, an
+    elementwise product being the same either way.  The returned state holds
+    views of a fresh vector, not re-validated.
+    """
+    formation, held_dt, held_substeps, hold = _hold_slot.plan
+    if not (type(dt) is float and dt == held_dt and type(substeps) is int
+            and substeps == held_substeps):
+        dt, substeps = _check_positive(dt, "step size"), _check_count(substeps, "substeps")
+    if not (formation() is cfg and dt == held_dt and substeps == held_substeps):
+        hold = _bind_hold(cfg, dt, substeps)
+        _hold_slot.plan = (weakref.ref(cfg), dt, substeps, hold)
+    half = cfg.num_spacecraft - 1
+    q = np.asarray(charges, dtype=float)
+    if q.shape != (half + 1,):
+        raise ValueError(f"charges must have length {half + 1}, got shape {q.shape}")
+    positions, velocities = state.positions, state.velocities
+    if positions.size != half:
+        raise ValueError(f"relative positions must have length {half}, got {positions.size}")
+    y = hold(positions, velocities, q)
     result = object.__new__(RelativeState)
     object.__setattr__(result, "positions", y[:half])
     object.__setattr__(result, "velocities", y[half:])

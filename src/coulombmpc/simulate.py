@@ -37,9 +37,11 @@ CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
 ORACLE_MAX_COMBINATIONS = 41**4  # brute_force_qcqp's cap: 41 levels of 4 craft peak at 93 MB RSS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to reproduce one closed-loop run."""
+    """Everything needed to reproduce one closed-loop run, checked once at
+    construction: frozen, so a changed field goes through
+    ``dataclasses.replace`` and its checks."""
 
     formation: FormationConfig
     params: MpcParams
@@ -55,13 +57,13 @@ class ScenarioConfig:
         if self.formation.num_spacecraft != self.params.num_spacecraft:
             raise ValueError(f"formation.num_spacecraft = {self.formation.num_spacecraft} "
                              f"disagrees with params.num_spacecraft = {self.params.num_spacecraft}")
-        self.initial_state = _as_float_vector(
+        object.__setattr__(self, "initial_state", _as_float_vector(
             self.initial_state, self.formation.state_dim, "initial_state", finite=True
-        )
+        ))
         for name in ("sample_period", "saturation_limit"):
-            setattr(self, name, _check_positive(getattr(self, name), name))
-        self.steps = _check_count(self.steps, "steps")
-        self.substeps = _check_count(self.substeps, "substeps")
+            object.__setattr__(self, name, _check_positive(getattr(self, name), name))
+        for name in ("steps", "substeps"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name))
         if not isinstance(self.output_path, (str, os.PathLike, type(None))):
             raise ValueError(f"output must be a str, os.PathLike or None, got {self.output_path!r}")
 
@@ -82,7 +84,7 @@ def propagate(
 ) -> RelativeState:
     """Integrate the nonlinear plant over one hold interval: one call of the RK4
     kernel :func:`~coulombmpc.dynamics.rk4_step`, which runs the ``substeps``
-    steps of size ``duration / substeps`` on buffers built once per hold."""
+    steps of size ``duration / substeps`` on its bound buffers."""
     _check_count(substeps, "substeps")
     return rk4_step(state, charges, duration / substeps, cfg, substeps)
 

@@ -95,7 +95,7 @@ _ALPHA = 1.6  # over-relaxation
 _RUIZ_ITERS = 10
 _STALL_ITERS = 2000
 _STALL_SCORE = 1e4
-_QUIET = _make_extobj(all="ignore")  # the error state of the termination decision
+_QUIET = _make_extobj(all="ignore")  # the error state of a solve past its checks
 
 
 @dataclass(frozen=True)
@@ -429,9 +429,15 @@ class ConicSolver:
         r_prim, r_dual)`` receives every checked iterate k = 1..iterations in
         order, in bursts after each block of iterations, and nothing past the
         returned iteration count.
+
+        Past these checks the solve runs in the quiet error state of the
+        plain loop's Python floats, ``log_callback`` included: an iterate, a
+        residual or an objective that overflows or is not finite ends the
+        solve by the termination rules, never as a ``RuntimeWarning``
+        (``eigh`` keeps its own error state, which raises ``LinAlgError``).
         """
         t0 = time.perf_counter()
-        prob, settings = self.prob, self.settings
+        prob = self.prob
         n, mr = prob.num_vars, prob.num_rows
         b = prob.b if b is None else np.asarray(b, dtype=float)
         if b.shape != (mr,):
@@ -440,7 +446,17 @@ class ConicSolver:
             raise ValueError("right-hand side contains non-finite entries")
         if warm is not None and (warm.z.size, warm.s.size, warm.y.size) != (n, mr, mr):
             raise ValueError("warm start does not match the problem's dimensions")
+        token = _extobj_contextvar.set(_QUIET)
+        try:
+            return self._solve(b, warm, log_callback, t0)
+        finally:
+            _extobj_contextvar.reset(token)
 
+    def _solve(self, b: np.ndarray, warm: SolveResult | None, log_callback,
+               t0: float) -> SolveResult:
+        """The body of :meth:`solve`, for a checked ``b`` and ``warm``."""
+        prob, settings = self.prob, self.settings
+        n = prob.num_vars
         if self._ws is None:
             self._ws = _Workspace(self.prob)
         ws = self._ws
@@ -467,7 +483,7 @@ class ConicSolver:
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
         # bound once; each ufunc but maximum takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
-        maximum, quiet, unquiet = np.maximum, _extobj_contextvar.set, _extobj_contextvar.reset
+        maximum = np.maximum
 
         alpha, beta = ws.alpha, ws.beta
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
@@ -548,11 +564,10 @@ class ConicSolver:
             np.abs(prim, out=prim).max(axis=2, initial=0.0, out=norms[:, 0])
             np.abs(dual, out=dual).max(axis=2, initial=0.0, out=norms[:, 1])
 
-            # the plain loop's termination rules for every iterate at once, in
-            # the quiet error state of its Python floats (a row that is not
-            # finite divides inf by inf): eps = eps_abs + eps_rel * max(two
-            # norms, floor) per side, a score max(r / eps), NaN where r is not finite
-            token = quiet(_QUIET)
+            # the plain loop's termination rules for every iterate at once (a
+            # row that is not finite divides inf by inf): eps = eps_abs +
+            # eps_rel * max(two norms, floor) per side, a score max(r / eps),
+            # NaN where r is not finite
             r, eps, scratch = norms  # eps in place of the two norms' rows
             maximum(eps, scratch, out=eps)
             maximum(eps, floors, out=eps)
@@ -561,7 +576,6 @@ class ConicSolver:
             ratio = divide(r, eps, eps)  # in place, then + (r - r): 0, or NaN if r is not
             add(ratio, subtract(r, r, scratch), ratio)
             score = maximum(ratio[0], ratio[1])
-            unquiet(token)
             # a row stops at a NaN score or, converged, at most 1: rounding is
             # monotonic, so r / eps <= 1 exactly when r <= eps
             goes = (score > 1.0).tolist()

@@ -1,3 +1,9 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +22,7 @@ from coulombmpc import (
     rk4_step,
     spacecraft_pairs,
 )
+from coulombmpc import dynamics
 from coulombmpc.config import load_scenario
 from coulombmpc.dynamics import _pair_layout
 
@@ -433,6 +440,138 @@ def test_propagate_raises_mid_hold_like_chained_single_steps(masses, initial, ch
     with pytest.raises(SingularityError) as got:
         propagate(state, charges, 0.5, 10, cfg)
     assert str(got.value) == str(expected.value)
+
+
+def textbook_hold(state, charges, duration, substeps, cfg):
+    """A hold as ``substeps`` chained textbook RK4 steps of ``duration / substeps``."""
+    for _ in range(substeps):
+        state = rk4_on_continuous_rhs(state, charges, duration / substeps, cfg)
+    return state
+
+
+@pytest.mark.bitexact
+def test_concurrent_holds_on_one_formation_bind_one_hold_per_thread():
+    # two threads hold at once on one formation, switching inside the holds:
+    # each thread binds its own stage buffers, so each chain is the textbook's
+    cfg, initial, dt, substeps = rk4_oracle_case("threecraft-unequal-masses")
+    duration = dt * substeps
+    rng = np.random.default_rng(17)
+    charges = rng.uniform(-0.05, 0.05, (2, 40, cfg.num_spacecraft))
+    starts = [RelativeState.from_vector(initial),
+              RelativeState.from_vector(initial + np.array([2.0, -3.0, 0.01, 0.0]))]
+    expected = []
+    for state, sequence in zip(starts, charges):
+        expected.append([])
+        for q in sequence:
+            state = textbook_hold(state, q, duration, substeps, cfg)
+            expected[-1].append(state.as_vector().tobytes())
+    barrier = threading.Barrier(2, timeout=60)
+    got, holds = [[], []], [None, None]
+
+    def run(which):
+        try:
+            state = starts[which]
+            for q in charges[which]:
+                barrier.wait()  # both holds start together
+                state = propagate(state, q, duration, substeps, cfg)
+                got[which].append(state.as_vector().tobytes())
+            holds[which] = dynamics._hold_slot.plan[-1]
+        except BaseException:
+            barrier.abort()
+            raise
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(which,)) for which in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert holds[0] is not holds[1] and None not in holds
+
+
+@pytest.mark.bitexact
+def test_holds_alternating_formation_step_and_count_rebind():
+    # one thread alternates the key of its bound hold: formations of one craft
+    # count but other masses, step sizes and substep counts, a numpy step and
+    # count equal to the bound ones, and a formation equal to a bound one
+    heavy, light = make_config([50.0, 120.0, 310.0]), make_config([50.0, 120.0, 31.0])
+    four = make_config([750.0] * 4)
+    three_state = RelativeState.from_vector(np.array([40.0, 95.0, 0.02, -0.03]))
+    four_state = RelativeState.from_vector(np.array([53.0, 109.0, 147.0, 0.01, 0.0, -0.02]))
+    rng = np.random.default_rng(19)
+    keys = [(heavy, 0.05, 10), (light, 0.05, 10), (heavy, 0.05, 10), (heavy, 0.025, 10),
+            (heavy, 0.05, 3), (four, 0.05, 10), (heavy, np.float64(0.05), np.int64(10)),
+            (make_config([50.0, 120.0, 310.0]), 0.05, 10), (four, 0.1, 1), (heavy, 0.05, 10)]
+    for _ in range(2):
+        for cfg, dt, substeps in keys:
+            state = four_state if cfg is four else three_state
+            charges = rng.uniform(-0.05, 0.05, cfg.num_spacecraft)
+            got = rk4_step(state, charges, dt, cfg, substeps)
+            expected = textbook_hold(state, charges, float(dt) * int(substeps), int(substeps), cfg)
+            assert got.as_vector().tobytes() == expected.as_vector().tobytes()
+
+
+@pytest.mark.bitexact
+def test_hold_after_a_failed_hold_is_the_textbook_hold():
+    # a hold that raises mid-hold, or on its charges, leaves nothing behind
+    # that the next hold on the same bound buffers reads
+    cfg = make_config([50.0, 120.0, 310.0])
+    closing = RelativeState.from_vector(np.array([40.0, 40.0047, 0.0, -0.01]))
+    state = RelativeState.from_vector(np.array([40.0, 95.0, 0.02, -0.03]))
+    charges = np.array([0.03, -0.02, 0.01])
+    expected = textbook_hold(state, charges, 0.5, 10, cfg).as_vector().tobytes()
+    assert propagate(state, charges, 0.5, 10, cfg).as_vector().tobytes() == expected
+    with pytest.raises(SingularityError):
+        propagate(closing, np.zeros(3), 0.5, 10, cfg)
+    assert propagate(state, charges, 0.5, 10, cfg).as_vector().tobytes() == expected
+    with pytest.raises(ValueError, match="charges must have length 3"):
+        propagate(state, np.zeros(2), 0.5, 10, cfg)
+    assert propagate(state, charges, 0.5, 10, cfg).as_vector().tobytes() == expected
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.deepcopy, lambda cfg: pickle.loads(pickle.dumps(cfg))
+], ids=["deepcopy", "pickle"])
+@pytest.mark.bitexact
+def test_formation_copies_after_a_hold(duplicate):
+    # the bound hold lives beside the formation, not on it: a formation that
+    # has held copies and pickles, and its copy holds to the same bits
+    cfg, initial, dt, substeps = rk4_oracle_case("threecraft-unequal-masses")
+    state = RelativeState.from_vector(initial)
+    charges = np.array([0.03, -0.02, 0.01])
+    held = propagate(state, charges, dt * substeps, substeps, cfg).as_vector().tobytes()
+    twin = duplicate(cfg)
+    assert twin is not cfg and vars(twin).keys() == vars(cfg).keys()
+    assert twin.masses.tobytes() == cfg.masses.tobytes() and not twin.masses.flags.writeable
+    assert (twin.num_spacecraft, twin.min_separation) == (cfg.num_spacecraft, cfg.min_separation)
+    assert propagate(state, charges, dt * substeps, substeps, twin).as_vector().tobytes() == held
+    expected = textbook_hold(state, charges, dt * substeps, substeps, cfg)
+    assert expected.as_vector().tobytes() == held
+
+
+def test_bound_hold_lets_its_formation_go():
+    cfg = make_config([50.0, 60.0])
+    propagate(RelativeState(np.array([20.0]), np.array([0.0])), np.array([0.01, 0.02]), 0.5, 10, cfg)
+    formation = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert formation() is None
+
+
+def test_bound_hold_checks_a_bool_step_or_count():
+    # True equals a bound step of 1.0 and a bound count of 1, yet is no number
+    cfg = make_config([50.0, 60.0])
+    state, charges = RelativeState(np.array([20.0]), np.array([0.0])), np.array([0.01, 0.02])
+    rk4_step(state, charges, 1.0, cfg, 1)
+    with pytest.raises(ValueError, match="step size must be a number, not true or false"):
+        rk4_step(state, charges, True, cfg, 1)
+    with pytest.raises(ValueError, match="substeps must be at least 1"):
+        rk4_step(state, charges, 1.0, cfg, True)
 
 
 def test_pair_layout_shared_per_craft_count():

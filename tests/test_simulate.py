@@ -75,6 +75,25 @@ def test_scenario_rejects_bad_steps(steps):
         twocraft_scenario(steps=steps)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("steps", 2.5), ("substeps", 0), ("sample_period", -0.5), ("saturation_limit", np.nan),
+    ("initial_state", np.array([51.0, np.inf])),
+])
+def test_scenario_is_frozen_and_replace_checks(field, value):
+    # an assignment would go around the checks, and a bad count would fail
+    # later inside run_closed_loop: the one way to change a field is replace
+    scen = twocraft_scenario()
+    before = getattr(scen, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(scen, field, value)
+    assert getattr(scen, field) is before
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(scen, **{field: value})
+    moved = dataclasses.replace(scen, steps=np.int64(3), sample_period=np.float64(0.25))
+    assert (type(moved.steps), type(moved.sample_period)) == (int, float)
+    assert (moved.steps, moved.sample_period) == (3, 0.25)
+
+
 @pytest.mark.parametrize("field", ["sample_period", "saturation_limit"])
 @pytest.mark.parametrize("value,rule", [
     (0.0, "finite and positive"), (-0.5, "finite and positive"), (np.nan, "finite and positive"),
