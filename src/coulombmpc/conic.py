@@ -19,36 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from numpy._core.umath import _extobj_contextvar, _make_extobj
-from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import eigh_lo
 
 from .dynamics import _check_count
 
 SQRT2 = float(np.sqrt(2.0))
-
-
-def _eigenvalues_did_not_converge(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-# np.linalg.eigh's error state, built once: the gufunc runs under it, so the
-# results are the same bits and a non-convergence (e.g. on NaN input) raises
-# LinAlgError, without np.errstate building a fresh state on every call
-_EIGH_ERRSTATE = _make_extobj(
-    call=_eigenvalues_did_not_converge, invalid="call", over="ignore",
-    divide="ignore", under="ignore",
-)
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh without its Python wrapper, for float64 stacks of
-    symmetric matrices: the same gufunc under the same error state."""
-    token = _extobj_contextvar.set(_EIGH_ERRSTATE)
-    try:
-        return eigh_lo(a)
-    finally:
-        _extobj_contextvar.reset(token)
 
 
 def vec_dim(side: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -93,6 +93,14 @@ def _as_float_vector(value, length: int | None = None, name: str = "array",
     return arr
 
 
+def _rebuilt_through_checks(config):
+    """The ``__reduce__`` of a checked, frozen config dataclass: a copy or an
+    unpickled config is rebuilt from its fields through its checks, so its
+    arrays stay read-only arrays of its own (pickle does not keep numpy's
+    writeable flag, and a restored dataclass skips ``__post_init__``)."""
+    return type(config), tuple(getattr(config, field.name) for field in fields(config))
+
+
 def spacecraft_pairs(num_spacecraft: int) -> np.ndarray:
     """All index pairs (i, j), i < j, ordered (0,1), (0,2), ..., (n-2, n-1), read-only.
 
@@ -134,10 +142,7 @@ class FormationConfig:
         separation = _check_positive(self.min_separation, "min_separation")
         object.__setattr__(self, "min_separation", separation)
 
-    def __reduce__(self):
-        # a copy or an unpickled formation is rebuilt through its checks, so
-        # its masses stay a read-only vector of its own, as a bound hold reads them
-        return FormationConfig, (self.num_spacecraft, self.masses, self.min_separation)
+    __reduce__ = _rebuilt_through_checks
 
     @property
     def state_dim(self) -> int:
@@ -367,14 +372,15 @@ def rk4_step(
     per thread, and reused while the three repeat.  A float ``dt`` and an int
     ``substeps`` equal to the bound ones, which were checked, need no check;
     any other value is checked before the lookup.  Each call checks the
-    charges and the state, forms the charge products once in
-    :func:`spacecraft_pairs` order and runs the substeps' four stages, every
-    elementwise operation writing into a bound buffer through ``out``.  A stage
-    evaluates ``[velocities; relative_input_matrix(positions) @
-    charge_products(charges)]``, separation check included, by the same
-    floating-point operations in the same order, and a substep ends in ``y +
-    (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so each substep is bit-identical to
-    the textbook RK4 kept in ``tests/test_dynamics.py``.  Each stage is one row
+    charges (their count, and that each is finite) and the state, forms the
+    charge products once in :func:`spacecraft_pairs` order and runs the
+    substeps' four stages, every elementwise operation writing into a bound
+    buffer through ``out``.  A stage evaluates ``[velocities;
+    relative_input_matrix(positions) @ charge_products(charges)]``,
+    separation check included, by the same floating-point operations in the
+    same order, and a substep ends in ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) +
+    k4)``, so each substep is bit-identical to the textbook RK4 kept in
+    ``tests/test_dynamics.py``.  Each stage is one row
     ``[0, positions, velocities, accelerations]``: the leading 0 is craft 1,
     which the kernel reads directly, and the stage's derivative k is the view
     of its velocities and accelerations.  The accelerations are the BLAS
@@ -395,6 +401,8 @@ def rk4_step(
     q = np.asarray(charges, dtype=float)
     if q.shape != (half + 1,):
         raise ValueError(f"charges must have length {half + 1}, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError(f"charges must be finite, got {q}")
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")

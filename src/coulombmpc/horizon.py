@@ -32,7 +32,7 @@ from scipy.sparse import _sparsetools
 
 from .conic import SQRT2, ConeDims, ConicProblem, sym_gather, vec_dim
 from .dynamics import DiscreteModel, _as_float_vector, _as_floats, _bound, _check_count
-from .dynamics import _check_positive, spacecraft_pairs
+from .dynamics import _check_positive, _rebuilt_through_checks, spacecraft_pairs
 
 _PSD_EIG_FLOOR = -1e-10
 
@@ -94,6 +94,8 @@ class MpcParams:
             raise ValueError("state_min must be elementwise below state_max")
         object.__setattr__(self, "state_min", lo)
         object.__setattr__(self, "state_max", hi)
+
+    __reduce__ = _rebuilt_through_checks
 
     @property
     def num_spacecraft(self) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import _eigh
 from .dynamics import _check_positive
 
 
@@ -35,13 +34,13 @@ def recover(lifted: np.ndarray, previous: np.ndarray | None = None) -> Recovered
     """Frobenius-nearest rank-one charge factor of a (nearly) PSD matrix.
 
     Small negative eigenvalues from solver tolerance are clamped to zero.
-    The eigenpairs come from the gufunc ``np.linalg.eigh`` runs, called
-    directly (:func:`~coulombmpc.conic._eigh`), so they are the same bits.
+    The eigenpairs come from ``np.linalg.eigh``, which raises ``LinAlgError``
+    on a matrix it cannot decompose.
     """
     mat = np.asarray(lifted, dtype=float)
     if not np.isfinite(mat).all():
         raise ValueError("lifted matrix contains non-finite entries")
-    eigvals, eigvecs = _eigh(0.5 * (mat + mat.T))
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (mat + mat.T))
     np.maximum(eigvals, 0.0, out=eigvals)
     dominant = float(eigvals[-1])
     charges = math.sqrt(dominant) * eigvecs[:, -1]

@@ -22,6 +22,7 @@ from .dynamics import (
     _as_float_vector,
     _check_count,
     _check_positive,
+    _rebuilt_through_checks,
     build_discrete_model,
     charge_products,
     rk4_step,
@@ -66,6 +67,8 @@ class ScenarioConfig:
             object.__setattr__(self, name, _check_count(getattr(self, name), name))
         if not isinstance(self.output_path, (str, os.PathLike, type(None))):
             raise ValueError(f"output must be a str, os.PathLike or None, got {self.output_path!r}")
+
+    __reduce__ = _rebuilt_through_checks
 
 
 @dataclass

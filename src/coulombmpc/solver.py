@@ -52,10 +52,9 @@ Contract:
   reads; any other copies its last iterate there, for the next block and
   the rho balance.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
-  ``eigh_lo`` gufunc under ``np.linalg.eigh``'s error state, ``c_einsum``,
-  numpy's error-state context variable (the termination decision runs
-  quiet) and scipy's ``_sparsetools`` kernels, each checked against its
-  public counterpart in ``tests/test_solver.py``.
+  ``eigh_lo`` gufunc, in the solve's quiet error state, ``c_einsum`` and
+  scipy's ``_sparsetools`` kernels, each checked against its public
+  counterpart in the tests.
 
 How the loop reaches that bit for bit (the stacked ``[x; w]`` iterate, the
 iterate-major block check, the bound projection) is recorded in CHANGES.md.
@@ -72,11 +71,11 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 from numpy._core.multiarray import c_einsum
-from numpy._core.umath import _extobj_contextvar, _make_extobj
+from numpy.linalg._umath_linalg import eigh_lo
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
-from .conic import ConeDims, ConicProblem, _eigh, sym_gather, vec_dim
+from .conic import ConeDims, ConicProblem, sym_gather, vec_dim
 from .dynamics import _check_count, _check_positive
 
 OPTIMAL = "optimal"
@@ -95,7 +94,6 @@ _ALPHA = 1.6  # over-relaxation
 _RUIZ_ITERS = 10
 _STALL_ITERS = 2000
 _STALL_SCORE = 1e4
-_QUIET = _make_extobj(all="ignore")  # the error state of a solve past its checks
 
 
 @dataclass(frozen=True)
@@ -174,7 +172,7 @@ class _ConeProjector:
             for gather, unscale_all, lower_all, scale_all, zeros, target in groups:
                 mats = v[gather]
                 divide(mats, unscale_all, mats)
-                eigvals, eigvecs = _eigh(mats)
+                eigvals, eigvecs = eigh_lo(mats)  # NaN where it cannot decompose
                 maximum(eigvals, zeros, out=eigvals)
                 vals = c_einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs).take(lower_all)
                 multiply(vals, scale_all, target)
@@ -430,11 +428,13 @@ class ConicSolver:
         order, in bursts after each block of iterations, and nothing past the
         returned iteration count.
 
-        Past these checks the solve runs in the quiet error state of the
-        plain loop's Python floats, ``log_callback`` included: an iterate, a
-        residual or an objective that overflows or is not finite ends the
-        solve by the termination rules, never as a ``RuntimeWarning``
-        (``eigh`` keeps its own error state, which raises ``LinAlgError``).
+        Past these checks the solve runs in numpy's quiet error state,
+        ``log_callback`` included: an iterate, a residual or an objective
+        that overflows or is not finite ends the solve by the termination
+        rules, never as a warning or as an exception.  A matrix the
+        projection's ``eigh`` cannot decompose comes back as NaN, so it ends
+        the solve ``infeasible_suspect`` at that iterate like any other
+        non-finite value.
         """
         t0 = time.perf_counter()
         prob = self.prob
@@ -446,11 +446,8 @@ class ConicSolver:
             raise ValueError("right-hand side contains non-finite entries")
         if warm is not None and (warm.z.size, warm.s.size, warm.y.size) != (n, mr, mr):
             raise ValueError("warm start does not match the problem's dimensions")
-        token = _extobj_contextvar.set(_QUIET)
-        try:
+        with np.errstate(all="ignore"):
             return self._solve(b, warm, log_callback, t0)
-        finally:
-            _extobj_contextvar.reset(token)
 
     def _solve(self, b: np.ndarray, warm: SolveResult | None, log_callback,
                t0: float) -> SolveResult:
@@ -512,44 +509,36 @@ class ConicSolver:
             if it < warm_end < it + count:
                 count = warm_end - it
             longest = _CHECK_EVERY
-            done = 0
-            failure = None
-            try:
-                for xw, w, y, x_next, w_next, y_next in row_views[:count]:
-                    # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
-                    divide(y, rho_vec, y_rho)
-                    multiply(sig, xw, rhs)
-                    subtract(rhs, shift, rhs)
-                    sol = lu_solve(rhs)
-                    # w_half = w + (nu - y)/rho, in place of nu in sol
-                    nu = sol[n:]
-                    subtract(nu, y, nu)
-                    divide(nu, rho_vec, nu)
-                    add(w, nu, nu)
-                    # [x; w_relaxed] = alpha [x_half; w_half] + (1 - alpha) [x; w]
-                    multiply(alpha, sol, sol)
-                    multiply(beta, xw, relaxed)
-                    add(sol, relaxed, relaxed)
-                    # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
-                    add(w_relaxed, y_rho, proj_in)
-                    subtract(b_s, proj_in, proj_in)
-                    project()  # proj_in into proj_out
-                    subtract(b_s, proj_out, w_next)
-                    # y_next = y + rho (w_relaxed - w_next)
-                    subtract(w_relaxed, w_next, w_relaxed)
-                    multiply(rho_vec, w_relaxed, w_relaxed)
-                    add(y, w_relaxed, y_next)
-                    copyto(x_next, x_relaxed)  # the one copy: w_next is in place
-                    done += 1
-            except Exception as exc:
-                # whatever an iterate past the stopping one raises (e.g. eigh
-                # on an all-NaN slack) must not surface: scan the rows before it
-                failure = exc
+            for xw, w, y, x_next, w_next, y_next in row_views[:count]:
+                # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
+                divide(y, rho_vec, y_rho)
+                multiply(sig, xw, rhs)
+                subtract(rhs, shift, rhs)
+                sol = lu_solve(rhs)
+                # w_half = w + (nu - y)/rho, in place of nu in sol
+                nu = sol[n:]
+                subtract(nu, y, nu)
+                divide(nu, rho_vec, nu)
+                add(w, nu, nu)
+                # [x; w_relaxed] = alpha [x_half; w_half] + (1 - alpha) [x; w]
+                multiply(alpha, sol, sol)
+                multiply(beta, xw, relaxed)
+                add(sol, relaxed, relaxed)
+                # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
+                add(w_relaxed, y_rho, proj_in)
+                subtract(b_s, proj_in, proj_in)
+                project()  # proj_in into proj_out
+                subtract(b_s, proj_out, w_next)
+                # y_next = y + rho (w_relaxed - w_next)
+                subtract(w_relaxed, w_next, w_relaxed)
+                multiply(rho_vec, w_relaxed, w_relaxed)
+                add(y, w_relaxed, y_next)
+                copyto(x_next, x_relaxed)  # the one copy: w_next is in place
 
             # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
             x_s, w_s, y_s, z_u, w_u, y_u, y_all, gammas, prim, dual, norms, check_products = \
-                check_views[done]
+                check_views[count]
             multiply(d, x_s, z_u)
             divide(w_s, e, w_u)
             multiply(e, y_s, y_u)
@@ -579,7 +568,7 @@ class ConicSolver:
             # a row stops at a NaN score or, converged, at most 1: rounding is
             # monotonic, so r / eps <= 1 exactly when r <= eps
             goes = (score > 1.0).tolist()
-            row = goes.index(False) if False in goes else done
+            row = goes.index(False) if False in goes else count
             if best_score > _STALL_SCORE and it + row - best_iter > _STALL_ITERS:
                 # the stall rule may stop a row before; the best score and its iterate per row
                 ks = np.arange(it + 1, it + row + 1)
@@ -588,19 +577,17 @@ class ConicSolver:
                 stalls = np.flatnonzero((ks - best_at > _STALL_ITERS) & (best[1:] > _STALL_SCORE))
                 row = int(stalls[0]) if stalls.size else row
             if log_callback is not None:  # each row up to the stop, and it unless not finite
-                logged = row + (row < done and not math.isnan(score.item(row)))
+                logged = row + (row < count and not math.isnan(score.item(row)))
                 for k, r_prim, r_dual in zip(itertools.count(it + 1), *r[:, :logged].tolist()):
                     log_callback(k, r_prim, r_dual)
-            if row < done:
+            if row < count:
                 status = OPTIMAL if score.item(row) <= 1.0 else INFEASIBLE_SUSPECT
                 it += row + 1
                 break
-            if failure is not None:
-                raise failure
             i = score.argmin()  # the block's best score and its iterate carry over
             if score.item(i) < best_score:
                 best_score, best_iter = score.item(i), it + int(i) + 1
-            it, row = it + done, done - 1
+            it, row = it + count, count - 1
             if count != _CHECK_EVERY:
                 # the block's last iterate goes where the next block and the
                 # rho balance read it, the start row

@@ -6,12 +6,15 @@ iteration, the PSD projection scatters into zeroed stacks, Ruiz
 equilibration multiplies by diagonal matrices and each rho refactor
 reassembles the KKT matrix with ``bmat``.  The optimized solver must
 reproduce its iterates bit for bit (see ``test_solver_reference.py``).
-Besides the class name and imports, two edits follow the solver's rules:
+Besides the class name and imports, three edits follow the solver's rules:
 the fixed tuning (sigma, alpha, the initial rho, the Ruiz passes; always
-equilibrated, rho always adapted) is read from the solver's constants, and a
-result is the iterate the loop stopped at, not the best-scoring one.  The
-objective formula the loop reports, ``c'z + constant + z'Pz/2``, is kept
-here as :func:`objective_value`, the tests' one copy of it.
+equilibrated, rho always adapted) is read from the solver's constants, a
+result is the iterate the loop stopped at, not the best-scoring one, and
+the projection turns a matrix that ``np.linalg.eigh`` cannot decompose into
+NaN (:func:`_eigh_or_nan`), so its iterate ends the loop as any other
+non-finite one does.  The objective formula the loop reports, ``c'z +
+constant + z'Pz/2``, is kept here as :func:`objective_value`, the tests'
+one copy of it.
 """
 
 from __future__ import annotations
@@ -78,13 +81,27 @@ class _ConeProjector:
             mats = np.zeros((flat.shape[0], side, side))
             mats[:, r, c] = vals
             mats[:, c, r] = vals
-            eigvals, eigvecs = np.linalg.eigh(mats)
+            eigvals, eigvecs = _eigh_or_nan(mats)
             eigvals = np.maximum(eigvals, 0.0)
             rec = np.einsum("kij,kj,klj->kil", eigvecs, eigvals, eigvecs)
             out[flat] = rec[:, r, c] * scale
         return out
 
 
+def _eigh_or_nan(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack, with NaN eigenpairs for each matrix it
+    cannot decompose: on ``LinAlgError`` the stack is decomposed again matrix
+    by matrix (a matrix's bits do not depend on the stack)."""
+    try:
+        return np.linalg.eigh(mats)
+    except np.linalg.LinAlgError:
+        eigvals, eigvecs = np.full(mats.shape[:2], np.nan), np.full(mats.shape, np.nan)
+        for k, mat in enumerate(mats):
+            try:
+                eigvals[k], eigvecs[k] = np.linalg.eigh(mat)
+            except np.linalg.LinAlgError:
+                pass
+        return eigvals, eigvecs
 
 
 def _col_inf_norms(mat: sp.csc_matrix) -> np.ndarray:

@@ -532,6 +532,22 @@ def test_hold_after_a_failed_hold_is_the_textbook_hold():
     with pytest.raises(ValueError, match="charges must have length 3"):
         propagate(state, np.zeros(2), 0.5, 10, cfg)
     assert propagate(state, charges, 0.5, 10, cfg).as_vector().tobytes() == expected
+    with pytest.raises(ValueError, match="charges must be finite"):
+        propagate(state, np.array([0.03, np.nan, 0.01]), 0.5, 10, cfg)
+    assert propagate(state, charges, 0.5, 10, cfg).as_vector().tobytes() == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_nonfinite_charges_are_refused(value):
+    # the separation check lets a NaN state through, so a hold under a
+    # non-finite charge returned a NaN state and the run went on
+    cfg = make_config([50.0, 60.0])
+    state = RelativeState(np.array([50.0]), np.array([0.0]))
+    for charges in ([value, 1.0], [1.0, value]):
+        with pytest.raises(ValueError, match=r"charges must be finite, got \["):
+            propagate(state, charges, 0.5, 10, cfg)
+        with pytest.raises(ValueError, match="charges must be finite"):
+            rk4_step(state, np.array(charges), 0.05, cfg, 10)
 
 
 @pytest.mark.parametrize("duplicate", [

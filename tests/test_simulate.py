@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,7 @@ from coulombmpc import (
     run_closed_loop,
     write_csv,
 )
+from coulombmpc.config import load_scenario
 from coulombmpc.simulate import ORACLE_MAX_COMBINATIONS, RUN_ABORTED_COLLISION, RUN_COMPLETED
 from coulombmpc.solver import OPTIMAL
 
@@ -185,6 +188,50 @@ def test_scenario_keeps_its_own_initial_state():
     assert np.array_equal(scen.initial_state, [51.0, 0.0])
     with pytest.raises(ValueError, match="read-only"):
         scen.initial_state[0] = 60.0
+
+
+def config_leaves(config, prefix=""):
+    """Every field of a config dataclass and of the ones it holds, by path."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_leaves(value, f"{prefix}{field.name}.")
+        else:
+            yield f"{prefix}{field.name}", value
+
+
+# the shipped file, and a full (not diagonal) state weight matrix
+@pytest.mark.parametrize("scenario", [
+    lambda: load_scenario(Path(__file__).resolve().parent.parent / "configs" / "twocraft.cfg",
+                          {"steps": 3}),
+    lambda: twocraft_scenario(steps=3, params=dataclasses.replace(
+        twocraft_scenario().params, state_weight=np.array([[1.0, 0.5], [0.5, 20.0]]))),
+], ids=["shipped", "full-weight"])
+@pytest.mark.parametrize("duplicate", [
+    copy.deepcopy, lambda config: pickle.loads(pickle.dumps(config))
+], ids=["deepcopy", "pickle"])
+@pytest.mark.bitexact
+def test_scenario_copies_are_rebuilt_through_their_checks(scenario, duplicate):
+    # a copied or unpickled scenario kept writable arrays: pickle does not
+    # keep numpy's writeable flag, and a restored dataclass skips its checks
+    scen = scenario()
+    twin = duplicate(scen)
+    leaves, twin_leaves = dict(config_leaves(scen)), dict(config_leaves(twin))
+    assert twin_leaves.keys() == leaves.keys()
+    arrays = [name for name, value in leaves.items() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 8
+    for name, value in twin_leaves.items():
+        if name in arrays:
+            assert not value.flags.writeable, name
+            assert value.shape == leaves[name].shape, name
+            assert value.tobytes() == leaves[name].tobytes(), name
+        else:
+            assert value == leaves[name], name
+    runs = [run_closed_loop(config).records for config in (scen, twin)]
+    # every CSV field but the wall time, field 8
+    assert [record_fields(r)[:8] + record_fields(r)[9:] for r in runs[1]] == \
+        [record_fields(r)[:8] + record_fields(r)[9:] for r in runs[0]]
+    assert len(runs[0]) == 3
 
 
 def test_caller_edits_reach_neither_the_log_nor_the_controller():
