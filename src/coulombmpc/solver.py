@@ -46,11 +46,9 @@ Contract:
   The returned result, the iteration count and the ``log_callback`` stream
   are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
-- A block's iterates fill rows from row 0 of buffers sized for the longest
-  block, so the check reads them in place and multiplies no stale row.  A
-  block of ``_CHECK_EVERY`` iterates ends in the start row, the one row 0
-  reads; any other copies its last iterate there, for the next block and
-  the rho balance.
+- A block of k iterates fills rows 1..k after its start in row 0, where a
+  block that does not stop copies its last iterate for the next block and
+  the rho balance, so the check reads the block in place.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc, in the solve's quiet error state, ``c_einsum`` and
   scipy's ``_sparsetools`` kernels, each checked against its public
@@ -310,21 +308,17 @@ class _Workspace:
         self.kkt.sum_duplicates()
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
-        # the iterate [x; w] and y of each iteration of a check block, one row
-        # each, as many rows as the longest block, a settled solve's first;
-        # an iteration reads the row before it, and row 0 reads the last row
-        # of a full block, where a solve puts its start and any other block
-        # leaves its last iterate for the next block and the rho balance.
-        # row_views[r]: the previous [x; w], w and y, then this row's x, w and y
-        longest, last = _RHO_CHECK_EVERY, _CHECK_EVERY - 1
-        self.rows = np.zeros((longest, n + m))
-        self.y_rows = np.zeros((longest, m))
+        # the iterate [x; w] and y, one row each: row 0 holds the iterate a
+        # block starts from and a block of k iterates fills rows 1..k.
+        # row_views[r]: row r's [x; w], w and y, then row r + 1's x, w and y
+        self.rows = np.zeros((_RHO_CHECK_EVERY + 1, n + m))
+        self.y_rows = np.zeros((_RHO_CHECK_EVERY + 1, m))
         self.row_views = [
-            (self.rows[p], self.rows[p, n:], self.y_rows[p],
-             self.rows[r, :n], self.rows[r, n:], self.y_rows[r])
-            for r, p in enumerate([last, *range(longest - 1)])
+            (self.rows[r], self.rows[r, n:], self.y_rows[r],
+             self.rows[r + 1, :n], self.rows[r + 1, n:], self.y_rows[r + 1])
+            for r in range(_RHO_CHECK_EVERY)
         ]
-        self.start = self.rows[last], self.y_rows[last]
+        self.start = self.rows[0], self.y_rows[0]
         # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
         self.sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
         self.shift = np.concatenate([q_s, np.zeros(m)])
@@ -332,14 +326,17 @@ class _Workspace:
         for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
             setattr(self, name, np.zeros(size))
         self.project = projector.bind(self.proj_in, self.proj_out)
-        # check_views[k]: the batched check of a block of k iterates, bound for
-        # every short block here and for a settled solve's first block when a
-        # solve first settles (a cold solve never needs those)
+        # check_views[k]: the batched check of a block of k iterates, bound the
+        # first time a block of k runs (a cold solve binds no long one) on the
+        # heads of flat buffers sized for the longest block: the unscaled z, w
+        # and y, [residual, A z, s], [residual, P z, A'y], their (3, 2, k)
+        # infinity norms and the kernels' output columns
         self.check_mats = prob.A, prob.A.T, prob.P
-        self.check_views = []
-        self.bind_checks(_CHECK_EVERY)
+        self.check_flat = [np.zeros(_RHO_CHECK_EVERY * size)
+                           for size in (n, m, m, 3 * m, 3 * n, 6, m + 2 * n)]
+        self.check_views = [None] * (_RHO_CHECK_EVERY + 1)
         # the rho balance's scaled products of the start row's x and y
-        x, y = self.rows[last, :n], self.y_rows[last]
+        x, y = self.rows[0, :n], self.y_rows[0]
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
                         _bind_product(A_s.T, y, np.zeros(n))]
         # the returned z and its unscaled P z, for the objective
@@ -347,30 +344,25 @@ class _Workspace:
         self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
         self.set_rho(_RHO_INIT)
 
-    def bind_checks(self, longest: int):
-        """Bind ``check_views[k]`` for each k up to ``longest`` not bound yet, on
-        the heads of flat buffers sized for ``longest``: the unscaled z, w and
-        y, [residual, A z, s], [residual, P z, A'y], their (3, 2, k) infinity
-        norms and the kernels' output columns.  A view is a block's scaled x,
-        w and y, then the check's views (y also flat, beside as many gammas)
-        and its products call.  z and y are (k, size) views of (size, k)
-        buffers, one iterate per column as the kernels take them; the rest are
-        contiguous, so each infinity norm is a contiguous reduction."""
+    def bind_check(self, k: int):
+        """Bind and return ``check_views[k]``: the block's scaled x, w and y
+        in rows 1..k, then the check's views (y also flat, beside as many
+        gammas) and its products call.  z and y are (k, size) views of (size,
+        k) buffers, one iterate per column as the kernels take them; the rest
+        are contiguous, so each infinity norm is a contiguous reduction."""
         m, n = self.check_mats[0].shape
-        z_flat, w_flat, y_flat = (np.zeros(longest * size) for size in (n, m, m))
-        prim_flat, dual_flat = np.zeros(3 * longest * m), np.zeros(3 * longest * n)
-        norms_flat, columns = np.zeros(6 * longest), np.zeros(longest * (m + 2 * n))
-        gammas = np.broadcast_to(self.gamma, longest * m)  # read-only, no memory: stride 0
-        for k in range(len(self.check_views), longest + 1):
-            z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
-            prim = prim_flat[: 3 * k * m].reshape(3, k, m)
-            dual = dual_flat[: 3 * k * n].reshape(3, k, n)
-            products = _bind_check_products(self.check_mats, z_col, y_col, columns,
-                                            prim[1], dual[1], dual[2])
-            self.check_views.append((self.rows[:k, :n], self.rows[:k, n:], self.y_rows[:k], z_col.T,
-                                     w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k],
-                                     gammas[: m * k], prim, dual,
-                                     norms_flat[: 6 * k].reshape(3, 2, k), products))
+        z_flat, w_flat, y_flat, prim_flat, dual_flat, norms_flat, columns = self.check_flat
+        z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
+        prim = prim_flat[: 3 * k * m].reshape(3, k, m)
+        dual = dual_flat[: 3 * k * n].reshape(3, k, n)
+        products = _bind_check_products(self.check_mats, z_col, y_col, columns,
+                                        prim[1], dual[1], dual[2])
+        gammas = np.broadcast_to(self.gamma, m * k)  # read-only, no memory: stride 0
+        view = self.check_views[k] = (
+            self.rows[1 : k + 1, :n], self.rows[1 : k + 1, n:], self.y_rows[1 : k + 1],
+            z_col.T, w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k], gammas,
+            prim, dual, norms_flat[: 6 * k].reshape(3, 2, k), products)
+        return view
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
@@ -461,7 +453,6 @@ class ConicSolver:
         c = prob.c
         b_s = e * b
 
-        # the first iteration starts from the start row, the row before row 0
         start, y_start = ws.start
         if warm is not None:
             start[:n] = warm.z / d
@@ -475,7 +466,7 @@ class ConicSolver:
         y_rho = shift[n:]
         x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
         proj_in, proj_out = ws.proj_in, ws.proj_out
-        row_views, check_views = ws.row_views, ws.check_views
+        rows, y_rows, row_views, check_views = ws.rows, ws.y_rows, ws.row_views, ws.check_views
         project = ws.project
         rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
         # bound once; each ufunc but maximum takes its out positionally
@@ -501,8 +492,6 @@ class ConicSolver:
         # runs straight to this one's
         held, self._held = self._held, 0
         longest = _RHO_CHECK_EVERY if held >= _SETTLED_AFTER and warm_end > 0 else _CHECK_EVERY
-        if len(check_views) <= longest:
-            ws.bind_checks(longest)
 
         while it < max_iters:
             count = min(longest, max_iters - it, _RHO_CHECK_EVERY - it % _RHO_CHECK_EVERY)
@@ -538,7 +527,7 @@ class ConicSolver:
             # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
             x_s, w_s, y_s, z_u, w_u, y_u, y_all, gammas, prim, dual, norms, check_products = \
-                check_views[count]
+                check_views[count] or ws.bind_check(count)
             multiply(d, x_s, z_u)
             divide(w_s, e, w_u)
             multiply(e, y_s, y_u)
@@ -588,11 +577,9 @@ class ConicSolver:
             if score.item(i) < best_score:
                 best_score, best_iter = score.item(i), it + int(i) + 1
             it, row = it + count, count - 1
-            if count != _CHECK_EVERY:
-                # the block's last iterate goes where the next block and the
-                # rho balance read it, the start row
-                copyto(start, ws.rows[row])
-                copyto(y_start, ws.y_rows[row])
+            # the block's last iterate goes to row 0, for the next block and the rho balance
+            copyto(start, rows[count])
+            copyto(y_start, y_rows[count])
 
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the

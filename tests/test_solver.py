@@ -451,7 +451,8 @@ def test_bound_operands_are_read_only():
     # the loop's constant operands, bound once where a scalar was: alpha and
     # 1 - alpha, each check view's gammas and the projection's zeros
     ws = _Workspace(shipped_step0("fourcraft.cfg"))
-    ws.bind_checks(100)
+    for k in range(1, 101):
+        ws.bind_check(k)
     cells = [cell.cell_contents for cell in ws.project.__closure__]
     bound = dict(zip(ws.project.__code__.co_freevars, cells))
     operands = [(ws.alpha, _ALPHA), (ws.beta, 1.0 - _ALPHA), (bound["zeros_nn"], 0.0)]

@@ -33,7 +33,7 @@ from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
 from coulombmpc.simulate import run_closed_loop
 from coulombmpc.solver import (INFEASIBLE_SUSPECT, MAX_ITERS, OPTIMAL, _SETTLED_AFTER,
-                               _ConeProjector)
+                               _ConeProjector, _Workspace)
 import reference_admm
 from reference_admm import ReferenceSolver
 
@@ -378,8 +378,10 @@ def test_settled_solve_matches_reference(monkeypatch, name, prob, expected, offs
 
 
 # tight solves run past 100, so a warm count of 100 or 150 puts the rho
-# balance at the end of a long first block
-@pytest.mark.parametrize("count", [5, 28, 95, 100, 150])
+# balance at the end of a long first block; 1, 10 and 11 end a first block
+# of one iterate, of exactly ten and of one more, the first blocks whose last
+# iterate goes back to row 0
+@pytest.mark.parametrize("count", [1, 5, 10, 11, 28, 95, 100, 150])
 @pytest.mark.parametrize("settings", [SolverSettings(), TIGHT], ids=["default", "tight"])
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_settled_warm_counts_match_reference(monkeypatch, name, prob, expected, settings, count):
@@ -387,6 +389,44 @@ def test_settled_warm_counts_match_reference(monkeypatch, name, prob, expected, 
     got, passes = solves(monkeypatch, prob, settings, warms + [cold_warm(prob, count)])
     assert got.status == OPTIMAL and got.iterations == stop
     assert passes == schedule(stop, count, settled=True)[0]
+
+
+def bound_lengths(monkeypatch):
+    """A list that gets the length of each check view as it is bound, by
+    every solver from now on."""
+    bound = []
+    bind = _Workspace.bind_check
+    monkeypatch.setattr(_Workspace, "bind_check", lambda ws, k: bound.append(k) or bind(ws, k))
+    return bound
+
+
+def test_cold_solves_bind_only_the_check_views_they_run(monkeypatch):
+    # a long view is bound only when a settled solve first runs it: binding
+    # them all up front cost every solver build a millisecond.  The first
+    # solve runs out of budget in a block of 3; the later ones converge
+    prob, scenario = fourcraft_step0()
+    bound = bound_lengths(monkeypatch)
+    solver = ConicSolver(prob, dataclasses.replace(scenario.solver, max_iters=1003))
+    statuses = [solver.solve().status for _ in range(3)]
+    assert statuses == [MAX_ITERS, OPTIMAL, OPTIMAL]
+    assert bound == [10, 3]
+    assert [k for k, view in enumerate(solver._ws.check_views) if view] == [3, 10]
+
+
+def test_settled_check_view_is_bound_once(monkeypatch):
+    # two settled solves in a row, each one block of stop iterates: the first
+    # binds that length and the second reuses it
+    _, prob, _ = build_problems()[0]
+    warms, stop = settling(prob, SolverSettings())
+    bound = bound_lengths(monkeypatch)
+    solver = ConicSolver(prob)
+    for warm in warms:
+        solver.solve(warm=warm)
+    assert stop > 10 and stop not in bound
+    for expected in ([stop], []):
+        before = len(bound)
+        assert solver.solve(warm=cold_warm(prob, stop)).iterations == stop
+        assert bound[before:] == expected
 
 
 def test_settled_first_block_runs_through_the_rho_balance(monkeypatch):
