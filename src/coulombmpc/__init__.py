@@ -39,6 +39,7 @@ from .simulate import (
     RUN_COMPLETED,
     RunLog,
     ScenarioConfig,
+    box_edge_starts,
     brute_force_qcqp,
     propagate,
     read_csv,

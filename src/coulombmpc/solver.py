@@ -46,16 +46,45 @@ Contract:
   The returned result, the iteration count and the ``log_callback`` stream
   are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
-- A block of k iterates fills rows 1..k after its start in row 0, where a
-  block that does not stop copies its last iterate for the next block and
-  the rho balance, so the check reads the block in place.
+- Two backends run the linear part of an iteration, chosen by problem
+  size.  Everything in an iteration but the projection is affine in the
+  iterate v = [x; w; y; 1], so up to ``_DENSE_MAX`` = n + m the *dense*
+  backend runs it as one product u = M v = [x_next; proj_in] with a map M
+  (``_dense_map``) rebuilt from the KKT factor at each rho refactor, whose
+  b_s column each solve rewrites; then w_next = b_s - proj(proj_in) and
+  y_next = rho (proj(proj_in) - proj_in).  Larger problems run on the *LU*
+  backend, one sparse solve of the factor per iteration.  Microseconds per
+  iteration, a cold solve run to a 1,500-iteration budget, min of 5, one
+  BLAS thread pinned to one core of a 2-core AVX-512 Xeon:
+
+      problem (horizon)   n + m     LU    dense
+      two-craft (1)          20   20.8     11.8
+      two-craft (4)          68   25.8     16.4
+      four-craft (1)         68   26.9     16.5
+      four-craft (3)        180   41.0     27.3
+      four-craft (5)        292   51.7     43.2
+      four-craft (6)        348   61.1     74.4
+      four-craft (9)        516   73.5    193.8
+
+  The dense map is faster up to about 300, but it is a dense inverse of an
+  ill-conditioned KKT, and its accuracy sets the crossover: on four-craft
+  equilibrium steps it needs as many iterations as LU at n + m = 68, but at
+  124 a 1e-12 solve takes 7,106 iterations against 606, and from 236 it
+  does not reach 1e-12 in 50,000.  The crossover is a module constant, not
+  a setting.  Each backend is bit-identical to the plain loop taking the
+  same backend; the two agree to rounding, not bit for bit.
+- Every iterate is one row [x; w; y; 1].  A block of k iterates fills rows
+  1..k after its start in row 0, where a block that does not stop copies
+  its last row for the next block and the rho balance, so the check reads
+  the block in place.  A solver that does not warm start never settles, so
+  its rows and check buffers serve blocks of ``_CHECK_EVERY``.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc, in the solve's quiet error state, ``c_einsum`` and
   scipy's ``_sparsetools`` kernels, each checked against its public
   counterpart in the tests.
 
-How the loop reaches that bit for bit (the stacked ``[x; w]`` iterate, the
-iterate-major block check, the bound projection) is recorded in CHANGES.md.
+How the loop reaches that bit for bit (the iterate row, the iterate-major
+block check, the bound projection) is recorded in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -85,6 +114,7 @@ _RHO_MIN, _RHO_MAX = 1e-6, 1e6
 _RHO_EQ_FACTOR = 1e3  # zero-cone rows get a stiffer penalty
 _RHO_CHECK_EVERY = 100
 _CHECK_EVERY = 10  # the most iterations per termination-check block
+_DENSE_MAX = 64  # the largest n + m run on the dense map; its accuracy sets it (module notes)
 _SETTLED_AFTER = 3  # solves in a row stopping at their warm count settle it
 _RHO_TRIGGER = 5.0
 _SIGMA = 1e-6  # primal regularization of the KKT system
@@ -236,6 +266,35 @@ def _bind_check_products(mats, z_u, y_u, columns, az, pz, aty):
     return check_products
 
 
+def _dense_map(lu, rho_vec: np.ndarray, q_s: np.ndarray) -> np.ndarray:
+    """The affine part of one ADMM iteration as one C-ordered matrix M on the
+    iterate v = [x; w; y; 1]: M v = [x_next; proj_in - b_s], so a solve adds
+    its b_s to the last column's lower rows.  With G = K^-1 S, S mapping v to
+    the LU loop's right-hand side [sigma x - q_s; w - y/rho] and E_x, E_w,
+    E_y selecting x, w and y from v,
+
+        M = [alpha G_x + (1 - alpha) E_x;
+             -(E_w + diag(alpha/rho) (G_w - E_y) + diag(1/rho) E_y)].
+
+    G is one solve of the KKT factor ``lu`` on the dense S."""
+    n, m = q_s.size, rho_vec.size
+    x, w = np.arange(n), np.arange(n, n + m)
+    inv_rho = 1.0 / rho_vec
+    S = np.zeros((n + m, n + 2 * m + 1))
+    S[x, x] = _SIGMA
+    S[:n, -1] = -q_s
+    S[w, w] = 1.0
+    S[w, w + m] = -inv_rho
+    G = lu.solve(S)
+    M = np.empty_like(S)
+    np.multiply(_ALPHA, G[:n], out=M[:n])
+    M[x, x] += 1.0 - _ALPHA
+    np.multiply(-(_ALPHA * inv_rho)[:, None], G[n:], out=M[n:])
+    M[w, w] -= 1.0
+    M[w, w + m] += (_ALPHA - 1.0) * inv_rho
+    return M
+
+
 def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index of every stored entry of a CSC matrix."""
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
@@ -243,9 +302,12 @@ def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Workspace:
-    """Scaled data, cached factorization and iteration buffers of a solver."""
+    """Scaled data, cached factorization and iteration buffers of a solver,
+    for blocks of at most ``longest`` iterates, and the backend that runs
+    them: the dense map when n + m is at most ``_DENSE_MAX``, else the LU
+    solve."""
 
-    def __init__(self, prob: ConicProblem):
+    def __init__(self, prob: ConicProblem, longest: int = _RHO_CHECK_EVERY):
         n, m = prob.num_vars, prob.num_rows
         P_s = prob.P.astype(float)  # astype copies
         A_s = prob.A.astype(float)
@@ -308,41 +370,112 @@ class _Workspace:
         self.kkt.sum_duplicates()
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
-        # the iterate [x; w] and y, one row each: row 0 holds the iterate a
-        # block starts from and a block of k iterates fills rows 1..k.
-        # row_views[r]: row r's [x; w], w and y, then row r + 1's x, w and y
-        self.rows = np.zeros((_RHO_CHECK_EVERY + 1, n + m))
-        self.y_rows = np.zeros((_RHO_CHECK_EVERY + 1, m))
-        self.row_views = [
-            (self.rows[r], self.rows[r, n:], self.y_rows[r],
-             self.rows[r + 1, :n], self.rows[r + 1, n:], self.y_rows[r + 1])
-            for r in range(_RHO_CHECK_EVERY)
-        ]
-        self.start = self.rows[0], self.y_rows[0]
-        # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
-        self.sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
-        self.shift = np.concatenate([q_s, np.zeros(m)])
+        # the iterate [x; w; y; 1], one row each: row 0 holds the iterate a
+        # block starts from and a block of k iterates fills rows 1..k
+        self.longest = longest
+        self.rows = np.zeros((longest + 1, n + 2 * m + 1))
+        self.rows[:, -1] = 1.0
+        self.start = self.rows[0]
+        self.start_xwy = self.start[:n], self.start[n : n + m], self.start[n + m : -1]
+        self.rho_vec, self.b_s = np.zeros(m), np.zeros(m)
         self.alpha, self.beta = _constant(_ALPHA, n + m), _constant(1.0 - _ALPHA, n + m)
-        for name, size in (("rhs", n + m), ("relaxed", n + m), ("proj_in", m), ("proj_out", m)):
-            setattr(self, name, np.zeros(size))
+        self.dense = n + m <= _DENSE_MAX
+        # the dense map writes [x_next; proj_in] to u; the LU loop its proj_in alone
+        self.u = np.zeros(n + m)
+        self.proj_in, self.proj_out = self.u[n:] if self.dense else np.zeros(m), np.zeros(m)
         self.project = projector.bind(self.proj_in, self.proj_out)
+        # iterate(count, operator) holds no reference to the workspace, so a
+        # dropped solver's workspace goes with it, not at the next garbage collection
+        self.iterate = self.bind_dense() if self.dense else self.bind_lu()
         # check_views[k]: the batched check of a block of k iterates, bound the
         # first time a block of k runs (a cold solve binds no long one) on the
         # heads of flat buffers sized for the longest block: the unscaled z, w
         # and y, [residual, A z, s], [residual, P z, A'y], their (3, 2, k)
         # infinity norms and the kernels' output columns
         self.check_mats = prob.A, prob.A.T, prob.P
-        self.check_flat = [np.zeros(_RHO_CHECK_EVERY * size)
+        self.check_flat = [np.zeros(longest * size)
                            for size in (n, m, m, 3 * m, 3 * n, 6, m + 2 * n)]
-        self.check_views = [None] * (_RHO_CHECK_EVERY + 1)
+        self.check_views = [None] * (longest + 1)
         # the rho balance's scaled products of the start row's x and y
-        x, y = self.rows[0, :n], self.y_rows[0]
+        x, _, y = self.start_xwy
         self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
                         _bind_product(A_s.T, y, np.zeros(n))]
         # the returned z and its unscaled P z, for the objective
         self.z = np.zeros(n)
         self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
         self.set_rho(_RHO_INIT)
+
+    def row_pairs(self):
+        """Each row but the last, beside the next row's x, w and y."""
+        n, m = self.q_s.size, self.b_s.size
+        return [(v, nxt[:n], nxt[n : n + m], nxt[n + m : -1])
+                for v, nxt in zip(self.rows[:-1], self.rows[1:])]
+
+    def bind_lu(self):
+        """The LU backend: a call running iterates 1..count of a block from
+        row 0, each by one call of ``operator``, the KKT factor's solve."""
+        n, m = self.q_s.size, self.b_s.size
+        views = [(v[: n + m], v[n : n + m], v[n + m : -1], *nxt) for v, *nxt in self.row_pairs()]
+        # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
+        sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
+        shift = np.concatenate([self.q_s, np.zeros(m)])
+        rhs, relaxed = np.zeros(n + m), np.zeros(n + m)
+        y_rho, x_relaxed, w_relaxed = shift[n:], relaxed[:n], relaxed[n:]
+        alpha, beta, rho_vec, b_s = self.alpha, self.beta, self.rho_vec, self.b_s
+        proj_in, proj_out, project = self.proj_in, self.proj_out, self.project
+        # bound once; each ufunc takes its out positionally
+        add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
+
+        def iterate(count: int, lu_solve):
+            for xw, w, y, x_next, w_next, y_next in views[:count]:
+                # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
+                divide(y, rho_vec, y_rho)
+                multiply(sig, xw, rhs)
+                subtract(rhs, shift, rhs)
+                sol = lu_solve(rhs)
+                # w_half = w + (nu - y)/rho, in place of nu in sol
+                nu = sol[n:]
+                subtract(nu, y, nu)
+                divide(nu, rho_vec, nu)
+                add(w, nu, nu)
+                # [x; w_relaxed] = alpha [x_half; w_half] + (1 - alpha) [x; w]
+                multiply(alpha, sol, sol)
+                multiply(beta, xw, relaxed)
+                add(sol, relaxed, relaxed)
+                # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
+                add(w_relaxed, y_rho, proj_in)
+                subtract(b_s, proj_in, proj_in)
+                project()  # proj_in into proj_out
+                subtract(b_s, proj_out, w_next)
+                # y_next = y + rho (w_relaxed - w_next)
+                subtract(w_relaxed, w_next, w_relaxed)
+                multiply(rho_vec, w_relaxed, w_relaxed)
+                add(y, w_relaxed, y_next)
+                copyto(x_next, x_relaxed)  # the one copy: w_next is in place
+
+        return iterate
+
+    def bind_dense(self):
+        """The dense backend: a call running iterates 1..count of a block from
+        row 0, each by one product with ``operator``, the map (``_dense_map``):
+        u = M v is [x_next; proj_in], then w_next = b_s - proj(proj_in) and
+        y_next = rho (proj(proj_in) - proj_in)."""
+        views = self.row_pairs()
+        u, x_next_u = self.u, self.u[: self.q_s.size]
+        rho_vec, b_s = self.rho_vec, self.b_s
+        proj_in, proj_out, project = self.proj_in, self.proj_out, self.project
+        matmul, subtract, multiply, copyto = np.matmul, np.subtract, np.multiply, np.copyto
+
+        def iterate(count: int, dense_map):
+            for v, x_next, w_next, y_next in views[:count]:
+                matmul(dense_map, v, u)
+                project()  # proj_in into proj_out
+                copyto(x_next, x_next_u)
+                subtract(proj_out, proj_in, y_next)
+                multiply(rho_vec, y_next, y_next)
+                subtract(b_s, proj_out, w_next)
+
+        return iterate
 
     def bind_check(self, k: int):
         """Bind and return ``check_views[k]``: the block's scaled x, w and y
@@ -358,23 +491,39 @@ class _Workspace:
         products = _bind_check_products(self.check_mats, z_col, y_col, columns,
                                         prim[1], dual[1], dual[2])
         gammas = np.broadcast_to(self.gamma, m * k)  # read-only, no memory: stride 0
+        block = self.rows[1 : k + 1]
         view = self.check_views[k] = (
-            self.rows[1 : k + 1, :n], self.rows[1 : k + 1, n:], self.y_rows[1 : k + 1],
+            block[:, :n], block[:, n : n + m], block[:, n + m : -1],
             z_col.T, w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k], gammas,
             prim, dual, norms_flat[: 6 * k].reshape(3, 2, k), products)
         return view
 
+    def set_b(self, b: np.ndarray):
+        """Take a solve's right-hand side: b_s = e b, in the map's last column too."""
+        np.multiply(self.e, b, self.b_s)
+        self.map_b_s()
+
+    def map_b_s(self):
+        """Add b_s to the dense map's last column, whose lower rows lack it."""
+        if self.dense:
+            np.add(self.b_s, self.map_shift, self.map[self.q_s.size :, -1])
+
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
         self.lu = splu(self.kkt)
+        if self.dense:
+            self.map = _dense_map(self.lu, self.rho_vec, self.q_s)
+            self.map_shift = self.map[self.q_s.size :, -1].copy()
+            self.map_b_s()
+        # what the backend's iterate call takes
+        self.operator = self.map if self.dense else self.lu.solve
 
     def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
-        rho = np.full(self.A_s.shape[0], self.rho_scalar)
-        rho[: self.projector.zero_end] = np.clip(
+        self.rho_vec.fill(self.rho_scalar)
+        self.rho_vec[: self.projector.zero_end] = np.clip(
             self.rho_scalar * _RHO_EQ_FACTOR, _RHO_MIN, _RHO_MAX
         )
-        self.rho_vec = rho
         self.refactor()
 
 
@@ -445,35 +594,28 @@ class ConicSolver:
                t0: float) -> SolveResult:
         """The body of :meth:`solve`, for a checked ``b`` and ``warm``."""
         prob, settings = self.prob, self.settings
-        n = prob.num_vars
         if self._ws is None:
-            self._ws = _Workspace(self.prob)
+            # a cold solver never settles, so its blocks are at most _CHECK_EVERY long
+            longest = _RHO_CHECK_EVERY if settings.warm_start else _CHECK_EVERY
+            self._ws = _Workspace(self.prob, longest)
         ws = self._ws
         d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
         c = prob.c
-        b_s = e * b
+        ws.set_b(b)
 
-        start, y_start = ws.start
+        start, (x_start, w_start, y_start) = ws.start, ws.start_xwy
         if warm is not None:
-            start[:n] = warm.z / d
-            start[n:] = e * (b - warm.s)
+            x_start[:] = warm.z / d
+            w_start[:] = e * (b - warm.s)
             y_start[:] = gamma * warm.y / e
         else:
-            start.fill(0.0)
-            y_start.fill(0.0)
+            start[:-1] = 0.0
 
-        rhs, sig, shift, relaxed = ws.rhs, ws.sig, ws.shift, ws.relaxed
-        y_rho = shift[n:]
-        x_relaxed, w_relaxed = relaxed[:n], relaxed[n:]
-        proj_in, proj_out = ws.proj_in, ws.proj_out
-        rows, y_rows, row_views, check_views = ws.rows, ws.y_rows, ws.row_views, ws.check_views
-        project = ws.project
-        rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
+        rows, check_views, iterate = ws.rows, ws.check_views, ws.iterate
         # bound once; each ufunc but maximum takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
         maximum = np.maximum
 
-        alpha, beta = ws.alpha, ws.beta
         eps_abs, eps_rel = settings.eps_abs, settings.eps_rel
         max_iters = settings.max_iters
         floors = np.array([[_amax(b)], [ws.c_scale]])  # under each side's termination scale
@@ -491,38 +633,14 @@ class ConicSolver:
         # stopped optimal at their own warm start's count), the first block
         # runs straight to this one's
         held, self._held = self._held, 0
-        longest = _RHO_CHECK_EVERY if held >= _SETTLED_AFTER and warm_end > 0 else _CHECK_EVERY
+        longest = ws.longest if held >= _SETTLED_AFTER and warm_end > 0 else _CHECK_EVERY
 
         while it < max_iters:
             count = min(longest, max_iters - it, _RHO_CHECK_EVERY - it % _RHO_CHECK_EVERY)
             if it < warm_end < it + count:
                 count = warm_end - it
             longest = _CHECK_EVERY
-            for xw, w, y, x_next, w_next, y_next in row_views[:count]:
-                # rhs = [sigma x - q_s, w - y/rho]; 1.0 * w == w exactly
-                divide(y, rho_vec, y_rho)
-                multiply(sig, xw, rhs)
-                subtract(rhs, shift, rhs)
-                sol = lu_solve(rhs)
-                # w_half = w + (nu - y)/rho, in place of nu in sol
-                nu = sol[n:]
-                subtract(nu, y, nu)
-                divide(nu, rho_vec, nu)
-                add(w, nu, nu)
-                # [x; w_relaxed] = alpha [x_half; w_half] + (1 - alpha) [x; w]
-                multiply(alpha, sol, sol)
-                multiply(beta, xw, relaxed)
-                add(sol, relaxed, relaxed)
-                # w_next = b_s - proj(b_s - (w_relaxed + y/rho))
-                add(w_relaxed, y_rho, proj_in)
-                subtract(b_s, proj_in, proj_in)
-                project()  # proj_in into proj_out
-                subtract(b_s, proj_out, w_next)
-                # y_next = y + rho (w_relaxed - w_next)
-                subtract(w_relaxed, w_next, w_relaxed)
-                multiply(rho_vec, w_relaxed, w_relaxed)
-                add(y, w_relaxed, y_next)
-                copyto(x_next, x_relaxed)  # the one copy: w_next is in place
+            iterate(count, ws.operator)
 
             # residuals of the original, unscaled problem, one row per
             # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
@@ -579,14 +697,12 @@ class ConicSolver:
             it, row = it + count, count - 1
             # the block's last iterate goes to row 0, for the next block and the rho balance
             copyto(start, rows[count])
-            copyto(y_start, y_rows[count])
 
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in, at the last iterate
-                w = start[n:]
                 Ax_s, Px_s, Aty_s = [product() for product in ws.balance]
-                rp_s = _amax(Ax_s - w) / max(_amax(Ax_s), _amax(w), 1e-12)
+                rp_s = _amax(Ax_s - w_start) / max(_amax(Ax_s), _amax(w_start), 1e-12)
                 rd_s = _amax(Px_s + q_s + Aty_s) / max(
                     _amax(Px_s), _amax(Aty_s), _amax(q_s), 1e-12
                 )
@@ -594,7 +710,6 @@ class ConicSolver:
                     ratio = np.sqrt(rp_s / rd_s)
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
                         ws.set_rho(ws.rho_scalar * float(ratio))
-                        rho_vec, lu_solve = ws.rho_vec, ws.lu.solve
 
         self._held = held + 1 if status == OPTIMAL and it == warm_end else 0
         # the iterate the solve stopped at, in the last block's row; the

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coulombmpc import (
     MpcParams,
     ScenarioConfig,
     SolverSettings,
+    solver,
     to_conic,
     update_initial_state,
 )
@@ -67,3 +69,15 @@ def pinned_problem(model, params, start):
     hp = HorizonProblem(model, params)
     conic = to_conic(hp)
     return hp, dataclasses.replace(conic, b=update_initial_state(conic, hp, start))
+
+
+# the solver's crossover, set so one backend runs every problem size
+CROSSOVERS = {"lu": 0, "dense": sys.maxsize}
+
+
+@pytest.fixture(params=list(CROSSOVERS))
+def backend(request, monkeypatch):
+    """Each of the solver's backends in turn, for every solver whose workspace
+    is built in the test: the crossover is a module constant, not a setting."""
+    monkeypatch.setattr(solver, "_DENSE_MAX", CROSSOVERS[request.param])
+    return request.param

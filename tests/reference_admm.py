@@ -6,15 +6,21 @@ iteration, the PSD projection scatters into zeroed stacks, Ruiz
 equilibration multiplies by diagonal matrices and each rho refactor
 reassembles the KKT matrix with ``bmat``.  The optimized solver must
 reproduce its iterates bit for bit (see ``test_solver_reference.py``).
-Besides the class name and imports, three edits follow the solver's rules:
+Besides the class name and imports, five edits follow the solver's rules:
 the fixed tuning (sigma, alpha, the initial rho, the Ruiz passes; always
 equilibrated, rho always adapted) is read from the solver's constants, a
-result is the iterate the loop stopped at, not the best-scoring one, and
-the projection turns a matrix that ``np.linalg.eigh`` cannot decompose into
+result is the iterate the loop stopped at, not the best-scoring one, the
+projection turns a matrix that ``np.linalg.eigh`` cannot decompose into
 NaN (:func:`_eigh_or_nan`), so its iterate ends the loop as any other
-non-finite one does.  The objective formula the loop reports, ``c'z +
-constant + z'Pz/2``, is kept here as :func:`objective_value`, the tests'
-one copy of it.
+non-finite one does, a result no longer carries its cone structure (the
+``cones=`` field ``SolveResult`` does not have), and the linear part of an
+iteration takes the solver's backend: up to the solver's ``_DENSE_MAX`` =
+n + m, read when the KKT matrix is refactored, it is one product with the
+map the solver's own ``_dense_map`` builds from the fresh factor, plus b_s
+in the last column, on [x; w; y; 1], and otherwise the original LU
+arithmetic.  The objective formula the loop reports, ``c'z + constant +
+z'Pz/2``, is kept here as :func:`objective_value`, the tests' one copy of
+it.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from coulombmpc import solver
 from coulombmpc.conic import ConeDims, ConicProblem, vec_dim
 from coulombmpc.solver import (
     _ALPHA,
@@ -44,6 +51,7 @@ from coulombmpc.solver import (
     OPTIMAL,
     SolveResult,
     SolverSettings,
+    _dense_map,
 )
 
 
@@ -143,6 +151,7 @@ class _Workspace:
     rho_scalar: float
     rho_vec: np.ndarray = field(default=None)
     lu: object = None
+    dense_map: np.ndarray | None = None
     projector: _ConeProjector = None
     cones: ConeDims = None
     sigma: float = 1e-6
@@ -158,6 +167,9 @@ class _Workspace:
             format="csc",
         )
         self.lu = splu(kkt)
+        self.dense_map = None
+        if n + self.A_s.shape[0] <= solver._DENSE_MAX:
+            self.dense_map = _dense_map(self.lu, self.rho_vec, self.q_s)
 
     def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
@@ -318,16 +330,25 @@ class ReferenceSolver:
         iterations = settings.max_iters
 
         for it in range(1, settings.max_iters + 1):
-            rhs = np.concatenate([sigma * x - ws.q_s, w - y / ws.rho_vec])
-            sol = ws.lu.solve(rhs)
-            x_half = sol[:n]
-            nu = sol[n:]
-            w_half = w + (nu - y) / ws.rho_vec
-            x = alpha * x_half + (1.0 - alpha) * x
-            w_relaxed = alpha * w_half + (1.0 - alpha) * w
-            w_new = b_s - ws.projector.project(b_s - (w_relaxed + y / ws.rho_vec))
-            y = y + ws.rho_vec * (w_relaxed - w_new)
-            w = w_new
+            if ws.dense_map is not None:
+                dense_map = ws.dense_map.copy()
+                dense_map[n:, -1] += b_s
+                u = dense_map @ np.concatenate([x, w, y, [1.0]])
+                x, proj_in = u[:n], u[n:]
+                proj = ws.projector.project(proj_in)
+                w = b_s - proj
+                y = ws.rho_vec * (proj - proj_in)
+            else:
+                rhs = np.concatenate([sigma * x - ws.q_s, w - y / ws.rho_vec])
+                sol = ws.lu.solve(rhs)
+                x_half = sol[:n]
+                nu = sol[n:]
+                w_half = w + (nu - y) / ws.rho_vec
+                x = alpha * x_half + (1.0 - alpha) * x
+                w_relaxed = alpha * w_half + (1.0 - alpha) * w
+                w_new = b_s - ws.projector.project(b_s - (w_relaxed + y / ws.rho_vec))
+                y = y + ws.rho_vec * (w_relaxed - w_new)
+                w = w_new
 
             # residuals of the original, unscaled problem
             z_u = ws.d * x
@@ -400,6 +421,5 @@ class ReferenceSolver:
             dual_residual=float(r_dual),
             solve_time=time.perf_counter() - t0,
             objective=objective_value(prob, z_u),
-            cones=prob.cones,
         )
 

@@ -9,6 +9,7 @@ times quoted in criteria are measured on the same run.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from coulombmpc import (
     MpcParams,
     RelativeState,
     SolverSettings,
+    box_edge_starts,
     brute_force_qcqp,
     build_discrete_model,
     charge_products,
@@ -37,6 +39,7 @@ from coulombmpc import (
     write_csv,
     read_csv,
 )
+from coulombmpc.config import load_scenario
 from coulombmpc.dynamics import absolute_input_matrix
 from coulombmpc.solver import OPTIMAL, ConicSolver
 
@@ -108,6 +111,24 @@ def test_supplementary_light_craft_settle_to_2pct():
     final = log.summary["final_deviation"]
     assert log.status == "completed"
     assert final <= 0.02 * INITIAL_DEVIATION
+
+
+def test_supplementary_box_holds_from_every_box_edge_start():
+    # the shipped four-craft scenario from each corner of its position box,
+    # 1 m inside (desired +- 9 m), at rest: 120 steps cover the step-36 box
+    # exit of a controller that prices the slow tail
+    shipped = load_scenario(Path(__file__).resolve().parent.parent / "configs" / "fourcraft.cfg",
+                            {"steps": 120})
+    low, high = shipped.params.state_min, shipped.params.state_max
+    starts = box_edge_starts(shipped)
+    assert len(starts) == 8
+    assert np.array_equal(np.abs(np.array(starts)[:, :3] - FOURCRAFT_DESIRED), np.full((8, 3), 9.0))
+    for start in starts:
+        log = run_closed_loop(dataclasses.replace(shipped, initial_state=start))
+        assert log.status == "completed" and len(log.records) == 120
+        states = [r.measured for r in log.records] + [log.summary["final_state"]]
+        assert all(np.all((low <= x) & (x <= high)) for x in states), start
+        assert [r.solver_status for r in log.records] == [OPTIMAL] * 120, start
 
 
 # -- criterion 2: saturation at start-up ----------------------------------------

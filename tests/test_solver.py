@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from analytic_problems import build_problems
-from conftest import pinned_problem
+from conftest import CROSSOVERS, pinned_problem
 from reference_admm import objective_value
 from coulombmpc import (
     ConeDims,
@@ -15,8 +15,10 @@ from coulombmpc import (
     SolverSettings,
     build_discrete_model,
 )
+from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
 from coulombmpc.conic import vec_dim
+from coulombmpc.simulate import run_closed_loop
 from coulombmpc.solver import (
     _ALPHA,
     _SIGMA,
@@ -139,7 +141,7 @@ def test_project_cone_dimension_mismatch():
 # -- solve on analytic problems ---------------------------------------------------
 
 @pytest.mark.parametrize("name,prob,expected", build_problems())
-def test_analytic_problem(name, prob, expected):
+def test_analytic_problem(name, prob, expected, backend):
     result = ConicSolver(prob, TIGHT).solve()
     assert result.status == OPTIMAL
     assert result.objective == pytest.approx(expected, abs=1e-6)
@@ -151,7 +153,7 @@ def test_analytic_problem(name, prob, expected):
 
 
 @pytest.mark.parametrize("name,prob,expected", build_problems())
-def test_returned_slack_in_cone(name, prob, expected):
+def test_returned_slack_in_cone(name, prob, expected, backend):
     result = ConicSolver(prob, TIGHT).solve()
     s = result.s
     cones = prob.cones
@@ -164,6 +166,22 @@ def test_returned_slack_in_cone(name, prob, expected):
         block = vec_to_sym(s[off : off + vec_dim(side)])
         assert np.linalg.eigvalsh(block).min() >= -1e-8
         off += vec_dim(side)
+
+
+def test_backends_agree_on_the_shipped_twocraft_run(monkeypatch):
+    # the shipped two-craft scenario (n + m = 20) for 600 steps on each
+    # backend: the same statuses and iteration counts, charges within 1e-9
+    scenario = load_scenario(CONFIGS / "twocraft.cfg", {"steps": 600})
+    logs = {}
+    for name, crossover in CROSSOVERS.items():
+        monkeypatch.setattr(solver_module, "_DENSE_MAX", crossover)
+        logs[name] = run_closed_loop(scenario).records
+    lu, dense = logs["lu"], logs["dense"]
+    assert len(lu) == len(dense) == 600
+    assert [r.solver_status for r in dense] == [r.solver_status for r in lu] == [OPTIMAL] * 600
+    assert [r.iterations for r in dense] == [r.iterations for r in lu]
+    lu_charges, dense_charges = (np.array([r.charges for r in log]) for log in (lu, dense))
+    assert np.abs(dense_charges - lu_charges).max() <= 1e-9 * np.abs(lu_charges).max()
 
 
 def test_min_x_at_least_one_example():

@@ -45,10 +45,9 @@ pytestmark = pytest.mark.bitexact
 
 
 @pytest.fixture(autouse=True)
-def untagged_reference_results(monkeypatch):
-    # the verbatim reference loop still tags each result with its cone
-    # structure, a field the solver's results no longer carry: drop the tag
-    monkeypatch.setattr(reference_admm, "SolveResult", lambda cones, **fields: SolveResult(**fields))
+def each_backend(backend):
+    # the reference takes the solver's backend, so each is exact on its own
+    return backend
 
 
 def assert_identical(got, ref):
@@ -246,17 +245,20 @@ def cold_warm(prob, count):
 @pytest.mark.parametrize("name,prob,expected", build_problems())
 def test_iteration_budget_at_block_edges_matches_reference(name, prob, expected, max_iters,
                                                            warm_count):
-    # tolerances no problem meets within the budget, so every run ends on it
+    # tolerances no iterate meets short of an exact fixed point, so every run
+    # ends on its budget or there (the dense map reaches lp_scalar_bound's
+    # at iteration 84, with both residuals 0)
     settings = SolverSettings(eps_abs=1e-300, eps_rel=0.0, max_iters=max_iters)
     warm = None if warm_count is None else cold_warm(prob, warm_count)
     got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(warm=warm, log_callback=cb))
     ref, ref_log = logged(
         lambda cb: ReferenceSolver().solve(prob, settings, warm=warm, log_callback=cb))
-    assert got.status == MAX_ITERS
-    assert got.iterations == max_iters
+    fixed = [k for k, r_prim, r_dual in ref_log if r_prim == r_dual == 0.0]
+    assert got.status == (OPTIMAL if fixed else MAX_ITERS)
+    assert got.iterations == (fixed[0] if fixed else max_iters)
     assert_identical(got, ref)
     assert got_log == ref_log
-    assert [k for k, _, _ in got_log] == list(range(1, max_iters + 1))
+    assert [k for k, _, _ in got_log] == list(range(1, got.iterations + 1))
 
 
 def check_passes(monkeypatch):
@@ -411,6 +413,30 @@ def test_cold_solves_bind_only_the_check_views_they_run(monkeypatch):
     assert statuses == [MAX_ITERS, OPTIMAL, OPTIMAL]
     assert bound == [10, 3]
     assert [k for k, view in enumerate(solver._ws.check_views) if view] == [3, 10]
+
+
+def test_cold_solver_sizes_its_workspace_for_short_blocks():
+    # a solver that is never warm started never settles, so its iterate rows
+    # and check buffers serve blocks of ten: 11 rows against 101
+    prob, scenario = fourcraft_step0()
+    results = []
+    for warm_start, rows in ((False, 11), (True, 101)):
+        solver = ConicSolver(prob, dataclasses.replace(scenario.solver, warm_start=warm_start))
+        results.append(logged(lambda cb: solver.solve(log_callback=cb)))
+        assert solver._ws.rows.shape[0] == len(solver._ws.check_views) == rows
+        assert solver._ws.check_flat[0].size == (rows - 1) * prob.num_vars
+    (cold, cold_log), (warm, warm_log) = results
+    assert_identical(cold, warm)
+    assert cold_log == warm_log
+
+
+def test_cold_solver_given_settling_warm_starts_keeps_short_blocks(monkeypatch):
+    _, prob, _ = build_problems()[0]
+    settings = SolverSettings(warm_start=False)
+    warms, stop = settling(prob, settings)
+    got, passes = solves(monkeypatch, prob, settings, warms + [cold_warm(prob, stop)])
+    assert got.status == OPTIMAL and got.iterations == stop
+    assert passes == schedule(stop, stop, settled=False)[0] > 1
 
 
 def test_settled_check_view_is_bound_once(monkeypatch):
