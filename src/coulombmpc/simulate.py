@@ -129,13 +129,13 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunLog:
     return RunLog(records=records, status=status, summary=summary)
 
 
-def box_edge_starts(cfg: ScenarioConfig, inset: float = 1.0) -> list[np.ndarray]:
-    """Initial states at rest ``inset`` inside the position box's corners, one
-    per sign pattern (``+`` first): the positions are ``state_max - inset``
-    where the sign is ``+`` and ``state_min + inset`` where it is ``-``, i.e.
-    ``desired +- (state_margin - inset)`` for a box given as a margin."""
+def box_edge_starts(cfg: ScenarioConfig) -> list[np.ndarray]:
+    """Initial states at rest 1 m inside the position box's corners, one per
+    sign pattern (``+`` first): the positions are ``state_max - 1`` where the
+    sign is ``+`` and ``state_min + 1`` where it is ``-``, i.e. ``desired +-
+    (state_margin - 1)`` for a box given as a margin."""
     half = cfg.formation.num_spacecraft - 1
-    low, high = cfg.params.state_min[:half] + inset, cfg.params.state_max[:half] - inset
+    low, high = cfg.params.state_min[:half] + 1.0, cfg.params.state_max[:half] - 1.0
     return [np.concatenate([np.where(np.array(signs) > 0, high, low), np.zeros(half)])
             for signs in itertools.product((1, -1), repeat=half)]
 
