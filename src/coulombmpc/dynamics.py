@@ -12,7 +12,9 @@ holds the physics only, no bounds.
 The truth trajectory of :func:`rk4_step` is bit-reproducible within one SIMD
 class of CPU, not across classes: numpy computes ``dist**3`` with its array
 ``power``, which on AVX-512 CPUs runs an SVML kernel whose last bit differs
-from a scalar cube on some inputs.
+from a scalar cube on some inputs.  The two-craft hold, which runs on Python
+floats, still takes its cube from that ``power`` ufunc, never from Python's
+``**``, so the caveat is the same for every craft count.
 """
 
 from __future__ import annotations
@@ -294,9 +296,88 @@ def _bind_hold(cfg: FormationConfig, dt: float, substeps: int):
     """The bound hold of :func:`rk4_step` for a checked step size and substep
     count: returns ``hold(positions, velocities, q)``, which runs the
     ``substeps`` steps from that state under the charges ``q`` and returns the
-    final packed state as a fresh vector.  The pair-force kernel with its
-    block, the four stage rows, the scratch and the coefficient vectors are
-    built once per bind, and each call overwrites every entry it reads.
+    final packed state as a fresh vector.
+
+    The hold is picked by pair count, and both are bit-identical to the
+    textbook RK4.  A formation of one pair (two craft) gets
+    :func:`_bind_scalar_hold`, which runs each operation on Python floats,
+    since a numpy call on one-entry arrays costs more than its arithmetic.
+    Three or more craft get :func:`_bind_vector_hold`: their accelerations
+    are a BLAS matvec summing several products, in the kernel's own order,
+    which a Python sum would not reproduce bit for bit.
+    """
+    bind = _bind_scalar_hold if cfg.num_spacecraft == 2 else _bind_vector_hold
+    return bind(cfg, dt, substeps)
+
+
+def _bind_scalar_hold(cfg: FormationConfig, dt: float, substeps: int):
+    """The hold of a one-pair formation on Python floats, each operation the
+    one :func:`_bind_vector_hold` runs on that pair, in the same order.
+
+    A stage computes ``diff = 0.0 - r``, its ``abs``, the separation check and
+    ``kappa * diff / cube``, then ``t / (-m1) - t / m0`` (the one entry of
+    ``others - lead``) times the charge product (the 1x1 matvec), and a
+    substep ends in ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)`` per entry.
+    Three steps keep numpy's bits where Python's float differs:
+
+    - the cube is numpy's ``power`` ufunc on one-entry buffers bound here, so
+      it runs the array loop (see the module notes), not ``d ** 3.0``;
+    - a cube that underflows to 0 divides through numpy, giving the IEEE inf
+      where Python raises ``ZeroDivisionError``;
+    - the matvec is numpy's dot, a sum started at 0.0, so the product is
+      added to 0.0, which turns a -0.0 into 0.0.
+    """
+    lead_mass, other_mass = cfg.masses.tolist()
+    signed_other = -other_mass  # an exact sign flip
+    limit = cfg.min_separation
+    half_dt, sixth = 0.5 * dt, dt / 6.0
+    dist, three, cube = np.empty(1), np.full(1, 3.0), np.empty(1)
+    power, divide = np.power, np.divide
+
+    def acceleration(r: float, product: float) -> float:
+        diff = 0.0 - r
+        dist[0] = separation = abs(diff)
+        if separation < limit:  # a NaN separation passes, as in the kernel
+            raise SingularityError(
+                f"spacecraft 0 and 1 are {separation:.3e} m apart (minimum separation {limit:g} m)")
+        power(dist, three, cube)
+        cubed = cube.item()
+        t = COULOMB_CONSTANT * diff
+        t = t / cubed if cubed else divide(t, cubed).item()
+        return 0.0 + (t / signed_other - t / lead_mass) * product
+
+    def hold(positions: np.ndarray, velocities: np.ndarray, q: np.ndarray) -> np.ndarray:
+        (r,), (v,) = positions.tolist(), velocities.tolist()
+        first, second = q.tolist()
+        product = first * second
+        for _ in range(substeps):
+            a1 = acceleration(r, product)
+            r2, v2 = r + half_dt * v, v + half_dt * a1
+            a2 = acceleration(r2, product)
+            r3, v3 = r + half_dt * v2, v + half_dt * a2
+            a3 = acceleration(r3, product)
+            r4, v4 = r + dt * v3, v + dt * a3
+            a4 = acceleration(r4, product)
+            r, v = (r + sixth * (((v + 2.0 * v2) + 2.0 * v3) + v4),
+                    v + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4))
+        return np.array([r, v])
+
+    return hold
+
+
+def _bind_vector_hold(cfg: FormationConfig, dt: float, substeps: int):
+    """The hold of any formation on numpy buffers, one row per stage.  The
+    pair-force kernel with its block, the four stage rows, the scratch and
+    the coefficient vectors are built once per bind, and each call
+    overwrites every entry it reads.
+
+    Each stage is one row ``[0, positions, velocities, accelerations]``: the
+    leading 0 is craft 1, which the kernel reads directly, and the stage's
+    derivative k is the view of its velocities and accelerations.  The
+    accelerations are the BLAS matvec ``(others - lead) @ products``, whose
+    summation order fixes the bits; ``others - lead`` is subtracted on flat
+    views, and the scalar operands (the stage coefficients, 2 and dt/6) are
+    vectors built once, an elementwise product being the same either way.
     """
     first, second, *_ = _pair_layout(cfg.num_spacecraft)
     half = cfg.num_spacecraft - 1
@@ -366,29 +447,27 @@ def rk4_step(
     """``substeps`` classical fourth-order Runge-Kutta steps of size ``dt`` with
     the charges held constant: the package's one RK4 kernel, called once per hold.
 
-    The hold is bound by :func:`_bind_hold` (the pair-force kernel of
-    :func:`_bind_input_block` with its block, the stage buffers and the
-    coefficient vectors) once per formation, step size and substep count and
-    per thread, and reused while the three repeat.  A float ``dt`` and an int
-    ``substeps`` equal to the bound ones, which were checked, need no check;
-    any other value is checked before the lookup.  Each call checks the
-    charges (their count, and that each is finite) and the state, forms the
-    charge products once in :func:`spacecraft_pairs` order and runs the
-    substeps' four stages, every elementwise operation writing into a bound
-    buffer through ``out``.  A stage evaluates ``[velocities;
-    relative_input_matrix(positions) @ charge_products(charges)]``,
-    separation check included, by the same floating-point operations in the
-    same order, and a substep ends in ``y + (dt/6) * (((k1 + 2 k2) + 2 k3) +
-    k4)``, so each substep is bit-identical to the textbook RK4 kept in
-    ``tests/test_dynamics.py``.  Each stage is one row
-    ``[0, positions, velocities, accelerations]``: the leading 0 is craft 1,
-    which the kernel reads directly, and the stage's derivative k is the view
-    of its velocities and accelerations.  The accelerations are the BLAS
-    matvec ``(others - lead) @ products``, whose summation order fixes the
-    bits; ``others - lead`` is subtracted on flat views, and the scalar
-    operands (the stage coefficients, 2 and dt/6) are vectors built once, an
-    elementwise product being the same either way.  The returned state holds
-    views of a fresh vector, not re-validated.
+    The hold is bound by :func:`_bind_hold` once per formation, step size and
+    substep count and per thread, and reused while the three repeat.  A float
+    ``dt`` and an int ``substeps`` equal to the bound ones, which were
+    checked, need no check; any other value is checked before the lookup.
+    Each call checks the charges (their count, and that each is finite) and
+    the state, forms the charge products once in :func:`spacecraft_pairs`
+    order and runs the substeps' four stages.  A stage evaluates
+    ``[velocities; relative_input_matrix(positions) @
+    charge_products(charges)]``, separation check included, by the same
+    floating-point operations in the same order, and a substep ends in ``y +
+    (dt/6) * (((k1 + 2 k2) + 2 k3) + k4)``, so each substep is bit-identical
+    to the textbook RK4 kept in ``tests/test_dynamics.py``.
+
+    The hold is picked by pair count.  A formation of one pair (two craft)
+    runs on Python floats (:func:`_bind_scalar_hold`), as its numpy calls
+    would cost more than their arithmetic.  Three or more craft run on
+    bound numpy buffers, one stage row each, every elementwise operation
+    writing through ``out`` (:func:`_bind_vector_hold`): their accelerations
+    are a BLAS matvec whose summation order fixes the bits, and a Python sum
+    would not follow it.  The returned state holds views of a fresh vector,
+    not re-validated.
     """
     formation, held_dt, held_substeps, hold = _hold_slot.plan
     if not (type(dt) is float and dt == held_dt and type(substeps) is int

@@ -300,6 +300,8 @@ def rk4_on_continuous_rhs(state, charges, dt, cfg):
 
 def rk4_oracle_case(name):
     """Formation, initial state, substep and substeps per hold of an oracle run."""
+    if name == "twocraft-unequal-masses":  # the scalar hold, craft 2 on the negative side
+        return make_config([50.0, 120.0]), np.array([-40.0, 0.02]), 0.05, 10
     if name == "threecraft-unequal-masses":  # pairs (0, j) and (i, j), distinct masses
         return make_config([50.0, 120.0, 310.0]), np.array([40.0, 95.0, 0.02, -0.03]), 0.05, 10
     if name == "fivecraft-unequal-masses":  # four rows of the repeated lead block
@@ -310,9 +312,10 @@ def rk4_oracle_case(name):
     return scenario.formation, scenario.initial_state, dt, scenario.substeps
 
 
-@pytest.mark.parametrize(
-    "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
-)
+@pytest.mark.parametrize("name", [
+    "twocraft", "twocraft-unequal-masses", "fourcraft", "threecraft-unequal-masses",
+    "fivecraft-unequal-masses",
+])
 @pytest.mark.bitexact
 def test_rk4_step_bit_identical_to_continuous_rhs_oracle(name):
     cfg, initial, dt, substeps = rk4_oracle_case(name)
@@ -348,7 +351,8 @@ def input_matrix_cases(name, rng):
 
 
 @pytest.mark.parametrize("name", [
-    "twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses", "random"
+    "twocraft", "twocraft-unequal-masses", "fourcraft", "threecraft-unequal-masses",
+    "fivecraft-unequal-masses", "random",
 ])
 @pytest.mark.bitexact
 def test_input_matrices_byte_equal_to_textbook_matrix(name):
@@ -364,9 +368,10 @@ def test_input_matrices_byte_equal_to_textbook_matrix(name):
             assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize(
-    "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
-)
+@pytest.mark.parametrize("name", [
+    "twocraft", "twocraft-unequal-masses", "fourcraft", "threecraft-unequal-masses",
+    "fivecraft-unequal-masses",
+])
 @pytest.mark.bitexact
 def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
     # propagate runs a hold's substeps in one rk4_step call; the holds chain in turn
@@ -382,9 +387,10 @@ def test_propagate_bit_identical_to_continuous_rhs_oracle(name):
         assert fast.as_vector().tobytes() == slow.as_vector().tobytes()
 
 
-@pytest.mark.parametrize(
-    "name", ["twocraft", "fourcraft", "threecraft-unequal-masses", "fivecraft-unequal-masses"]
-)
+@pytest.mark.parametrize("name", [
+    "twocraft", "twocraft-unequal-masses", "fourcraft", "threecraft-unequal-masses",
+    "fivecraft-unequal-masses",
+])
 @pytest.mark.bitexact
 def test_rk4_substeps_byte_equal_to_chained_single_steps(name):
     # one call of k substeps is k chained one-substep calls, byte for byte
@@ -449,16 +455,19 @@ def textbook_hold(state, charges, duration, substeps, cfg):
     return state
 
 
+@pytest.mark.parametrize("name, shift", [
+    ("twocraft-unequal-masses", [2.0, 0.01]),
+    ("threecraft-unequal-masses", [2.0, -3.0, 0.01, 0.0]),
+])
 @pytest.mark.bitexact
-def test_concurrent_holds_on_one_formation_bind_one_hold_per_thread():
+def test_concurrent_holds_on_one_formation_bind_one_hold_per_thread(name, shift):
     # two threads hold at once on one formation, switching inside the holds:
-    # each thread binds its own stage buffers, so each chain is the textbook's
-    cfg, initial, dt, substeps = rk4_oracle_case("threecraft-unequal-masses")
+    # each thread binds its own buffers, so each chain is the textbook's
+    cfg, initial, dt, substeps = rk4_oracle_case(name)
     duration = dt * substeps
     rng = np.random.default_rng(17)
     charges = rng.uniform(-0.05, 0.05, (2, 40, cfg.num_spacecraft))
-    starts = [RelativeState.from_vector(initial),
-              RelativeState.from_vector(initial + np.array([2.0, -3.0, 0.01, 0.0]))]
+    starts = [RelativeState.from_vector(initial), RelativeState.from_vector(initial + shift)]
     expected = []
     for state, sequence in zip(starts, charges):
         expected.append([])
@@ -535,6 +544,64 @@ def test_hold_after_a_failed_hold_is_the_textbook_hold():
     with pytest.raises(ValueError, match="charges must be finite"):
         propagate(state, np.array([0.03, np.nan, 0.01]), 0.5, 10, cfg)
     assert propagate(state, charges, 0.5, 10, cfg).as_vector().tobytes() == expected
+
+
+def scalar_hold_cases(rng):
+    """Two-craft holds as (formation, dt, substeps, packed state, charges):
+    random ones, some with a signed zero velocity or charge, or a pair below
+    the minimum separation; NaN and infinite states; and a cube of the
+    separation that underflows to 0."""
+    for _ in range(2000):
+        masses = rng.uniform(10.0, 500.0, 2) if rng.random() < 0.5 else [rng.uniform(10.0, 500.0)] * 2
+        position = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.5, 3.0)
+        velocity = rng.choice([rng.normal(0.0, 0.5), 0.0, -0.0])
+        charges = rng.uniform(-0.1, 0.1, 2)
+        charges[rng.integers(2)] *= rng.choice([1.0, 0.0])  # a signed zero half the time
+        yield (make_config(masses), rng.uniform(0.001, 0.2), int(rng.integers(1, 12)),
+               np.array([position, velocity]), charges)
+    # a zero charge on craft 2 at -40 m: the accelerations are -0.0 before the dot
+    yield make_config([50.0, 120.0]), 0.05, 10, np.array([-40.0, -0.0]), np.array([0.0, 0.03])
+    for value in (np.nan, np.inf, -np.inf):
+        for state in ([value, 0.1], [40.0, value], [value, value]):
+            yield make_config([50.0, 120.0]), 0.05, 10, np.array(state), np.array([0.03, -0.02])
+    tiny = FormationConfig(2, 50.0, min_separation=1e-200)
+    for position in (1e-150, -1e-150):
+        yield tiny, 0.05, 10, np.array([position, 0.0]), np.array([0.01, 0.02])
+
+
+def hold_outcome(bind, cfg, dt, substeps, state, charges):
+    """A bound hold's packed result, or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return bind(cfg, dt, substeps)(state[:1], state[1:], charges)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.bitexact
+def test_scalar_hold_byte_equal_to_the_vector_hold():
+    # the two-craft hold on Python floats against the hold of three or more
+    # craft on the same formation: the same bytes (a NaN where the other has
+    # one), or the same exception and message
+    rng = np.random.default_rng(23)
+    raised = 0
+    for case in scalar_hold_cases(rng):
+        got = hold_outcome(dynamics._bind_scalar_hold, *case)
+        expected = hold_outcome(dynamics._bind_vector_hold, *case)
+        if isinstance(expected, tuple):
+            raised += 1
+            assert isinstance(got, tuple) and got == expected
+            continue
+        assert not isinstance(got, tuple), got
+        nan = np.isnan(expected)
+        assert got.shape == expected.shape and np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+    assert raised > 100  # the separation check is exercised
+    # the cube of 1e-150 m underflows to 0: the state goes NaN, as on the vector hold
+    tiny = FormationConfig(2, 50.0, min_separation=1e-200)
+    state = RelativeState(np.array([1e-150]), np.array([0.0]))
+    with np.errstate(all="ignore"):
+        assert np.isnan(rk4_step(state, np.array([0.01, 0.02]), 0.05, tiny, 10).as_vector()).all()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -644,6 +711,8 @@ SEPARATION_CHECKS = {
     ([5e-4, 100.0], "0 and 1", "5.000e-04"),
     ([2e-4, 4e-4], "0 and 1", "2.000e-04"),  # a tie with pair (1, 2) goes to the first pair
     ([100.0, 100.0004, 100.0006], "2 and 3", "2.000e-04"),  # two pairs too close
+    ([5e-4], "0 and 1", "5.000e-04"),  # the one pair of two craft, on either side
+    ([-5e-4], "0 and 1", "5.000e-04"),
 ])
 def test_rk4_singularity_names_closest_pair(entry, rel, pair, gap):
     cfg = make_config([50.0] * (len(rel) + 1))

@@ -30,6 +30,7 @@ from coulombmpc import (
     run_closed_loop,
     write_csv,
 )
+from coulombmpc import dynamics
 from coulombmpc.config import load_scenario
 from coulombmpc.simulate import ORACLE_MAX_COMBINATIONS, RUN_ABORTED_COLLISION, RUN_COMPLETED
 from coulombmpc.solver import OPTIMAL
@@ -403,6 +404,22 @@ def record_fields(rec):
     return [rec.step, np.float64(rec.time).tobytes(), rec.measured.tobytes(), rec.charges.tobytes(),
             rec.products.tobytes(), np.float64(rec.rank_ratio).tobytes(), rec.solver_status,
             rec.iterations, np.float64(rec.solve_time).tobytes(), rec.saturated]
+
+
+@pytest.mark.bitexact
+def test_holds_agree_on_the_shipped_twocraft_run(monkeypatch):
+    # the shipped two-craft run for 600 steps on its scalar hold and on the
+    # vector hold of three or more craft: every logged field but solve_time
+    # is byte-equal
+    logs = {}
+    for name, bind in (("scalar", dynamics._bind_hold), ("vector", dynamics._bind_vector_hold)):
+        monkeypatch.setattr(dynamics, "_bind_hold", bind)
+        scenario = load_scenario(
+            Path(__file__).resolve().parent.parent / "configs" / "twocraft.cfg", {"steps": 600})
+        log = run_closed_loop(scenario)
+        assert log.status == RUN_COMPLETED and len(log.records) == 600
+        logs[name] = [record_fields(dataclasses.replace(rec, solve_time=0.0)) for rec in log.records]
+    assert logs["scalar"] == logs["vector"]
 
 
 def test_csv_crlf_copy_reads_back_bit_equal(tmp_path):
