@@ -452,7 +452,9 @@ def rk4_step(
     ``dt`` and an int ``substeps`` equal to the bound ones, which were
     checked, need no check; any other value is checked before the lookup.
     Each call checks the charges (their count, and that each is finite) and
-    the state, forms the charge products once in :func:`spacecraft_pairs`
+    the state (its size, and that each entry is finite, since a hold from a
+    non-finite state returns NaN: silently for two craft, with a warning
+    for more), forms the charge products once in :func:`spacecraft_pairs`
     order and runs the substeps' four stages.  A stage evaluates
     ``[velocities; relative_input_matrix(positions) @
     charge_products(charges)]``, separation check included, by the same
@@ -467,7 +469,8 @@ def rk4_step(
     writing through ``out`` (:func:`_bind_vector_hold`): their accelerations
     are a BLAS matvec whose summation order fixes the bits, and a Python sum
     would not follow it.  The returned state holds views of a fresh vector,
-    not re-validated.
+    not re-validated: a state that turns NaN inside the hold (a separation
+    whose cube underflows to 0) is returned as it is.
     """
     formation, held_dt, held_substeps, hold = _hold_slot.plan
     if not (type(dt) is float and dt == held_dt and type(substeps) is int
@@ -485,6 +488,10 @@ def rk4_step(
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")
+    # one pass on Python floats: two numpy calls on one-entry arrays cost 8 times as much
+    if not all(map(math.isfinite, positions.tolist() + velocities.tolist())):
+        raise ValueError(
+            f"state must be finite, got positions {positions}, velocities {velocities}")
     y = hold(positions, velocities, q)
     result = object.__new__(RelativeState)
     object.__setattr__(result, "positions", y[:half])

@@ -6,21 +6,23 @@ iteration, the PSD projection scatters into zeroed stacks, Ruiz
 equilibration multiplies by diagonal matrices and each rho refactor
 reassembles the KKT matrix with ``bmat``.  The optimized solver must
 reproduce its iterates bit for bit (see ``test_solver_reference.py``).
-Besides the class name and imports, five edits follow the solver's rules:
+Besides the class name and imports, six edits follow the solver's rules:
 the fixed tuning (sigma, alpha, the initial rho, the Ruiz passes; always
 equilibrated, rho always adapted) is read from the solver's constants, a
 result is the iterate the loop stopped at, not the best-scoring one, the
 projection turns a matrix that ``np.linalg.eigh`` cannot decompose into
 NaN (:func:`_eigh_or_nan`), so its iterate ends the loop as any other
 non-finite one does, a result no longer carries its cone structure (the
-``cones=`` field ``SolveResult`` does not have), and the linear part of an
+``cones=`` field ``SolveResult`` does not have), the linear part of an
 iteration takes the solver's backend: up to the solver's ``_DENSE_MAX`` =
 n + m, read when the KKT matrix is refactored, it is one product with the
 map the solver's own ``_dense_map`` builds from the fresh factor, plus b_s
 in the last column, on [x; w; y; 1], and otherwise the original LU
-arithmetic.  The objective formula the loop reports, ``c'z + constant +
-z'Pz/2``, is kept here as :func:`objective_value`, the tests' one copy of
-it.
+arithmetic, and the PSD blocks of the solver's ``_CLOSED_FORM_SIDE`` (2)
+are projected by the solver's own closed form ``_project_psd2``, not by
+``eigh`` (``test_solver.py`` checks that closed form against ``eigh``).
+The objective formula the loop reports, ``c'z + constant + z'Pz/2``, is
+kept here as :func:`objective_value`, the tests' one copy of it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ class _ConeProjector:
             v[self.zero_end : self.nonneg_end], 0.0
         )
         for side, flat, r, c, scale in self.groups:
+            if side == solver._CLOSED_FORM_SIDE:
+                out[flat] = np.reshape(solver._project_psd2(v[flat].ravel().tolist()), flat.shape)
+                continue
             vals = v[flat] / scale
             mats = np.zeros((flat.shape[0], side, side))
             mats[:, r, c] = vals

@@ -617,6 +617,26 @@ def test_nonfinite_charges_are_refused(value):
             rk4_step(state, np.array(charges), 0.05, cfg, 10)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("masses", [[50.0, 60.0], [40.0, 55.0, 70.0]], ids=["two", "three"])
+def test_nonfinite_states_are_refused(masses, value):
+    # a hold from a non-finite state returned NaN: silently on two craft,
+    # with a RuntimeWarning (or, under errstate raise, an exception) on more
+    cfg = make_config(masses)
+    half = len(masses) - 1
+    positions, velocities = 50.0 * np.arange(1.0, half + 1), np.zeros(half)
+    charges = np.full(len(masses), 0.01)
+    for field in ("positions", "velocities"):
+        state = {"positions": positions.copy(), "velocities": velocities.copy()}
+        state[field][-1] = value
+        state = RelativeState(**state)  # which does not check finiteness
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"state must be finite, got positions \["):
+                rk4_step(state, charges, 0.05, cfg, 10)
+            with pytest.raises(ValueError, match="state must be finite"):
+                propagate(state, charges, 0.5, 10, cfg)
+
+
 @pytest.mark.parametrize("duplicate", [
     copy.deepcopy, lambda cfg: pickle.loads(pickle.dumps(cfg))
 ], ids=["deepcopy", "pickle"])
@@ -722,9 +742,12 @@ def test_rk4_singularity_names_closest_pair(entry, rel, pair, gap):
 
 @pytest.mark.parametrize("entry", SEPARATION_CHECKS)
 def test_rk4_singularity_detected_beside_a_nan_separation(entry):
-    # a NaN separation elsewhere must not hide a pair that is too close
+    # a NaN separation elsewhere must not hide a pair that is too close;
+    # rk4_step refuses a NaN state before its hold reaches the check
     cfg = make_config([50.0, 50.0, 50.0])
-    with pytest.raises(SingularityError, match="spacecraft 0 and 1 are 5.000e-04 m apart"):
+    error, message = ((ValueError, r"state must be finite, got positions \[") if entry == "rk4_step"
+                      else (SingularityError, "spacecraft 0 and 1 are 5.000e-04 m apart"))
+    with pytest.raises(error, match=message):
         SEPARATION_CHECKS[entry](np.array([5e-4, np.nan]), cfg)
 
 

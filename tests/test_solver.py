@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from coulombmpc import (
 )
 from coulombmpc import solver as solver_module
 from coulombmpc.config import load_scenario
-from coulombmpc.conic import vec_dim
+from coulombmpc.conic import SQRT2, vec_dim
 from coulombmpc.simulate import run_closed_loop
 from coulombmpc.solver import (
     _ALPHA,
@@ -29,6 +31,7 @@ from coulombmpc.solver import (
     _ConeProjector,
     _csc_row_col,
     _inf_norms,
+    _project_psd2,
     _Workspace,
 )
 from reference_conic import project_psd, vec_to_sym
@@ -74,6 +77,115 @@ def test_project_psd_is_frobenius_nearest_on_grid():
 def test_project_psd_rejects_nonfinite():
     with pytest.raises(ValueError):
         project_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+# -- the closed-form 2x2 projection -------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def closed_form(blocks) -> np.ndarray:
+    """``_project_psd2`` of the ``[a, sqrt(2) b, c]`` rows of ``blocks`` as
+    rows, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.array(_project_psd2(np.ravel(blocks).tolist())).reshape(-1, 3)
+
+
+def eigh_projection(blocks) -> np.ndarray:
+    """The projection of each ``[a, sqrt(2) b, c]`` row by ``np.linalg.eigh``:
+    eigenvalues clipped at 0, the matrix rebuilt and vectorized again."""
+    a, s, c = np.asarray(blocks, dtype=float).T
+    vals, vecs = np.linalg.eigh(np.stack([a, s / SQRT2, s / SQRT2, c], axis=-1).reshape(-1, 2, 2))
+    mats = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return np.stack([mats[:, 0, 0], SQRT2 * mats[:, 1, 0], mats[:, 1, 1]], axis=-1)
+
+
+def assert_near_eigh(blocks, got=None):
+    """Each projected row within 8 eps of its block's largest entry of the
+    ``eigh`` projection."""
+    blocks = np.asarray(blocks, dtype=float)
+    got = closed_form(blocks) if got is None else got
+    err = np.abs(got - eigh_projection(blocks)).max(axis=1)
+    assert (err <= 8 * EPS * np.abs(blocks).max(axis=1)).all(), err.max()
+
+
+def test_closed_form_psd2_matches_eigh():
+    # block scales from 1e-150 to 1e150, entries spread by up to 1e4 within one
+    rng = np.random.default_rng(31)
+    blocks = (rng.normal(size=(20000, 3)) * 10.0 ** rng.uniform(-150, 150, (20000, 1))
+              * 10.0 ** rng.uniform(-2, 2, (20000, 3)))
+    got = closed_form(blocks)
+    assert_near_eigh(blocks, got)
+    # each of the three outcomes is exercised: PSD, NSD, rank one
+    a, s, c = blocks.T
+    det = a * c - s * s / 2
+    outcomes = [(a + c > 0) & (det > 0), (a + c < 0) & (det > 0), det < 0]
+    assert min(outcome.sum() for outcome in outcomes) > 1000
+    # one Python loop: a block's result does not depend on its neighbours
+    assert closed_form(blocks[:7]).tobytes() == got[:7].tobytes()
+
+
+@pytest.mark.bitexact
+def test_closed_form_psd2_exact_cases():
+    rng = np.random.default_rng(32)
+    # a PSD block comes back byte for byte, -0.0 included
+    roots = rng.normal(size=(500, 2, 2)) * 10.0 ** rng.uniform(-70, 70, (500, 1, 1))
+    psd = roots @ roots.transpose(0, 2, 1)
+    psd = np.stack([psd[:, 0, 0], SQRT2 * psd[:, 1, 0], psd[:, 1, 1]], axis=-1)
+    psd = psd[psd[:, 0] * psd[:, 2] >= psd[:, 1] * psd[:, 1] / 2 * (1 + 1e-9)]
+    assert len(psd) > 400
+    for block in [*psd, [4.0, 0.0, 1e-300], [-0.0, 0.0, -0.0]]:
+        block = np.array(block)
+        assert closed_form(block).tobytes() == block.tobytes()
+    # an NSD block and the zero block give zeros
+    nsd = -psd
+    assert np.array_equal(closed_form(nsd), np.zeros_like(nsd))
+    assert np.array_equal(closed_form([0.0, 0.0, 0.0]), np.zeros((1, 3)))
+    # a diagonal block keeps its positive entry, within 8 eps, and zeros the rest
+    for a, c in [(3.0, -2.0), (-2.0, 3.0), (0.3, -0.7), (-1e-3, 5e3)]:
+        got = closed_form([a, 0.0, c])[0]
+        assert got[1] == 0.0 and got[np.argmin([a, c]) * 2] == 0.0
+        assert abs(got[np.argmax([a, c]) * 2] - max(a, c)) <= 8 * EPS * max(a, c)
+    # rank one with h = 0: [[1, 2], [2, 1]] has eigenvalues 3 and -1
+    assert closed_form([1.0, 2.0 * SQRT2, 1.0]).tolist() == [[1.5, 1.5 * SQRT2, 1.5]]
+    # swapping a and c mirrors the result bit for bit: the h > 0 and h < 0 formulas
+    rank_one = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-70, 70, (2000, 1))
+    rank_one = rank_one[rank_one[:, 0] * rank_one[:, 2] < rank_one[:, 1] ** 2 / 2]
+    assert len(rank_one) > 500
+    got, mirrored = closed_form(rank_one), closed_form(rank_one[:, ::-1])
+    assert got.tobytes() == mirrored[:, ::-1].tobytes()
+    assert_near_eigh(rank_one, got)
+    # a near-diagonal block, |b| = 1e-12 |a|: its small entries keep full precision
+    # ([a, b; b, -a] projects to [a, b/2; b/2, b^2/(4a)] to within (b/a)^2)
+    for scale in (1.0, 1e-100, 1e100):
+        b = 1e-12 * scale
+        for a, c, small, big in [(scale, -scale, 2, 0), (-scale, scale, 0, 2)]:
+            got = closed_form([a, SQRT2 * b, c])[0]
+            assert math.isclose(got[1], SQRT2 * b / 2, rel_tol=4 * EPS)
+            assert math.isclose(got[small], b * b / (4 * scale), rel_tol=4 * EPS)
+            assert math.isclose(got[big], scale, rel_tol=4 * EPS)
+            assert_near_eigh([[a, SQRT2 * b, c]], got[None])
+
+
+@pytest.mark.bitexact
+def test_closed_form_psd2_nonfinite_block_gives_nans():
+    # a NaN or an infinite slot makes its block NaN, with no warning and no
+    # exception, and leaves its neighbours' bits alone
+    blocks = np.array([[1.0, 3.0, -0.5], [2.0, -1.0, 0.5], [-1.0, 0.4, -2.0]])
+    clean = closed_form(blocks)
+    for slot in range(3):
+        for value in (np.nan, np.inf, -np.inf):
+            poisoned = blocks.copy()
+            poisoned[1, slot] = value
+            got = closed_form(poisoned)
+            assert np.isnan(got[1]).all()
+            assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+    # entries near the top of the range do not raise, and stay finite
+    huge = np.array([[1e300, -3e300, -2e300], [-1e300, 2e300, 1e300], [5e299, 1e300, 5e299]])
+    got = closed_form(huge)
+    assert np.isfinite(got).all()
+    assert_near_eigh(huge, got)
 
 
 # -- blockwise cone projection ----------------------------------------------------
@@ -168,20 +280,30 @@ def test_returned_slack_in_cone(name, prob, expected, backend):
         off += vec_dim(side)
 
 
-def test_backends_agree_on_the_shipped_twocraft_run(monkeypatch):
-    # the shipped two-craft scenario (n + m = 20) for 600 steps on each
-    # backend: the same statuses and iteration counts, charges within 1e-9
+def assert_twocraft_runs_agree(monkeypatch, name, values):
+    """The shipped two-craft scenario (n + m = 20) for 600 steps with the
+    solver constant ``name`` at each of ``values``: the same statuses and
+    iteration counts, charges within 1e-9 of the largest."""
     scenario = load_scenario(CONFIGS / "twocraft.cfg", {"steps": 600})
-    logs = {}
-    for name, crossover in CROSSOVERS.items():
-        monkeypatch.setattr(solver_module, "_DENSE_MAX", crossover)
-        logs[name] = run_closed_loop(scenario).records
-    lu, dense = logs["lu"], logs["dense"]
-    assert len(lu) == len(dense) == 600
-    assert [r.solver_status for r in dense] == [r.solver_status for r in lu] == [OPTIMAL] * 600
-    assert [r.iterations for r in dense] == [r.iterations for r in lu]
-    lu_charges, dense_charges = (np.array([r.charges for r in log]) for log in (lu, dense))
-    assert np.abs(dense_charges - lu_charges).max() <= 1e-9 * np.abs(lu_charges).max()
+    logs = []
+    for value in values:
+        monkeypatch.setattr(solver_module, name, value)
+        logs.append(run_closed_loop(scenario).records)
+    first, second = logs
+    assert len(first) == len(second) == 600
+    assert [r.solver_status for r in first] == [r.solver_status for r in second] == [OPTIMAL] * 600
+    assert [r.iterations for r in first] == [r.iterations for r in second]
+    charges, other = (np.array([r.charges for r in log]) for log in logs)
+    assert np.abs(other - charges).max() <= 1e-9 * np.abs(charges).max()
+
+
+def test_backends_agree_on_the_shipped_twocraft_run(monkeypatch):
+    assert_twocraft_runs_agree(monkeypatch, "_DENSE_MAX", CROSSOVERS.values())
+
+
+def test_projections_agree_on_the_shipped_twocraft_run(monkeypatch):
+    # its 2x2 blocks in closed form, and on the batched eigh (no side is 0)
+    assert_twocraft_runs_agree(monkeypatch, "_CLOSED_FORM_SIDE", [2, 0])
 
 
 def test_min_x_at_least_one_example():

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from analytic_problems import build_problems
-from conftest import FOURCRAFT_INITIAL, fourcraft_scenario, pinned_problem
+from conftest import fourcraft_scenario, pinned_problem
 from coulombmpc import (
     ConeDims,
     ConicProblem,
@@ -120,13 +120,23 @@ def test_analytic_warm_resolve_matches_reference(name, prob, expected, offset):
     assert got_log == ref_log
 
 
-def fourcraft_step0():
-    """The shipped four-craft problem at step 0 and its cold-start settings."""
-    scenario = fourcraft_scenario(warm_start=False)
+def step0(scenario):
+    """The problem of ``scenario``'s first step, pinned at its initial state,
+    and the scenario."""
     model = build_discrete_model(
         scenario.params.desired_positions, scenario.sample_period, scenario.formation
     )
-    return pinned_problem(model, scenario.params, FOURCRAFT_INITIAL)[1], scenario
+    return pinned_problem(model, scenario.params, scenario.initial_state)[1], scenario
+
+
+# the shipped scenarios, each cold at its first step
+SCENARIOS = {"fourcraft": partial(fourcraft_scenario, warm_start=False),
+             "twocraft": partial(load_scenario, TWOCRAFT_CFG)}
+
+
+def fourcraft_step0():
+    """The shipped four-craft problem at step 0 and its cold-start settings."""
+    return step0(SCENARIOS["fourcraft"]())
 
 
 def test_fourcraft_cold_step_matches_reference(monkeypatch):
@@ -190,11 +200,12 @@ def test_projection_matches_reference_projector(cones):
 
 
 # slots 26-35 hold the second side-4 block, lower triangle row by row: eigh
-# cannot decompose a matrix with a NaN entry, so the whole block projects to NaN
+# cannot decompose a matrix with a NaN entry, so the whole block projects to
+# NaN; slots 7-9 hold the side-2 block, which the closed form makes NaN
 @pytest.mark.parametrize("slots,nan_slots", [
     (slice(26, 36), slice(26, 36)), (slice(26, 27), slice(26, 36)),
-    (slice(27, 28), slice(26, 36)), (slice(3, 4), slice(3, 4)),
-], ids=["side4-block", "side4-diagonal", "side4-off-diagonal", "nonneg"])
+    (slice(27, 28), slice(26, 36)), (slice(8, 9), slice(7, 10)), (slice(3, 4), slice(3, 4)),
+], ids=["side4-block", "side4-diagonal", "side4-off-diagonal", "side2-off-diagonal", "nonneg"])
 def test_nan_slack_projects_to_nan_where_eigh_fails(slots, nan_slots):
     fast, ref = bound_projection(INTERLEAVED), reference_admm._ConeProjector(INTERLEAVED)
     v = np.random.default_rng(12).normal(size=INTERLEAVED.total)
@@ -700,13 +711,13 @@ def poison_projections(monkeypatch, call, slot, value, side="output"):
                         lambda self, v: poisoned(ref_calls, partial(project, self, v), v))
 
 
-def assert_poisoned_solve_ends_at(call):
-    """The poisoned four-craft step-0 solve ends ``infeasible_suspect`` at
-    iteration ``call`` without a warning, as the poisoned reference does, log
-    stream included.  Iterations computed past it in the same block see the
-    non-finite slack too: a warning raised as an error there would surface,
-    so every one is recorded."""
-    prob, scenario = fourcraft_step0()
+def assert_poisoned_solve_ends_at(call, scenario="fourcraft"):
+    """The poisoned step-0 solve of the shipped ``scenario`` ends
+    ``infeasible_suspect`` at iteration ``call`` without a warning, as the
+    poisoned reference does, log stream included.  Iterations computed past
+    it in the same block see the non-finite slack too: a warning raised as
+    an error there would surface, so every one is recorded."""
+    prob, scenario = step0(SCENARIOS[scenario]())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got, got_log = logged(
@@ -737,24 +748,30 @@ def test_nonfinite_projection_ends_the_solve_at_its_iteration(monkeypatch, call,
 # the four-craft PSD slots are 222-311: the last one, a diagonal, and two
 # off-diagonal ones of the first block (a -inf in some slots eigh turns into
 # NaN without failing, not in 228); eigh cannot decompose the poisoned block,
-# which projects to NaN
-PSD_INPUT_POISONS = [(3, -1, np.nan), (14, 230, np.nan), (25, -1, np.nan), (21, 228, -np.inf)]
+# which projects to NaN.  The two-craft PSD slots are 9-11, one 2x2 block
+# that the closed form projects to NaN
+PSD_INPUT_POISONS = [
+    ("fourcraft", 3, -1, np.nan), ("fourcraft", 14, 230, np.nan),
+    ("fourcraft", 25, -1, np.nan), ("fourcraft", 21, 228, -np.inf),
+    ("twocraft", 3, 9, np.nan), ("twocraft", 10, 10, np.inf),
+    ("twocraft", 11, 11, -np.inf), ("twocraft", 25, 10, -np.inf),
+]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("call,slot,value", PSD_INPUT_POISONS)
-def test_nonfinite_projection_input_ends_the_solve_at_its_iteration(monkeypatch, call, slot,
-                                                                    value):
+@pytest.mark.parametrize("scenario,call,slot,value", PSD_INPUT_POISONS)
+def test_nonfinite_projection_input_ends_the_solve_at_its_iteration(monkeypatch, scenario, call,
+                                                                    slot, value):
     poison_projections(monkeypatch, call, slot, value, side="input")
-    assert_poisoned_solve_ends_at(call)
+    assert_poisoned_solve_ends_at(call, scenario)
 
 
-@pytest.mark.parametrize("call,slot,value", PSD_INPUT_POISONS)
-def test_nonfinite_projection_input_takes_the_controllers_fault_path(monkeypatch, call, slot,
-                                                                     value):
-    # the first four-craft step returns the passive-safe zero charges
+@pytest.mark.parametrize("scenario,call,slot,value", PSD_INPUT_POISONS)
+def test_nonfinite_projection_input_takes_the_controllers_fault_path(monkeypatch, scenario, call,
+                                                                     slot, value):
+    # the first step returns the passive-safe zero charges
     poison_projections(monkeypatch, call, slot, value, side="input")
-    scenario = fourcraft_scenario()
+    scenario = SCENARIOS[scenario]()
     model = build_discrete_model(
         scenario.params.desired_positions, scenario.sample_period, scenario.formation
     )
@@ -763,4 +780,5 @@ def test_nonfinite_projection_input_takes_the_controllers_fault_path(monkeypatch
     charges, record = controller.step(RelativeState.from_vector(scenario.initial_state))
     assert record.solver_status == INFEASIBLE_SUSPECT
     assert record.iterations == call
-    assert charges.tolist() == record.charges.tolist() == [0.0] * 4
+    craft = scenario.formation.num_spacecraft
+    assert charges.tolist() == record.charges.tolist() == [0.0] * craft
