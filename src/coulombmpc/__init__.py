@@ -36,6 +36,7 @@ from .horizon import (
 from .recovery import recover, saturate
 from .simulate import (
     RUN_ABORTED_COLLISION,
+    RUN_ABORTED_NONFINITE,
     RUN_COMPLETED,
     RunLog,
     ScenarioConfig,

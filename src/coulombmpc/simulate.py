@@ -3,7 +3,8 @@
 The truth plant is the full nonlinear dynamics integrated with fixed-substep
 RK4 under zero-order-hold charges; the controller only ever sees its frozen
 linear model.  A run aborts (with a partial log) if any pair of spacecraft
-closes below the configured minimum separation.
+closes below the configured minimum separation, or if a hold ends in a state
+that is not finite, which the next hold could not start from.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .solver import OPTIMAL, SolverSettings
 
 RUN_COMPLETED = "completed"
 RUN_ABORTED_COLLISION = "aborted-collision"
+RUN_ABORTED_NONFINITE = "aborted-nonfinite"
 
 CSV_FLOAT_FORMAT = "%.17g"  # 17 significant digits: exact float64 round trip
 ORACLE_MAX_COMBINATIONS = 41**4  # brute_force_qcqp's cap: 41 levels of 4 craft peak at 93 MB RSS
@@ -112,6 +114,9 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunLog:
             )
         except SingularityError:
             status = RUN_ABORTED_COLLISION
+            break
+        if not (np.isfinite(state.positions).all() and np.isfinite(state.velocities).all()):
+            status = RUN_ABORTED_NONFINITE
             break
 
     desired = cfg.params.desired_positions

@@ -47,32 +47,36 @@ Contract:
   are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
 - Two backends run the linear part of an iteration, chosen by problem
-  size.  Everything in an iteration but the projection is affine in the
-  iterate v = [x; w; y; 1], so up to ``_DENSE_MAX`` = n + m the *dense*
-  backend runs it as one product u = M v = [x_next; proj_in] with a map M
-  (``_dense_map``) rebuilt from the KKT factor at each rho refactor, whose
-  b_s column each solve rewrites; then w_next = b_s - proj(proj_in) and
-  y_next = rho (proj(proj_in) - proj_in).  Larger problems run on the *LU*
-  backend, one sparse solve of the factor per iteration.  Microseconds per
+  size.  Up to ``_DENSE_MAX`` = n + m the *dense* backend holds an iterate
+  as v = [x; t; p; 1], t the projection's input and p its output, so that w
+  = b_s - p and y = rho (p - t).  Everything in an iteration but the
+  projection is affine in v, so an iteration is one product [x_next; t_next]
+  = M' v with a map M' (``_dense_map``) rebuilt from the KKT factor at each
+  rho refactor, whose last column each solve rewrites, and one projection of
+  t_next into p_next, both in the next row; w and y are formed once per
+  block, for its check.  Larger problems run on the *LU* backend, on [x; w;
+  y; 1], one sparse solve of the factor per iteration.  Microseconds per
   iteration, a cold solve run to a 1,500-iteration budget, min of 5, one
   BLAS thread pinned to one core of a 2-core AVX-512 Xeon:
 
       problem (horizon)   n + m     LU    dense
-      two-craft (1)          20   20.8     11.8
-      two-craft (4)          68   25.8     16.4
-      four-craft (1)         68   26.9     16.5
-      four-craft (3)        180   41.0     27.3
-      four-craft (5)        292   51.7     43.2
-      four-craft (6)        348   61.1     74.4
-      four-craft (9)        516   73.5    193.8
+      two-craft (1)          20   15.5      6.7
+      two-craft (3)          52   18.7      8.7
+      two-craft (4)          68   20.2      9.9
+      four-craft (1)         68   25.1     13.7
+      four-craft (3)        180   37.2     26.2
+      four-craft (5)        292   49.5     50.1
+      four-craft (6)        348   57.1     69.8
+      four-craft (9)        516   75.1    192.5
 
   The dense map is faster up to about 300, but it is a dense inverse of an
   ill-conditioned KKT, and its accuracy sets the crossover: on four-craft
   equilibrium steps it needs as many iterations as LU at n + m = 68, but at
-  124 a 1e-12 solve takes 7,106 iterations against 606, and from 236 it
-  does not reach 1e-12 in 50,000.  The crossover is a module constant, not
-  a setting.  Each backend is bit-identical to the plain loop taking the
-  same backend; the two agree to rounding, not bit for bit.
+  124 a 1e-12 solve takes 3,505 iterations against 606, at 236 7,812
+  against 1,159, and from 292 it does not reach 1e-12 in 50,000.  The
+  crossover is a module constant, not a setting.  Each backend is
+  bit-identical to the plain loop taking the same backend; the two agree to
+  rounding, not bit for bit.
 - The PSD blocks of side 2 (every stage of a two-craft formation) are
   projected in closed form on Python floats (``_project_psd2``): a 2x2
   block's eigenvalues are mid -+ r, so the projection is the block itself,
@@ -81,11 +85,14 @@ Contract:
   µs a call for the shipped two-craft cones (min of 5 x 5,000, one BLAS
   thread pinned to one core of the Xeon above).  Larger sides run the
   batched ``eigh_lo``; the side picks the path.
-- Every iterate is one row [x; w; y; 1].  A block of k iterates fills rows
-  1..k after its start in row 0, where a block that does not stop copies
-  its last row for the next block and the rho balance, so the check reads
-  the block in place.  A solver that does not warm start never settles, so
-  its rows and check buffers serve blocks of ``_CHECK_EVERY``.
+- Every iterate is one row in its backend's coordinates.  A block of k
+  iterates fills rows 1..k after its start in row 0, where a block that
+  does not stop copies its last row for the next block and the rho balance,
+  so the check reads the block in place (the map's w and y from two
+  buffers of as many rows).  A rho change moves the map's row 0 to the new
+  rho: p stays and t becomes p - y/rho.  A solver that does not warm start
+  never settles, so its rows and check buffers serve blocks of
+  ``_CHECK_EVERY``.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc, in the solve's quiet error state, ``c_einsum`` and
   scipy's ``_sparsetools`` kernels, each checked against its public
@@ -327,33 +334,41 @@ def _bind_check_products(mats, z_u, y_u, columns, az, pz, aty):
     return check_products
 
 
-def _dense_map(lu, rho_vec: np.ndarray, q_s: np.ndarray) -> np.ndarray:
-    """The affine part of one ADMM iteration as one C-ordered matrix M on the
-    iterate v = [x; w; y; 1]: M v = [x_next; proj_in - b_s], so a solve adds
-    its b_s to the last column's lower rows.  With G = K^-1 S, S mapping v to
-    the LU loop's right-hand side [sigma x - q_s; w - y/rho] and E_x, E_w,
-    E_y selecting x, w and y from v,
+def _dense_map(lu, rho_vec: np.ndarray, q_s: np.ndarray):
+    """The affine part of one ADMM iteration as one C-ordered matrix M' on the
+    iterate v = [x; t; p; 1], where t is the projection's input and p its
+    output, so w = b_s - p and y = rho (p - t): M' v = [x_next; t_next].  It
+    is M T, the map on [x; w; y; 1] times that change of coordinates.  In
+    these coordinates the LU loop's right-hand side is [sigma x - q_s; t - 2p
+    + b_s] and, with [x_half; nu] its KKT solve,
 
-        M = [alpha G_x + (1 - alpha) E_x;
-             -(E_w + diag(alpha/rho) (G_w - E_y) + diag(1/rho) E_y)].
+        x_next = alpha x_half + (1 - alpha) x,
+        t_next = (1 - alpha) t + alpha p - (alpha/rho) nu.
 
-    G is one solve of the KKT factor ``lu`` on the dense S."""
+    So with G = D K^-1 S, D = diag(alpha, -alpha/rho) scaling its rows and S
+    = [sigma E_x, E_t, -q_s] one solve of the KKT factor ``lu`` on the
+    columns of x, of t and of the constant,
+
+        M' = [G_x + (1 - alpha) E_x, G_t + (1 - alpha) E_t, -2 G_t + alpha E_t, G_1].
+
+    Returns M' without b_s, then B = G_t and c = G_1: a solve's b_s makes
+    the last column c + B b_s."""
     n, m = q_s.size, rho_vec.size
-    x, w = np.arange(n), np.arange(n, n + m)
-    inv_rho = 1.0 / rho_vec
-    S = np.zeros((n + m, n + 2 * m + 1))
+    x, t = np.arange(n), np.arange(n, n + m)
+    S = np.zeros((n + m, n + m + 1))
     S[x, x] = _SIGMA
+    S[t, t] = 1.0
     S[:n, -1] = -q_s
-    S[w, w] = 1.0
-    S[w, w + m] = -inv_rho
     G = lu.solve(S)
-    M = np.empty_like(S)
-    np.multiply(_ALPHA, G[:n], out=M[:n])
+    G *= np.concatenate([np.full(n, _ALPHA), -_ALPHA / rho_vec])[:, None]
+    M = np.empty((n + m, n + 2 * m + 1))
+    M[:, : n + m] = G[:, : n + m]
+    np.multiply(-2.0, G[:, n:-1], out=M[:, n + m : -1])
+    M[:, -1] = G[:, -1]
     M[x, x] += 1.0 - _ALPHA
-    np.multiply(-(_ALPHA * inv_rho)[:, None], G[n:], out=M[n:])
-    M[w, w] -= 1.0
-    M[w, w + m] += (_ALPHA - 1.0) * inv_rho
-    return M
+    M[t, t] += 1.0 - _ALPHA
+    M[t, t + m] += _ALPHA
+    return M, G[:, n:-1].copy(), G[:, -1].copy()
 
 
 def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -431,23 +446,21 @@ class _Workspace:
         self.kkt.sum_duplicates()
         rows, cols = _csc_row_col(self.kkt)
         self._rho_diag = np.flatnonzero((rows == cols) & (cols >= n))
-        # the iterate [x; w; y; 1], one row each: row 0 holds the iterate a
-        # block starts from and a block of k iterates fills rows 1..k
+        # the iterate, one row each in the backend's coordinates ([x; w; y; 1]
+        # on LU, [x; t; p; 1] on the map): row 0 holds the iterate a block
+        # starts from and a block of k iterates fills rows 1..k
         self.longest = longest
         self.rows = np.zeros((longest + 1, n + 2 * m + 1))
         self.rows[:, -1] = 1.0
         self.start = self.rows[0]
-        self.start_xwy = self.start[:n], self.start[n : n + m], self.start[n + m : -1]
         self.rho_vec, self.b_s = np.zeros(m), np.zeros(m)
-        self.alpha, self.beta = _constant(_ALPHA, n + m), _constant(1.0 - _ALPHA, n + m)
         self.dense = n + m <= _DENSE_MAX
-        # the dense map writes [x_next; proj_in] to u; the LU loop its proj_in alone
-        self.u = np.zeros(n + m)
-        self.proj_in, self.proj_out = self.u[n:] if self.dense else np.zeros(m), np.zeros(m)
-        self.project = projector.bind(self.proj_in, self.proj_out)
-        # iterate(count, operator) holds no reference to the workspace, so a
-        # dropped solver's workspace goes with it, not at the next garbage collection
-        self.iterate = self.bind_dense() if self.dense else self.bind_lu()
+        # the backend: iterate(count, operator) runs rows 1..count, leaving each
+        # row's scaled w and y in wy_rows; set_start(x, w, y) writes row 0.
+        # Neither holds a reference to the workspace, so a dropped solver's
+        # workspace goes with it, not at the next garbage collection
+        self.iterate, self.set_start, self.wy_rows = (
+            self.bind_dense() if self.dense else self.bind_lu())
         # check_views[k]: the batched check of a block of k iterates, bound the
         # first time a block of k runs (a cold solve binds no long one) on the
         # heads of flat buffers sized for the longest block: the unscaled z, w
@@ -457,33 +470,40 @@ class _Workspace:
         self.check_flat = [np.zeros(longest * size)
                            for size in (n, m, m, 3 * m, 3 * n, 6, m + 2 * n)]
         self.check_views = [None] * (longest + 1)
-        # the rho balance's scaled products of the start row's x and y
-        x, _, y = self.start_xwy
-        self.balance = [_bind_product(A_s, x, np.zeros(m)), _bind_product(P_s, x, np.zeros(n)),
-                        _bind_product(A_s.T, y, np.zeros(n))]
+        # the rho balance's scaled products of the start row's x and of its y,
+        # copied to balance_y
+        self.balance_y = np.zeros(m)
+        self.balance = [_bind_product(A_s, self.start[:n], np.zeros(m)),
+                        _bind_product(P_s, self.start[:n], np.zeros(n)),
+                        _bind_product(A_s.T, self.balance_y, np.zeros(n))]
         # the returned z and its unscaled P z, for the objective
         self.z = np.zeros(n)
         self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
         self.set_rho(_RHO_INIT)
 
     def row_pairs(self):
-        """Each row but the last, beside the next row's x, w and y."""
-        n, m = self.q_s.size, self.b_s.size
-        return [(v, nxt[:n], nxt[n : n + m], nxt[n + m : -1])
-                for v, nxt in zip(self.rows[:-1], self.rows[1:])]
+        """Each row but the last, beside the next row."""
+        return list(zip(self.rows[:-1], self.rows[1:]))
 
     def bind_lu(self):
-        """The LU backend: a call running iterates 1..count of a block from
-        row 0, each by one call of ``operator``, the KKT factor's solve."""
+        """The LU backend, on rows [x; w; y; 1]: a call running iterates
+        1..count of a block from row 0, each by one call of ``operator``, the
+        KKT factor's solve; a call writing a start to row 0; and the rows'
+        w and y, which are in place."""
         n, m = self.q_s.size, self.b_s.size
-        views = [(v[: n + m], v[n : n + m], v[n + m : -1], *nxt) for v, *nxt in self.row_pairs()]
+        views = [(v[: n + m], v[n : n + m], v[n + m : -1], nxt[:n], nxt[n : n + m], nxt[n + m : -1])
+                 for v, nxt in self.row_pairs()]
         # rhs = sig * [x; w] - [q_s; y/rho], with sig = [sigma...; 1...]
         sig = np.concatenate([np.full(n, _SIGMA), np.ones(m)])
         shift = np.concatenate([self.q_s, np.zeros(m)])
         rhs, relaxed = np.zeros(n + m), np.zeros(n + m)
         y_rho, x_relaxed, w_relaxed = shift[n:], relaxed[:n], relaxed[n:]
-        alpha, beta, rho_vec, b_s = self.alpha, self.beta, self.rho_vec, self.b_s
-        proj_in, proj_out, project = self.proj_in, self.proj_out, self.project
+        # its read-only operands and projection stay on the workspace, for inspection
+        self.alpha, self.beta = alpha, beta = _constant(_ALPHA, n + m), _constant(1.0 - _ALPHA, n + m)
+        rho_vec, b_s = self.rho_vec, self.b_s
+        proj_in, proj_out = np.zeros(m), np.zeros(m)
+        self.project = project = self.projector.bind(proj_in, proj_out)
+        start = self.start
         # bound once; each ufunc takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
 
@@ -514,29 +534,46 @@ class _Workspace:
                 add(y, w_relaxed, y_next)
                 copyto(x_next, x_relaxed)  # the one copy: w_next is in place
 
-        return iterate
+        def set_start(x, w, y):
+            start[:n], start[n : n + m], start[n + m : -1] = x, w, y
+
+        return iterate, set_start, (self.rows[:, n : n + m], self.rows[:, n + m : -1])
 
     def bind_dense(self):
-        """The dense backend: a call running iterates 1..count of a block from
-        row 0, each by one product with ``operator``, the map (``_dense_map``):
-        u = M v is [x_next; proj_in], then w_next = b_s - proj(proj_in) and
-        y_next = rho (proj(proj_in) - proj_in)."""
-        views = self.row_pairs()
-        u, x_next_u = self.u, self.u[: self.q_s.size]
-        rho_vec, b_s = self.rho_vec, self.b_s
-        proj_in, proj_out, project = self.proj_in, self.proj_out, self.project
-        matmul, subtract, multiply, copyto = np.matmul, np.subtract, np.multiply, np.copyto
+        """The dense backend, on rows [x; t; p; 1]: a call running iterates
+        1..count of a block from row 0, each by one product with
+        ``operator``, the map M' (``_dense_map``), into the next row's x and
+        t, and one projection of that t into its p, then forming the block's
+        scaled w = b_s - p and y = rho (p - t) in two buffers; a call writing
+        a start (x, w, y) to row 0 as p = b_s - w and t = p - y/rho; and the
+        two buffers."""
+        n, m = self.q_s.size, self.b_s.size
+        pairs, bind = self.row_pairs(), self.projector.bind
+        steps = []  # each row's product and projection, bound the first time a block reaches it
+        t_rows, p_rows = self.rows[:, n : n + m], self.rows[:, n + m : -1]
+        w_rows, y_rows = np.zeros((2, self.longest + 1, m))
+        rho_vec, b_s, start = self.rho_vec, self.b_s, self.start
+        matmul, subtract, multiply, divide = np.matmul, np.subtract, np.multiply, np.divide
 
         def iterate(count: int, dense_map):
-            for v, x_next, w_next, y_next in views[:count]:
-                matmul(dense_map, v, u)
-                project()  # proj_in into proj_out
-                copyto(x_next, x_next_u)
-                subtract(proj_out, proj_in, y_next)
-                multiply(rho_vec, y_next, y_next)
-                subtract(b_s, proj_out, w_next)
+            for v, nxt in pairs[len(steps) : count]:
+                steps.append((v, nxt[: n + m], bind(nxt[n : n + m], nxt[n + m : -1])))
+            for v, xt_next, project in steps[:count]:
+                matmul(dense_map, v, xt_next)
+                project()  # the next row's t into its p
+            block = slice(1, count + 1)
+            p, y = p_rows[block], y_rows[block]
+            subtract(b_s, p, w_rows[block])
+            subtract(p, t_rows[block], y)
+            multiply(rho_vec, y, y)
 
-        return iterate
+        def set_start(x, w, y):
+            start[:n] = x
+            t, p = start[n : n + m], start[n + m : -1]
+            subtract(b_s, w, p)
+            subtract(p, divide(y, rho_vec), t)
+
+        return iterate, set_start, (w_rows, y_rows)
 
     def bind_check(self, k: int):
         """Bind and return ``check_views[k]``: the block's scaled x, w and y
@@ -552,9 +589,9 @@ class _Workspace:
         products = _bind_check_products(self.check_mats, z_col, y_col, columns,
                                         prim[1], dual[1], dual[2])
         gammas = np.broadcast_to(self.gamma, m * k)  # read-only, no memory: stride 0
-        block = self.rows[1 : k + 1]
+        w_rows, y_rows = self.wy_rows
         view = self.check_views[k] = (
-            block[:, :n], block[:, n : n + m], block[:, n + m : -1],
+            self.rows[1 : k + 1, :n], w_rows[1 : k + 1], y_rows[1 : k + 1],
             z_col.T, w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k], gammas,
             prim, dual, norms_flat[: 6 * k].reshape(3, 2, k), products)
         return view
@@ -565,27 +602,31 @@ class _Workspace:
         self.map_b_s()
 
     def map_b_s(self):
-        """Add b_s to the dense map's last column, whose lower rows lack it."""
+        """Set the dense map's last column to c + B b_s (``_dense_map``)."""
         if self.dense:
-            np.add(self.b_s, self.map_shift, self.map[self.q_s.size :, -1])
+            np.add(self.map_shift, self.map_b @ self.b_s, self.map[:, -1])
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
         self.lu = splu(self.kkt)
         if self.dense:
-            self.map = _dense_map(self.lu, self.rho_vec, self.q_s)
-            self.map_shift = self.map[self.q_s.size :, -1].copy()
+            self.map, self.map_b, self.map_shift = _dense_map(self.lu, self.rho_vec, self.q_s)
             self.map_b_s()
         # what the backend's iterate call takes
         self.operator = self.map if self.dense else self.lu.solve
 
-    def set_rho(self, rho_scalar: float):
+    def set_rho(self, rho_scalar: float, y: np.ndarray | None = None):
+        """Set rho and refactor.  Mid-solve, ``y`` is the start row's scaled
+        y; the dense row holds it as p - y/rho, so its t moves to the new rho."""
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
         self.rho_vec.fill(self.rho_scalar)
         self.rho_vec[: self.projector.zero_end] = np.clip(
             self.rho_scalar * _RHO_EQ_FACTOR, _RHO_MIN, _RHO_MAX
         )
         self.refactor()
+        if self.dense and y is not None:
+            n, m = self.q_s.size, self.b_s.size
+            np.subtract(self.start[n + m : -1], y / self.rho_vec, self.start[n : n + m])
 
 
 class ConicSolver:
@@ -665,15 +706,12 @@ class ConicSolver:
         c = prob.c
         ws.set_b(b)
 
-        start, (x_start, w_start, y_start) = ws.start, ws.start_xwy
         if warm is not None:
-            x_start[:] = warm.z / d
-            w_start[:] = e * (b - warm.s)
-            y_start[:] = gamma * warm.y / e
+            ws.set_start(warm.z / d, e * (b - warm.s), gamma * warm.y / e)
         else:
-            start[:-1] = 0.0
+            ws.set_start(0.0, 0.0, 0.0)
 
-        rows, check_views, iterate = ws.rows, ws.check_views, ws.iterate
+        start, rows, check_views, iterate = ws.start, ws.rows, ws.check_views, ws.iterate
         # bound once; each ufunc but maximum takes its out positionally
         add, subtract, multiply, divide, copyto = np.add, np.subtract, np.multiply, np.divide, np.copyto
         maximum = np.maximum
@@ -763,15 +801,17 @@ class ConicSolver:
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in, at the last iterate
+                w_last = w_s[row]
+                copyto(ws.balance_y, y_s[row])
                 Ax_s, Px_s, Aty_s = [product() for product in ws.balance]
-                rp_s = _amax(Ax_s - w_start) / max(_amax(Ax_s), _amax(w_start), 1e-12)
+                rp_s = _amax(Ax_s - w_last) / max(_amax(Ax_s), _amax(w_last), 1e-12)
                 rd_s = _amax(Px_s + q_s + Aty_s) / max(
                     _amax(Px_s), _amax(Aty_s), _amax(q_s), 1e-12
                 )
                 if rp_s > 0 and rd_s > 0:
                     ratio = np.sqrt(rp_s / rd_s)
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
-                        ws.set_rho(ws.rho_scalar * float(ratio))
+                        ws.set_rho(ws.rho_scalar * float(ratio), ws.balance_y)
 
         self._held = held + 1 if status == OPTIMAL and it == warm_end else 0
         # the iterate the solve stopped at, in the last block's row; the

@@ -15,12 +15,16 @@ NaN (:func:`_eigh_or_nan`), so its iterate ends the loop as any other
 non-finite one does, a result no longer carries its cone structure (the
 ``cones=`` field ``SolveResult`` does not have), the linear part of an
 iteration takes the solver's backend: up to the solver's ``_DENSE_MAX`` =
-n + m, read when the KKT matrix is refactored, it is one product with the
-map the solver's own ``_dense_map`` builds from the fresh factor, plus b_s
-in the last column, on [x; w; y; 1], and otherwise the original LU
-arithmetic, and the PSD blocks of the solver's ``_CLOSED_FORM_SIDE`` (2)
-are projected by the solver's own closed form ``_project_psd2``, not by
-``eigh`` (``test_solver.py`` checks that closed form against ``eigh``).
+n + m, read when the KKT matrix is refactored, the iterate is [x; t; p; 1],
+t the projection's input and p its output, a start (x, w, y) entering as p
+= b_s - w and t = p - y/rho: an iteration is one product with the map the
+solver's own ``_dense_map`` builds from the fresh factor, its last column c
++ B b_s, giving x and t, then p = proj(t), w = b_s - p and y = rho (p - t),
+and a rho change keeps p and sets t = p - y/rho; otherwise it is the
+original LU arithmetic, and the PSD blocks of the solver's
+``_CLOSED_FORM_SIDE`` (2) are projected by the solver's own closed form
+``_project_psd2``, not by ``eigh`` (``test_solver.py`` checks that closed
+form against ``eigh``).
 The objective formula the loop reports, ``c'z + constant + z'Pz/2``, is
 kept here as :func:`objective_value`, the tests' one copy of it.
 """
@@ -174,6 +178,7 @@ class _Workspace:
         self.lu = splu(kkt)
         self.dense_map = None
         if n + self.A_s.shape[0] <= solver._DENSE_MAX:
+            # (M' without b_s, B, c): the last column is c + B b_s
             self.dense_map = _dense_map(self.lu, self.rho_vec, self.q_s)
 
     def set_rho(self, rho_scalar: float):
@@ -333,16 +338,21 @@ class ReferenceSolver:
         best_iter = 0
         status = MAX_ITERS
         iterations = settings.max_iters
+        if ws.dense_map is not None:
+            # the map's iterate [x; t; p; 1]: w = b_s - p and y = rho (p - t)
+            p = b_s - w
+            t = p - y / ws.rho_vec
 
         for it in range(1, settings.max_iters + 1):
             if ws.dense_map is not None:
-                dense_map = ws.dense_map.copy()
-                dense_map[n:, -1] += b_s
-                u = dense_map @ np.concatenate([x, w, y, [1.0]])
-                x, proj_in = u[:n], u[n:]
-                proj = ws.projector.project(proj_in)
-                w = b_s - proj
-                y = ws.rho_vec * (proj - proj_in)
+                dense_map, b_map, shift = ws.dense_map
+                dense_map = dense_map.copy()
+                dense_map[:, -1] = shift + b_map @ b_s
+                u = dense_map @ np.concatenate([x, t, p, [1.0]])
+                x, t = u[:n], u[n:]
+                p = ws.projector.project(t)
+                w = b_s - p
+                y = ws.rho_vec * (p - t)
             else:
                 rhs = np.concatenate([sigma * x - ws.q_s, w - y / ws.rho_vec])
                 sol = ws.lu.solve(rhs)
@@ -413,6 +423,8 @@ class ReferenceSolver:
                     ratio = np.sqrt(rp_s / rd_s)
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
                         ws.set_rho(ws.rho_scalar * float(ratio))
+                        if ws.dense_map is not None:
+                            t = p - y / ws.rho_vec  # p stays; t moves with rho
         else:
             iterations = settings.max_iters
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coulombmpc import FormationConfig
+from coulombmpc import FormationConfig, read_csv
 from coulombmpc.cli import _overrides, build_parser, main
 from coulombmpc.config import (
     _KNOWN_KEYS,
@@ -399,3 +399,14 @@ def test_cli_runtime_abort_exit_code(tmp_path):
         ])
     )
     assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_cli_nonfinite_abort_exit_code(tmp_path, capsys):
+    # the first hold from a 1e-150 m separation ends in NaN: a runtime error,
+    # with the step it ran logged
+    out = tmp_path / "nan.csv"
+    cfg = twocraft_with(tmp_path, "min_separation = 1e-200", "initial_state = [1e-150, 0.0]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "status:           aborted-nonfinite" in capsys.readouterr().out
+    assert len(read_csv(out)) == 1

@@ -32,7 +32,8 @@ from coulombmpc import (
 )
 from coulombmpc import dynamics
 from coulombmpc.config import load_scenario
-from coulombmpc.simulate import ORACLE_MAX_COMBINATIONS, RUN_ABORTED_COLLISION, RUN_COMPLETED
+from coulombmpc.simulate import (ORACLE_MAX_COMBINATIONS, RUN_ABORTED_COLLISION,
+                                 RUN_ABORTED_NONFINITE, RUN_COMPLETED)
 from coulombmpc.solver import OPTIMAL
 
 
@@ -160,6 +161,22 @@ def test_collision_aborts_with_partial_log():
     log = run_closed_loop(scen)
     assert log.status == RUN_ABORTED_COLLISION
     assert 0 < len(log.records) < 20
+
+
+def test_nonfinite_hold_aborts_with_partial_log():
+    # the cube of a 1e-150 m separation underflows to 0, so the first hold
+    # ends in NaN, which the next hold could not start from
+    scen = dataclasses.replace(
+        load_scenario(Path(__file__).resolve().parent.parent / "configs" / "twocraft.cfg"),
+        initial_state=[1e-150, 0.0],
+        formation=FormationConfig(2, 50.0, min_separation=1e-200))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = run_closed_loop(scen)
+    assert log.status == RUN_ABORTED_NONFINITE
+    assert [(r.step, r.solver_status) for r in log.records] == [(0, OPTIMAL)]
+    assert log.records[0].measured.tolist() == [1e-150, 0.0]
+    assert np.isnan(log.summary["final_state"]).all()
+    assert log.summary["fault_count"] == 0 and log.summary["max_abs_charge"] > 0.0
 
 
 def test_summary_fields():
