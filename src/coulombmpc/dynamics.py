@@ -428,6 +428,12 @@ def _bind_vector_hold(cfg: FormationConfig, dt: float, substeps: int):
     return hold
 
 
+def _finite_state(state: RelativeState) -> bool:
+    """Whether every position and velocity of ``state`` is finite, in one pass
+    on Python floats: two numpy calls on one-entry arrays cost 8 times as much."""
+    return all(map(math.isfinite, state.positions.tolist() + state.velocities.tolist()))
+
+
 class _HoldSlot(threading.local):
     """The last hold :func:`rk4_step` bound in this thread, as (a weak
     reference to its formation, dt, substeps, hold): concurrent callers never
@@ -488,8 +494,7 @@ def rk4_step(
     positions, velocities = state.positions, state.velocities
     if positions.size != half:
         raise ValueError(f"relative positions must have length {half}, got {positions.size}")
-    # one pass on Python floats: two numpy calls on one-entry arrays cost 8 times as much
-    if not all(map(math.isfinite, positions.tolist() + velocities.tolist())):
+    if not _finite_state(state):
         raise ValueError(
             f"state must be finite, got positions {positions}, velocities {velocities}")
     y = hold(positions, velocities, q)

@@ -23,6 +23,7 @@ from .dynamics import (
     _as_float_vector,
     _check_count,
     _check_positive,
+    _finite_state,
     _rebuilt_through_checks,
     build_discrete_model,
     charge_products,
@@ -115,7 +116,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunLog:
         except SingularityError:
             status = RUN_ABORTED_COLLISION
             break
-        if not (np.isfinite(state.positions).all() and np.isfinite(state.velocities).all()):
+        if not _finite_state(state):
             status = RUN_ABORTED_NONFINITE
             break
 

@@ -456,10 +456,11 @@ class _Workspace:
         self.rho_vec, self.b_s = np.zeros(m), np.zeros(m)
         self.dense = n + m <= _DENSE_MAX
         # the backend: iterate(count, operator) runs rows 1..count, leaving each
-        # row's scaled w and y in wy_rows; set_start(x, w, y) writes row 0.
-        # Neither holds a reference to the workspace, so a dropped solver's
-        # workspace goes with it, not at the next garbage collection
-        self.iterate, self.set_start, self.wy_rows = (
+        # row's scaled w and y in wy_rows; set_start(x, w, y) writes row 0 and
+        # set_y(y) its y at the current rho, as after a rho change.  None
+        # holds a reference to the workspace, so a dropped solver's workspace
+        # goes with it, not at the next garbage collection
+        self.iterate, self.set_start, self.set_y, self.wy_rows = (
             self.bind_dense() if self.dense else self.bind_lu())
         # check_views[k]: the batched check of a block of k iterates, bound the
         # first time a block of k runs (a cold solve binds no long one) on the
@@ -488,8 +489,9 @@ class _Workspace:
     def bind_lu(self):
         """The LU backend, on rows [x; w; y; 1]: a call running iterates
         1..count of a block from row 0, each by one call of ``operator``, the
-        KKT factor's solve; a call writing a start to row 0; and the rows'
-        w and y, which are in place."""
+        KKT factor's solve; a call writing a start to row 0, and one writing
+        its y, which no rho change moves; and the rows' w and y, which are in
+        place."""
         n, m = self.q_s.size, self.b_s.size
         views = [(v[: n + m], v[n : n + m], v[n + m : -1], nxt[:n], nxt[n : n + m], nxt[n + m : -1])
                  for v, nxt in self.row_pairs()]
@@ -534,10 +536,14 @@ class _Workspace:
                 add(y, w_relaxed, y_next)
                 copyto(x_next, x_relaxed)  # the one copy: w_next is in place
 
-        def set_start(x, w, y):
-            start[:n], start[n : n + m], start[n + m : -1] = x, w, y
+        def set_y(y):
+            start[n + m : -1] = y
 
-        return iterate, set_start, (self.rows[:, n : n + m], self.rows[:, n + m : -1])
+        def set_start(x, w, y):
+            start[:n], start[n : n + m] = x, w
+            set_y(y)
+
+        return iterate, set_start, set_y, (self.rows[:, n : n + m], self.rows[:, n + m : -1])
 
     def bind_dense(self):
         """The dense backend, on rows [x; t; p; 1]: a call running iterates
@@ -545,8 +551,9 @@ class _Workspace:
         ``operator``, the map M' (``_dense_map``), into the next row's x and
         t, and one projection of that t into its p, then forming the block's
         scaled w = b_s - p and y = rho (p - t) in two buffers; a call writing
-        a start (x, w, y) to row 0 as p = b_s - w and t = p - y/rho; and the
-        two buffers."""
+        a start (x, w, y) to row 0 as p = b_s - w and t = p - y/rho, and one
+        writing its y alone, as t = p - y/rho at the current rho, which a rho
+        change needs; and the two buffers."""
         n, m = self.q_s.size, self.b_s.size
         pairs, bind = self.row_pairs(), self.projector.bind
         steps = []  # each row's product and projection, bound the first time a block reaches it
@@ -567,13 +574,17 @@ class _Workspace:
             subtract(p, t_rows[block], y)
             multiply(rho_vec, y, y)
 
-        def set_start(x, w, y):
-            start[:n] = x
-            t, p = start[n : n + m], start[n + m : -1]
-            subtract(b_s, w, p)
+        t, p = start[n : n + m], start[n + m : -1]
+
+        def set_y(y):
             subtract(p, divide(y, rho_vec), t)
 
-        return iterate, set_start, (w_rows, y_rows)
+        def set_start(x, w, y):
+            start[:n] = x
+            subtract(b_s, w, p)
+            set_y(y)
+
+        return iterate, set_start, set_y, (w_rows, y_rows)
 
     def bind_check(self, k: int):
         """Bind and return ``check_views[k]``: the block's scaled x, w and y
@@ -615,18 +626,13 @@ class _Workspace:
         # what the backend's iterate call takes
         self.operator = self.map if self.dense else self.lu.solve
 
-    def set_rho(self, rho_scalar: float, y: np.ndarray | None = None):
-        """Set rho and refactor.  Mid-solve, ``y`` is the start row's scaled
-        y; the dense row holds it as p - y/rho, so its t moves to the new rho."""
+    def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
         self.rho_vec.fill(self.rho_scalar)
         self.rho_vec[: self.projector.zero_end] = np.clip(
             self.rho_scalar * _RHO_EQ_FACTOR, _RHO_MIN, _RHO_MAX
         )
         self.refactor()
-        if self.dense and y is not None:
-            n, m = self.q_s.size, self.b_s.size
-            np.subtract(self.start[n + m : -1], y / self.rho_vec, self.start[n : n + m])
 
 
 class ConicSolver:
@@ -811,7 +817,8 @@ class ConicSolver:
                 if rp_s > 0 and rd_s > 0:
                     ratio = np.sqrt(rp_s / rd_s)
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
-                        ws.set_rho(ws.rho_scalar * float(ratio), ws.balance_y)
+                        ws.set_rho(ws.rho_scalar * float(ratio))
+                        ws.set_y(ws.balance_y)  # the map holds y as p - y/rho: its t moves
 
         self._held = held + 1 if status == OPTIMAL and it == warm_end else 0
         # the iterate the solve stopped at, in the last block's row; the

@@ -562,12 +562,28 @@ def test_stall_of_overflowing_scores_matches_reference():
     assert got_log == ref_log
 
 
-# the stall rule ends the solve _STALL_ITERS + 1 iterations after its best
-# score's iterate, which rounding moves (2,167 on LU, 2,310 on the map): a
-# stall window up to 9 shorter puts the stop at row 7 of its block (LU keeps
-# the default), then budgets end that block there, or one or four iterations before
+# the stall rule ends the solve at 2,167, row 6 of its block: budgets that end
+# that block there, or one or four iterations before
 @pytest.mark.parametrize("before", [0, 1, 4])
-def test_budget_ending_mid_block_near_a_stall_matches_reference(monkeypatch, before):
+def test_budget_ending_mid_block_near_a_stall_matches_reference(before):
+    prob = two_sided_infeasible()
+    stall = ReferenceSolver().solve(prob, SolverSettings(max_iters=8000)).iterations
+    settings = SolverSettings(max_iters=stall - before)
+    got, got_log = logged(lambda cb: ConicSolver(prob, settings).solve(log_callback=cb))
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, settings, log_callback=cb))
+    assert stall % 10 > before
+    assert got.status == (INFEASIBLE_SUSPECT if before == 0 else MAX_ITERS)
+    assert got.iterations == settings.max_iters
+    assert_identical(got, ref)
+    assert got_log == ref_log
+
+
+# the stall iterate is set by rounding (2,310 on the map, a block end): a stall
+# window up to 9 shorter, the same in solver and reference, moves the stop to
+# row 7 of its block on either backend, then budgets end that block there, or
+# one or four iterations before
+@pytest.mark.parametrize("before", [0, 1, 4])
+def test_budget_ending_mid_block_near_a_shortened_stall_matches_reference(monkeypatch, before):
     prob = two_sided_infeasible()
     stall = ReferenceSolver().solve(prob, SolverSettings(max_iters=8000)).iterations
     window = solver_module._STALL_ITERS - (stall - 7) % 10
@@ -586,28 +602,28 @@ def test_budget_ending_mid_block_near_a_stall_matches_reference(monkeypatch, bef
 
 # -- the map's row [x; t; p; 1] on the shipped two-craft problem (n + m = 20) ---
 
-def counted_rho_moves(monkeypatch):
-    """A list that gets the new rho of every change within a solve, where the
-    map's row 0 moves its t, by every workspace."""
-    moves = []
+def counted_rho_changes(monkeypatch):
+    """A list that gets the rho of every ``set_rho`` call, by every workspace:
+    the first as it is built, then one per change within a solve, where the
+    map's row 0 rewrites its t."""
+    rhos = []
     set_rho = _Workspace.set_rho
 
-    def counting(self, rho_scalar, y=None):
-        if y is not None:
-            moves.append(rho_scalar)
-        return set_rho(self, rho_scalar, y)
+    def counting(self, rho_scalar):
+        rhos.append(rho_scalar)
+        return set_rho(self, rho_scalar)
 
     monkeypatch.setattr(_Workspace, "set_rho", counting)
-    return moves
+    return rhos
 
 
 def test_twocraft_cold_solve_across_rho_changes_matches_reference(monkeypatch):
     prob, scenario = step0(SCENARIOS["twocraft"]())
-    moves = counted_rho_moves(monkeypatch)
+    rhos = counted_rho_changes(monkeypatch)
     got, got_log = logged(lambda cb: ConicSolver(prob, scenario.solver).solve(log_callback=cb))
     ref, ref_log = logged(
         lambda cb: ReferenceSolver().solve(prob, scenario.solver, log_callback=cb))
-    assert got.status == OPTIMAL and len(moves) >= 2
+    assert got.status == OPTIMAL and len(rhos) >= 1 + 2
     assert_identical(got, ref)
     assert got_log == ref_log
 
@@ -729,33 +745,43 @@ def test_interleaved_psd_sizes_at_block_edges_match_reference(max_iters):
     assert got_log == ref_log
 
 
-# warm starts (z, s, y) near the top of the float range, and on which backends
-# the first iterate's primal residual stays finite: the map's right-hand side
-# t - 2p + b_s weighs p by 2, so its x overflows at about half LU's magnitude
-OVERFLOWING_WARM_STARTS = {
-    "lu-primal-finite": ([1.42310045e307, 4.59701852e307], [-9.27555622e307, 3.24253909e307],
-                         [2.14475842e307, -5.17261824e307], {"lu"}),
-    "both-primal-finite": ([-7.75212125e306, 6.33922967e307], [3.8916955e307, -6.52657952e307],
-                           [3.75733139e306, -2.85435599e307], {"lu", "dense"}),
-}
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("z,s,y,primal_finite", OVERFLOWING_WARM_STARTS.values(),
-                         ids=OVERFLOWING_WARM_STARTS)
-def test_overflowing_residual_ends_the_solve_at_its_iteration(backend, z, s, y, primal_finite):
-    # the first iterate's dual residual overflows to inf, though each of its
-    # terms, and so its tolerance, is finite
+def test_overflowing_residual_ends_the_solve_at_its_iteration():
+    # a warm start near the top of the float range: the first iterate's dual
+    # residual overflows to inf, though each of its terms, and so its
+    # tolerance, is finite
     prob = {name: prob for name, prob, _ in build_problems()}["qp_clip_to_orthant"]
-    warm = dataclasses.replace(cold_warm(prob, 5), z=np.array(z), s=np.array(s), y=np.array(y))
+    warm = dataclasses.replace(cold_warm(prob, 5), z=np.array([1.42310045e307, 4.59701852e307]),
+                               s=np.array([-9.27555622e307, 3.24253909e307]),
+                               y=np.array([2.14475842e307, -5.17261824e307]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # an overflow ends the solve, not as a RuntimeWarning
         got, got_log = logged(lambda cb: ConicSolver(prob).solve(warm=warm, log_callback=cb))
     assert caught == []
     ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, warm=warm, log_callback=cb))
     assert got.status == INFEASIBLE_SUSPECT and got.iterations == 1
-    assert math.isfinite(got.primal_residual) == (backend in primal_finite)
-    assert got.dual_residual == math.inf
+    assert math.isfinite(got.primal_residual) and got.dual_residual == math.inf
+    assert_identical(got, ref)
+    assert got_log == ref_log == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_dual_residual_alone_ends_the_solve_on_the_map_too():
+    # a warm start near the top of the float range whose first iterate keeps a
+    # finite primal residual on both backends (the map's right-hand side t -
+    # 2p + b_s weighs p by 2, so its x overflows at about half LU's magnitude):
+    # only the dual residual overflows to inf
+    prob = {name: prob for name, prob, _ in build_problems()}["qp_clip_to_orthant"]
+    warm = dataclasses.replace(cold_warm(prob, 5), z=np.array([-7.75212125e306, 6.33922967e307]),
+                               s=np.array([3.8916955e307, -6.52657952e307]),
+                               y=np.array([3.75733139e306, -2.85435599e307]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # an overflow ends the solve, not as a RuntimeWarning
+        got, got_log = logged(lambda cb: ConicSolver(prob).solve(warm=warm, log_callback=cb))
+    assert caught == []
+    ref, ref_log = logged(lambda cb: ReferenceSolver().solve(prob, warm=warm, log_callback=cb))
+    assert got.status == INFEASIBLE_SUSPECT and got.iterations == 1
+    assert math.isfinite(got.primal_residual) and got.dual_residual == math.inf
     assert_identical(got, ref)
     assert got_log == ref_log == []
 
