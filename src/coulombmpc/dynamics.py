@@ -400,8 +400,10 @@ def _bind_vector_hold(cfg: FormationConfig, dt: float, substeps: int):
              None if coeff is None else np.full(dim, coeff),
              None if coeff is None else stages[i + 1, 1 : dim + 1])
             for i, coeff in enumerate((0.5 * dt, 0.5 * dt, dt, None))]
-    subtract, matmul, multiply, add, copyto = (
-        np.subtract, np.matmul, np.multiply, np.add, np.copyto)
+    subtract, multiply, add, copyto = np.subtract, np.multiply, np.add, np.copyto
+    # np.dot reaches matmul's gemv with less dispatch, but takes a 1x1 matrix
+    # as a scalar, without the sum from 0.0 that turns a -0.0 into 0.0
+    matvec = np.dot if half > 1 else np.matmul
 
     def hold(positions: np.ndarray, velocities: np.ndarray, q: np.ndarray) -> np.ndarray:
         copyto(y_positions, positions)
@@ -411,7 +413,7 @@ def _bind_vector_hold(cfg: FormationConfig, dt: float, substeps: int):
             for stage, k, k_acc, coeff, following in plan:
                 kernel(stage)
                 subtract(others, lead, relative)
-                matmul(matrix, products, k_acc)
+                matvec(matrix, products, k_acc)
                 if coeff is not None:
                     multiply(coeff, k, step)
                     add(y, step, following)

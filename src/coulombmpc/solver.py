@@ -46,37 +46,52 @@ Contract:
   The returned result, the iteration count and the ``log_callback`` stream
   are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
-- Two backends run the linear part of an iteration, chosen by problem
-  size.  Up to ``_DENSE_MAX`` = n + m the *dense* backend holds an iterate
-  as v = [x; t; p; 1], t the projection's input and p its output, so that w
-  = b_s - p and y = rho (p - t).  Everything in an iteration but the
-  projection is affine in v, so an iteration is one product [x_next; t_next]
-  = M' v with a map M' (``_dense_map``) rebuilt from the KKT factor at each
-  rho refactor, whose last column each solve rewrites, and one projection of
-  t_next into p_next, both in the next row; w and y are formed once per
-  block, for its check.  Larger problems run on the *LU* backend, on [x; w;
-  y; 1], one sparse solve of the factor per iteration.  Microseconds per
-  iteration, a cold solve run to a 1,500-iteration budget, min of 5, one
-  BLAS thread pinned to one core of a 2-core AVX-512 Xeon:
+- Two backends run an iteration's linear part and the termination check,
+  chosen by problem size.  Up to ``_DENSE_MAX`` = n + m the *dense*
+  backend is two BLAS products on its row v = [x; t; p; 1], t the
+  projection's input and p its output, so that w = b_s - p and y = rho (p
+  - t).  Everything in an iteration but the projection is affine in v, so
+  an iteration is one product [x_next; t_next] = M' v (``np.dot``, one
+  gemv) with a map M' (``_dense_map``) rebuilt from the KKT factor at each
+  rho refactor, whose last column each solve rewrites, and one projection
+  of t_next into p_next, both in the next row.  Every residual and scale
+  of the check is affine in u = [x; p - t; p; 1], so a block's check is
+  one copy of its rows with p - t in place of t, one product with a check
+  map C (``_check_map``), one gemv per row, then one ``abs`` and one
+  segmented max.  p - t is formed first, as the plain loop forms y, so an
+  inactive row's y is 0 exactly: a product of t and p apart rounds r_dual
+  to about eps rho |t| |A| e/gamma, which the dual tolerance does not
+  scale with.  Larger problems run on the *LU* backend,
+  on [x; w; y; 1], one sparse solve of the factor per iteration and a
+  check by the sparse products of A, A' and P.  Microseconds per
+  iteration, a cold solve run to a 1,500-iteration budget, min of 15 solves
+  over four runs, one BLAS thread pinned to one core of a 2-core AVX-512
+  Xeon:
 
       problem (horizon)   n + m     LU    dense
-      two-craft (1)          20   15.5      6.7
-      two-craft (3)          52   18.7      8.7
-      two-craft (4)          68   20.2      9.9
-      four-craft (1)         68   25.1     13.7
-      four-craft (3)        180   37.2     26.2
-      four-craft (5)        292   49.5     50.1
-      four-craft (6)        348   57.1     69.8
-      four-craft (9)        516   75.1    192.5
+      two-craft (1)          20   15.9      5.2
+      two-craft (3)          52   19.4      8.8
+      two-craft (4)          68   20.7     10.6
+      four-craft (1)         68   24.5     15.9
+      four-craft (3)        180   40.2     47.5
+      four-craft (5)        292   49.4    155.9
+      four-craft (6)        348   56.3    226.4
+      four-craft (9)        516   72.2    570.0
 
-  The dense map is faster up to about 300, but it is a dense inverse of an
-  ill-conditioned KKT, and its accuracy sets the crossover: on four-craft
+  The dense backend is faster up to about n + m = 100: the check map is
+  dense, (n + 2m + 1) x 3(n + m), so the check's product grows as the
+  square of the size where the sparse check grows with the nonzeros, and
+  from about n + m = 50 it costs more than the sparse check would.  The
+  map M' is a dense inverse of an ill-conditioned KKT, and its accuracy
+  sets the crossover lower still: on four-craft
   equilibrium steps it needs as many iterations as LU at n + m = 68, but at
   124 a 1e-12 solve takes 3,505 iterations against 606, at 236 7,812
   against 1,159, and from 292 it does not reach 1e-12 in 50,000.  The
   crossover is a module constant, not a setting.  Each backend is
   bit-identical to the plain loop taking the same backend; the two agree to
-  rounding, not bit for bit.
+  rounding, not bit for bit.  The check map rounds the residuals otherwise
+  than the sparse products do, by at most 2.2e-7 of the larger of each
+  residual and its tolerance on the tested problems.
 - The PSD blocks of side 2 (every stage of a two-craft formation) are
   projected in closed form on Python floats (``_project_psd2``): a 2x2
   block's eigenvalues are mid -+ r, so the projection is the block itself,
@@ -88,10 +103,12 @@ Contract:
 - Every iterate is one row in its backend's coordinates.  A block of k
   iterates fills rows 1..k after its start in row 0, where a block that
   does not stop copies its last row for the next block and the rho balance,
-  so the check reads the block in place (the map's w and y from two
-  buffers of as many rows).  A rho change moves the map's row 0 to the new
-  rho: p stays and t becomes p - y/rho.  A solver that does not warm start
-  never settles, so its rows and check buffers serve blocks of
+  so the LU check reads the block in place and the map's check one copy
+  of it with t replaced by p - t.  The map forms a row's w and y only for
+  the result and the rho balance.  A rho change moves the map's
+  row 0 to the new rho: p stays and t becomes p - y/rho, so the result of
+  a solve's last iterate is taken before it.  A solver that does not warm
+  start never settles, so its rows and check buffers serve blocks of
   ``_CHECK_EVERY``.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc, in the solve's quiet error state, ``c_einsum`` and
@@ -371,6 +388,72 @@ def _dense_map(lu, rho_vec: np.ndarray, q_s: np.ndarray):
     return M, G[:, n:-1].copy(), G[:, -1].copy()
 
 
+def _check_map(A: sp.csc_matrix, P: sp.csc_matrix, c: np.ndarray, d: np.ndarray,
+               e: np.ndarray, gamma: float):
+    """The termination check on the dense backend's row [x; t; p; 1] as one
+    C-ordered matrix C acting on u = [x; p - t; p; 1]: u C holds, in six
+    segments, A z - w_u, P z + c + A'y_u, A z, P z, s_u and A'y_u of the
+    original problem at z = d x, w_u = b - p/e (so s_u = p/e) and y_u = (e
+    rho/gamma) (p - t).  The rows of p - t, which hold rho, are written by
+    the returned call ``set_rho(rho_vec)`` at each refactor; the constant
+    row's A z - w_u segment, -b, is left 0 for a solve to write.  A segment
+    of an empty side (m or n zero) is one zero column, so its norm is 0.
+    Returns C, the six segments' starts and ``set_rho``."""
+    m, n = A.shape
+    sizes = (max(m, 1), max(n, 1)) * 3
+    starts = np.cumsum((0,) + sizes[:-1])
+    r_prim, r_dual, az, pz, s_u, aty = (slice(a, a + size)
+                                        for a, size in zip(starts, (m, n) * 3))
+    x, y, p = slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
+    A_dense = A.toarray()
+    C = np.zeros((n + 2 * m + 1, sum(sizes)))
+    C[x, r_prim] = C[x, az] = (A_dense * d).T
+    C[x, r_dual] = C[x, pz] = (P.toarray() * d).T
+    C[p, r_prim] = C[p, s_u] = np.diag(1.0 / e)
+    C[-1, r_dual] = c
+
+    def set_rho(rho_vec: np.ndarray):
+        C[y, r_dual] = C[y, aty] = (e * rho_vec / gamma)[:, None] * A_dense
+
+    return C, starts, set_rho
+
+
+def _bind_check_map(rows: np.ndarray, n: int, check_map: np.ndarray, starts: np.ndarray,
+                    block: np.ndarray, products: np.ndarray, norms: np.ndarray):
+    """A call returning the (3, 2, k) infinity norms of the check map's six
+    segments for the k rows ``rows`` [x; t; p; 1] of n variables: rows
+    [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|].  The rows are copied to
+    the flat buffer ``block`` with t replaced by p - t, as the plain loop
+    forms y, so an inactive row's y is 0 exactly: a product of t and p apart
+    would leave r_dual a rounding floor of eps rho |t| |A| e/gamma, which
+    the dual tolerance does not scale with.  The product is one gemv per row
+    in one ``matmul``, so each row's bits are those of ``u @ check_map``
+    whatever k and its place in the block (a gemm's are not: they follow
+    BLAS's tiling).  One ``abs`` and one segmented max of the flat buffers
+    ``products`` and ``norms`` give the norms."""
+    (k, size), width = rows.shape, check_map.shape[1]
+    m = (size - n - 1) // 2
+    u = block[: k * size].reshape(k, size)
+    t, p, y = rows[:, n : n + m], rows[:, n + m : -1], u[:, n : n + m]
+    out = products[: k * width].reshape(k, 1, width)
+    flat = out.reshape(k, width)
+    per_row = norms[: 6 * k].reshape(k, 6)
+    view = per_row.T.reshape(3, 2, k)  # a view: per_row's columns are [prim, dual] x 3
+    u_rows = u[:, None, :]
+    copyto, subtract, matmul, absolute, reduceat = (
+        np.copyto, np.subtract, np.matmul, np.absolute, np.maximum.reduceat)
+
+    def check() -> np.ndarray:
+        copyto(u, rows)
+        subtract(p, t, y)  # from rows: an out that is also an input costs numpy a copy
+        matmul(u_rows, check_map, out)
+        absolute(flat, flat)
+        reduceat(flat, starts, 1, None, per_row)
+        return view
+
+    return check
+
+
 def _csc_row_col(mat: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index of every stored entry of a CSC matrix."""
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
@@ -453,26 +536,10 @@ class _Workspace:
         self.rows = np.zeros((longest + 1, n + 2 * m + 1))
         self.rows[:, -1] = 1.0
         self.start = self.rows[0]
-        self.rho_vec, self.b_s = np.zeros(m), np.zeros(m)
-        self.dense = n + m <= _DENSE_MAX
-        # the backend: iterate(count, operator) runs rows 1..count, leaving each
-        # row's scaled w and y in wy_rows; set_start(x, w, y) writes row 0 and
-        # set_y(y) its y at the current rho, as after a rho change.  None
-        # holds a reference to the workspace, so a dropped solver's workspace
-        # goes with it, not at the next garbage collection
-        self.iterate, self.set_start, self.set_y, self.wy_rows = (
-            self.bind_dense() if self.dense else self.bind_lu())
-        # check_views[k]: the batched check of a block of k iterates, bound the
-        # first time a block of k runs (a cold solve binds no long one) on the
-        # heads of flat buffers sized for the longest block: the unscaled z, w
-        # and y, [residual, A z, s], [residual, P z, A'y], their (3, 2, k)
-        # infinity norms and the kernels' output columns
-        self.check_mats = prob.A, prob.A.T, prob.P
-        self.check_flat = [np.zeros(longest * size)
-                           for size in (n, m, m, 3 * m, 3 * n, 6, m + 2 * n)]
-        self.check_views = [None] * (longest + 1)
+        self.rho_vec, self.b_s, self.b = np.zeros(m), np.zeros(m), np.zeros(m)
+        self.prob = prob
         # the rho balance's scaled products of the start row's x and of its y,
-        # copied to balance_y
+        # which the backend writes to balance_y
         self.balance_y = np.zeros(m)
         self.balance = [_bind_product(A_s, self.start[:n], np.zeros(m)),
                         _bind_product(P_s, self.start[:n], np.zeros(n)),
@@ -480,6 +547,23 @@ class _Workspace:
         # the returned z and its unscaled P z, for the objective
         self.z = np.zeros(n)
         self.objective_product = _bind_product(prob.P, self.z, np.zeros(n))
+        self.dense = n + m <= _DENSE_MAX
+        # the backend: iterate(count, operator) runs rows 1..count;
+        # set_start(x, w, y) writes row 0 and set_y(y) its y at the current
+        # rho, as after a rho change; bind_block_check(k) binds the check of
+        # a block of k iterates, a call returning their (3, 2, k) infinity
+        # norms, rows [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|];
+        # result(row) returns the unscaled (z, s, y) of row 1 + row of the
+        # last block checked (z also in self.z) and balance_wy() the scaled w
+        # and y of row 0 (y in balance_y).  None holds a reference to the
+        # workspace, so a dropped solver's workspace goes with it, not at the
+        # next garbage collection
+        (self.iterate, self.set_start, self.set_y, self.bind_block_check, self.result,
+         self.balance_wy) = self.bind_dense() if self.dense else self.bind_lu()
+        # check_views[k]: the check of a block of k iterates, bound the first
+        # time a block of k runs (a cold solve binds no long one) on the
+        # heads of buffers sized for the longest block
+        self.check_views = [None] * (longest + 1)
         self.set_rho(_RHO_INIT)
 
     def row_pairs(self):
@@ -490,8 +574,10 @@ class _Workspace:
         """The LU backend, on rows [x; w; y; 1]: a call running iterates
         1..count of a block from row 0, each by one call of ``operator``, the
         KKT factor's solve; a call writing a start to row 0, and one writing
-        its y, which no rho change moves; and the rows' w and y, which are in
-        place."""
+        its y, which no rho change moves; the check of a block of k by the
+        sparse products of the original A, A' and P; and the result of a row
+        of the last block checked, read from the check's unscaled z, w and y,
+        and row 0's w and y for the rho balance, read in place."""
         n, m = self.q_s.size, self.b_s.size
         views = [(v[: n + m], v[n : n + m], v[n + m : -1], nxt[:n], nxt[n : n + m], nxt[n + m : -1])
                  for v, nxt in self.row_pairs()]
@@ -543,85 +629,153 @@ class _Workspace:
             start[:n], start[n : n + m] = x, w
             set_y(y)
 
-        return iterate, set_start, set_y, (self.rows[:, n : n + m], self.rows[:, n + m : -1])
+        # the check: the unscaled z, w and y of a block's rows, [residual, A z,
+        # s], [residual, P z, A'y] and their (3, 2, k) infinity norms, on the
+        # heads of flat buffers sized for the longest block, beside the
+        # kernels' output columns
+        A, P, c, d, e, gamma, b = self.prob.A, self.prob.P, self.prob.c, self.d, self.e, self.gamma, self.b
+        check_mats, rows, longest = (A, A.T, P), self.rows, self.longest
+        balance_y, z = self.balance_y, self.z
+        z_flat, w_flat, y_flat, prim_flat, dual_flat, norms_flat, columns = [
+            np.zeros(longest * size) for size in (n, m, m, 3 * m, 3 * n, 6, m + 2 * n)]
+        checked = [None]  # the unscaled z, w and y of the last block checked
+        absolute = np.absolute
+
+        def bind_check(k: int):
+            """The check of rows 1..k by the sparse kernels.  z and y are (k,
+            size) views of (size, k) buffers, one iterate per column as the
+            kernels take them; the rest are contiguous, so each infinity norm
+            is a contiguous reduction."""
+            x_s, w_s, y_s = rows[1 : k + 1, :n], rows[1 : k + 1, n : n + m], rows[1 : k + 1, n + m : -1]
+            z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
+            z_u, w_u, y_u, y_all = z_col.T, w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k]
+            prim = prim_flat[: 3 * k * m].reshape(3, k, m)
+            dual = dual_flat[: 3 * k * n].reshape(3, k, n)
+            norms = norms_flat[: 6 * k].reshape(3, 2, k)
+            products = _bind_check_products(check_mats, z_col, y_col, columns,
+                                            prim[1], dual[1], dual[2])
+            gammas = np.broadcast_to(gamma, m * k)  # read-only, no memory: stride 0
+            unscaled = z_u, w_u, y_u
+
+            def check() -> np.ndarray:
+                checked[0] = unscaled
+                multiply(d, x_s, z_u)
+                divide(w_s, e, w_u)
+                multiply(e, y_s, y_u)
+                divide(y_all, gammas, y_all)  # y_u / gamma, on y_u's contiguous buffer
+                products()
+                # prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
+                subtract(prim[1], w_u, prim[0])
+                subtract(b, w_u, prim[2])
+                add(dual[1], c, dual[0])
+                add(dual[0], dual[2], dual[0])
+                # one pass per side: the infinity norms of all three, 0 when empty
+                absolute(prim, prim).max(axis=2, initial=0.0, out=norms[:, 0])
+                absolute(dual, dual).max(axis=2, initial=0.0, out=norms[:, 1])
+                return norms
+
+            return check
+
+        def result(row: int):
+            z_u, w_u, y_u = checked[0]
+            copyto(z, z_u[row])
+            return z.copy(), b - w_u[row], y_u[row].copy()
+
+        def balance_wy():
+            copyto(balance_y, start[n + m : -1])
+            return start[n : n + m], balance_y
+
+        return iterate, set_start, set_y, bind_check, result, balance_wy
 
     def bind_dense(self):
         """The dense backend, on rows [x; t; p; 1]: a call running iterates
         1..count of a block from row 0, each by one product with
         ``operator``, the map M' (``_dense_map``), into the next row's x and
-        t, and one projection of that t into its p, then forming the block's
-        scaled w = b_s - p and y = rho (p - t) in two buffers; a call writing
-        a start (x, w, y) to row 0 as p = b_s - w and t = p - y/rho, and one
-        writing its y alone, as t = p - y/rho at the current rho, which a rho
-        change needs; and the two buffers."""
+        t, and one projection of that t into its p; a call writing a start
+        (x, w, y) to row 0 as p = b_s - w and t = p - y/rho, and one writing
+        its y alone, as t = p - y/rho at the current rho, which a rho change
+        needs.  A block's check is one product of its rows, t replaced by p
+        - t, with the check map C (``_check_map``), kept in ``check_map``
+        and its rows of p - t in ``set_check_rho``.  A row's scaled w = b_s
+        - p and y = rho (p - t) are formed only for the result, unscaled
+        as the LU backend's check unscales its rows, and for the rho
+        balance."""
         n, m = self.q_s.size, self.b_s.size
         pairs, bind = self.row_pairs(), self.projector.bind
         steps = []  # each row's product and projection, bound the first time a block reaches it
-        t_rows, p_rows = self.rows[:, n : n + m], self.rows[:, n + m : -1]
-        w_rows, y_rows = np.zeros((2, self.longest + 1, m))
-        rho_vec, b_s, start = self.rho_vec, self.b_s, self.start
-        matmul, subtract, multiply, divide = np.matmul, np.subtract, np.multiply, np.divide
+        rows, rho_vec, b_s, b, start, z = self.rows, self.rho_vec, self.b_s, self.b, self.start, self.z
+        d, e, gamma, balance_y = self.d, self.e, self.gamma, self.balance_y
+        dot, subtract, multiply, divide = np.dot, np.subtract, np.multiply, np.divide
 
         def iterate(count: int, dense_map):
             for v, nxt in pairs[len(steps) : count]:
                 steps.append((v, nxt[: n + m], bind(nxt[n : n + m], nxt[n + m : -1])))
             for v, xt_next, project in steps[:count]:
-                matmul(dense_map, v, xt_next)
+                dot(dense_map, v, xt_next)
                 project()  # the next row's t into its p
-            block = slice(1, count + 1)
-            p, y = p_rows[block], y_rows[block]
-            subtract(b_s, p, w_rows[block])
-            subtract(p, t_rows[block], y)
-            multiply(rho_vec, y, y)
 
-        t, p = start[n : n + m], start[n + m : -1]
+        t0, p0 = start[n : n + m], start[n + m : -1]
 
         def set_y(y):
-            subtract(p, divide(y, rho_vec), t)
+            subtract(p0, divide(y, rho_vec), t0)
 
         def set_start(x, w, y):
             start[:n] = x
-            subtract(b_s, w, p)
+            subtract(b_s, w, p0)
             set_y(y)
 
-        return iterate, set_start, set_y, (w_rows, y_rows)
+        # C, its rows of p - t set at each refactor and its constant row at each set_b
+        self.check_map, starts, self.set_check_rho = _check_map(
+            self.prob.A, self.prob.P, self.prob.c, d, e, gamma)
+        check_map, longest = self.check_map, self.longest
+        block, products, norms = (np.zeros(longest * size)
+                                  for size in (rows.shape[1], check_map.shape[1], 6))
+
+        def bind_check(k: int):
+            return _bind_check_map(rows[1 : k + 1], n, check_map, starts, block, products, norms)
+
+        def result(row: int):
+            v = rows[row + 1]
+            p = v[n + m : -1]
+            multiply(d, v[:n], z)
+            y = multiply(rho_vec, subtract(p, v[n : n + m]))
+            return z.copy(), b - divide(subtract(b_s, p), e), divide(multiply(e, y), gamma)
+
+        balance_w = np.zeros(m)
+
+        def balance_wy():
+            subtract(b_s, p0, balance_w)
+            subtract(p0, t0, balance_y)
+            multiply(rho_vec, balance_y, balance_y)
+            return balance_w, balance_y
+
+        return iterate, set_start, set_y, bind_check, result, balance_wy
 
     def bind_check(self, k: int):
-        """Bind and return ``check_views[k]``: the block's scaled x, w and y
-        in rows 1..k, then the check's views (y also flat, beside as many
-        gammas) and its products call.  z and y are (k, size) views of (size,
-        k) buffers, one iterate per column as the kernels take them; the rest
-        are contiguous, so each infinity norm is a contiguous reduction."""
-        m, n = self.check_mats[0].shape
-        z_flat, w_flat, y_flat, prim_flat, dual_flat, norms_flat, columns = self.check_flat
-        z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
-        prim = prim_flat[: 3 * k * m].reshape(3, k, m)
-        dual = dual_flat[: 3 * k * n].reshape(3, k, n)
-        products = _bind_check_products(self.check_mats, z_col, y_col, columns,
-                                        prim[1], dual[1], dual[2])
-        gammas = np.broadcast_to(self.gamma, m * k)  # read-only, no memory: stride 0
-        w_rows, y_rows = self.wy_rows
-        view = self.check_views[k] = (
-            self.rows[1 : k + 1, :n], w_rows[1 : k + 1], y_rows[1 : k + 1],
-            z_col.T, w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k], gammas,
-            prim, dual, norms_flat[: 6 * k].reshape(3, 2, k), products)
-        return view
+        """Bind and return ``check_views[k]``, the backend's check of a block
+        of k iterates in rows 1..k."""
+        check = self.check_views[k] = self.bind_block_check(k)
+        return check
 
     def set_b(self, b: np.ndarray):
-        """Take a solve's right-hand side: b_s = e b, in the map's last column too."""
+        """Take a solve's right-hand side b, b_s = e b, and their terms in the dense maps."""
+        np.copyto(self.b, b)
         np.multiply(self.e, b, self.b_s)
         self.map_b_s()
 
     def map_b_s(self):
-        """Set the dense map's last column to c + B b_s (``_dense_map``)."""
+        """Set the dense map's last column to c + B b_s (``_dense_map``) and
+        the check map's -b (``_check_map``)."""
         if self.dense:
-            np.add(self.map_shift, self.map_b @ self.b_s, self.map[:, -1])
+            np.add(self.map_shift, np.dot(self.map_b, self.b_s), self.map[:, -1])
+            np.negative(self.b, self.check_map[-1, : self.b.size])
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)
         self.lu = splu(self.kkt)
         if self.dense:
             self.map, self.map_b, self.map_shift = _dense_map(self.lu, self.rho_vec, self.q_s)
+            self.set_check_rho(self.rho_vec)
             self.map_b_s()
         # what the backend's iterate call takes
         self.operator = self.map if self.dense else self.lu.solve
@@ -709,7 +863,6 @@ class ConicSolver:
             self._ws = _Workspace(self.prob, longest)
         ws = self._ws
         d, e, gamma, q_s = ws.d, ws.e, ws.gamma, ws.q_s
-        c = prob.c
         ws.set_b(b)
 
         if warm is not None:
@@ -748,23 +901,9 @@ class ConicSolver:
             longest = _CHECK_EVERY
             iterate(count, ws.operator)
 
-            # residuals of the original, unscaled problem, one row per
-            # iterate: prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
-            x_s, w_s, y_s, z_u, w_u, y_u, y_all, gammas, prim, dual, norms, check_products = \
-                check_views[count] or ws.bind_check(count)
-            multiply(d, x_s, z_u)
-            divide(w_s, e, w_u)
-            multiply(e, y_s, y_u)
-            divide(y_all, gammas, y_all)  # y_u / gamma, on y_u's contiguous buffer
-            check_products()
-            subtract(prim[1], w_u, prim[0])
-            subtract(b, w_u, prim[2])
-            add(dual[1], c, dual[0])
-            add(dual[0], dual[2], dual[0])
-            # one pass per side: the infinity norms of all three, 0 when empty;
-            # norms rows: [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|]
-            np.abs(prim, out=prim).max(axis=2, initial=0.0, out=norms[:, 0])
-            np.abs(dual, out=dual).max(axis=2, initial=0.0, out=norms[:, 1])
+            # residuals of the original, unscaled problem, one column per
+            # iterate: norms rows [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|]
+            norms = (check_views[count] or ws.bind_check(count))()
 
             # the plain loop's termination rules for every iterate at once (a
             # row that is not finite divides inf by inf): eps = eps_abs +
@@ -796,19 +935,21 @@ class ConicSolver:
             if row < count:
                 status = OPTIMAL if score.item(row) <= 1.0 else INFEASIBLE_SUSPECT
                 it += row + 1
+                result = ws.result(row)
                 break
             i = score.argmin()  # the block's best score and its iterate carry over
             if score.item(i) < best_score:
                 best_score, best_iter = score.item(i), it + int(i) + 1
             it, row = it + count, count - 1
+            if it == max_iters:  # taken before a rho change can move the map's row
+                result = ws.result(row)
             # the block's last iterate goes to row 0, for the next block and the rho balance
             copyto(start, rows[count])
 
             if it % _RHO_CHECK_EVERY == 0:
                 # balance the residuals of the *scaled* problem, the space the
                 # iteration actually lives in, at the last iterate
-                w_last = w_s[row]
-                copyto(ws.balance_y, y_s[row])
+                w_last, y_last = ws.balance_wy()
                 Ax_s, Px_s, Aty_s = [product() for product in ws.balance]
                 rp_s = _amax(Ax_s - w_last) / max(_amax(Ax_s), _amax(w_last), 1e-12)
                 rd_s = _amax(Px_s + q_s + Aty_s) / max(
@@ -818,20 +959,18 @@ class ConicSolver:
                     ratio = np.sqrt(rp_s / rd_s)
                     if ratio > _RHO_TRIGGER or ratio < 1.0 / _RHO_TRIGGER:
                         ws.set_rho(ws.rho_scalar * float(ratio))
-                        ws.set_y(ws.balance_y)  # the map holds y as p - y/rho: its t moves
+                        ws.set_y(y_last)  # the map holds y as p - y/rho: its t moves
 
         self._held = held + 1 if status == OPTIMAL and it == warm_end else 0
-        # the iterate the solve stopped at, in the last block's row; the
-        # slack s_u = b - w_u is recomputed: its row in prim is now |s_u|
-        copyto(ws.z, z_u[row])
-        z = ws.z.copy()
-        # c'z + constant + z'Pz/2, its P @ z by the bound kernel
+        # the iterate the solve stopped at, in the last block's row
+        z, s, y = result
+        # c'z + constant + z'Pz/2, its P @ z by the bound kernel on ws.z
         pz = ws.objective_product()
-        objective = float(c @ z) + prob.objective_constant + 0.5 * float(z @ pz)
+        objective = float(prob.c @ z) + prob.objective_constant + 0.5 * float(z @ pz)
         return SolveResult(
             z=z,
-            s=b - w_u[row],
-            y=y_u[row].copy(),
+            s=s,
+            y=y,
             status=status or MAX_ITERS,
             iterations=it,
             primal_residual=r.item(0, row),

@@ -148,3 +148,15 @@ def build_problems():
     problems.append(("sdp_nearest_psd", *_nearest_psd()))
     assert len(problems) == 10
     return problems
+
+
+def empty_side_problems():
+    """Two problems with an empty side, by name: a QP without rows (min
+    0.5 x'Px + c'x, so x = -P^-1 c = [-8/7, 18/7]) and a problem without
+    variables, whose slack b = [1, 2] lies in its cone."""
+    return {
+        "no-rows": ConicProblem(c=np.array([1.0, -2.0]), A=sp.csc_matrix((0, 2)), b=np.zeros(0),
+                                cones=ConeDims(), P=sp.csc_matrix([[2.0, 0.5], [0.5, 1.0]])),
+        "no-variables": ConicProblem(c=np.zeros(0), A=np.zeros((2, 0)), b=np.array([1.0, 2.0]),
+                                     cones=ConeDims(nonneg=2)),
+    }

@@ -75,6 +75,11 @@ def pinned_problem(model, params, start):
 CROSSOVERS = {"lu": 0, "dense": sys.maxsize}
 
 
+def closure(call):
+    """The variables a bound call closes over, by name."""
+    return dict(zip(call.__code__.co_freevars, (cell.cell_contents for cell in call.__closure__)))
+
+
 @pytest.fixture(params=list(CROSSOVERS))
 def backend(request, monkeypatch):
     """Each of the solver's backends in turn, for every solver whose workspace

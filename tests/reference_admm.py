@@ -6,7 +6,7 @@ iteration, the PSD projection scatters into zeroed stacks, Ruiz
 equilibration multiplies by diagonal matrices and each rho refactor
 reassembles the KKT matrix with ``bmat``.  The optimized solver must
 reproduce its iterates bit for bit (see ``test_solver_reference.py``).
-Besides the class name and imports, six edits follow the solver's rules:
+Besides the class name and imports, seven edits follow the solver's rules:
 the fixed tuning (sigma, alpha, the initial rho, the Ruiz passes; always
 equilibrated, rho always adapted) is read from the solver's constants, a
 result is the iterate the loop stopped at, not the best-scoring one, the
@@ -21,10 +21,15 @@ t the projection's input and p its output, a start (x, w, y) entering as p
 solver's own ``_dense_map`` builds from the fresh factor, its last column c
 + B b_s, giving x and t, then p = proj(t), w = b_s - p and y = rho (p - t),
 and a rho change keeps p and sets t = p - y/rho; otherwise it is the
-original LU arithmetic, and the PSD blocks of the solver's
+original LU arithmetic, on the map the termination check's residuals and
+scales are the maxima of the six segments of |u C|, one product of u = [x;
+p - t; p; 1] with the check map the solver's own ``_check_map`` builds at
+each refactor, -b written in its constant row (the LU loop keeps the
+original sparse products), and the PSD blocks of the solver's
 ``_CLOSED_FORM_SIDE`` (2) are projected by the solver's own closed form
 ``_project_psd2``, not by ``eigh`` (``test_solver.py`` checks that closed
-form against ``eigh``).
+form against ``eigh``, and the check map's residuals against the sparse
+products).
 The objective formula the loop reports, ``c'z + constant + z'Pz/2``, is
 kept here as :func:`objective_value`, the tests' one copy of it.
 """
@@ -57,6 +62,7 @@ from coulombmpc.solver import (
     OPTIMAL,
     SolveResult,
     SolverSettings,
+    _check_map,
     _dense_map,
 )
 
@@ -161,6 +167,8 @@ class _Workspace:
     rho_vec: np.ndarray = field(default=None)
     lu: object = None
     dense_map: np.ndarray | None = None
+    check_map: tuple | None = None
+    original: tuple = ()  # the unscaled A, P and c, which the check map reads
     projector: _ConeProjector = None
     cones: ConeDims = None
     sigma: float = 1e-6
@@ -176,10 +184,14 @@ class _Workspace:
             format="csc",
         )
         self.lu = splu(kkt)
-        self.dense_map = None
+        self.dense_map = self.check_map = None
         if n + self.A_s.shape[0] <= solver._DENSE_MAX:
             # (M' without b_s, B, c): the last column is c + B b_s
             self.dense_map = _dense_map(self.lu, self.rho_vec, self.q_s)
+            # (C without -b, its segments' starts)
+            check_map, starts, set_rho = _check_map(*self.original, self.d, self.e, self.gamma)
+            set_rho(self.rho_vec)
+            self.check_map = check_map, starts
 
     def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
@@ -276,6 +288,7 @@ class ReferenceSolver:
             rho_base=_RHO_INIT,
             rho_scalar=_RHO_INIT,
             cones=prob.cones,
+            original=(prob.A, P, prob.c),
             sigma=_SIGMA,
             fingerprint=fingerprint,
         )
@@ -370,19 +383,31 @@ class ReferenceSolver:
             w_u = w / ws.e
             y_u = (ws.e * y) / ws.gamma
             s_u = b - w_u
-            Az = A @ z_u
-            r_prim = np.abs(Az - w_u).max() if mr else 0.0
-            Pz = P @ z_u if P is not None else np.zeros(n)
-            Aty = A.T @ y_u
-            r_dual = np.abs(Pz + c + Aty).max() if n else 0.0
+            if ws.check_map is not None:
+                # the map's check: |u C| of u = [x; p - t; p; 1], with -b in C's
+                # constant row, gives |A z - w_u|, |P z + c + A'y|, |A z|, |P z|, |s_u|, |A'y|
+                check_map, starts = ws.check_map
+                check_map = check_map.copy()
+                check_map[-1, :mr] = -b
+                u = np.abs(np.concatenate([x, p - t, p, [1.0]]) @ check_map)
+                r_prim, r_dual, Az_max, Pz_max, s_max, Aty_max = (
+                    part.max() for part in np.split(u, starts[1:]))
+            else:
+                Az = A @ z_u
+                r_prim = np.abs(Az - w_u).max() if mr else 0.0
+                Pz = P @ z_u if P is not None else np.zeros(n)
+                Aty = A.T @ y_u
+                r_dual = np.abs(Pz + c + Aty).max() if n else 0.0
+                Az_max, s_max = (np.abs(Az).max(), np.abs(s_u).max()) if mr else (0.0, 0.0)
+                Pz_max, Aty_max = (np.abs(Pz).max(), np.abs(Aty).max()) if n else (0.0, 0.0)
 
             if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
                 status = INFEASIBLE_SUSPECT
                 iterations = it
                 break
 
-            prim_scale = max(np.abs(Az).max() if mr else 0.0, np.abs(s_u).max() if mr else 0.0, b_scale)
-            dual_scale = max(np.abs(Pz).max(), np.abs(Aty).max() if mr else 0.0, c_scale)
+            prim_scale = max(Az_max, s_max, b_scale)
+            dual_scale = max(Pz_max, Aty_max, c_scale)
             eps_prim = settings.eps_abs + settings.eps_rel * prim_scale
             eps_dual = settings.eps_abs + settings.eps_rel * dual_scale
 
