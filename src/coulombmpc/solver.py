@@ -46,52 +46,51 @@ Contract:
   The returned result, the iteration count and the ``log_callback`` stream
   are bit-identical to the plain loop kept in ``tests/reference_admm.py``;
   identical inputs give identical iterates.
-- Two backends run an iteration's linear part and the termination check,
-  chosen by problem size.  Up to ``_DENSE_MAX`` = n + m the *dense*
-  backend is two BLAS products on its row v = [x; t; p; 1], t the
-  projection's input and p its output, so that w = b_s - p and y = rho (p
-  - t).  Everything in an iteration but the projection is affine in v, so
-  an iteration is one product [x_next; t_next] = M' v (``np.dot``, one
-  gemv) with a map M' (``_dense_map``) rebuilt from the KKT factor at each
-  rho refactor, whose last column each solve rewrites, and one projection
-  of t_next into p_next, both in the next row.  Every residual and scale
-  of the check is affine in u = [x; p - t; p; 1], so a block's check is
-  one copy of its rows with p - t in place of t, one product with a check
-  map C (``_check_map``), one gemv per row, then one ``abs`` and one
-  segmented max.  p - t is formed first, as the plain loop forms y, so an
-  inactive row's y is 0 exactly: a product of t and p apart rounds r_dual
-  to about eps rho |t| |A| e/gamma, which the dual tolerance does not
-  scale with.  Larger problems run on the *LU* backend,
-  on [x; w; y; 1], one sparse solve of the factor per iteration and a
-  check by the sparse products of A, A' and P.  Microseconds per
-  iteration, a cold solve run to a 1,500-iteration budget, min of 15 solves
-  over four runs, one BLAS thread pinned to one core of a 2-core AVX-512
-  Xeon:
+- Two backends run an iteration's linear part, chosen by problem size.  Up
+  to ``_DENSE_MAX`` = n + m the *dense* backend is one BLAS product on its
+  row v = [x; t; p; 1], t the projection's input and p its output, so that
+  w = b_s - p and y = rho (p - t).  Everything in an iteration but the
+  projection is affine in v, so an iteration is one product [x_next;
+  t_next] = M' v (``np.dot``, one gemv) with a map M' (``_dense_map``)
+  rebuilt from the KKT factor at each rho refactor, whose last column each
+  solve rewrites, and one projection of t_next into p_next, both in the
+  next row.  Larger problems run on the *LU* backend, on [x; w; y; 1], one
+  sparse solve of the factor per iteration.  Both check termination by one
+  sparse check map (``_check_map``): every residual and scale of the check
+  is affine in either backend's row, so a block's check is one copy of its
+  rows, one column per iterate, one ``csr_matvecs`` product with the map,
+  then one ``abs`` and one segmented max.  The map's pattern is fixed: a
+  refactor writes its rho entries (dense only), a solve its b entries.  On
+  the dense row the copy holds p - t in place of t, formed first as the
+  plain loop forms y, so an inactive row's y is 0 exactly: a product of t
+  and p apart rounds r_dual to about eps rho |t| |A| e/gamma, which the
+  dual tolerance does not scale with.  The kernel sums each residual in the
+  map's index order, whatever the block's length, and calls no BLAS.
+  Microseconds per iteration, a cold solve run to a 1,500-iteration budget,
+  min of 15 solves over four runs, one BLAS thread pinned to one core of a
+  2-core AVX-512 Xeon:
 
       problem (horizon)   n + m     LU    dense
-      two-craft (1)          20   15.9      5.2
-      two-craft (3)          52   19.4      8.8
-      two-craft (4)          68   20.7     10.6
-      four-craft (1)         68   24.5     15.9
-      four-craft (3)        180   40.2     47.5
-      four-craft (5)        292   49.4    155.9
-      four-craft (6)        348   56.3    226.4
-      four-craft (9)        516   72.2    570.0
+      two-craft (1)          20   13.4      4.8
+      two-craft (3)          52   16.5      6.8
+      two-craft (4)          68   18.1      7.8
+      four-craft (1)         68   22.1     11.0
+      four-craft (3)        180   34.9     21.5
+      four-craft (5)        292   45.1     37.6
+      four-craft (6)        348   50.1     53.5
+      four-craft (9)        516   68.1    148.5
 
-  The dense backend is faster up to about n + m = 100: the check map is
-  dense, (n + 2m + 1) x 3(n + m), so the check's product grows as the
-  square of the size where the sparse check grows with the nonzeros, and
-  from about n + m = 50 it costs more than the sparse check would.  The
+  By speed alone the dense backend is faster up to about n + m = 300.  The
   map M' is a dense inverse of an ill-conditioned KKT, and its accuracy
-  sets the crossover lower still: on four-craft
-  equilibrium steps it needs as many iterations as LU at n + m = 68, but at
-  124 a 1e-12 solve takes 3,505 iterations against 606, at 236 7,812
-  against 1,159, and from 292 it does not reach 1e-12 in 50,000.  The
-  crossover is a module constant, not a setting.  Each backend is
-  bit-identical to the plain loop taking the same backend; the two agree to
-  rounding, not bit for bit.  The check map rounds the residuals otherwise
-  than the sparse products do, by at most 2.2e-7 of the larger of each
-  residual and its tolerance on the tested problems.
+  sets the crossover lower: on four-craft equilibrium steps it needs as
+  many iterations as LU at n + m = 68, but at 124 a 1e-12 solve takes
+  3,505 iterations against 606, at 236 7,812 against 1,159, and from 292
+  it does not reach 1e-12 in 50,000.  The crossover is a module constant,
+  not a setting.  Each backend is bit-identical to the plain loop taking
+  the same backend; the two agree to rounding, not bit for bit.  The check
+  map rounds the residuals otherwise than the sparse products of A, A' and
+  P do, by at most 2.2e-7 of the larger of each residual and its tolerance
+  on the tested problems.
 - The PSD blocks of side 2 (every stage of a two-craft formation) are
   projected in closed form on Python floats (``_project_psd2``): a 2x2
   block's eigenvalues are mid -+ r, so the projection is the block itself,
@@ -103,13 +102,12 @@ Contract:
 - Every iterate is one row in its backend's coordinates.  A block of k
   iterates fills rows 1..k after its start in row 0, where a block that
   does not stop copies its last row for the next block and the rho balance,
-  so the LU check reads the block in place and the map's check one copy
-  of it with t replaced by p - t.  The map forms a row's w and y only for
-  the result and the rho balance.  A rho change moves the map's
-  row 0 to the new rho: p stays and t becomes p - y/rho, so the result of
-  a solve's last iterate is taken before it.  A solver that does not warm
-  start never settles, so its rows and check buffers serve blocks of
-  ``_CHECK_EVERY``.
+  so the check reads the block in one copy.  The dense backend forms a
+  row's w and y only for the result and the rho balance.  A rho change
+  moves the map's row 0 to the new rho: p stays and t becomes p - y/rho,
+  so the result of a solve's last iterate is taken before it.  A solver
+  that does not warm start never settles, so its rows and check buffers
+  serve blocks of ``_CHECK_EVERY``.
 - The loop calls private entry points (numpy >= 2.0, scipy >= 1.10): the
   ``eigh_lo`` gufunc, in the solve's quiet error state, ``c_einsum`` and
   scipy's ``_sparsetools`` kernels, each checked against its public
@@ -330,27 +328,6 @@ def _bind_product(mat, x: np.ndarray, out: np.ndarray):
     return product
 
 
-def _bind_check_products(mats, z_u, y_u, columns, az, pz, aty):
-    """A call setting the rows of ``az``, ``pz`` and ``aty`` to A z, P z and
-    A'y of the iterates in the columns of ``z_u`` and ``y_u``.  The kernels
-    take and give one column per iterate, so each product goes to a
-    contiguous (size, k) view of the flat buffer ``columns`` and is copied
-    back transposed; no stale iterate is multiplied.  ``mats`` is (A, A', P)."""
-    k = z_u.shape[1]
-    products, offset = [], 0
-    for mat, x, rows in zip(mats, (z_u, y_u, z_u), (az, aty, pz)):
-        out = columns[offset : offset + mat.shape[0] * k].reshape(mat.shape[0], k)
-        products.append((_bind_product(mat, x, out), rows))
-        offset += out.size
-    copyto = np.copyto
-
-    def check_products():
-        for product, rows in products:
-            copyto(rows, product().T)
-
-    return check_products
-
-
 def _dense_map(lu, rho_vec: np.ndarray, q_s: np.ndarray):
     """The affine part of one ADMM iteration as one C-ordered matrix M' on the
     iterate v = [x; t; p; 1], where t is the projection's input and p its
@@ -389,66 +366,96 @@ def _dense_map(lu, rho_vec: np.ndarray, q_s: np.ndarray):
 
 
 def _check_map(A: sp.csc_matrix, P: sp.csc_matrix, c: np.ndarray, d: np.ndarray,
-               e: np.ndarray, gamma: float):
-    """The termination check on the dense backend's row [x; t; p; 1] as one
-    C-ordered matrix C acting on u = [x; p - t; p; 1]: u C holds, in six
-    segments, A z - w_u, P z + c + A'y_u, A z, P z, s_u and A'y_u of the
-    original problem at z = d x, w_u = b - p/e (so s_u = p/e) and y_u = (e
-    rho/gamma) (p - t).  The rows of p - t, which hold rho, are written by
-    the returned call ``set_rho(rho_vec)`` at each refactor; the constant
-    row's A z - w_u segment, -b, is left 0 for a solve to write.  A segment
-    of an empty side (m or n zero) is one zero column, so its norm is 0.
-    Returns C, the six segments' starts and ``set_rho``."""
+               e: np.ndarray, gamma: float, dense: bool):
+    """The termination check as one sparse map of a backend's row, held
+    transposed, as CSR: C'u holds, in six segments, A z - w_u, P z + c +
+    A'y_u, A z, P z, s_u and A'y_u of the original problem at the row's
+    unscaled iterate.  On the LU row u = [x; w; y; 1], z = d x, w_u = w/e and
+    y_u = e y/gamma, so C is A diag(d) on x, -diag(1/e) on w, (e/gamma) A on
+    y, and c and b (in s_u = b - w_u) on the constant.  The dense row is
+    checked as u = [x; p - t; p; 1] (``_bind_check_map``), where w_u = b -
+    p/e and y_u = (e rho/gamma) (p - t): C is the same on x, diag(1/e) on p,
+    (e rho/gamma) A on p - t, and c and -b (in A z - w_u) on the constant.
+    The pattern is fixed; the returned calls ``set_rho(rho_vec)`` (each
+    refactor, dense only) and ``set_b(b)`` (each solve) write the entries of
+    rho and of b into its data through index maps.  A segment of an empty
+    side (m or n zero) is one empty row, so its norm is 0.  Returns C', the
+    six segments' starts, ``set_rho`` and ``set_b``."""
     m, n = A.shape
     sizes = (max(m, 1), max(n, 1)) * 3
     starts = np.cumsum((0,) + sizes[:-1])
-    r_prim, r_dual, az, pz, s_u, aty = (slice(a, a + size)
-                                        for a, size in zip(starts, (m, n) * 3))
-    x, y, p = slice(0, n), slice(n, n + m), slice(n + m, n + 2 * m)
-    A_dense = A.toarray()
-    C = np.zeros((n + 2 * m + 1, sum(sizes)))
-    C[x, r_prim] = C[x, az] = (A_dense * d).T
-    C[x, r_dual] = C[x, pz] = (P.toarray() * d).T
-    C[p, r_prim] = C[p, s_u] = np.diag(1.0 / e)
-    C[-1, r_dual] = c
+    r_prim, r_dual, az, pz, s_u, aty = starts
+    A, P = A.astype(float), P.astype(float)  # astype copies
+    for mat in (A, P):
+        mat.sum_duplicates()
+        mat.eliminate_zeros()
+    (a_rows, a_cols), (p_rows, p_cols), slack = _csc_row_col(A), _csc_row_col(P), np.arange(m)
+    ad, pd, we = A.data * d[a_cols], P.data * d[p_cols], (1.0 if dense else -1.0) / e
+    w, y = (n + m, n) if dense else (n, n + m)  # the columns of w (or p) and of y (or p - t)
+    one = n + 2 * m
+    parts = [(r_prim + a_rows, a_cols, ad), (az + a_rows, a_cols, ad),
+             (r_dual + p_rows, p_cols, pd), (pz + p_rows, p_cols, pd),
+             (r_prim + slack, w + slack, we), (s_u + slack, w + slack, we),
+             (r_dual + np.arange(n), np.full(n, one), c),
+             # the entries that set_rho writes, then those that set_b writes
+             (r_dual + a_cols, y + a_rows, A.data), (aty + a_cols, y + a_rows, A.data),
+             ((r_prim if dense else s_u) + slack, np.full(m, one), np.zeros(m))]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    order = np.lexsort((cols, rows))
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)  # each entry's place in the CSR data
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=sum(sizes)))])
+    check_map = sp.csr_matrix((vals[order], cols[order], indptr), shape=(sum(sizes), n + 2 * m + 1))
+    b_start = at.size - m
+    data, rho_at, b_at = check_map.data, at[b_start - 2 * A.nnz : b_start], at[b_start:]
+    rho_rows, rho_a, b_sign = np.tile(a_rows, 2), np.tile(A.data, 2), -1.0 if dense else 1.0
 
-    def set_rho(rho_vec: np.ndarray):
-        C[y, r_dual] = C[y, aty] = (e * rho_vec / gamma)[:, None] * A_dense
+    def set_rho(rho_vec):
+        data[rho_at] = (e * rho_vec / gamma)[rho_rows] * rho_a
 
-    return C, starts, set_rho
+    def set_b(b: np.ndarray):
+        data[b_at] = b_sign * b
+
+    if not dense:
+        set_rho(1.0)  # (e/gamma) A on y, with no rho in it
+    return check_map, starts, set_rho, set_b
 
 
-def _bind_check_map(rows: np.ndarray, n: int, check_map: np.ndarray, starts: np.ndarray,
-                    block: np.ndarray, products: np.ndarray, norms: np.ndarray):
+def _bind_check_map(rows: np.ndarray, n: int, dense: bool, check_map: sp.csr_matrix,
+                    starts: np.ndarray, block: np.ndarray, products: np.ndarray,
+                    norms: np.ndarray):
     """A call returning the (3, 2, k) infinity norms of the check map's six
-    segments for the k rows ``rows`` [x; t; p; 1] of n variables: rows
-    [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|].  The rows are copied to
-    the flat buffer ``block`` with t replaced by p - t, as the plain loop
-    forms y, so an inactive row's y is 0 exactly: a product of t and p apart
-    would leave r_dual a rounding floor of eps rho |t| |A| e/gamma, which
-    the dual tolerance does not scale with.  The product is one gemv per row
-    in one ``matmul``, so each row's bits are those of ``u @ check_map``
-    whatever k and its place in the block (a gemm's are not: they follow
-    BLAS's tiling).  One ``abs`` and one segmented max of the flat buffers
-    ``products`` and ``norms`` give the norms."""
-    (k, size), width = rows.shape, check_map.shape[1]
+    segments (``_check_map``) for the k rows ``rows`` of n variables: rows
+    [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|].  The rows are copied
+    to the flat buffer ``block`` with one column per iterate, as the kernel
+    takes them; a dense row [x; t; p; 1] with p - t in place of t, as the
+    plain loop forms y, so an inactive row's y is 0 exactly: a product of t
+    and p apart would leave r_dual a rounding floor of eps rho |t| |A|
+    e/gamma, which the dual tolerance does not scale with.  The product is
+    one ``csr_matvecs`` into the flat buffer ``products``: it sums each entry
+    in CSR index order, whatever k and the row's place in the block, so a
+    column's bits are those of the map's ``@`` on that row alone, with no
+    BLAS.  One ``abs`` and one segmented max into ``norms`` give the norms."""
+    (k, size), width = rows.shape, check_map.shape[0]
     m = (size - n - 1) // 2
-    u = block[: k * size].reshape(k, size)
-    t, p, y = rows[:, n : n + m], rows[:, n + m : -1], u[:, n : n + m]
-    out = products[: k * width].reshape(k, 1, width)
-    flat = out.reshape(k, width)
-    per_row = norms[: 6 * k].reshape(k, 6)
-    view = per_row.T.reshape(3, 2, k)  # a view: per_row's columns are [prim, dual] x 3
-    u_rows = u[:, None, :]
-    copyto, subtract, matmul, absolute, reduceat = (
-        np.copyto, np.subtract, np.matmul, np.absolute, np.maximum.reduceat)
+    u = block[: size * k].reshape(size, k)
+    out = products[: width * k].reshape(width, k)
+    per_segment = norms[: 6 * k].reshape(6, k)
+    view = per_segment.reshape(3, 2, k)
+    columns = rows.T
+    t, p, y = columns[n : n + m], columns[n + m : -1], u[n : n + m]
+    product = partial(_sparsetools.csr_matvecs, width, size, k, check_map.indptr,
+                      check_map.indices, check_map.data, u, out)
+    copyto, subtract, absolute, reduceat = np.copyto, np.subtract, np.absolute, np.maximum.reduceat
 
     def check() -> np.ndarray:
-        copyto(u, rows)
-        subtract(p, t, y)  # from rows: an out that is also an input costs numpy a copy
-        matmul(u_rows, check_map, out)
-        absolute(flat, flat)
-        reduceat(flat, starts, 1, None, per_row)
+        copyto(u, columns)
+        if dense:
+            subtract(p, t, y)
+        out.fill(0.0)
+        product()
+        absolute(out, out)
+        reduceat(out, starts, 0, None, per_segment)
         return view
 
     return check
@@ -537,7 +544,6 @@ class _Workspace:
         self.rows[:, -1] = 1.0
         self.start = self.rows[0]
         self.rho_vec, self.b_s, self.b = np.zeros(m), np.zeros(m), np.zeros(m)
-        self.prob = prob
         # the rho balance's scaled products of the start row's x and of its y,
         # which the backend writes to balance_y
         self.balance_y = np.zeros(m)
@@ -550,19 +556,23 @@ class _Workspace:
         self.dense = n + m <= _DENSE_MAX
         # the backend: iterate(count, operator) runs rows 1..count;
         # set_start(x, w, y) writes row 0 and set_y(y) its y at the current
-        # rho, as after a rho change; bind_block_check(k) binds the check of
-        # a block of k iterates, a call returning their (3, 2, k) infinity
-        # norms, rows [r_prim; r_dual], [|A z|; |P z|], [|s_u|; |A'y|];
-        # result(row) returns the unscaled (z, s, y) of row 1 + row of the
-        # last block checked (z also in self.z) and balance_wy() the scaled w
+        # rho, as after a rho change; result(row) returns the unscaled (z, s,
+        # y) of row 1 + row (z also in self.z) and balance_wy() the scaled w
         # and y of row 0 (y in balance_y).  None holds a reference to the
         # workspace, so a dropped solver's workspace goes with it, not at the
         # next garbage collection
-        (self.iterate, self.set_start, self.set_y, self.bind_block_check, self.result,
+        (self.iterate, self.set_start, self.set_y, self.result,
          self.balance_wy) = self.bind_dense() if self.dense else self.bind_lu()
+        # the check map of the backend's row, its rho entries written at each
+        # refactor and its b entries at each set_b, and the check's flat
+        # buffers for the longest block: the rows, their products and norms
+        self.check_map, self.check_starts, self.set_check_rho, self.set_check_b = _check_map(
+            prob.A, prob.P, prob.c, d, e, gamma, self.dense)
+        self.check_buffers = [np.zeros(longest * size)
+                              for size in (n + 2 * m + 1, self.check_map.shape[0], 6)]
         # check_views[k]: the check of a block of k iterates, bound the first
         # time a block of k runs (a cold solve binds no long one) on the
-        # heads of buffers sized for the longest block
+        # heads of the check's buffers
         self.check_views = [None] * (longest + 1)
         self.set_rho(_RHO_INIT)
 
@@ -574,10 +584,9 @@ class _Workspace:
         """The LU backend, on rows [x; w; y; 1]: a call running iterates
         1..count of a block from row 0, each by one call of ``operator``, the
         KKT factor's solve; a call writing a start to row 0, and one writing
-        its y, which no rho change moves; the check of a block of k by the
-        sparse products of the original A, A' and P; and the result of a row
-        of the last block checked, read from the check's unscaled z, w and y,
-        and row 0's w and y for the rho balance, read in place."""
+        its y, which no rho change moves; the result of a row, its unscaled z
+        = d x, s = b - w/e and y = e y/gamma; and row 0's w and y for the rho
+        balance, read in place."""
         n, m = self.q_s.size, self.b_s.size
         views = [(v[: n + m], v[n : n + m], v[n + m : -1], nxt[:n], nxt[n : n + m], nxt[n + m : -1])
                  for v, nxt in self.row_pairs()]
@@ -629,63 +638,19 @@ class _Workspace:
             start[:n], start[n : n + m] = x, w
             set_y(y)
 
-        # the check: the unscaled z, w and y of a block's rows, [residual, A z,
-        # s], [residual, P z, A'y] and their (3, 2, k) infinity norms, on the
-        # heads of flat buffers sized for the longest block, beside the
-        # kernels' output columns
-        A, P, c, d, e, gamma, b = self.prob.A, self.prob.P, self.prob.c, self.d, self.e, self.gamma, self.b
-        check_mats, rows, longest = (A, A.T, P), self.rows, self.longest
-        balance_y, z = self.balance_y, self.z
-        z_flat, w_flat, y_flat, prim_flat, dual_flat, norms_flat, columns = [
-            np.zeros(longest * size) for size in (n, m, m, 3 * m, 3 * n, 6, m + 2 * n)]
-        checked = [None]  # the unscaled z, w and y of the last block checked
-        absolute = np.absolute
-
-        def bind_check(k: int):
-            """The check of rows 1..k by the sparse kernels.  z and y are (k,
-            size) views of (size, k) buffers, one iterate per column as the
-            kernels take them; the rest are contiguous, so each infinity norm
-            is a contiguous reduction."""
-            x_s, w_s, y_s = rows[1 : k + 1, :n], rows[1 : k + 1, n : n + m], rows[1 : k + 1, n + m : -1]
-            z_col, y_col = z_flat[: n * k].reshape(n, k), y_flat[: m * k].reshape(m, k)
-            z_u, w_u, y_u, y_all = z_col.T, w_flat[: k * m].reshape(k, m), y_col.T, y_flat[: m * k]
-            prim = prim_flat[: 3 * k * m].reshape(3, k, m)
-            dual = dual_flat[: 3 * k * n].reshape(3, k, n)
-            norms = norms_flat[: 6 * k].reshape(3, 2, k)
-            products = _bind_check_products(check_mats, z_col, y_col, columns,
-                                            prim[1], dual[1], dual[2])
-            gammas = np.broadcast_to(gamma, m * k)  # read-only, no memory: stride 0
-            unscaled = z_u, w_u, y_u
-
-            def check() -> np.ndarray:
-                checked[0] = unscaled
-                multiply(d, x_s, z_u)
-                divide(w_s, e, w_u)
-                multiply(e, y_s, y_u)
-                divide(y_all, gammas, y_all)  # y_u / gamma, on y_u's contiguous buffer
-                products()
-                # prim holds [A z - w_u, A z, s_u], dual [P z + c + A'y, P z, A'y]
-                subtract(prim[1], w_u, prim[0])
-                subtract(b, w_u, prim[2])
-                add(dual[1], c, dual[0])
-                add(dual[0], dual[2], dual[0])
-                # one pass per side: the infinity norms of all three, 0 when empty
-                absolute(prim, prim).max(axis=2, initial=0.0, out=norms[:, 0])
-                absolute(dual, dual).max(axis=2, initial=0.0, out=norms[:, 1])
-                return norms
-
-            return check
+        rows, d, e, gamma, b, z, balance_y = (
+            self.rows, self.d, self.e, self.gamma, self.b, self.z, self.balance_y)
 
         def result(row: int):
-            z_u, w_u, y_u = checked[0]
-            copyto(z, z_u[row])
-            return z.copy(), b - w_u[row], y_u[row].copy()
+            v = rows[row + 1]
+            multiply(d, v[:n], z)
+            return z.copy(), b - divide(v[n : n + m], e), divide(multiply(e, v[n + m : -1]), gamma)
 
         def balance_wy():
             copyto(balance_y, start[n + m : -1])
             return start[n : n + m], balance_y
 
-        return iterate, set_start, set_y, bind_check, result, balance_wy
+        return iterate, set_start, set_y, result, balance_wy
 
     def bind_dense(self):
         """The dense backend, on rows [x; t; p; 1]: a call running iterates
@@ -694,12 +659,9 @@ class _Workspace:
         t, and one projection of that t into its p; a call writing a start
         (x, w, y) to row 0 as p = b_s - w and t = p - y/rho, and one writing
         its y alone, as t = p - y/rho at the current rho, which a rho change
-        needs.  A block's check is one product of its rows, t replaced by p
-        - t, with the check map C (``_check_map``), kept in ``check_map``
-        and its rows of p - t in ``set_check_rho``.  A row's scaled w = b_s
-        - p and y = rho (p - t) are formed only for the result, unscaled
-        as the LU backend's check unscales its rows, and for the rho
-        balance."""
+        needs.  A row's scaled w = b_s - p and y = rho (p - t) are formed
+        only for the result, unscaled as the LU backend's result unscales
+        its row, and for the rho balance."""
         n, m = self.q_s.size, self.b_s.size
         pairs, bind = self.row_pairs(), self.projector.bind
         steps = []  # each row's product and projection, bound the first time a block reaches it
@@ -724,16 +686,6 @@ class _Workspace:
             subtract(b_s, w, p0)
             set_y(y)
 
-        # C, its rows of p - t set at each refactor and its constant row at each set_b
-        self.check_map, starts, self.set_check_rho = _check_map(
-            self.prob.A, self.prob.P, self.prob.c, d, e, gamma)
-        check_map, longest = self.check_map, self.longest
-        block, products, norms = (np.zeros(longest * size)
-                                  for size in (rows.shape[1], check_map.shape[1], 6))
-
-        def bind_check(k: int):
-            return _bind_check_map(rows[1 : k + 1], n, check_map, starts, block, products, norms)
-
         def result(row: int):
             v = rows[row + 1]
             p = v[n + m : -1]
@@ -749,26 +701,27 @@ class _Workspace:
             multiply(rho_vec, balance_y, balance_y)
             return balance_w, balance_y
 
-        return iterate, set_start, set_y, bind_check, result, balance_wy
+        return iterate, set_start, set_y, result, balance_wy
 
     def bind_check(self, k: int):
-        """Bind and return ``check_views[k]``, the backend's check of a block
-        of k iterates in rows 1..k."""
-        check = self.check_views[k] = self.bind_block_check(k)
+        """Bind and return ``check_views[k]``, the check of a block of k
+        iterates in rows 1..k by the check map (``_bind_check_map``)."""
+        check = self.check_views[k] = _bind_check_map(
+            self.rows[1 : k + 1], self.q_s.size, self.dense, self.check_map, self.check_starts,
+            *self.check_buffers)
         return check
 
     def set_b(self, b: np.ndarray):
-        """Take a solve's right-hand side b, b_s = e b, and their terms in the dense maps."""
+        """Take a solve's right-hand side b, b_s = e b, and their terms in the maps."""
         np.copyto(self.b, b)
         np.multiply(self.e, b, self.b_s)
+        self.set_check_b(b)
         self.map_b_s()
 
     def map_b_s(self):
-        """Set the dense map's last column to c + B b_s (``_dense_map``) and
-        the check map's -b (``_check_map``)."""
+        """Set the dense map's last column to c + B b_s (``_dense_map``)."""
         if self.dense:
             np.add(self.map_shift, np.dot(self.map_b, self.b_s), self.map[:, -1])
-            np.negative(self.b, self.check_map[-1, : self.b.size])
 
     def refactor(self):
         self.kkt.data[self._rho_diag] = -(1.0 / self.rho_vec)

@@ -21,15 +21,16 @@ t the projection's input and p its output, a start (x, w, y) entering as p
 solver's own ``_dense_map`` builds from the fresh factor, its last column c
 + B b_s, giving x and t, then p = proj(t), w = b_s - p and y = rho (p - t),
 and a rho change keeps p and sets t = p - y/rho; otherwise it is the
-original LU arithmetic, on the map the termination check's residuals and
-scales are the maxima of the six segments of |u C|, one product of u = [x;
-p - t; p; 1] with the check map the solver's own ``_check_map`` builds at
-each refactor, -b written in its constant row (the LU loop keeps the
-original sparse products), and the PSD blocks of the solver's
-``_CLOSED_FORM_SIDE`` (2) are projected by the solver's own closed form
-``_project_psd2``, not by ``eigh`` (``test_solver.py`` checks that closed
-form against ``eigh``, and the check map's residuals against the sparse
-products).
+original LU arithmetic, the termination check's residuals and scales are,
+on either backend, the maxima of the six segments of |C'u|, one product
+(scipy's ``@``, a ``csr_matvec``) of the iterate's row u, [x; p - t; p; 1]
+on the map and [x; w; y; 1] on LU, with the check map the solver's own
+``_check_map`` builds at each refactor, b written into it by its
+``set_b``, where the original loop took the sparse products of A, A' and
+P, and the PSD blocks of the solver's ``_CLOSED_FORM_SIDE`` (2) are
+projected by the solver's own closed form ``_project_psd2``, not by
+``eigh`` (``test_solver.py`` checks that closed form against ``eigh``, and
+the check map's residuals against the sparse products on both backends).
 The objective formula the loop reports, ``c'z + constant + z'Pz/2``, is
 kept here as :func:`objective_value`, the tests' one copy of it.
 """
@@ -184,14 +185,15 @@ class _Workspace:
             format="csc",
         )
         self.lu = splu(kkt)
-        self.dense_map = self.check_map = None
-        if n + self.A_s.shape[0] <= solver._DENSE_MAX:
-            # (M' without b_s, B, c): the last column is c + B b_s
-            self.dense_map = _dense_map(self.lu, self.rho_vec, self.q_s)
-            # (C without -b, its segments' starts)
-            check_map, starts, set_rho = _check_map(*self.original, self.d, self.e, self.gamma)
+        dense = n + self.A_s.shape[0] <= solver._DENSE_MAX
+        # (M' without b_s, B, c): the last column is c + B b_s
+        self.dense_map = _dense_map(self.lu, self.rho_vec, self.q_s) if dense else None
+        # (C' without b, its segments' starts, the call writing b)
+        check_map, starts, set_rho, set_b = _check_map(*self.original, self.d, self.e, self.gamma,
+                                                       dense)
+        if dense:
             set_rho(self.rho_vec)
-            self.check_map = check_map, starts
+        self.check_map = check_map, starts, set_b
 
     def set_rho(self, rho_scalar: float):
         self.rho_scalar = float(np.clip(rho_scalar, _RHO_MIN, _RHO_MAX))
@@ -328,8 +330,6 @@ class ReferenceSolver:
 
         ws = self._prepare(prob, settings)
         n, mr = prob.num_vars, prob.num_rows
-        P = prob.P
-        A = prob.A
         b = prob.b
         c = prob.c
         b_s = ws.e * b
@@ -383,23 +383,14 @@ class ReferenceSolver:
             w_u = w / ws.e
             y_u = (ws.e * y) / ws.gamma
             s_u = b - w_u
-            if ws.check_map is not None:
-                # the map's check: |u C| of u = [x; p - t; p; 1], with -b in C's
-                # constant row, gives |A z - w_u|, |P z + c + A'y|, |A z|, |P z|, |s_u|, |A'y|
-                check_map, starts = ws.check_map
-                check_map = check_map.copy()
-                check_map[-1, :mr] = -b
-                u = np.abs(np.concatenate([x, p - t, p, [1.0]]) @ check_map)
-                r_prim, r_dual, Az_max, Pz_max, s_max, Aty_max = (
-                    part.max() for part in np.split(u, starts[1:]))
-            else:
-                Az = A @ z_u
-                r_prim = np.abs(Az - w_u).max() if mr else 0.0
-                Pz = P @ z_u if P is not None else np.zeros(n)
-                Aty = A.T @ y_u
-                r_dual = np.abs(Pz + c + Aty).max() if n else 0.0
-                Az_max, s_max = (np.abs(Az).max(), np.abs(s_u).max()) if mr else (0.0, 0.0)
-                Pz_max, Aty_max = (np.abs(Pz).max(), np.abs(Aty).max()) if n else (0.0, 0.0)
+            # the map's check: |C'u| of u = [x; p - t; p; 1] or [x; w; y; 1], with b
+            # written in its constant column, gives |A z - w_u|, |P z + c + A'y|,
+            # |A z|, |P z|, |s_u|, |A'y|
+            check_map, starts, set_b = ws.check_map
+            set_b(b)
+            u = np.concatenate([x, p - t, p, [1.0]] if ws.dense_map is not None else [x, w, y, [1.0]])
+            r_prim, r_dual, Az_max, Pz_max, s_max, Aty_max = (
+                part.max() for part in np.split(np.abs(check_map @ u), starts[1:]))
 
             if not (np.isfinite(r_prim) and np.isfinite(r_dual)):
                 status = INFEASIBLE_SUSPECT

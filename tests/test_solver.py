@@ -320,7 +320,7 @@ def test_projections_agree_on_the_shipped_twocraft_run(monkeypatch):
     assert_twocraft_runs_agree(monkeypatch, "_CLOSED_FORM_SIDE", [2, 0])
 
 
-# -- the dense backend's check map ----------------------------------------------
+# -- the check map --------------------------------------------------------------
 
 # the shipped two-craft step-0 cold solve, a QP whose slacks of 1e6 stay
 # inactive under the largest rho, the analytic suite at the default and the
@@ -347,11 +347,11 @@ def check_map_case(name):
 
 def check_map_and_plain_residuals(monkeypatch, prob, settings):
     """The (r_prim, r_dual) of every row the map's checks read, by the check
-    map and by the sparse products of the original problem, at z = d x, w =
-    b_s - p and y = rho (p - t) of the same row [x; t; p; 1], the tolerances
-    (eps_prim, eps_dual) of the plain residuals, and the solve's result and
-    its rho changes."""
-    monkeypatch.setattr(solver_module, "_DENSE_MAX", CROSSOVERS["dense"])
+    map and by the sparse products of the original problem, at z = d x, w_u
+    = w/e and y_u = e y/gamma of the same row, with w and y read from an LU
+    row [x; w; y; 1] or formed as w = b_s - p and y = rho (p - t) from a
+    dense row [x; t; p; 1], the tolerances (eps_prim, eps_dual) of the
+    plain residuals, and the solve's result and its rho changes."""
     solver = ConicSolver(prob, settings)
     n, m = prob.num_vars, prob.num_rows
     by_map, plain, eps = [], [], []
@@ -363,10 +363,11 @@ def check_map_and_plain_residuals(monkeypatch, prob, settings):
         def checked():
             norms = check()
             ws = solver._ws
-            x, t, p = rows[:, :n], rows[:, n : n + m], rows[:, n + m : -1]
+            x, v, u = rows[:, :n], rows[:, n : n + m], rows[:, n + m : -1]
+            w, y = (ws.b_s - u, ws.rho_vec * (u - v)) if ws.dense else (v, u)
             z = ws.d * x
-            w_u = (ws.b_s - p) / ws.e
-            y_u = ws.e * (ws.rho_vec * (p - t)) / ws.gamma
+            w_u = w / ws.e
+            y_u = ws.e * y / ws.gamma
             az, pz, aty = (prob.A @ z.T).T, (prob.P @ z.T).T, (prob.A.T @ y_u.T).T
             by_map.append(norms[0].copy())
             plain.append([np.abs(az - w_u).max(axis=1, initial=0.0),
@@ -391,13 +392,15 @@ def check_map_and_plain_residuals(monkeypatch, prob, settings):
 # each residual within 1e-6 of the larger of itself and its tolerance eps =
 # eps_abs + eps_rel * scale, so a termination decision can differ only for a
 # residual within a part per million of its tolerance.  The largest
-# differences over these cases are 1.0e-7 on r_prim (the slacks of 1e6, where
-# b - p/e cancels) and 2.2e-7 on r_dual (sdp_min_trace_unit_coupling-tight).
+# differences over these cases are, on dense rows, 1.0e-7 on r_prim (the
+# slacks of 1e6, where b - p/e cancels) and 2.2e-7 on r_dual
+# (sdp_min_trace_unit_coupling-tight), and on LU rows 8.3e-11 on r_prim
+# (twocraft-step0) and 1.1e-7 on r_dual (lp_covering-tight).
 # The inactive slacks take the map's y from p - t formed first: a product of
 # t and p apart rounds r_dual to about eps rho |t| there, 3e-4 against a
 # tolerance of 3e-9
 @pytest.mark.parametrize("name", CHECK_MAP_CASES)
-def test_check_map_residuals_match_the_sparse_products(monkeypatch, name):
+def test_check_map_residuals_match_the_sparse_products(monkeypatch, backend, name):
     prob, settings = check_map_case(name)
     if name == "inactive-slack":  # its first 100 iterations at the largest rho
         monkeypatch.setattr(solver_module, "_RHO_INIT", solver_module._RHO_MAX)
@@ -696,15 +699,12 @@ def test_absent_P_is_the_empty_square_csc_matrix():
 
 def test_bound_operands_are_read_only():
     # the loop's constant operands, bound once where a scalar was: alpha and
-    # 1 - alpha, each check view's gammas and the projection's zeros
+    # 1 - alpha and the projection's zeros
     ws = _Workspace(shipped_step0("fourcraft.cfg"))
-    for k in range(1, 101):
-        ws.bind_check(k)
     bound = closure(ws.project)
     operands = [(ws.alpha, _ALPHA), (ws.beta, 1.0 - _ALPHA), (bound["zeros_nn"], 0.0)]
     operands += [(group[4], 0.0) for group in bound["groups"]]
-    operands += [(closure(check)["gammas"], ws.gamma) for check in ws.check_views[1:]]
-    assert len(operands) == 3 + 1 + 100
+    assert len(operands) == 3 + 1
     for operand, value in operands:
         assert not operand.flags.writeable
         assert np.all(operand == value)

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from analytic_problems import build_problems, empty_side_problems
-from conftest import closure, fourcraft_scenario, pinned_problem
+from conftest import fourcraft_scenario, pinned_problem
 from coulombmpc import (
     ConeDims,
     ConicProblem,
@@ -295,10 +295,8 @@ def check_passes(monkeypatch):
             return lambda: passes.append(None) or check()
         return bind_counted
 
-    # each backend's check binds one of these per block length: the sparse
-    # check's products on LU, the check map's product on the map
-    for name in ("_bind_check_products", "_bind_check_map"):
-        monkeypatch.setattr(solver_module, name, counting(getattr(solver_module, name)))
+    # both backends' checks bind one of these per block length
+    monkeypatch.setattr(solver_module, "_bind_check_map", counting(solver_module._bind_check_map))
     return passes
 
 
@@ -451,10 +449,10 @@ def test_cold_solver_sizes_its_workspace_for_short_blocks(backend):
         solver = ConicSolver(prob, dataclasses.replace(scenario.solver, warm_start=warm_start))
         results.append(logged(lambda cb: solver.solve(log_callback=cb)))
         assert solver._ws.rows.shape[0] == len(solver._ws.check_views) == rows
-        # a check buffer: the unscaled z on LU, the rows [x; p - t; p; 1] on the map
-        bound, width = closure(solver._ws.bind_block_check), solver._ws.rows.shape[1]
-        flat, size = (bound["z_flat"], prob.num_vars) if backend == "lu" else (bound["block"], width)
-        assert flat.size == (rows - 1) * size
+        # the check's buffers of the rows and of their products, on either backend
+        ws = solver._ws
+        for flat, size in zip(ws.check_buffers, (ws.rows.shape[1], ws.check_map.shape[0])):
+            assert flat.size == (rows - 1) * size
     (cold, cold_log), (warm, warm_log) = results
     assert_identical(cold, warm)
     assert cold_log == warm_log
